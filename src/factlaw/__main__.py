@@ -1,0 +1,6 @@
+"""Run the command-line interface as ``python -m factlaw``."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

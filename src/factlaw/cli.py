@@ -160,7 +160,6 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[Any, str], Any], bool]]] = {
         "seed": (_as_int, True),
         "confirm": (_as_int, False),
         "max_events": (_as_int, False),
-        "ambiguity_budget": (_as_int, False),
         "out": (_as_str, True),
     },
     "end-to-end": {
@@ -543,7 +542,6 @@ def _cmd_integrate(params: Mapping[str, Any]):
     config = IntegrationConfig(
         max_events=params.get("max_events", 1_000_000),
         confirmation_replicas=params.get("confirm", 3),
-        ambiguity_budget=params.get("ambiguity_budget", 0),
     )
     result = run_integration(complexified_phenomenon(form, seed), config)
     outputs = _write_doc(result.to_doc(), params["out"])

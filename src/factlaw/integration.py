@@ -33,7 +33,7 @@ from .phenomenon import (
     run_frequency_experiment,
 )
 from .prob import Measure, Universe
-from .puzzle import Board, BorderAssembler, Piece
+from .puzzle import Board, BorderAssembler, InconsistentSignatures, Piece
 from .seeding import derive_seed
 from .serialize import fraction_to_str, sha256_of_doc
 
@@ -46,8 +46,8 @@ class InconsistentReplicas(RuntimeError):
     """Completed replicas disagree on counts — the stream is corrupt."""
 
 
-class AmbiguityExhausted(RuntimeError):
-    """Signature clashes exceeded the ambiguity budget of this run."""
+class AmbiguousStream(RuntimeError):
+    """An event clashed with the slot its signature matched: edges repeat."""
 
 
 @dataclass(frozen=True)
@@ -57,23 +57,17 @@ class ComplexifiedEvent:
     ``label_r`` is the basin label the realization reached;
     ``complexification_r_prime`` is the globally registered index that keeps
     same-label events apart; ``edge_sigs`` carry the co-bordity structure.
-    ``extra_values`` may record further observed aspect values; it is inert
-    here.
     """
 
     label_r: int
     complexification_r_prime: int
     edge_sigs: tuple[str, str, str, str]
-    extra_values: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         sigs = tuple(self.edge_sigs)
         if len(sigs) != 4:
             raise ValueError("edge_sigs must have exactly four entries (N, E, S, W)")
         object.__setattr__(self, "edge_sigs", sigs)
-        object.__setattr__(
-            self, "extra_values", tuple(tuple(pair) for pair in self.extra_values)
-        )
         if self.label_r < 1 or self.complexification_r_prime < 1:
             raise ValueError("labels and complexification indices start at 1")
 
@@ -274,15 +268,12 @@ def label_projection(form: HiddenForm, seed: int = 0) -> RandomPhenomenon:
 class IntegrationConfig:
     max_events: int = 1_000_000
     confirmation_replicas: int = 3
-    ambiguity_budget: int = 0
 
     def __post_init__(self) -> None:
         if self.confirmation_replicas < 1:
             raise ValueError("need at least one confirmation replica")
         if self.max_events < 1:
             raise ValueError("max_events must be positive")
-        if self.ambiguity_budget < 0:
-            raise ValueError("ambiguity_budget must be >= 0")
 
 
 @dataclass
@@ -293,31 +284,26 @@ class IntegrationState:
     open patches, completed replicas its closed boards.  Feeding an event
     attaches it to the oldest replica that wants one of its signatures,
     opens a fresh replica otherwise, and lets bridging events merge
-    replicas.  Events whose signatures clash (possible only for streams
-    that violate unique matching) consume the ambiguity budget.
+    replicas.  An event whose signatures clash with its matched slot
+    (possible only for streams that violate unique matching) raises
+    :class:`AmbiguousStream`.
     """
 
     config: IntegrationConfig = field(default_factory=IntegrationConfig)
     events_consumed: int = 0
-    ambiguity_spent: int = 0
 
     def __post_init__(self) -> None:
-        self._assembler = BorderAssembler(strict=False)
+        self._assembler = BorderAssembler()
 
     def feed(self, event: ComplexifiedEvent) -> None:
         self.events_consumed += 1
-        piece = Piece(event, event.edge_sigs)
-        assembler = self._assembler
-        for patch_id, pos, _ in assembler.candidate_slots(piece):
-            if assembler.place_at(piece, patch_id, pos, self.events_consumed):
-                return
-            self.ambiguity_spent += 1
-            if self.ambiguity_spent > self.config.ambiguity_budget:
-                raise AmbiguityExhausted(
-                    f"{self.ambiguity_spent} signature clashes exceed the"
-                    f" budget of {self.config.ambiguity_budget}"
-                )
-        assembler.place_new_patch(piece, self.events_consumed)
+        try:
+            self._assembler.add(Piece(event, event.edge_sigs), self.events_consumed)
+        except InconsistentSignatures as exc:
+            raise AmbiguousStream(
+                f"event {self.events_consumed}: {exc}; integration needs"
+                " unique edge signatures"
+            ) from exc
 
     @property
     def completed_count(self) -> int:
@@ -344,15 +330,13 @@ class IntegrationResult:
 
     ``n_phi_total`` is the tile count of a completed replica;
     ``per_pair_counts`` counts each realized (label, complexification
-    index) pair; ``per_label_complexified`` counts complexified events per
-    label; ``per_label`` counts bare labels after the complexification
+    index) pair; ``per_label`` counts bare labels after the complexification
     index is dropped; ``total_labels`` is their grand total.  The law is
     ``per_label / total_labels`` as exact rationals.
     """
 
     n_phi_total: int
     per_pair_counts: Mapping[tuple[int, int], int]
-    per_label_complexified: Mapping[int, int]
     per_label: Mapping[int, int]
     total_labels: int
     law: Measure
@@ -362,9 +346,6 @@ class IntegrationResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_pair_counts", dict(self.per_pair_counts))
-        object.__setattr__(
-            self, "per_label_complexified", dict(self.per_label_complexified)
-        )
         object.__setattr__(self, "per_label", dict(self.per_label))
         if sum(self.per_label.values()) != self.total_labels:
             raise ValueError("per-label counts must sum to total_labels")
@@ -377,9 +358,6 @@ class IntegrationResult:
         return {
             "n_phi_total": self.n_phi_total,
             "per_label": {str(r): n for r, n in sorted(self.per_label.items())},
-            "per_label_complexified": {
-                str(r): n for r, n in sorted(self.per_label_complexified.items())
-            },
             "pair_count": len(self.per_pair_counts),
             "total_labels": self.total_labels,
             "law": {
@@ -453,7 +431,6 @@ def integrate(
     return IntegrationResult(
         n_phi_total=n_total,
         per_pair_counts=pair_counts,
-        per_label_complexified=dict(sorted(label_counts.items())),
         per_label=dict(sorted(label_counts.items())),
         total_labels=total_labels,
         law=law,

@@ -43,12 +43,6 @@ def label_value(label: int) -> str:
     return f"j{label}"
 
 
-def label_from_value(value: str) -> int:
-    if not value.startswith("j"):
-        raise ValueError(f"not an approximate-colour value id: {value!r}")
-    return int(value[1:])
-
-
 @dataclass(frozen=True)
 class Tile:
     """One square of the painting."""

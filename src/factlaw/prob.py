@@ -66,7 +66,7 @@ class Universe:
         return iter(self.elements)
 
     def __contains__(self, element: object) -> bool:
-        return element in set(self.elements)
+        return element in self.elements
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def validate_measure(measure: Measure, algebra: EventAlgebra) -> ValidationRepor
     checks: list[CheckResult] = []
 
     missing = [e for e in algebra.universe if e not in measure.atom_probs]
-    extra = [e for e in measure.labels if e not in set(algebra.universe.elements)]
+    extra = [e for e in measure.labels if e not in algebra.universe]
     aligned = not missing and not extra
     checks.append(
         CheckResult(

@@ -3,11 +3,13 @@
 Fragments are drawn one at a time from a shuffled pool and placed on boards.
 In the location game every fragment carries its coordinates, so placement is
 certain.  In the border game coordinates are filtered out and only edge
-signatures guide assembly: a drawn fragment attaches where an open slot
-demands its signature, else it opens a new nascent board; bridging fragments
-trigger rigid-translation merges of partial boards.  With several replicas
-of the painting mixed into one pool, boards grow intermingled and complete
-only near the end of the stream.
+signatures guide assembly.  When signatures are unique, a drawn fragment
+attaches where an open slot demands its signature, else it opens a new
+nascent board; bridging fragments trigger rigid-translation merges of
+partial boards.  With several replicas of the painting mixed into one pool,
+boards grow intermingled and complete only near the end of the stream.
+When signatures repeat, draw order cannot settle ties, and a scan-line
+search fills the boards cell by cell instead.
 
 The border-matching engine (:class:`BorderAssembler`) is shared with the
 semantic-integration module, which feeds it complexified events instead of
@@ -39,7 +41,7 @@ class DuplicateCoordinates(Exception):
 
 
 class UnsolvablePool(Exception):
-    """Backtracking exhausted its trial budget without a full assembly."""
+    """No assembly of the pool exists, or the named trial budget ran out."""
 
 
 class InconsistentSignatures(Exception):
@@ -236,13 +238,6 @@ class _Patch:
         x0, x1, y0, y1 = self.bbox
         return len(self.cells) == (x1 - x0 + 1) * (y1 - y0 + 1)
 
-    def clone(self) -> "_Patch":
-        other = _Patch(self.patch_id)
-        other.cells = dict(self.cells)
-        other.req_count = self.req_count
-        other.bbox = self.bbox
-        return other
-
 
 class BorderAssembler:
     """Greedy border-matching assembly with merge-on-bridge.
@@ -254,14 +249,11 @@ class BorderAssembler:
     (overlapping merges are skipped: overlapping cells are fungible
     duplicates belonging to different replicas).
 
-    With ``strict=True`` a signature contradiction raises
-    :class:`InconsistentSignatures`; with ``strict=False`` the offending
-    placement or merge is refused instead, which the backtracking solver
-    uses to explore alternatives.
+    A signature contradiction, at a matched slot or along a merge seam,
+    raises :class:`InconsistentSignatures`.
     """
 
-    def __init__(self, strict: bool = True):
-        self.strict = strict
+    def __init__(self) -> None:
         self.patches: dict[int, _Patch] = {}
         self.req_index: dict[tuple[int, str], set[tuple[int, tuple[int, int]]]] = {}
         self.completed: list[tuple[_Patch, int]] = []
@@ -340,21 +332,17 @@ class BorderAssembler:
 
     # -- placement and merging ----------------------------------------------
 
-    def _raw_place(self, patch: _Patch, pos: tuple[int, int], piece: Piece) -> bool:
+    def _raw_place(self, patch: _Patch, pos: tuple[int, int], piece: Piece) -> None:
         """Place with full-fit validation; no completion check, no bridging."""
-        if pos in patch.cells:
-            return False
+        assert pos not in patch.cells, "open slots are never occupied"
         if not self._fits(patch, pos, piece):
-            if self.strict:
-                raise InconsistentSignatures(
-                    f"piece does not fit its matched slot at {pos}"
-                )
-            return False
+            raise InconsistentSignatures(
+                f"piece does not fit its matched slot at {pos}"
+            )
         patch.cells[pos] = piece
         patch.grow_bbox(pos)
         self._remove_requirements_at(patch, pos)
         self._add_requirements(patch, pos, piece)
-        return True
 
     def _try_merge(
         self, host: _Patch, guest: _Patch, offset: tuple[int, int]
@@ -362,8 +350,8 @@ class BorderAssembler:
         """Move ``guest`` into ``host`` shifted by ``offset``; None if refused.
 
         Refused when any shifted cell overlaps the host (fungible duplicate
-        content from another replica) or, in non-strict mode, when a seam
-        between the two patches would mismatch.
+        content from another replica).  A mismatched seam between the two
+        patches raises :class:`InconsistentSignatures`.
         """
         ox, oy = offset
         shifted = {
@@ -384,18 +372,14 @@ class BorderAssembler:
                 mine = piece.edges[d]
                 theirs = neighbour.edges[_OPPOSITE[d]]  # type: ignore[index]
                 if mine != theirs or mine == BOUNDARY:
-                    if self.strict:
-                        raise InconsistentSignatures(
-                            f"merge seam mismatch at {target}: {mine!r} vs {theirs!r}"
-                        )
-                    return None
+                    raise InconsistentSignatures(
+                        f"merge seam mismatch at {target}: {mine!r} vs {theirs!r}"
+                    )
         self._drop_patch_requirements(guest)
         del self.patches[guest.patch_id]
-        placed = []
-        for pos in sorted(shifted):
-            ok = self._raw_place(host, pos, shifted[pos])
-            assert ok, "pre-validated merge cell failed to place"
-            placed.append(pos)
+        placed = sorted(shifted)
+        for pos in placed:
+            self._raw_place(host, pos, shifted[pos])
         return placed
 
     def _bridge_from(self, patch: _Patch, seeds: list[tuple[int, int]]) -> None:
@@ -452,21 +436,18 @@ class BorderAssembler:
         return sorted(found)
 
     def place_at(self, piece: Piece, patch_id: int, pos: tuple[int, int],
-                 draw_index: int) -> bool:
+                 draw_index: int) -> None:
         patch = self.patches[patch_id]
-        if not self._raw_place(patch, pos, piece):
-            return False
+        self._raw_place(patch, pos, piece)
         self.placements += 1
         self._bridge_from(patch, [pos])
         self._check_completion(patch, draw_index)
-        return True
 
     def place_new_patch(self, piece: Piece, draw_index: int) -> None:
         patch = _Patch(self.next_patch_id)
         self.next_patch_id += 1
         self.patches[patch.patch_id] = patch
-        ok = self._raw_place(patch, (0, 0), piece)
-        assert ok, "placing on an empty patch cannot fail"
+        self._raw_place(patch, (0, 0), piece)
         self.placements += 1
         self._check_completion(patch, draw_index)
 
@@ -475,11 +456,9 @@ class BorderAssembler:
         candidates = self.candidate_slots(piece)
         if candidates:
             patch_id, pos, _ = candidates[0]
-            if self.place_at(piece, patch_id, pos, draw_index):
-                return
-            if self.strict:  # place_at raises first in strict mode
-                raise InconsistentSignatures("matched slot refused the piece")
-        self.place_new_patch(piece, draw_index)
+            self.place_at(piece, patch_id, pos, draw_index)
+        else:
+            self.place_new_patch(piece, draw_index)
 
     def all_complete(self) -> bool:
         return not self.patches
@@ -490,15 +469,6 @@ class BorderAssembler:
             (Board(patch.cells).canonical(), draw_index)
             for patch, draw_index in self.completed
         ]
-
-    def clone(self) -> "BorderAssembler":
-        other = BorderAssembler(self.strict)
-        other.patches = {pid: p.clone() for pid, p in self.patches.items()}
-        other.req_index = {k: set(v) for k, v in self.req_index.items()}
-        other.completed = list(self.completed)
-        other.placements = self.placements
-        other.next_patch_id = self.next_patch_id
-        return other
 
 
 # --- the games --------------------------------------------------------------
@@ -551,11 +521,12 @@ def solve_by_borders(
     """Assemble fragments by edge-signature attraction alone.
 
     When every signature occurs on at most ``2 * replica_count`` fragment
-    sides, signatures behave uniquely and a greedy pass suffices; otherwise
-    the pool is ambiguous and a budget-bounded depth-first search over
-    candidate slots runs instead.  Raises :class:`InconsistentSignatures`
-    for pools no single painting can explain and :class:`UnsolvablePool`
-    when the search budget runs out.
+    sides, signatures behave uniquely and a greedy pass in draw order
+    suffices.  Otherwise the pool is ambiguous and a scan-line search runs
+    instead, bounded by ``trial_budget`` pieces set on cells (default
+    100 000).  Raises :class:`InconsistentSignatures` for unique pools no
+    single painting can explain, and :class:`UnsolvablePool` when an
+    ambiguous pool has no assembly or the trial budget runs out.
     """
     draws = pool.draw_all()
     if not draws:
@@ -567,64 +538,112 @@ def solve_by_borders(
     unique = all(c <= 2 * pool.replica_count for c in side_counts.values())
     if unique:
         return _solve_greedy(draws)
-    return _solve_backtracking(draws, trial_budget)
+    return _solve_scanline(draws, trial_budget)
 
 
 def _solve_greedy(draws: Sequence[Description]) -> AssemblyReport:
-    assembler = BorderAssembler(strict=True)
+    assembler = BorderAssembler()
     for i, fragment in enumerate(draws):
         assembler.add(Piece(fragment, _edges_of(fragment)), draw_index=i + 1)
     if not assembler.all_complete():
         raise InconsistentSignatures("pool exhausted with incomplete boards")
-    return _report_from(assembler, trials=assembler.placements)
+    return _report(assembler.placements, assembler.placements,
+                   assembler.completed_boards())
 
 
-def _report_from(assembler: BorderAssembler, trials: int) -> AssemblyReport:
-    finished = assembler.completed_boards()
-    boards = tuple(board for board, _ in finished)
-    order = tuple(
-        (index, draw_index) for index, (_, draw_index) in enumerate(finished)
-    )
+def _report(placements: int, trials: int,
+            finished: Sequence[tuple[Board, int]]) -> AssemblyReport:
+    """Report boards given in closing order with their closing draw index."""
     return AssemblyReport(
-        placements=assembler.placements,
+        placements=placements,
         trials=trials,
-        completed_replicas=len(boards),
-        completion_order=order,
-        boards=boards,
+        completed_replicas=len(finished),
+        completion_order=tuple(
+            (index, draw_index) for index, (_, draw_index) in enumerate(finished)
+        ),
+        boards=tuple(board for board, _ in finished),
     )
 
 
-def _solve_backtracking(
+def _solve_scanline(
     draws: Sequence[Description], trial_budget: int | None
 ) -> AssemblyReport:
-    budget = trial_budget if trial_budget is not None else 100_000
-    pieces = [Piece(f, _edges_of(f)) for f in draws]
-    trials = 0
+    """Fill every cell of every board in raster order, backtracking on one stack.
 
-    def dfs(index: int, assembler: BorderAssembler) -> BorderAssembler | None:
-        nonlocal trials
-        if index == len(pieces):
-            return assembler if assembler.all_complete() else None
-        piece = pieces[index]
-        for candidate in assembler.candidate_slots(piece):
-            trials += 1
-            if trials > budget:
-                raise UnsolvablePool(f"trial budget {budget} exhausted")
-            attempt = assembler.clone()
-            patch_id, pos, _ = candidate
-            if not attempt.place_at(piece, patch_id, pos, index + 1):
-                continue
-            solved = dfs(index + 1, attempt)
-            if solved is not None:
-                return solved
+    The boundary marks fix the layout: each board has one piece with
+    boundary S and W edges, ``width`` pieces with a boundary S edge and
+    ``height`` with a boundary W edge.  Cells are filled row by row from
+    the bottom-left corner, board after board.  A cell takes a piece whose
+    W and S edges equal its left and lower neighbours' E and N edges (the
+    boundary mark on the left column and bottom row), and whose E and N
+    edges are the boundary mark exactly on the right column and top row.
+    Pieces with equal edge tuples are interchangeable, so one per tuple is
+    tried.  Backtracking crosses board boundaries, so an exhausted stack
+    proves that no assembly exists.
+    """
+    budget = trial_budget if trial_budget is not None else 100_000
+    sigs = [_edges_of(f) for f in draws]
+    boards = sum(e[S] == BOUNDARY and e[W] == BOUNDARY for e in sigs)
+    bottom = sum(e[S] == BOUNDARY for e in sigs)
+    left = sum(e[W] == BOUNDARY for e in sigs)
+    if not boards or bottom % boards or left % boards:
+        raise UnsolvablePool("no consistent assembly found")
+    width, height = bottom // boards, left // boards
+    cells = boards * width * height
+    if cells != len(draws):
+        raise UnsolvablePool("no consistent assembly found")
+
+    # Draw indices of the pieces sharing each edge tuple, in draw order.
+    groups: dict[tuple, list[int]] = {}
+    for index, edges in enumerate(sigs):
+        groups.setdefault(edges, []).append(index)
+    by_west_south: dict[tuple[str, str], list[tuple]] = {}
+    for edges in groups:
+        by_west_south.setdefault((edges[W], edges[S]), []).append(edges)
+    stock = {edges: len(group) for edges, group in groups.items()}
+    chosen: list[tuple] = []  # the edge tuple set on each filled cell
+
+    def options(cell: int) -> Iterator[tuple]:
+        x, y = cell % width, cell // width % height
+        west = chosen[cell - 1][E] if x else BOUNDARY
+        south = chosen[cell - width][N] if y else BOUNDARY
+        right, top = x == width - 1, y == height - 1
+        return (
+            edges for edges in by_west_south.get((west, south), ())
+            if (edges[E] == BOUNDARY) == right and (edges[N] == BOUNDARY) == top
+        )
+
+    stack = [options(0)]
+    trials = 0
+    while len(chosen) < cells:
+        edges = next((e for e in stack[-1] if stock[e]), None)
+        if edges is None:
+            stack.pop()
+            if not stack:
+                raise UnsolvablePool("no consistent assembly found")
+            stock[chosen.pop()] += 1
+            continue
         trials += 1
         if trials > budget:
             raise UnsolvablePool(f"trial budget {budget} exhausted")
-        attempt = assembler.clone()
-        attempt.place_new_patch(piece, index + 1)
-        return dfs(index + 1, attempt)
+        stock[edges] -= 1
+        chosen.append(edges)
+        if len(chosen) < cells:
+            stack.append(options(len(chosen)))
 
-    solved = dfs(0, BorderAssembler(strict=False))
-    if solved is None:
-        raise UnsolvablePool("no consistent assembly found")
-    return _report_from(solved, trials=trials)
+    # Hand out interchangeable pieces in draw order; a board closes with
+    # the last-drawn of its pieces.
+    supply = {edges: iter(group) for edges, group in groups.items()}
+    area = width * height
+    finished = []
+    for first in range(0, cells, area):
+        placed = {
+            (i % width + 1, i // width + 1): next(supply[chosen[first + i]])
+            for i in range(area)
+        }
+        board = Board({
+            pos: Piece(draws[index], sigs[index]) for pos, index in placed.items()
+        })
+        finished.append((board, max(placed.values()) + 1))
+    finished.sort(key=lambda entry: entry[1])
+    return _report(cells, trials, finished)

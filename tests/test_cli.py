@@ -559,7 +559,8 @@ def test_reproduce_rejects_broken_manifest(tmp_path, capsys):
 def test_console_script_roundtrip(tmp_path, spec_file):
     out = tmp_path / "p.json"
     proc = subprocess.run(
-        ["factlaw", "gen-painting", "--spec", spec_file, "--out", str(out)],
+        [sys.executable, "-m", "factlaw", "gen-painting", "--spec", spec_file,
+         "--out", str(out)],
         capture_output=True,
         text=True,
     )

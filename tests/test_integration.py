@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from factlaw import (
-    AmbiguityExhausted,
+    AmbiguousStream,
     BudgetExhausted,
     ComplexifiedEvent,
     FormCell,
@@ -250,7 +250,7 @@ def test_single_replica_skips_confirmation():
     assert result.events_consumed == 1
 
 
-def test_ambiguity_budget_counts_refused_slots():
+def test_ambiguous_stream_is_rejected():
     # Build a hook shape whose last event matches an open slot by one edge
     # but clashes with a second neighbour of that slot.
     events = [
@@ -260,17 +260,11 @@ def test_ambiguity_budget_counts_refused_slots():
         ComplexifiedEvent(1, 4, (B, B, "z", "x2")),       # (2,1)
         ComplexifiedEvent(1, 5, (B, "x2", "w", B)),       # clashes at (1,1)
     ]
-    strict_state = IntegrationState(IntegrationConfig(ambiguity_budget=0))
+    state = IntegrationState()
     for event in events[:-1]:
-        strict_state.feed(event)
-    with pytest.raises(AmbiguityExhausted):
-        strict_state.feed(events[-1])
-
-    lenient_state = IntegrationState(IntegrationConfig(ambiguity_budget=1))
-    for event in events:
-        lenient_state.feed(event)
-    assert lenient_state.ambiguity_spent == 1
-    assert lenient_state.nascent_count == 2  # the clashing event starts afresh
+        state.feed(event)
+    with pytest.raises(AmbiguousStream, match="event 5"):
+        state.feed(events[-1])
 
 
 def test_integration_config_validation():
@@ -278,8 +272,6 @@ def test_integration_config_validation():
         IntegrationConfig(confirmation_replicas=0)
     with pytest.raises(ValueError):
         IntegrationConfig(max_events=0)
-    with pytest.raises(ValueError):
-        IntegrationConfig(ambiguity_budget=-1)
 
 
 def test_integration_result_invariants():
@@ -287,7 +279,6 @@ def test_integration_result_invariants():
         IntegrationResult(
             n_phi_total=2,
             per_pair_counts={(1, 1): 1},
-            per_label_complexified={1: 1},
             per_label={1: 1},
             total_labels=2,
             law=Measure({1: Fraction(1)}),
