@@ -7,6 +7,8 @@ or CSV, and every file-producing run also writes a RunManifest recording
 input/output digests so `reproduce` can re-run it and diff byte-for-byte.
 
 Exit codes: 0 success, 1 failed check or runtime error, 2 config error.
+Every non-zero exit writes one JSON line to stderr, whose "error" field is
+"check", "runtime" or "config".
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -70,10 +73,18 @@ class MissingInput(Exception):
     """A file referenced by a manifest or config does not exist."""
 
 
+class CheckFailed(Exception):
+    """The command ran to the end, and a check it reports on did not pass."""
+
+
 # --- configuration ----------------------------------------------------------
 
 
 def _as_int(value: Any, key: str) -> int:
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
@@ -87,7 +98,11 @@ def _as_str(value: Any, key: str) -> str:
 
 
 def _as_number(value: Any, key: str) -> Any:
-    """Exact numbers: int, float, or a "num/den" string; kept exact."""
+    """Exact numbers: int, finite float, or a "num/den" string; kept exact."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not math.isfinite(value)
+    ):
+        raise ConfigError(f"{key} must be a number or num/den, got {value!r}")
     if isinstance(value, (int, float)):
         return value
     if isinstance(value, str):
@@ -428,11 +443,18 @@ def _cmd_play_prob_game(params: Mapping[str, Any]):
     return 0, outputs, {painting_path: sha256_of_file(painting_path)}, (seed,)
 
 
-def _space_from_doc(doc: Mapping[str, Any]):
-    if "universe" not in doc or "law" not in doc:
+def _space_from_doc(doc: Any):
+    if not isinstance(doc, dict) or "universe" not in doc or "law" not in doc:
         raise ConfigError("space file needs 'universe' and 'law' entries")
-    universe = Universe(tuple(doc["universe"]))
+    if not isinstance(doc["universe"], list):
+        raise ConfigError("space universe must be a list")
+    try:
+        universe = Universe(tuple(doc["universe"]))
+    except (TypeError, ValueError) as exc:  # unhashable, empty or duplicate
+        raise ConfigError(f"bad space universe {doc['universe']!r}: {exc}") from None
     by_name = {str(e): e for e in universe.elements}
+    if not isinstance(doc["law"], dict):
+        raise ConfigError("space law must be an object of element -> weight")
     law = {}
     for key, value in doc["law"].items():
         if key not in by_name:
@@ -445,16 +467,29 @@ def _space_from_doc(doc: Mapping[str, Any]):
     if generators is None:
         generator_sets = [{e} for e in universe.elements]
     else:
-        generator_sets = [
-            {by_name[str(member)] for member in gen} for gen in generators
-        ]
+        if not isinstance(generators, list) or not all(
+            isinstance(gen, list) for gen in generators
+        ):
+            raise ConfigError("algebra_generators must be a list of element lists")
+        try:
+            generator_sets = [
+                {by_name[str(member)] for member in gen} for gen in generators
+            ]
+        except KeyError as exc:
+            raise ConfigError(
+                f"algebra generator names unknown element {exc}"
+            ) from None
     algebra = generate_algebra(universe, generator_sets)
     return Measure(law), algebra
 
 
 def _cmd_validate_space(params: Mapping[str, Any]):
     space_path = _require_file(params["space"], "space file")
-    measure, algebra = _space_from_doc(load_json(space_path))
+    try:
+        doc = load_json(space_path)
+    except ValueError as exc:
+        raise ConfigError(f"space file is not valid JSON: {exc}") from None
+    measure, algebra = _space_from_doc(doc)
     report = validate_measure(measure, algebra)
     doc = report.to_doc()
     doc["events"] = len(algebra)
@@ -475,6 +510,10 @@ def _lln_sampler(params: Mapping[str, Any], seed: int):
         inputs = {painting_path: sha256_of_file(painting_path)}
     else:
         weights = params["weights"]
+        if any(w < 0 for w in weights) or not any(weights):
+            raise ConfigError(
+                f"weights must be non-negative with a positive total, got {weights!r}"
+            )
         universe = Universe(tuple(range(1, len(weights) + 1)))
         sampler = RandomPhenomenon(
             "weighted-draw", universe, tuple(weights), seed=seed
@@ -485,14 +524,34 @@ def _lln_sampler(params: Mapping[str, Any], seed: int):
 
 def _cmd_lln(params: Mapping[str, Any]):
     seed = params["seed"]
+    operation = params["operation"]
+    if params["repetitions"] < 1:
+        raise ConfigError("repetitions must be positive")
+    if params["epsilon"] <= 0:
+        raise ConfigError("epsilon must be positive")
+    if operation == "meta-probability":
+        if "n_draws" not in params:
+            raise ConfigError("meta-probability requires n_draws")
+        if params["n_draws"] < 1:
+            raise ConfigError("n_draws must be positive")
+    else:
+        if "delta" not in params:
+            raise ConfigError("find-n0 requires delta")
+        if not 0 < params["delta"] < 1:
+            raise ConfigError("delta must lie strictly between 0 and 1")
+        if not 1 <= params.get("start", 16) <= params.get("cap", 2**20):
+            raise ConfigError("need 1 <= start <= cap")
     sampler, inputs = _lln_sampler(params, seed)
     label = params["label"]
+    if label not in sampler.universe:
+        raise ConfigError(
+            f"label {label!r} is not in the universe {sampler.universe.elements!r}"
+        )
     target = params.get("target")
     if target is None:
         target = sampler.underlying_law()[label]
     epsilon = params["epsilon"]
     jobs = _resolve_jobs(params)
-    operation = params["operation"]
     doc: dict[str, Any] = {
         "operation": operation,
         "label": label,
@@ -502,8 +561,6 @@ def _cmd_lln(params: Mapping[str, Any]):
         "seed": seed,
     }
     if operation == "meta-probability":
-        if "n_draws" not in params:
-            raise ConfigError("meta-probability requires n_draws")
         estimate = meta_probability(
             sampler,
             label,
@@ -516,8 +573,6 @@ def _cmd_lln(params: Mapping[str, Any]):
         )
         doc.update({"n_draws": params["n_draws"], "estimate": estimate})
     else:
-        if "delta" not in params:
-            raise ConfigError("find-n0 requires delta")
         n0 = find_N0(
             sampler,
             label,
@@ -618,6 +673,9 @@ def run(
         )
         primary_out = config.params.get(_OUT_PARAM[command])
         dump_json(manifest.to_doc(), str(primary_out) + ".manifest.json")
+    if status != 0:
+        failure = CheckFailed(f"{command}: a check failed; see its output document")
+        _emit_error("check", failure)
     return status
 
 

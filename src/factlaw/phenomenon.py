@@ -14,6 +14,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
 from typing import Any, Iterator, Mapping
 
 from .painting import Painting, label_histogram, painting_digest
@@ -81,7 +82,7 @@ class RandomPhenomenon:
         cum, total = self._cumulative()
         labels = self.universe.elements
         rnd = rng.random
-        return [labels[bisect_right(cum, rnd() * total)] for _ in range(n)]
+        return [labels[bisect_right(cum, rnd() * total)] for _ in repeat(None, n)]
 
     def with_seed(self, seed: int) -> "RandomPhenomenon":
         return replace(self, seed=seed)

@@ -75,7 +75,8 @@ class EventAlgebra:
 
     The family always contains the full universe and the empty event.
     Closure (and membership of every event in the powerset) is validated at
-    construction; universes here are small, so the quadratic check is cheap.
+    construction, once per unordered pair; universes here are small, so the
+    quadratic check is cheap.
     """
 
     universe: Universe
@@ -90,8 +91,9 @@ class EventAlgebra:
         for event in events:
             if not event <= full:
                 raise ValueError(f"event {sorted(event, key=repr)} leaves the universe")
-        for a in events:
-            for b in events:
+        ordered = list(events)
+        for i, a in enumerate(ordered):
+            for b in ordered[i:]:
                 if a | b not in events or a & b not in events:
                     raise ValueError("algebra is not closed under union/intersection")
 
@@ -123,22 +125,19 @@ def generate_algebra(
                 f"generator {sorted(event, key=repr)} leaves the universe"
             )
         events.add(event)
-    changed = True
-    while changed:
-        changed = False
-        current = list(events)
-        for i, a in enumerate(current):
-            for b in current[i:]:
-                for candidate in (a | b, a & b):
-                    if candidate not in events:
-                        events.add(candidate)
-                        changed = True
-        if include_complements:
-            for a in list(events):
-                candidate = full - a
-                if candidate not in events:
-                    events.add(candidate)
-                    changed = True
+    # Semi-naive closure: pairs of events known before a round were combined
+    # in an earlier round, so each round only pairs its new events with all.
+    fresh = set(events)
+    while fresh:
+        known = list(events)
+        found: set[frozenset] = set()
+        for a in fresh:
+            found.update(a | b for b in known)
+            found.update(a & b for b in known)
+            if include_complements:
+                found.add(full - a)
+        fresh = found - events
+        events |= fresh
     return EventAlgebra(universe, frozenset(events))
 
 
@@ -236,6 +235,12 @@ def validate_measure(measure: Measure, algebra: EventAlgebra) -> ValidationRepor
     pairs.  The equality-iff-disjoint check is decidable only when every
     atom has strictly positive weight; with zero-weight atoms present it is
     recorded as skipped (passed, with a note) rather than guessed at.
+
+    The pair checks count in integers: every atom weight is put over the
+    atoms' common denominator, one pass of E·|U| integer sums gives each of
+    the E events its numerator, and each of the E² ordered pairs is then
+    two dictionary lookups and integer compares.  A failing pair's detail
+    names the last failing pair in event order.
     """
     checks: list[CheckResult] = []
 
@@ -279,34 +284,51 @@ def validate_measure(measure: Measure, algebra: EventAlgebra) -> ValidationRepor
         )
         return ValidationReport(tuple(checks))
 
-    sub_ok = True
-    sub_detail = ""
-    iff_ok = True
-    iff_detail = ""
     all_positive = all(p > 0 for p in measure.atom_probs.values())
+    den = math.lcm(*(p.denominator for p in measure.atom_probs.values()))
+    # Events become bit masks over the universe and carry integer numerators.
+    bit = {label: 1 << i for i, label in enumerate(algebra.universe)}
     events = sorted(algebra.events, key=lambda e: (len(e), sorted(e, key=repr)))
-    for a in events:
-        pa = event_probability(measure, a)
-        for b in events:
-            pb = event_probability(measure, b)
-            pu = event_probability(measure, a | b)
-            if pu > pa + pb:
-                sub_ok = False
-                sub_detail = (
-                    f"p(A|B)={pu} > {pa + pb} for A={sorted(a, key=repr)}"
-                    f" B={sorted(b, key=repr)}"
-                )
-            if all_positive:
-                disjoint = not (a & b)
-                if (pu == pa + pb) != disjoint:
-                    iff_ok = False
-                    iff_detail = (
-                        f"equality/disjointness mismatch for A={sorted(a, key=repr)}"
-                        f" B={sorted(b, key=repr)}"
-                    )
-    checks.append(CheckResult("subadditivity", sub_ok, sub_detail))
+    masks = [sum(bit[label] for label in event) for event in events]
+    num = {
+        label: p.numerator * (den // p.denominator)
+        for label, p in measure.atom_probs.items()
+    }
+    weight = {
+        mask: sum(num[label] for label in event)
+        for mask, event in zip(masks, events)
+    }
+    sub_pair = iff_pair = None
+    for a in masks:
+        wa = weight[a]
+        for b in masks:
+            union = weight[a | b]
+            both = wa + weight[b]
+            if union > both:
+                sub_pair = a, b
+            if all_positive and (union == both) == bool(a & b):
+                iff_pair = a, b
+
+    event_of = dict(zip(masks, events))
+
+    def named(pair: tuple[int, int]) -> str:
+        a, b = (sorted(event_of[mask], key=repr) for mask in pair)
+        return f"A={a} B={b}"
+
+    sub_detail = iff_detail = ""
+    if sub_pair is not None:
+        a, b = sub_pair
+        sub_detail = (
+            f"p(A|B)={Fraction(weight[a | b], den)}"
+            f" > {Fraction(weight[a] + weight[b], den)} for {named(sub_pair)}"
+        )
+    if iff_pair is not None:
+        iff_detail = f"equality/disjointness mismatch for {named(iff_pair)}"
+    checks.append(CheckResult("subadditivity", sub_pair is None, sub_detail))
     if all_positive:
-        checks.append(CheckResult("equality_iff_disjoint", iff_ok, iff_detail))
+        checks.append(
+            CheckResult("equality_iff_disjoint", iff_pair is None, iff_detail)
+        )
     else:
         checks.append(
             CheckResult(
@@ -339,8 +361,7 @@ def _window_success(
     seed: int,
 ) -> bool:
     """One repetition: does the relative frequency land within the window?"""
-    draws = sampler.sample(n_draws, seed=seed)
-    count = sum(1 for d in draws if d == label)
+    count = sampler.sample(n_draws, seed=seed).count(label)
     return abs(Fraction(count, n_draws) - target) <= epsilon
 
 

@@ -25,6 +25,8 @@ def fraction_from_str(text: str) -> Fraction:
     num, _, den = text.partition("/")
     if not den:
         raise ValueError(f"not a num/den rational: {text!r}")
+    if int(den) == 0:
+        raise ValueError(f"zero denominator: {text!r}")
     return Fraction(int(num), int(den))
 
 

@@ -2,10 +2,11 @@
 
 Everything here is computed by a different route than the implementation
 under test: exact binomial tail sums for frequency-window probabilities, a
-closed-form lattice construction for union/intersection closures, explicit
-enumeration for composition counts, and the closed-form chi-square quantile
-for two degrees of freedom.  Keeping these in the test tree (and dumb on
-purpose) is what makes the dual-route checks meaningful.
+closed-form lattice construction for union/intersection closures, Fraction
+sums for every event pair of a measure, explicit enumeration for composition
+counts, and the closed-form chi-square quantile for two degrees of freedom.
+Keeping these in the test tree (and dumb on purpose) is what makes the
+dual-route checks meaningful.
 """
 
 from __future__ import annotations
@@ -110,6 +111,59 @@ def closure_by_fixpoint(
         if not additions:
             return frozenset(family)
         family |= additions
+
+
+def measure_report_by_fractions(
+    atom_probs: dict, universe: tuple, events: frozenset
+) -> dict:
+    """The measure-axiom report document, re-summing Fractions for every pair.
+
+    Same checks, event order and detail strings as the library's
+    ``validate_measure(...).to_doc()``, computed the slow direct way: every
+    ordered pair (A, B) sums p(A), p(B) and p(A|B) from the atom weights.
+    """
+    probs = {k: Fraction(v) for k, v in atom_probs.items()}
+    checks = []
+    missing = [e for e in universe if e not in probs]
+    extra = [e for e in probs if e not in universe]
+    aligned = not missing and not extra
+    mismatch = "" if aligned else f"missing={missing!r} extra={extra!r}"
+    checks.append(("universe_match", aligned, mismatch))
+    bad = {k: p for k, p in probs.items() if p < 0 or p > 1}
+    checks.append(("range", not bad, f"out of [0,1]: {bad!r}" if bad else ""))
+    total = sum(probs.values(), Fraction(0))
+    checks.append(("norm", total == 1, "" if total == 1 else f"atoms sum to {total}"))
+    if not aligned:
+        checks.append(("subadditivity", False, "skipped: universe mismatch"))
+        checks.append(("equality_iff_disjoint", False, "skipped: universe mismatch"))
+    else:
+
+        def p(event):
+            return sum((probs[x] for x in event), Fraction(0))
+
+        sub = (True, "")
+        iff = (True, "")
+        all_positive = all(v > 0 for v in probs.values())
+        ordered = sorted(events, key=lambda e: (len(e), sorted(e, key=repr)))
+        for a in ordered:
+            for b in ordered:
+                pa, pb, pu = p(a), p(b), p(a | b)
+                names = f"A={sorted(a, key=repr)} B={sorted(b, key=repr)}"
+                if pu > pa + pb:
+                    sub = (False, f"p(A|B)={pu} > {pa + pb} for {names}")
+                if all_positive and (pu == pa + pb) != (not (a & b)):
+                    iff = (False, f"equality/disjointness mismatch for {names}")
+        checks.append(("subadditivity",) + sub)
+        if not all_positive:
+            iff = (True, "skipped: zero-weight atoms make the criterion undecidable")
+        checks.append(("equality_iff_disjoint",) + iff)
+    return {
+        "passed": all(passed for _, passed, _ in checks),
+        "checks": [
+            {"name": name, "passed": passed, "detail": detail}
+            for name, passed, detail in checks
+        ],
+    }
 
 
 def enumerate_compositions(total: int, parts: int) -> list[tuple[int, ...]]:

@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from factlaw import painting_from_doc, painting_to_doc
-from factlaw.cli import main
+from factlaw.cli import main, run
 from factlaw.serialize import dump_json, load_json, sha256_of_file
 
 from conftest import REFERENCE_SPEC
@@ -37,6 +42,13 @@ def form_file(tmp_path, reference_form):
 def read_error(capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     return json.loads(err)
+
+
+def assert_config_error(code, capsys):
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
 
 
 # --- gen-painting -----------------------------------------------------------
@@ -263,6 +275,38 @@ def test_validate_space_rejects_malformed_file(tmp_path, capsys):
     assert read_error(capsys)["error"] == "config"
 
 
+HALVES = {"1": "1/2", "2": "1/2"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"universe": [1, 2], "law": {"1": "1/0", "2": "1/2"}},
+        {"universe": [1, 2], "law": HALVES, "algebra_generators": [[3]]},
+        {"universe": [1, 2], "law": HALVES, "algebra_generators": "12"},
+        {"universe": [1, 1], "law": {"1": "1/1"}},
+        {"universe": [], "law": {}},
+        {"universe": [1, 2], "law": ["1/2", "1/2"]},
+    ],
+    ids=["zero-denominator", "foreign-generator", "generators-string", "duplicate",
+         "empty", "law-list"],
+)
+def test_validate_space_malformed_space_is_a_config_error(tmp_path, capsys, doc):
+    space = tmp_path / "space.json"
+    dump_json(doc, str(space))
+    assert_config_error(main(["validate-space", "--space", str(space)]), capsys)
+
+
+def test_validate_space_failed_check_is_reported_on_stderr(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    dump_json({"universe": [1, 2], "law": {"1": "1/2", "2": "1/3"}}, str(space))
+    assert main(["validate-space", "--space", str(space)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is False
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"] == "check"
+
+
 # --- lln --------------------------------------------------------------------
 
 
@@ -395,6 +439,46 @@ def test_lln_target_defaults_to_the_sampled_law(tmp_path, painting_file):
     assert load_json(str(out))["target"] == "3/5"
 
 
+LLN_META = {
+    "operation": "meta-probability",
+    "weights": [1, 1],
+    "label": 1,
+    "epsilon": "1/10",
+    "n_draws": 16,
+    "repetitions": 4,
+    "seed": 0,
+    "jobs": 1,
+}
+LLN_N0 = dict(LLN_META, operation="find-n0", delta="1/10", cap=64)
+del LLN_N0["n_draws"]
+
+
+@pytest.mark.parametrize(
+    "base, change",
+    [
+        (LLN_META, {"epsilon": "1/0"}),
+        (LLN_META, {"n_draws": 0}),
+        (LLN_META, {"repetitions": -1}),
+        (LLN_N0, {"repetitions": 0}),
+        (LLN_META, {"label": 3}),
+        (LLN_N0, {"label": 0}),
+        (LLN_META, {"weights": [0, 0]}),
+        (LLN_META, {"weights": [-1, 2]}),
+        (LLN_META, {"epsilon": 0}),
+        (LLN_N0, {"delta": 0}),
+        (LLN_N0, {"delta": "1/1"}),
+        (LLN_N0, {"delta": 1.5}),
+        (LLN_N0, {"start": 0}),
+        (LLN_N0, {"start": 32, "cap": 16}),
+    ],
+    ids=lambda case: "-".join(f"{k}={v}" for k, v in case.items())
+    if "operation" not in case
+    else case["operation"],
+)
+def test_lln_out_of_range_arguments_are_config_errors(capsys, base, change):
+    assert_config_error(run("lln", None, dict(base, **change)), capsys)
+
+
 # --- integrate and end-to-end -----------------------------------------------
 
 
@@ -492,11 +576,121 @@ def test_config_for_wrong_command_is_rejected(tmp_path, form_file, capsys):
     assert main(["integrate", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize(
+    "change", [{"n_draws": 100.7}, {"repetitions": True}, {"epsilon": True}]
+)
+def test_config_values_are_not_coerced(tmp_path, capsys, change):
+    config = lln_config(tmp_path, **dict(LLN_META, **change))
+    assert_config_error(main(["lln", "--config", config]), capsys)
+
+
 def test_broken_config_json_is_rejected(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text("{not json")
     assert main(["lln", "--config", str(config)]) == 2
     assert read_error(capsys)["error"] == "config"
+
+
+# --- config fuzz ------------------------------------------------------------
+
+# Values of the wrong kind for any key.  Floats stay small because an integral
+# float is a valid count, and a count sets how long a run takes.
+JUNK = st.one_of(
+    st.booleans(),
+    st.floats(-50, 50),
+    st.sampled_from([float("nan"), float("inf"), "1/0", "x", "", [], {}, [1, "a"]]),
+)
+
+
+def mostly(valid):
+    """Draws from ``valid``, with one draw in eight of the wrong kind instead."""
+    return st.integers(0, 7).flatmap(lambda roll: JUNK if roll == 0 else valid)
+
+
+def fraction_text(low, high):
+    return st.fractions(low, high, max_denominator=9).map(
+        lambda f: f"{f.numerator}/{f.denominator}"
+    )
+
+
+def one_run(command, params):
+    """Run one command in-process; return its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(command, None, params)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line_per_failure(code, err):
+    assert code in (0, 1, 2)
+    lines = err.splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] in ("check", "runtime", "config")
+
+
+LLN_PARAMS = st.fixed_dictionaries(
+    {
+        "operation": mostly(st.sampled_from(["meta-probability", "find-n0"])),
+        "weights": mostly(st.lists(st.integers(-1, 3), max_size=3)),
+        "label": mostly(st.integers(0, 3)),
+        "epsilon": mostly(fraction_text(-1, 1) | st.floats(-1, 1)),
+        "repetitions": mostly(st.integers(-1, 4)),
+        # cap is always set: the default ladder runs to 2**20 draws.
+        "cap": mostly(st.integers(-1, 64)),
+        "seed": mostly(st.integers(-3, 3)),
+    },
+    optional={
+        "target": mostly(fraction_text(-1, 2) | st.integers(-1, 2)),
+        "n_draws": mostly(st.integers(-1, 30)),
+        "delta": mostly(fraction_text(-1, 2) | st.floats(-1, 2)),
+        "start": mostly(st.integers(-1, 40)),
+        "jobs": mostly(st.integers(-1, 1)),
+        "bogus": st.integers(),
+    },
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(params=LLN_PARAMS)
+def test_lln_config_fuzz(monkeypatch, params):
+    monkeypatch.delenv("FPL_JOBS", raising=False)
+    code, _, err = one_run("lln", params)
+    assert_one_error_line_per_failure(code, err)
+
+
+@st.composite
+def space_docs(draw):
+    element = st.integers(0, 3) | st.sampled_from(["a", "b"])
+    universe = draw(mostly(st.lists(element, min_size=1, max_size=4)))
+    members = universe if isinstance(universe, list) and universe else [0]
+    weight = mostly(fraction_text(-1, 2) | st.integers(-1, 2))
+    law = {str(e): draw(weight) for e in members}
+    law.update(draw(st.dictionaries(st.sampled_from(["2", "z"]), weight, max_size=1)))
+    doc = {"universe": universe, "law": draw(mostly(st.just(law)))}
+    generator = st.lists(mostly(st.sampled_from(members)), max_size=3)
+    generators = draw(st.none() | mostly(st.lists(mostly(generator), max_size=3)))
+    if generators is not None:
+        doc["algebra_generators"] = generators
+    dropped = draw(st.sampled_from([None, None, "universe", "law"]))
+    doc.pop(dropped, None)
+    return draw(mostly(st.just(doc)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=space_docs())
+def test_validate_space_config_fuzz(doc):
+    with tempfile.TemporaryDirectory() as scratch:
+        space = Path(scratch) / "space.json"
+        space.write_text(json.dumps(doc))
+        code, _, err = one_run("validate-space", {"space": str(space)})
+    assert_one_error_line_per_failure(code, err)
 
 
 # --- reproduce --------------------------------------------------------------

@@ -28,6 +28,7 @@ from oracles import (
     closure_by_fixpoint,
     closure_by_lattice,
     enumerate_compositions,
+    measure_report_by_fractions,
 )
 
 
@@ -221,6 +222,41 @@ def test_validate_measure_flags_universe_mismatch():
     assert not report.check("universe_match").passed
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_validate_measure_matches_fraction_oracle(data):
+    # Zero, negative, above-one and unnormalised weights, and now and then a
+    # label the algebra's universe lacks, over generated algebras.
+    size = data.draw(st.integers(1, 5), label="universe size")
+    elements = tuple(range(1, size + 1))
+    gens = [
+        frozenset(data.draw(st.sets(st.sampled_from(elements)), label=f"gen{i}"))
+        for i in range(data.draw(st.integers(0, 3), label="generator count"))
+    ]
+    algebra = generate_algebra(Universe(elements), gens)
+    if data.draw(st.booleans(), label="a probability law"):
+        counts = data.draw(
+            st.lists(st.integers(0, 9), min_size=size, max_size=size)
+            .filter(any),
+            label="counts",
+        )
+        weights = [Fraction(c, sum(counts)) for c in counts]
+    else:
+        weights = data.draw(
+            st.lists(
+                st.fractions(-2, 2, max_denominator=12), min_size=size, max_size=size
+            ),
+            label="weights",
+        )
+    atoms = dict(zip(elements, weights))
+    if data.draw(st.integers(0, 9), label="mismatch") == 0:
+        atoms[size + 1] = Fraction(0)
+    report = validate_measure(Measure(atoms), algebra)
+    assert report.to_doc() == measure_report_by_fractions(
+        atoms, elements, algebra.events
+    )
+
+
 # --- meta-probability and the N0 search -------------------------------------
 
 
@@ -278,6 +314,23 @@ def test_meta_probability_parallel_equals_serial(fair_coin):
         fair_coin, 1, Fraction(1, 2), Fraction(1, 20), 256, 60, seed=3, jobs=4
     )
     assert serial == parallel
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_meta_probability_and_find_n0_are_pinned(jobs):
+    # Fixed-seed results of the frequency experiments: a change in how the
+    # draws are made or counted that moves any of them shows up here, on
+    # both the in-process and the worker-process route.
+    ph = RandomPhenomenon("weighted-draw", Universe((1, 2, 3)), (6, 3, 1))
+    eps = Fraction(1, 100)
+    assert [
+        meta_probability(ph, 1, Fraction(3, 5), eps, 1000, 30, seed, jobs=jobs)
+        for seed in (5, 18)
+    ] == [14 / 30, 12 / 30]
+    assert [
+        find_N0(ph, 3, Fraction(1, 10), Fraction(1, 25), 0.1, 30, seed, jobs=jobs)
+        for seed in (5, 17)
+    ] == [256, 64]
 
 
 def test_meta_probability_validates_inputs(fair_coin):
