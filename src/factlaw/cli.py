@@ -525,6 +525,7 @@ def _lln_sampler(params: Mapping[str, Any], seed: int):
 def _cmd_lln(params: Mapping[str, Any]):
     seed = params["seed"]
     operation = params["operation"]
+    start, cap = params.get("start", 16), params.get("cap", 2**20)
     if params["repetitions"] < 1:
         raise ConfigError("repetitions must be positive")
     if params["epsilon"] <= 0:
@@ -539,7 +540,7 @@ def _cmd_lln(params: Mapping[str, Any]):
             raise ConfigError("find-n0 requires delta")
         if not 0 < params["delta"] < 1:
             raise ConfigError("delta must lie strictly between 0 and 1")
-        if not 1 <= params.get("start", 16) <= params.get("cap", 2**20):
+        if not 1 <= start <= cap:
             raise ConfigError("need 1 <= start <= cap")
     sampler, inputs = _lln_sampler(params, seed)
     label = params["label"]
@@ -581,8 +582,8 @@ def _cmd_lln(params: Mapping[str, Any]):
             float(params["delta"]),
             params["repetitions"],
             seed,
-            start=params.get("start", 16),
-            cap=params.get("cap", 2**20),
+            start=start,
+            cap=cap,
             jobs=jobs,
         )
         doc.update({"delta": str(params["delta"]), "n0": n0})
