@@ -7,8 +7,10 @@ or CSV, and every file-producing run also writes a RunManifest recording
 input/output digests so `reproduce` can re-run it and diff byte-for-byte.
 
 Exit codes: 0 success, 1 failed check or runtime error, 2 config error.
-Every non-zero exit writes one JSON line to stderr, whose "error" field is
-"check", "runtime" or "config".
+A bad flag, an out-of-range count and an input file that does not parse are
+config errors; a missing input file is a runtime error.  Every non-zero exit
+writes one JSON line to stderr, whose "error" field is "check", "runtime" or
+"config".
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NoReturn
 
 from . import __version__
 from .integration import (
@@ -62,7 +64,6 @@ from .serialize import (
 )
 
 SCHEMA_VERSION = 1
-JOBS_ENV_VAR = "FPL_JOBS"
 
 
 class ConfigError(Exception):
@@ -122,6 +123,17 @@ def _as_choice(options: tuple[str, ...]) -> Callable[[Any, str], str]:
     return cast
 
 
+def _as_int_in(low: int, high: int | None = None) -> Callable[[Any, str], int]:
+    def cast(value: Any, key: str) -> int:
+        number = _as_int(value, key)
+        if number < low or (high is not None and number > high):
+            bound = f">= {low}" if high is None else f"from {low} to {high}"
+            raise ConfigError(f"{key} must be an integer {bound}, got {value!r}")
+        return number
+
+    return cast
+
+
 def _as_int_list(value: Any, key: str) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{key} must be a non-empty list of integers")
@@ -138,14 +150,14 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[Any, str], Any], bool]]] = {
     "play-puzzle": {
         "painting": (_as_str, True),
         "mode": (_as_choice(("location", "border")), True),
-        "replicas": (_as_int, False),
+        "replicas": (_as_int_in(1), False),
         "seed": (_as_int, True),
         "report": (_as_str, True),
-        "trial_budget": (_as_int, False),
+        "trial_budget": (_as_int_in(1), False),
     },
     "play-prob-game": {
         "painting": (_as_str, True),
-        "draws": (_as_int, True),
+        "draws": (_as_int_in(0), True),
         "seed": (_as_int, True),
         "out": (_as_str, True),
         "format": (_as_choice(("csv", "json")), False),
@@ -161,28 +173,29 @@ _SCHEMAS: dict[str, dict[str, tuple[Callable[[Any, str], Any], bool]]] = {
         "label": (_as_int, True),
         "target": (_as_number, False),
         "epsilon": (_as_number, True),
-        "n_draws": (_as_int, False),
-        "repetitions": (_as_int, True),
+        "n_draws": (_as_int_in(1), False),
+        "repetitions": (_as_int_in(1), True),
         "delta": (_as_number, False),
-        "start": (_as_int, False),
+        "start": (_as_int_in(1), False),
         "cap": (_as_int, False),
         "seed": (_as_int, True),
-        "jobs": (_as_int, False),
+        # lln runs in one process, so the only valid value is 1.
+        "jobs": (_as_int_in(1, 1), False),
         "out": (_as_str, False),
     },
     "integrate": {
         "form": (_as_str, True),
         "seed": (_as_int, True),
-        "confirm": (_as_int, False),
-        "max_events": (_as_int, False),
+        "confirm": (_as_int_in(1), False),
+        "max_events": (_as_int_in(1), False),
         "out": (_as_str, True),
     },
     "end-to-end": {
         "form": (_as_str, True),
-        "draws": (_as_int, True),
+        "draws": (_as_int_in(0), True),
         "seed": (_as_int, True),
-        "confirm": (_as_int, False),
-        "max_events": (_as_int, False),
+        "confirm": (_as_int_in(1), False),
+        "max_events": (_as_int_in(1), False),
         "tolerance": (_as_number, False),
         "out": (_as_str, False),
     },
@@ -321,18 +334,6 @@ def _config_hash(command: str, params: Mapping[str, Any]) -> str:
     return sha256_of_doc({"command": command, "params": _jsonable_params(params)})
 
 
-def _resolve_jobs(params: Mapping[str, Any]) -> int:
-    if params.get("jobs") is not None:
-        return max(1, int(params["jobs"]))
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{JOBS_ENV_VAR} must be an integer, got {env!r}") from None
-    return 1
-
-
 # --- command workers --------------------------------------------------------
 #
 # Each worker returns (exit_status, outputs, inputs, seeds) where outputs and
@@ -345,6 +346,24 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
+def _load_input(
+    path: str, what: str, parse: Callable[[Any], Any]
+) -> tuple[Any, dict[str, str]]:
+    """Read and parse one input file; return it with its path -> digest entry.
+
+    A missing file is a runtime error (MissingInput); a file that is there but
+    does not parse as ``what`` is a config error that names the file.
+    """
+    _require_file(path, what)
+    try:
+        parsed = parse(load_json(path))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(
+            f"malformed {what} {path}: {type(exc).__name__}: {exc}"
+        ) from None
+    return parsed, {path: sha256_of_file(path)}
+
+
 def _write_doc(doc: dict[str, Any], out: str | None) -> dict[str, str]:
     if out is None:
         sys.stdout.write(canonical_dumps(doc) + "\n")
@@ -354,21 +373,21 @@ def _write_doc(doc: dict[str, Any], out: str | None) -> dict[str, str]:
 
 
 def _cmd_gen_painting(params: Mapping[str, Any]):
-    spec_path = _require_file(params["spec"], "painting spec")
-    spec_doc = load_json(spec_path)
-    if params.get("seed") is None and "seed" not in spec_doc:
-        raise ConfigError("no seed: pass --seed or put one in the spec file")
-    if params.get("seed") is not None:
-        spec_doc = dict(spec_doc, seed=params["seed"])
-    spec = PaintingSpec.from_doc(spec_doc)
+    def parse(spec_doc: Any) -> PaintingSpec:
+        if params.get("seed") is None and "seed" not in spec_doc:
+            raise ConfigError("no seed: pass --seed or put one in the spec file")
+        if params.get("seed") is not None:
+            spec_doc = dict(spec_doc, seed=params["seed"])
+        return PaintingSpec.from_doc(spec_doc)
+
+    spec, inputs = _load_input(params["spec"], "painting spec", parse)
     painting = generate_painting(spec)
     outputs = _write_doc(painting_to_doc(painting), params["out"])
-    return 0, outputs, {spec_path: sha256_of_file(spec_path)}, (spec.seed,)
+    return 0, outputs, inputs, (spec.seed,)
 
 
 def _cmd_play_puzzle(params: Mapping[str, Any]):
-    painting_path = _require_file(params["painting"], "painting")
-    painting = painting_from_doc(load_json(painting_path))
+    painting, inputs = _load_input(params["painting"], "painting", painting_from_doc)
     mode = params["mode"]
     replicas = params.get("replicas", 1)
     if mode == "location" and replicas != 1:
@@ -383,12 +402,11 @@ def _cmd_play_puzzle(params: Mapping[str, Any]):
     doc = report.to_doc()
     doc.update({"mode": mode, "replicas": replicas, "seed": params["seed"]})
     outputs = _write_doc(doc, params["report"])
-    return 0, outputs, {painting_path: sha256_of_file(painting_path)}, (params["seed"],)
+    return 0, outputs, inputs, (params["seed"],)
 
 
 def _cmd_play_prob_game(params: Mapping[str, Any]):
-    painting_path = _require_file(params["painting"], "painting")
-    painting = painting_from_doc(load_json(painting_path))
+    painting, inputs = _load_input(params["painting"], "painting", painting_from_doc)
     seed = params["seed"]
     phenomenon = probabilise_painting(painting, seed)
     table = run_frequency_experiment(phenomenon, params["draws"])
@@ -440,7 +458,7 @@ def _cmd_play_prob_game(params: Mapping[str, Any]):
         with open(out, "w", encoding="ascii", newline="") as fh:
             fh.write(buffer.getvalue())
         outputs = {out: sha256_of_file(out)}
-    return 0, outputs, {painting_path: sha256_of_file(painting_path)}, (seed,)
+    return 0, outputs, inputs, (seed,)
 
 
 def _space_from_doc(doc: Any):
@@ -484,18 +502,15 @@ def _space_from_doc(doc: Any):
 
 
 def _cmd_validate_space(params: Mapping[str, Any]):
-    space_path = _require_file(params["space"], "space file")
-    try:
-        doc = load_json(space_path)
-    except ValueError as exc:
-        raise ConfigError(f"space file is not valid JSON: {exc}") from None
-    measure, algebra = _space_from_doc(doc)
+    (measure, algebra), inputs = _load_input(
+        params["space"], "space file", _space_from_doc
+    )
     report = validate_measure(measure, algebra)
     doc = report.to_doc()
     doc["events"] = len(algebra)
     outputs = _write_doc(doc, params.get("out"))
     status = 0 if report.passed else 1
-    return status, outputs, {space_path: sha256_of_file(space_path)}, ()
+    return status, outputs, inputs, ()
 
 
 def _lln_sampler(params: Mapping[str, Any], seed: int):
@@ -504,10 +519,10 @@ def _lln_sampler(params: Mapping[str, Any], seed: int):
     if has_painting == has_weights:
         raise ConfigError("lln needs exactly one of 'painting' or 'weights'")
     if has_painting:
-        painting_path = _require_file(params["painting"], "painting")
-        painting = painting_from_doc(load_json(painting_path))
+        painting, inputs = _load_input(
+            params["painting"], "painting", painting_from_doc
+        )
         sampler = probabilise_painting(painting, seed)
-        inputs = {painting_path: sha256_of_file(painting_path)}
     else:
         weights = params["weights"]
         if any(w < 0 for w in weights) or not any(weights):
@@ -526,22 +541,18 @@ def _cmd_lln(params: Mapping[str, Any]):
     seed = params["seed"]
     operation = params["operation"]
     start, cap = params.get("start", 16), params.get("cap", 2**20)
-    if params["repetitions"] < 1:
-        raise ConfigError("repetitions must be positive")
     if params["epsilon"] <= 0:
         raise ConfigError("epsilon must be positive")
     if operation == "meta-probability":
         if "n_draws" not in params:
             raise ConfigError("meta-probability requires n_draws")
-        if params["n_draws"] < 1:
-            raise ConfigError("n_draws must be positive")
     else:
         if "delta" not in params:
             raise ConfigError("find-n0 requires delta")
         if not 0 < params["delta"] < 1:
             raise ConfigError("delta must lie strictly between 0 and 1")
-        if not 1 <= start <= cap:
-            raise ConfigError("need 1 <= start <= cap")
+        if start > cap:
+            raise ConfigError("need start <= cap")
     sampler, inputs = _lln_sampler(params, seed)
     label = params["label"]
     if label not in sampler.universe:
@@ -552,7 +563,6 @@ def _cmd_lln(params: Mapping[str, Any]):
     if target is None:
         target = sampler.underlying_law()[label]
     epsilon = params["epsilon"]
-    jobs = _resolve_jobs(params)
     doc: dict[str, Any] = {
         "operation": operation,
         "label": label,
@@ -570,7 +580,6 @@ def _cmd_lln(params: Mapping[str, Any]):
             params["n_draws"],
             params["repetitions"],
             seed,
-            jobs=jobs,
         )
         doc.update({"n_draws": params["n_draws"], "estimate": estimate})
     else:
@@ -584,7 +593,6 @@ def _cmd_lln(params: Mapping[str, Any]):
             seed,
             start=start,
             cap=cap,
-            jobs=jobs,
         )
         doc.update({"delta": str(params["delta"]), "n0": n0})
     outputs = _write_doc(doc, params.get("out"))
@@ -592,8 +600,7 @@ def _cmd_lln(params: Mapping[str, Any]):
 
 
 def _cmd_integrate(params: Mapping[str, Any]):
-    form_path = _require_file(params["form"], "hidden form")
-    form = HiddenForm.from_doc(load_json(form_path))
+    form, inputs = _load_input(params["form"], "hidden form", HiddenForm.from_doc)
     seed = params["seed"]
     config = IntegrationConfig(
         max_events=params.get("max_events", 1_000_000),
@@ -601,12 +608,11 @@ def _cmd_integrate(params: Mapping[str, Any]):
     )
     result = run_integration(complexified_phenomenon(form, seed), config)
     outputs = _write_doc(result.to_doc(), params["out"])
-    return 0, outputs, {form_path: sha256_of_file(form_path)}, (seed,)
+    return 0, outputs, inputs, (seed,)
 
 
 def _cmd_end_to_end(params: Mapping[str, Any]):
-    form_path = _require_file(params["form"], "hidden form")
-    form = HiddenForm.from_doc(load_json(form_path))
+    form, inputs = _load_input(params["form"], "hidden form", HiddenForm.from_doc)
     seed = params["seed"]
     config = IntegrationConfig(
         max_events=params.get("max_events", 1_000_000),
@@ -622,7 +628,7 @@ def _cmd_end_to_end(params: Mapping[str, Any]):
         doc["within_tolerance"] = within
         status = 0 if within else 1
     outputs = _write_doc(doc, params.get("out"))
-    return status, outputs, {form_path: sha256_of_file(form_path)}, (seed,)
+    return status, outputs, inputs, (seed,)
 
 
 _WORKERS = {
@@ -730,8 +736,15 @@ def reproduce(manifest_path: str) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A bad command line is a config error, reported like any other."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="factlaw",
         description=(
             "Factual-probability laboratory: generate parcelled paintings,"
@@ -742,15 +755,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, jobs: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
         p.add_argument("--config", help="JSON file with parameters for this command")
-        p.add_argument("--seed", type=int, help="root seed (required unless configured)")
-        if jobs:
-            p.add_argument(
-                "--jobs",
-                type=int,
-                help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)",
-            )
+        if seed:
+            p.add_argument("--seed", type=int, help="root seed (required unless configured)")
 
     p = sub.add_parser("gen-painting", help="generate a parcelled painting")
     p.add_argument("--spec", help="painting spec JSON file")
@@ -775,11 +783,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-space", help="check measure axioms on a space file")
     p.add_argument("--space", help="probability space JSON file")
     p.add_argument("--out", help="validation report JSON path (default: stdout)")
-    add_common(p)
+    add_common(p, seed=False)
 
     p = sub.add_parser("lln", help="meta-probability estimation and N0 search")
     p.add_argument("--out", help="report JSON path (default: stdout)")
-    add_common(p, jobs=True)
+    add_common(p)
 
     p = sub.add_parser("integrate", help="recover the law from a complexified stream")
     p.add_argument("--form", help="hidden form JSON file")
@@ -804,7 +812,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigError as exc:
+        _emit_error("config", exc)
+        return 2
     if args.command == "reproduce":
         return reproduce(args.manifest)
     overrides = {

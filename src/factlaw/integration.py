@@ -150,10 +150,6 @@ class HiddenForm:
         total = self.width * self.height
         return {r: Fraction(n, total) for r, n in sorted(self.label_counts.items())}
 
-    def event_at(self, x: int, y: int) -> ComplexifiedEvent:
-        cell = self.cell_at(x, y)
-        return ComplexifiedEvent(cell.label_r, cell.r_prime, cell.edge_sigs)
-
     def to_doc(self) -> dict[str, Any]:
         return {
             "width": self.width,
@@ -308,10 +304,6 @@ class IntegrationState:
     @property
     def completed_count(self) -> int:
         return len(self._assembler.completed)
-
-    @property
-    def nascent_count(self) -> int:
-        return len(self._assembler.patches)
 
     def completed_boards(self) -> list[tuple[Board, int]]:
         return self._assembler.completed_boards()

@@ -39,7 +39,7 @@ class RandomPhenomenon:
     The sampler draws universe elements with replacement according to the
     integer ``weights`` (one per universe element, in universe order), via a
     deterministic stream derived from ``seed``.  Instances are plain frozen
-    values, safe to pickle and to fan out across worker processes.
+    values.
     """
 
     procedure_id: str

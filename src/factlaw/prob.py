@@ -10,7 +10,6 @@ repeating frequency experiments.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Hashable, Iterable, Mapping, Protocol, Sequence
@@ -365,15 +364,6 @@ def _window_success(
     return abs(Fraction(count, n_draws) - target) <= epsilon
 
 
-def _window_success_batch(args) -> int:
-    sampler, label, target, epsilon, n_draws, seeds = args
-    return sum(
-        1
-        for seed in seeds
-        if _window_success(sampler, label, target, epsilon, n_draws, seed)
-    )
-
-
 def meta_probability(
     sampler: LabelSampler,
     label: Label,
@@ -382,16 +372,14 @@ def meta_probability(
     n_draws: int,
     repetitions: int,
     seed: int,
-    *,
-    jobs: int = 1,
 ) -> float:
     """Estimate how often an N-draw relative frequency hugs its target.
 
     Runs ``repetitions`` independent frequency experiments of ``n_draws``
     draws each and returns the proportion whose relative frequency of
     ``label`` lies within ``epsilon`` of ``target``.  Each repetition r uses
-    the child seed ``derive_seed(seed, r)``, so the estimate is independent
-    of execution order and can be fanned out over ``jobs`` processes.
+    the child seed ``derive_seed(seed, r)``, so each repetition is a fixed
+    function of ``seed`` and ``r`` alone.
     """
     if label not in sampler.universe:
         raise UnknownLabel(label)
@@ -401,21 +389,13 @@ def meta_probability(
     epsilon_f = _as_fraction(epsilon)
     if epsilon_f <= 0:
         raise ValueError("epsilon must be positive")
-    seeds = [derive_seed(seed, r) for r in range(repetitions)]
-    if jobs <= 1 or repetitions < 2:
-        hits = sum(
-            1
-            for s in seeds
-            if _window_success(sampler, label, target_f, epsilon_f, n_draws, s)
+    hits = sum(
+        1
+        for r in range(repetitions)
+        if _window_success(
+            sampler, label, target_f, epsilon_f, n_draws, derive_seed(seed, r)
         )
-        return hits / repetitions
-    jobs = min(jobs, repetitions)
-    chunks = [seeds[i::jobs] for i in range(jobs)]
-    payload = [
-        (sampler, label, target_f, epsilon_f, n_draws, chunk) for chunk in chunks
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        hits = sum(pool.map(_window_success_batch, payload))
+    )
     return hits / repetitions
 
 
@@ -430,7 +410,6 @@ def find_N0(
     *,
     start: int = 16,
     cap: int = 2**20,
-    jobs: int = 1,
 ) -> int:
     """Smallest tested draw count whose window meta-probability reaches 1 - delta.
 
@@ -454,7 +433,6 @@ def find_N0(
             n_draws,
             repetitions,
             derive_seed(seed, f"rung{step}"),
-            jobs=jobs,
         )
         if last >= 1 - delta:
             return n_draws

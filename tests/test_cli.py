@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from factlaw import painting_from_doc, painting_to_doc
 from factlaw.cli import main, run
@@ -338,45 +338,6 @@ def test_lln_meta_probability_from_config(tmp_path):
     assert (tmp_path / "mp.json.manifest.json").exists()
 
 
-def test_lln_jobs_env_var_does_not_change_the_estimate(tmp_path, monkeypatch):
-    out_serial = tmp_path / "serial.json"
-    config = lln_config(
-        tmp_path,
-        operation="meta-probability",
-        weights=[2, 3],
-        label=2,
-        epsilon="1/10",
-        n_draws=128,
-        repetitions=30,
-        seed=11,
-        out=str(out_serial),
-    )
-    monkeypatch.delenv("FPL_JOBS", raising=False)
-    assert main(["lln", "--config", config]) == 0
-    monkeypatch.setenv("FPL_JOBS", "4")
-    out_parallel = tmp_path / "parallel.json"
-    assert main(["lln", "--config", config, "--out", str(out_parallel)]) == 0
-    serial = load_json(str(out_serial))
-    parallel = load_json(str(out_parallel))
-    assert serial["estimate"] == parallel["estimate"]
-
-
-def test_lln_bad_jobs_env_var(tmp_path, monkeypatch, capsys):
-    config = lln_config(
-        tmp_path,
-        operation="meta-probability",
-        weights=[1, 1],
-        label=1,
-        epsilon="1/10",
-        n_draws=16,
-        repetitions=4,
-        seed=0,
-    )
-    monkeypatch.setenv("FPL_JOBS", "many")
-    assert main(["lln", "--config", config]) == 2
-    assert read_error(capsys)["error"] == "config"
-
-
 def test_lln_needs_painting_xor_weights(tmp_path, painting_file, capsys):
     both = lln_config(
         tmp_path,
@@ -470,6 +431,8 @@ del LLN_N0["n_draws"]
         (LLN_N0, {"delta": 1.5}),
         (LLN_N0, {"start": 0}),
         (LLN_N0, {"start": 32, "cap": 16}),
+        (LLN_META, {"jobs": 2}),
+        (LLN_META, {"jobs": True}),
     ],
     ids=lambda case: "-".join(f"{k}={v}" for k, v in case.items())
     if "operation" not in case
@@ -477,6 +440,12 @@ del LLN_N0["n_draws"]
 )
 def test_lln_out_of_range_arguments_are_config_errors(capsys, base, change):
     assert_config_error(run("lln", None, dict(base, **change)), capsys)
+
+
+def test_lln_jobs_key_of_one_changes_nothing():
+    with_key = one_run("lln", LLN_META)
+    assert with_key[0] == 0
+    assert with_key == one_run("lln", dict(LLN_META, jobs=None))
 
 
 # --- integrate and end-to-end -----------------------------------------------
@@ -561,6 +530,102 @@ def test_end_to_end_tolerance_gate_fails_loudly(tmp_path, form_file):
 
 
 # --- config plumbing --------------------------------------------------------
+
+
+def required_args(command, painting, form, out):
+    return {
+        "play-puzzle": ["--painting", painting, "--seed", "1", "--report", out],
+        "play-prob-game": ["--painting", painting, "--seed", "1", "--out", out],
+        "integrate": ["--form", form, "--seed", "1", "--out", out],
+        "end-to-end": ["--form", form, "--seed", "1", "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["play-puzzle", "--mode", "border", "--replicas", "0"],
+        ["play-puzzle", "--mode", "border", "--trial-budget", "0"],
+        ["play-puzzle", "--mode", "border", "--trial-budget", "-5"],
+        ["integrate", "--confirm", "0"],
+        ["integrate", "--max-events", "0"],
+        ["play-prob-game", "--draws", "-5"],
+        ["end-to-end", "--draws", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_counts_are_config_errors(
+    tmp_path, painting_file, form_file, capsys, argv
+):
+    out = tmp_path / "out.json"
+    extra = required_args(argv[0], painting_file, form_file, str(out))
+    assert_config_error(main(argv + extra), capsys)
+    assert not out.exists()
+
+
+MALFORMED_INPUTS = {
+    "not-json": "{nope",
+    "list": "[1, 2]",
+    "tiles-only": '{"tiles": []}',
+    "width-only": '{"width": 4}',
+    "wrong-types": '{"width": 2, "height": 2, "q": 1, "s_prime": 1,'
+    ' "label_counts": [4], "tiles": [7], "cells": [7]}',
+}
+# command -> (the parameter naming its input file, the other parameters)
+INPUT_RUNS = {
+    "gen-painting": ("spec", {"seed": 1, "out": "out.json"}),
+    "play-puzzle": ("painting", {"mode": "border", "seed": 1, "report": "out.json"}),
+    "play-prob-game": ("painting", {"draws": 10, "seed": 1, "out": "out.csv"}),
+    "validate-space": ("space", {}),
+    "lln": ("painting", dict(LLN_META, weights=None)),
+    "integrate": ("form", {"seed": 1, "out": "out.json"}),
+    "end-to-end": ("form", {"draws": 10, "seed": 1}),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
+@pytest.mark.parametrize("command", INPUT_RUNS)
+def test_malformed_input_file_is_a_config_error(
+    tmp_path, monkeypatch, capsys, command, text
+):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    key, params = INPUT_RUNS[command]
+    assert_config_error(run(command, None, dict(params, **{key: str(path)})), capsys)
+    assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["play-puzzle", "--replicas", "x"],
+        ["integrate", "--bogus"],
+        ["lln", "--jobs", "2"],
+        ["validate-space", "--space", "s.json", "--seed", "1"],
+        ["reproduce"],
+        [],
+    ],
+    ids=" ".join,
+)
+def test_bad_command_line_is_a_config_error(capsys, argv):
+    assert_config_error(main(argv), capsys)
+
+
+def test_validate_space_has_no_seed_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-space", "--help"])
+    assert exc.value.code == 0
+    assert "--seed" not in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_process_pool():
+    code = "import sys, factlaw.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):
@@ -653,14 +718,9 @@ LLN_PARAMS = st.fixed_dictionaries(
 )
 
 
-@settings(
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=60, deadline=None)
 @given(params=LLN_PARAMS)
-def test_lln_config_fuzz(monkeypatch, params):
-    monkeypatch.delenv("FPL_JOBS", raising=False)
+def test_lln_config_fuzz(params):
     code, _, err = one_run("lln", params)
     assert_one_error_line_per_failure(code, err)
 

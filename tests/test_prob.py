@@ -306,29 +306,17 @@ def test_meta_probability_monotone_trend_against_oracle(fair_coin):
         assert abs(estimate - float(oracle)) <= 3 * sigma + 1e-12
 
 
-def test_meta_probability_parallel_equals_serial(fair_coin):
-    serial = meta_probability(
-        fair_coin, 1, Fraction(1, 2), Fraction(1, 20), 256, 60, seed=3, jobs=1
-    )
-    parallel = meta_probability(
-        fair_coin, 1, Fraction(1, 2), Fraction(1, 20), 256, 60, seed=3, jobs=4
-    )
-    assert serial == parallel
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_meta_probability_and_find_n0_are_pinned(jobs):
+def test_meta_probability_and_find_n0_are_pinned():
     # Fixed-seed results of the frequency experiments: a change in how the
-    # draws are made or counted that moves any of them shows up here, on
-    # both the in-process and the worker-process route.
+    # draws are made or counted that moves any of them shows up here.
     ph = RandomPhenomenon("weighted-draw", Universe((1, 2, 3)), (6, 3, 1))
     eps = Fraction(1, 100)
     assert [
-        meta_probability(ph, 1, Fraction(3, 5), eps, 1000, 30, seed, jobs=jobs)
+        meta_probability(ph, 1, Fraction(3, 5), eps, 1000, 30, seed)
         for seed in (5, 18)
     ] == [14 / 30, 12 / 30]
     assert [
-        find_N0(ph, 3, Fraction(1, 10), Fraction(1, 25), 0.1, 30, seed, jobs=jobs)
+        find_N0(ph, 3, Fraction(1, 10), Fraction(1, 25), 0.1, 30, seed)
         for seed in (5, 17)
     ] == [256, 64]
 
