@@ -306,10 +306,14 @@ def test_meta_probability_monotone_trend_against_oracle(fair_coin):
         assert abs(estimate - float(oracle)) <= 3 * sigma + 1e-12
 
 
-def test_meta_probability_and_find_n0_are_pinned():
+@pytest.mark.parametrize("scale", [1, 2])
+def test_meta_probability_and_find_n0_are_pinned(scale):
     # Fixed-seed results of the frequency experiments: a change in how the
-    # draws are made or counted that moves any of them shows up here.
-    ph = RandomPhenomenon("weighted-draw", Universe((1, 2, 3)), (6, 3, 1))
+    # draws are made or counted that moves any of them shows up here.  The
+    # weights doubled describe the same law, and doubling is exact in binary
+    # floating point, so both spellings must give the very same draws.
+    weights = tuple(scale * w for w in (6, 3, 1))
+    ph = RandomPhenomenon("weighted-draw", Universe((1, 2, 3)), weights)
     eps = Fraction(1, 100)
     assert [
         meta_probability(ph, 1, Fraction(3, 5), eps, 1000, 30, seed)
