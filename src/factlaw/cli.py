@@ -46,7 +46,6 @@ from .phenomenon import (
 )
 from .prob import (
     Measure,
-    NotReached,
     Universe,
     find_N0,
     generate_algebra,
@@ -99,7 +98,8 @@ def _as_str(value: Any, key: str) -> str:
 
 
 def _as_number(value: Any, key: str) -> Any:
-    """Exact numbers: int, finite float, or a "num/den" string; kept exact."""
+    """Exact numbers: int, finite float, or a "num/den" or decimal string
+    ("0.01" reads as 1/100); kept exact."""
     if isinstance(value, bool) or (
         isinstance(value, float) and not math.isfinite(value)
     ):
@@ -108,7 +108,7 @@ def _as_number(value: Any, key: str) -> Any:
         return value
     if isinstance(value, str):
         try:
-            return fraction_from_str(value)
+            return fraction_from_str(value) if "/" in value else Fraction(value)
         except ValueError:
             raise ConfigError(f"{key} must be a number or num/den, got {value!r}") from None
     raise ConfigError(f"{key} must be a number or num/den, got {value!r}")
@@ -307,6 +307,8 @@ class RunManifest:
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "RunManifest":
+        if doc["command"] not in _OUT_PARAM:
+            raise ValueError(f"unknown command {doc['command']!r}")
         return cls(
             command=doc["command"],
             params=dict(doc["params"]),
@@ -689,13 +691,12 @@ def run(
 def reproduce(manifest_path: str) -> int:
     """Re-run a manifest in a scratch directory and diff output digests."""
     try:
-        _require_file(manifest_path, "manifest")
-        manifest = RunManifest.from_doc(load_json(manifest_path))
+        manifest, _ = _load_input(manifest_path, "manifest", RunManifest.from_doc)
     except MissingInput as exc:
         _emit_error("runtime", exc)
         return 1
-    except (json.JSONDecodeError, KeyError) as exc:
-        _emit_error("config", ConfigError(f"bad manifest: {exc}"))
+    except ConfigError as exc:
+        _emit_error("config", exc)
         return 2
     failures = []
     for path, digest in manifest.inputs.items():

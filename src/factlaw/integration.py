@@ -3,22 +3,23 @@
 The forward direction (probabilisation) hides an integrated form behind a
 stream of label draws.  This module walks the inverse direction: each draw
 is *complexified* — enriched with a globally registered complexification
-index and four edge signatures — and the stream of complexified events is
-assembled, replica by replica, with the border-matching engine of the
-puzzle module.  Once enough replicas complete, per-label counting on a
-completed replica yields the law exactly, as rationals, with no appeal to
-limits: the time ordering of the stream leaves no trace in the result.
+index and four edge signatures — and :func:`integrate` feeds the stream of
+complexified events, one piece per event, straight into the puzzle
+module's :class:`~factlaw.puzzle.BorderAssembler`, whose open patches are
+the nascent replicas and whose closed boards are the completed ones.  Once
+enough replicas complete, per-label counting on a completed replica yields
+the law exactly, as rationals, with no appeal to limits: the time ordering
+of the stream leaves no trace in the result.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping
 
 from .painting import (
-    BOUNDARY,
     Painting,
     PaintingSpec,
     check_edge_coherence,
@@ -272,50 +273,6 @@ class IntegrationConfig:
             raise ValueError("max_events must be positive")
 
 
-@dataclass
-class IntegrationState:
-    """Mutable working state of one integration run.
-
-    Wraps the puzzle module's border assembler: nascent replicas are its
-    open patches, completed replicas its closed boards.  Feeding an event
-    attaches it to the oldest replica that wants one of its signatures,
-    opens a fresh replica otherwise, and lets bridging events merge
-    replicas.  An event whose signatures clash with its matched slot
-    (possible only for streams that violate unique matching) raises
-    :class:`AmbiguousStream`.
-    """
-
-    config: IntegrationConfig = field(default_factory=IntegrationConfig)
-    events_consumed: int = 0
-
-    def __post_init__(self) -> None:
-        self._assembler = BorderAssembler()
-
-    def feed(self, event: ComplexifiedEvent) -> None:
-        self.events_consumed += 1
-        try:
-            self._assembler.add(Piece(event, event.edge_sigs), self.events_consumed)
-        except InconsistentSignatures as exc:
-            raise AmbiguousStream(
-                f"event {self.events_consumed}: {exc}; integration needs"
-                " unique edge signatures"
-            ) from exc
-
-    @property
-    def completed_count(self) -> int:
-        return len(self._assembler.completed)
-
-    def completed_boards(self) -> list[tuple[Board, int]]:
-        return self._assembler.completed_boards()
-
-    @property
-    def completion_log(self) -> list[tuple[int, int]]:
-        return [
-            (index, draw_index)
-            for index, (_, draw_index) in enumerate(self._assembler.completed)
-        ]
-
-
 @dataclass(frozen=True)
 class IntegrationResult:
     """Counts and the recovered law, read off completed replicas.
@@ -382,6 +339,11 @@ def integrate(
 ) -> IntegrationResult:
     """Assemble the stream until enough replicas complete; count out the law.
 
+    Each event goes to one border assembler: it attaches to the oldest
+    replica that wants one of its signatures, opens a fresh replica
+    otherwise, and may bridge replicas into one.  An event whose signatures
+    clash with its matched slot (possible only for streams that violate
+    unique matching) raises :class:`AmbiguousStream` naming the event.
     Consumes events until ``config.confirmation_replicas`` replicas are
     complete (raising :class:`BudgetExhausted` if ``max_events`` arrives
     first).  The first completed replica supplies the counts; the remaining
@@ -391,23 +353,31 @@ def integrate(
     """
     if config is None:
         config = IntegrationConfig()
-    state = IntegrationState(config)
+    assembler = BorderAssembler()
     needed = config.confirmation_replicas
+    events = 0
     for event in stream:
-        if state.events_consumed >= config.max_events:
+        if events >= config.max_events:
             raise BudgetExhausted(
                 f"{config.max_events} events consumed,"
-                f" {state.completed_count} of {needed} replicas complete"
+                f" {len(assembler.completed)} of {needed} replicas complete"
             )
-        state.feed(event)
-        if state.completed_count >= needed:
+        events += 1
+        try:
+            assembler.add(Piece(event, event.edge_sigs), events)
+        except InconsistentSignatures as exc:
+            raise AmbiguousStream(
+                f"event {events}: {exc}; integration needs"
+                " unique edge signatures"
+            ) from exc
+        if len(assembler.completed) >= needed:
             break
-    if state.completed_count < needed:
+    else:
         raise BudgetExhausted(
-            f"stream ended with {state.completed_count} of {needed}"
+            f"stream ended with {len(assembler.completed)} of {needed}"
             " replicas complete"
         )
-    finished = state.completed_boards()[:needed]
+    finished = assembler.completed_boards()
     reference, _ = finished[0]
     n_total, pair_counts, label_counts = _board_counts(reference)
     for board, _ in finished[1:]:
@@ -427,8 +397,8 @@ def integrate(
         total_labels=total_labels,
         law=law,
         replicas_used_for_confirmation=needed,
-        events_consumed=state.events_consumed,
-        completion_log=tuple(state.completion_log[:needed]),
+        events_consumed=events,
+        completion_log=tuple(enumerate(draw for _, draw in finished)),
     )
 
 

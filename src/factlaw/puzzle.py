@@ -95,20 +95,9 @@ class Board:
 
     def validate_edges(self) -> None:
         """Full post-hoc scan: every adjacent pair shares equal signatures."""
-        for (x, y), piece in self.cells.items():
-            if piece.edges is None:
-                continue
-            for d in (N, E):
-                dx, dy = _DELTAS[d]
-                neighbour = self.cells.get((x + dx, y + dy))
-                if neighbour is None or neighbour.edges is None:
-                    continue
-                mine = piece.edges[d]
-                theirs = neighbour.edges[_OPPOSITE[d]]
-                if mine != theirs or mine == BOUNDARY:
-                    raise InconsistentSignatures(
-                        f"seam mismatch at {(x, y)} side {d}: {mine!r} vs {theirs!r}"
-                    )
+        for pos, piece in self.cells.items():
+            if piece.edges is not None and not _fits(self.cells, pos, piece):
+                raise InconsistentSignatures(f"seam mismatch at {pos}")
 
     def payload_grid(self) -> list[list[Any]]:
         """Payloads row by row from the top, for easy eyeballing."""
@@ -239,15 +228,50 @@ class _Patch:
         return len(self.cells) == (x1 - x0 + 1) * (y1 - y0 + 1)
 
 
+def _fits(cells: dict[tuple[int, int], Piece], pos: tuple[int, int],
+          piece: Piece) -> bool:
+    """The seam rule: every occupied neighbour of ``pos`` shows ``piece`` the
+    same non-boundary signature across their shared side."""
+    x, y = pos
+    for d in (N, E, S, W):
+        dx, dy = _DELTAS[d]
+        neighbour = cells.get((x + dx, y + dy))
+        if neighbour is None:
+            continue
+        mine = piece.edges[d]  # type: ignore[index]
+        if mine != neighbour.edges[_OPPOSITE[d]] or mine == BOUNDARY:  # type: ignore[index]
+            return False
+    return True
+
+
+def _open_sides(
+    cells: dict[tuple[int, int], Piece], pos: tuple[int, int], piece: Piece
+) -> Iterator[tuple[int, str, tuple[int, int]]]:
+    """``(side, signature, neighbour cell)`` for each non-boundary side of
+    ``piece`` at ``pos`` facing a cell that is empty when the walk gets there."""
+    x, y = pos
+    for d in (N, E, S, W):
+        sig = piece.edges[d]  # type: ignore[index]
+        if sig == BOUNDARY:
+            continue
+        dx, dy = _DELTAS[d]
+        target = (x + dx, y + dy)
+        if target not in cells:
+            yield d, sig, target
+
+
 class BorderAssembler:
     """Greedy border-matching assembly with merge-on-bridge.
 
     Maintains an index from (required side, signature) to open slots.  A new
-    piece attaches to the oldest matching slot, else opens a new patch.
-    After a placement, any open requirement of *another* patch that the
-    piece could satisfy triggers a rigid-translation merge of that patch
-    (overlapping merges are skipped: overlapping cells are fungible
-    duplicates belonging to different replicas).
+    piece attaches to the oldest matching slot, in ``(patch_id, pos, side)``
+    order, else opens a new patch.  Then each open side of each newly
+    occupied cell merges in, by rigid translation, the patch of the first
+    foreign slot, in ``(patch_id, pos)`` order, that demands its signature
+    and whose patch does not overlap (overlapping cells are fungible
+    duplicates of other replicas).  The host keeps its id.  One merge per
+    side suffices: any other such slot would put its patch's piece on the
+    cell that merge has just filled.
 
     A signature contradiction, at a matched slot or along a merge seam,
     raises :class:`InconsistentSignatures`.
@@ -262,17 +286,18 @@ class BorderAssembler:
 
     # -- bookkeeping ---------------------------------------------------------
 
+    def _unindex(self, key: tuple[int, str], slot: tuple[int, tuple[int, int]]) -> bool:
+        """Remove one open slot; empty buckets are deleted.  False if absent."""
+        slots = self.req_index.get(key)
+        if not slots or slot not in slots:
+            return False
+        slots.remove(slot)
+        if not slots:
+            del self.req_index[key]
+        return True
+
     def _add_requirements(self, patch: _Patch, pos: tuple[int, int], piece: Piece) -> None:
-        assert piece.edges is not None
-        x, y = pos
-        for d in (N, E, S, W):
-            sig = piece.edges[d]
-            if sig == BOUNDARY:
-                continue
-            dx, dy = _DELTAS[d]
-            target = (x + dx, y + dy)
-            if target in patch.cells:
-                continue
+        for d, sig, target in _open_sides(patch.cells, pos, piece):
             self.req_index.setdefault((_OPPOSITE[d], sig), set()).add(
                 (patch.patch_id, target)
             )
@@ -283,59 +308,23 @@ class BorderAssembler:
         for d in (N, E, S, W):
             dx, dy = _DELTAS[d]
             neighbour = patch.cells.get((x + dx, y + dy))
-            if neighbour is None or neighbour.edges is None:
-                continue
-            sig = neighbour.edges[_OPPOSITE[d]]
-            if sig == BOUNDARY:
-                continue
-            key = (d, sig)
-            slots = self.req_index.get(key)
-            if slots and (patch.patch_id, pos) in slots:
-                slots.discard((patch.patch_id, pos))
-                if not slots:
-                    del self.req_index[key]
+            if neighbour is not None and self._unindex(
+                (d, neighbour.edges[_OPPOSITE[d]]), (patch.patch_id, pos)  # type: ignore[index]
+            ):
                 patch.req_count -= 1
 
     def _drop_patch_requirements(self, patch: _Patch) -> None:
         for pos, piece in patch.cells.items():
-            assert piece.edges is not None
-            x, y = pos
-            for d in (N, E, S, W):
-                sig = piece.edges[d]
-                if sig == BOUNDARY:
-                    continue
-                dx, dy = _DELTAS[d]
-                target = (x + dx, y + dy)
-                if target in patch.cells:
-                    continue
-                key = (_OPPOSITE[d], sig)
-                slots = self.req_index.get(key)
-                if slots:
-                    slots.discard((patch.patch_id, target))
-                    if not slots:
-                        del self.req_index[key]
+            for d, sig, target in _open_sides(patch.cells, pos, piece):
+                self._unindex((_OPPOSITE[d], sig), (patch.patch_id, target))
         patch.req_count = 0
-
-    def _fits(self, patch: _Patch, pos: tuple[int, int], piece: Piece) -> bool:
-        assert piece.edges is not None
-        x, y = pos
-        for d in (N, E, S, W):
-            dx, dy = _DELTAS[d]
-            neighbour = patch.cells.get((x + dx, y + dy))
-            if neighbour is None:
-                continue
-            mine = piece.edges[d]
-            theirs = neighbour.edges[_OPPOSITE[d]]  # type: ignore[index]
-            if mine != theirs or mine == BOUNDARY:
-                return False
-        return True
 
     # -- placement and merging ----------------------------------------------
 
     def _raw_place(self, patch: _Patch, pos: tuple[int, int], piece: Piece) -> None:
         """Place with full-fit validation; no completion check, no bridging."""
         assert pos not in patch.cells, "open slots are never occupied"
-        if not self._fits(patch, pos, piece):
+        if not _fits(patch.cells, pos, piece):
             raise InconsistentSignatures(
                 f"piece does not fit its matched slot at {pos}"
             )
@@ -359,22 +348,9 @@ class BorderAssembler:
         }
         if any(pos in host.cells for pos in shifted):
             return None
-        for (x, y), piece in shifted.items():
-            assert piece.edges is not None
-            for d in (N, E, S, W):
-                dx, dy = _DELTAS[d]
-                target = (x + dx, y + dy)
-                if target in shifted:
-                    continue  # internal seams of the guest are already valid
-                neighbour = host.cells.get(target)
-                if neighbour is None:
-                    continue
-                mine = piece.edges[d]
-                theirs = neighbour.edges[_OPPOSITE[d]]  # type: ignore[index]
-                if mine != theirs or mine == BOUNDARY:
-                    raise InconsistentSignatures(
-                        f"merge seam mismatch at {target}: {mine!r} vs {theirs!r}"
-                    )
+        for pos, piece in shifted.items():
+            if not _fits(host.cells, pos, piece):
+                raise InconsistentSignatures(f"merge seam mismatch at {pos}")
         self._drop_patch_requirements(guest)
         del self.patches[guest.patch_id]
         placed = sorted(shifted)
@@ -382,44 +358,23 @@ class BorderAssembler:
             self._raw_place(host, pos, shifted[pos])
         return placed
 
-    def _bridge_from(self, patch: _Patch, seeds: list[tuple[int, int]]) -> None:
+    def _bridge_from(self, patch: _Patch, pos: tuple[int, int]) -> None:
         """Cascade merges triggered by newly occupied cells of ``patch``."""
-        queue = list(seeds)
+        queue = [pos]
         while queue:
             pos = queue.pop(0)
-            piece = patch.cells[pos]
-            assert piece.edges is not None
             x, y = pos
-            for d in (N, E, S, W):
-                sig = piece.edges[d]
-                if sig == BOUNDARY:
-                    continue
-                dx, dy = _DELTAS[d]
-                if (x + dx, y + dy) in patch.cells:
-                    continue
-                # Another patch with an open slot demanding edge[d] == sig
-                # can be aligned so that this piece fills that slot.
-                while True:
-                    slots = self.req_index.get((d, sig), set())
-                    foreign = sorted(
-                        s for s in slots if s[0] != patch.patch_id
-                    )
-                    merged = False
-                    for patch_id, slot_pos in foreign:
-                        guest = self.patches[patch_id]
-                        offset = (x - slot_pos[0], y - slot_pos[1])
-                        placed = self._try_merge(patch, guest, offset)
-                        if placed is not None:
-                            queue.extend(placed)
-                            merged = True
-                            break
-                    if not merged:
+            for d, sig, _ in _open_sides(patch.cells, pos, patch.cells[pos]):
+                # A foreign slot demanding edge[d] == sig can be aligned so
+                # that this piece fills it.
+                foreign = sorted(
+                    s for s in self.req_index.get((d, sig), ()) if s[0] != patch.patch_id
+                )
+                for patch_id, (sx, sy) in foreign:
+                    placed = self._try_merge(patch, self.patches[patch_id], (x - sx, y - sy))
+                    if placed is not None:
+                        queue.extend(placed)
                         break
-
-    def _check_completion(self, patch: _Patch, draw_index: int) -> None:
-        if patch.is_complete():
-            del self.patches[patch.patch_id]
-            self.completed.append((patch, draw_index))
 
     # -- public API ----------------------------------------------------------
 
@@ -435,30 +390,25 @@ class BorderAssembler:
                 found.add((patch_id, pos, d))
         return sorted(found)
 
-    def place_at(self, piece: Piece, patch_id: int, pos: tuple[int, int],
-                 draw_index: int) -> None:
-        patch = self.patches[patch_id]
-        self._raw_place(patch, pos, piece)
-        self.placements += 1
-        self._bridge_from(patch, [pos])
-        self._check_completion(patch, draw_index)
-
-    def place_new_patch(self, piece: Piece, draw_index: int) -> None:
-        patch = _Patch(self.next_patch_id)
-        self.next_patch_id += 1
-        self.patches[patch.patch_id] = patch
-        self._raw_place(patch, (0, 0), piece)
-        self.placements += 1
-        self._check_completion(patch, draw_index)
-
     def add(self, piece: Piece, draw_index: int) -> None:
-        """Greedy step: attach to the oldest matching open slot, else seed anew."""
+        """Greedy step: attach to the oldest matching open slot and bridge from
+        there, else seed a new patch, which no slot can bridge to; then close
+        the patch if it is complete."""
         candidates = self.candidate_slots(piece)
         if candidates:
             patch_id, pos, _ = candidates[0]
-            self.place_at(piece, patch_id, pos, draw_index)
+            patch = self.patches[patch_id]
+            self._raw_place(patch, pos, piece)
+            self._bridge_from(patch, pos)
         else:
-            self.place_new_patch(piece, draw_index)
+            patch = _Patch(self.next_patch_id)
+            self.next_patch_id += 1
+            self.patches[patch.patch_id] = patch
+            self._raw_place(patch, (0, 0), piece)
+        self.placements += 1
+        if patch.is_complete():
+            del self.patches[patch.patch_id]
+            self.completed.append((patch, draw_index))
 
     def all_complete(self) -> bool:
         return not self.patches

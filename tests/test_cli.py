@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,11 @@ from factlaw.cli import main, run
 from factlaw.serialize import dump_json, load_json, sha256_of_file
 
 from conftest import REFERENCE_SPEC
+
+# Child interpreters import the library from ``src`` of this checkout.
+SRC_ENV = dict(
+    os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")
+)
 
 
 @pytest.fixture()
@@ -507,6 +513,14 @@ def test_end_to_end_within_tolerance(tmp_path, form_file):
     assert doc["law"] == {"1": "3/5", "2": "3/10", "3": "1/10"}
 
 
+def test_end_to_end_reads_a_decimal_tolerance_exactly(tmp_path, form_file):
+    out = tmp_path / "e2e.json"
+    code = main(["end-to-end", "--form", form_file, "--draws", "2000",
+                 "--seed", "1", "--tolerance", "0.01", "--out", str(out)])
+    assert code in (0, 1)
+    assert load_json(str(out))["tolerance"] == "1/100"
+
+
 def test_end_to_end_tolerance_gate_fails_loudly(tmp_path, form_file):
     out = tmp_path / "e2e.json"
     # 777 draws cannot hit 3/5 exactly, so a sub-ppb tolerance must fail.
@@ -622,7 +636,7 @@ def test_validate_space_has_no_seed_flag(capsys):
 def test_cli_import_loads_no_process_pool():
     code = "import sys, factlaw.cli; print('multiprocessing' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -801,10 +815,22 @@ def test_reproduce_missing_manifest(tmp_path, capsys):
     assert read_error(capsys)["error"] == "runtime"
 
 
-def test_reproduce_rejects_broken_manifest(tmp_path, capsys):
+UNKNOWN_COMMAND_MANIFEST = json.dumps({
+    "command": "nope", "params": {}, "config_hash": "", "seeds": [],
+    "artifact_version": "0", "inputs": {}, "outputs": {}, "wall_clock_s": 0,
+})
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{]", "[1, 2]", UNKNOWN_COMMAND_MANIFEST],
+    ids=["not-json", "list", "unknown-command"],
+)
+def test_reproduce_rejects_broken_manifest(tmp_path, capsys, text):
     path = tmp_path / "m.json"
-    path.write_text("{]")
+    path.write_text(text)
     assert main(["reproduce", "--manifest", str(path)]) == 2
+    assert read_error(capsys)["error"] == "config"
 
 
 # --- installed entry point --------------------------------------------------
@@ -817,6 +843,7 @@ def test_console_script_roundtrip(tmp_path, spec_file):
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     assert proc.returncode == 0, proc.stderr
     inproc = tmp_path / "q.json"

@@ -13,7 +13,6 @@ from factlaw import (
     InconsistentReplicas,
     IntegrationConfig,
     IntegrationResult,
-    IntegrationState,
     Measure,
     PaintingSpec,
     complexified_phenomenon,
@@ -217,6 +216,23 @@ def test_integration_is_seed_independent(reference_form):
     assert len(consumed) > 1  # though the effort does
 
 
+@pytest.mark.parametrize(
+    "seed, events, log",
+    [
+        (0, 810, ((0, 601), (1, 711), (2, 810))),
+        (1, 854, ((0, 636), (1, 795), (2, 854))),
+        (2, 728, ((0, 394), (1, 593), (2, 728))),
+    ],
+    ids=("seed0", "seed1", "seed2"),
+)
+def test_integration_interleaving_is_pinned(reference_form, seed, events, log):
+    # With-replacement streams repeat events, so attachment and bridge-merge
+    # order decide which duplicates join which replica and when each closes.
+    result = integrate(complexified_phenomenon(reference_form, seed))
+    assert result.events_consumed == events
+    assert result.completion_log == log
+
+
 def test_integrate_respects_event_budget(reference_form):
     stream = complexified_phenomenon(reference_form, seed=1)
     with pytest.raises(BudgetExhausted):
@@ -260,11 +276,8 @@ def test_ambiguous_stream_is_rejected():
         ComplexifiedEvent(1, 4, (B, B, "z", "x2")),       # (2,1)
         ComplexifiedEvent(1, 5, (B, "x2", "w", B)),       # clashes at (1,1)
     ]
-    state = IntegrationState()
-    for event in events[:-1]:
-        state.feed(event)
     with pytest.raises(AmbiguousStream, match="event 5"):
-        state.feed(events[-1])
+        integrate(iter(events), IntegrationConfig(confirmation_replicas=1))
 
 
 def test_integration_config_validation():

@@ -139,6 +139,24 @@ def test_multi_replica_assembly_completes_every_copy(reference_painting):
     assert draw_indices[-1] == replicas * 100
 
 
+@pytest.mark.parametrize(
+    "seed, order",
+    [
+        (0, ((0, 250), (1, 289), (2, 300))),
+        (1, ((0, 245), (1, 296), (2, 300))),
+        (2, ((0, 249), (1, 292), (2, 300))),
+    ],
+    ids=("seed0", "seed1", "seed2"),
+)
+def test_greedy_interleaving_is_pinned(reference_painting, seed, order):
+    # The draw indices at which intermingled replicas close depend on the
+    # slot order of attachment and of bridge merges, so they pin both.
+    pool = FragmentPool.from_painting(
+        reference_painting, "border", replicas=3, seed=seed
+    )
+    assert solve_by_borders(pool).completion_order == order
+
+
 def test_unique_signatures_leave_no_real_choice(reference_painting):
     # White box: with unique edges and one replica, every open requirement
     # bucket holds at most one slot, and a piece never sees two different
