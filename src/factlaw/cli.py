@@ -6,6 +6,11 @@ integrate, end-to-end, reproduce.  All randomness flows from explicit seeds
 or CSV, and every file-producing run also writes a RunManifest recording
 input/output digests so `reproduce` can re-run it and diff byte-for-byte.
 
+Each command is declared once, in ``_COMMANDS``: its parameter table, its
+output key and its worker.  Config validation, the argument parser and
+`reproduce` all read that table, so a new parameter is one table line, and
+it gets its ``--flag`` from there unless its help is None (config-only).
+
 Exit codes: 0 success, 1 failed check or runtime error, 2 config error.
 A bad flag, an out-of-range count and an input file that does not parse are
 config errors; a missing input file is a runtime error.  Every non-zero exit
@@ -57,6 +62,7 @@ from .serialize import (
     canonical_dumps,
     dump_json,
     fraction_from_str,
+    fraction_to_str,
     load_json,
     sha256_of_doc,
     sha256_of_file,
@@ -140,77 +146,20 @@ def _as_int_list(value: Any, key: str) -> list[int]:
     return [_as_int(v, key) for v in value]
 
 
-# key -> (caster, required)
-_SCHEMAS: dict[str, dict[str, tuple[Callable[[Any, str], Any], bool]]] = {
-    "gen-painting": {
-        "spec": (_as_str, True),
-        "seed": (_as_int, False),  # may come from the spec file instead
-        "out": (_as_str, True),
-    },
-    "play-puzzle": {
-        "painting": (_as_str, True),
-        "mode": (_as_choice(("location", "border")), True),
-        "replicas": (_as_int_in(1), False),
-        "seed": (_as_int, True),
-        "report": (_as_str, True),
-        "trial_budget": (_as_int_in(1), False),
-    },
-    "play-prob-game": {
-        "painting": (_as_str, True),
-        "draws": (_as_int_in(0), True),
-        "seed": (_as_int, True),
-        "out": (_as_str, True),
-        "format": (_as_choice(("csv", "json")), False),
-    },
-    "validate-space": {
-        "space": (_as_str, True),
-        "out": (_as_str, False),
-    },
-    "lln": {
-        "operation": (_as_choice(("meta-probability", "find-n0")), True),
-        "painting": (_as_str, False),
-        "weights": (_as_int_list, False),
-        "label": (_as_int, True),
-        "target": (_as_number, False),
-        "epsilon": (_as_number, True),
-        "n_draws": (_as_int_in(1), False),
-        "repetitions": (_as_int_in(1), True),
-        "delta": (_as_number, False),
-        "start": (_as_int_in(1), False),
-        "cap": (_as_int, False),
-        "seed": (_as_int, True),
-        # lln runs in one process, so the only valid value is 1.
-        "jobs": (_as_int_in(1, 1), False),
-        "out": (_as_str, False),
-    },
-    "integrate": {
-        "form": (_as_str, True),
-        "seed": (_as_int, True),
-        "confirm": (_as_int_in(1), False),
-        "max_events": (_as_int_in(1), False),
-        "out": (_as_str, True),
-    },
-    "end-to-end": {
-        "form": (_as_str, True),
-        "draws": (_as_int_in(0), True),
-        "seed": (_as_int, True),
-        "confirm": (_as_int_in(1), False),
-        "max_events": (_as_int_in(1), False),
-        "tolerance": (_as_number, False),
-        "out": (_as_str, False),
-    },
-}
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, parameter table, output key and worker.
 
-# Which parameter names the primary output file of each command.
-_OUT_PARAM = {
-    "gen-painting": "out",
-    "play-puzzle": "report",
-    "play-prob-game": "out",
-    "validate-space": "out",
-    "lln": "out",
-    "integrate": "out",
-    "end-to-end": "out",
-}
+    ``keys`` maps each parameter to (caster, required, help).  A key whose
+    help is None is config-only; every other key is also the flag ``--key``
+    (``_`` written ``-``).  The caster is the one conversion rule for a flag
+    and a config file alike.
+    """
+
+    help: str
+    out: str  # the key naming the primary output file
+    worker: Callable[[Mapping[str, Any]], tuple]
+    keys: Mapping[str, tuple[Callable[[Any, str], Any], bool, str | None]]
 
 
 @dataclass(frozen=True)
@@ -226,15 +175,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unsupported schema_version {self.schema_version!r}"
             )
-        schema = _SCHEMAS.get(self.command)
-        if schema is None:
+        command = _COMMANDS.get(self.command)
+        if command is None:
             raise ConfigError(f"unknown command {self.command!r}")
         params = dict(self.params)
-        unknown = set(params) - set(schema)
+        unknown = set(params) - set(command.keys)
         if unknown:
             raise ConfigError(f"unknown parameters for {self.command}: {sorted(unknown)}")
         validated = {}
-        for key, (cast, required) in schema.items():
+        for key, (cast, required, _) in command.keys.items():
             if key in params and params[key] is not None:
                 validated[key] = cast(params[key], key)
             elif required:
@@ -307,7 +256,7 @@ class RunManifest:
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "RunManifest":
-        if doc["command"] not in _OUT_PARAM:
+        if doc["command"] not in _COMMANDS:
             raise ValueError(f"unknown command {doc['command']!r}")
         return cls(
             command=doc["command"],
@@ -323,13 +272,10 @@ class RunManifest:
 
 
 def _jsonable_params(params: Mapping[str, Any]) -> dict[str, Any]:
-    doc = {}
-    for key, value in params.items():
-        if isinstance(value, Fraction):
-            doc[key] = f"{value.numerator}/{value.denominator}"
-        else:
-            doc[key] = value
-    return doc
+    return {
+        key: fraction_to_str(value) if isinstance(value, Fraction) else value
+        for key, value in params.items()
+    }
 
 
 def _config_hash(command: str, params: Mapping[str, Any]) -> str:
@@ -426,19 +372,13 @@ def _cmd_play_prob_game(params: Mapping[str, Any]):
                 "abs_diff": abs(freq - prob),
             }
         )
+    ratios = ("rel_freq", "law_prob", "abs_diff")
     out = params["out"]
-    fmt = params.get("format", "csv")
-    if fmt == "json":
+    if params.get("format", "csv") == "json":
         doc = {
             "n_draws": table.n_draws,
             "rows": [
-                {
-                    "label": r["label"],
-                    "count": r["count"],
-                    "rel_freq": f"{r['rel_freq'].numerator}/{r['rel_freq'].denominator}",
-                    "law_prob": f"{r['law_prob'].numerator}/{r['law_prob'].denominator}",
-                    "abs_diff": f"{r['abs_diff'].numerator}/{r['abs_diff'].denominator}",
-                }
+                dict(r, **{key: fraction_to_str(r[key]) for key in ratios})
                 for r in rows
             ],
         }
@@ -446,16 +386,10 @@ def _cmd_play_prob_game(params: Mapping[str, Any]):
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["label", "count", "rel_freq", "law_prob", "abs_diff"])
+        writer.writerow(["label", "count", *ratios])
         for r in rows:
             writer.writerow(
-                [
-                    r["label"],
-                    r["count"],
-                    repr(float(r["rel_freq"])),
-                    repr(float(r["law_prob"])),
-                    repr(float(r["abs_diff"])),
-                ]
+                [r["label"], r["count"], *(repr(float(r[key])) for key in ratios)]
             )
         with open(out, "w", encoding="ascii", newline="") as fh:
             fh.write(buffer.getvalue())
@@ -527,9 +461,14 @@ def _lln_sampler(params: Mapping[str, Any], seed: int):
         sampler = probabilise_painting(painting, seed)
     else:
         weights = params["weights"]
-        if any(w < 0 for w in weights) or not any(weights):
+        try:
+            total = float(sum(weights))  # the sampler scales a float by it
+        except OverflowError:
+            total = math.inf
+        if any(w < 0 for w in weights) or not 0 < total < math.inf:
             raise ConfigError(
-                f"weights must be non-negative with a positive total, got {weights!r}"
+                "weights must be non-negative with a positive total that is a"
+                f" finite float, got {weights!r}"
             )
         universe = Universe(tuple(range(1, len(weights) + 1)))
         sampler = RandomPhenomenon(
@@ -601,13 +540,18 @@ def _cmd_lln(params: Mapping[str, Any]):
     return 0, outputs, inputs, (seed,)
 
 
+def _integration_config(params: Mapping[str, Any]) -> IntegrationConfig:
+    """The IntegrationConfig of the keys given; the others keep its defaults."""
+    names = {"max_events": "max_events", "confirm": "confirmation_replicas"}
+    return IntegrationConfig(
+        **{names[key]: value for key, value in params.items() if key in names}
+    )
+
+
 def _cmd_integrate(params: Mapping[str, Any]):
     form, inputs = _load_input(params["form"], "hidden form", HiddenForm.from_doc)
     seed = params["seed"]
-    config = IntegrationConfig(
-        max_events=params.get("max_events", 1_000_000),
-        confirmation_replicas=params.get("confirm", 3),
-    )
+    config = _integration_config(params)
     result = run_integration(complexified_phenomenon(form, seed), config)
     outputs = _write_doc(result.to_doc(), params["out"])
     return 0, outputs, inputs, (seed,)
@@ -616,10 +560,7 @@ def _cmd_integrate(params: Mapping[str, Any]):
 def _cmd_end_to_end(params: Mapping[str, Any]):
     form, inputs = _load_input(params["form"], "hidden form", HiddenForm.from_doc)
     seed = params["seed"]
-    config = IntegrationConfig(
-        max_events=params.get("max_events", 1_000_000),
-        confirmation_replicas=params.get("confirm", 3),
-    )
+    config = _integration_config(params)
     report = end_to_end_check(form, params["draws"], seed, config)
     doc = report.to_doc()
     status = 0
@@ -633,14 +574,81 @@ def _cmd_end_to_end(params: Mapping[str, Any]):
     return status, outputs, inputs, (seed,)
 
 
-_WORKERS = {
-    "gen-painting": _cmd_gen_painting,
-    "play-puzzle": _cmd_play_puzzle,
-    "play-prob-game": _cmd_play_prob_game,
-    "validate-space": _cmd_validate_space,
-    "lln": _cmd_lln,
-    "integrate": _cmd_integrate,
-    "end-to-end": _cmd_end_to_end,
+_SEED_HELP = "root seed (required unless configured)"
+
+_COMMANDS: dict[str, Command] = {
+    "gen-painting": Command(
+        "generate a parcelled painting", "out", _cmd_gen_painting, {
+            "spec": (_as_str, True, "painting spec JSON file"),
+            # may come from the spec file instead
+            "seed": (_as_int, False, _SEED_HELP),
+            "out": (_as_str, True, "output painting JSON path"),
+        },
+    ),
+    "play-puzzle": Command(
+        "reconstruct a painting from fragments", "report", _cmd_play_puzzle, {
+            "painting": (_as_str, True, "painting JSON file"),
+            "mode": (_as_choice(("location", "border")), True, "location or border"),
+            "replicas": (_as_int_in(1), False, "painting replicas in the pool"),
+            "seed": (_as_int, True, _SEED_HELP),
+            "report": (_as_str, True, "assembly report JSON path"),
+            "trial_budget": (_as_int_in(1), False, "search trials, ambiguous pools only"),
+        },
+    ),
+    "play-prob-game": Command(
+        "draw-with-replacement frequencies", "out", _cmd_play_prob_game, {
+            "painting": (_as_str, True, "painting JSON file"),
+            "draws": (_as_int_in(0), True, "number of draws"),
+            "seed": (_as_int, True, _SEED_HELP),
+            "out": (_as_str, True, "frequency table path (CSV by default)"),
+            "format": (_as_choice(("csv", "json")), False, "csv or json"),
+        },
+    ),
+    "validate-space": Command(
+        "check measure axioms on a space file", "out", _cmd_validate_space, {
+            "space": (_as_str, True, "probability space JSON file"),
+            "out": (_as_str, False, "validation report JSON path (default: stdout)"),
+        },
+    ),
+    "lln": Command(
+        "meta-probability estimation and N0 search", "out", _cmd_lln, {
+            "operation": (_as_choice(("meta-probability", "find-n0")), True, None),
+            "painting": (_as_str, False, None),
+            "weights": (_as_int_list, False, None),
+            "label": (_as_int, True, None),
+            "target": (_as_number, False, None),
+            "epsilon": (_as_number, True, None),
+            "n_draws": (_as_int_in(1), False, None),
+            "repetitions": (_as_int_in(1), True, None),
+            "delta": (_as_number, False, None),
+            "start": (_as_int_in(1), False, None),
+            "cap": (_as_int, False, None),
+            "seed": (_as_int, True, _SEED_HELP),
+            # lln runs in one process, so the only valid value is 1.
+            "jobs": (_as_int_in(1, 1), False, None),
+            "out": (_as_str, False, "report JSON path (default: stdout)"),
+        },
+    ),
+    "integrate": Command(
+        "recover the law from a complexified stream", "out", _cmd_integrate, {
+            "form": (_as_str, True, "hidden form JSON file"),
+            "seed": (_as_int, True, _SEED_HELP),
+            "confirm": (_as_int_in(1), False, "confirmation replicas K"),
+            "max_events": (_as_int_in(1), False, "most events to read"),
+            "out": (_as_str, True, "integration result JSON path"),
+        },
+    ),
+    "end-to-end": Command(
+        "integrated law vs fresh frequencies", "out", _cmd_end_to_end, {
+            "form": (_as_str, True, "hidden form JSON file"),
+            "draws": (_as_int_in(0), True, "number of fresh draws"),
+            "seed": (_as_int, True, _SEED_HELP),
+            "confirm": (_as_int_in(1), False, "confirmation replicas K"),
+            "max_events": (_as_int_in(1), False, "most events to read"),
+            "tolerance": (_as_number, False, "sup-distance bound, e.g. 1/100 or 0.01"),
+            "out": (_as_str, False, "comparison report JSON path (default: stdout)"),
+        },
+    ),
 }
 
 
@@ -662,7 +670,7 @@ def run(
         return 2
     started = time.monotonic()
     try:
-        status, outputs, inputs, seeds = _WORKERS[command](config.params)
+        status, outputs, inputs, seeds = _COMMANDS[command].worker(config.params)
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2
@@ -680,7 +688,7 @@ def run(
             outputs=outputs,
             wall_clock_s=round(time.monotonic() - started, 6),
         )
-        primary_out = config.params.get(_OUT_PARAM[command])
+        primary_out = config.params.get(_COMMANDS[command].out)
         dump_json(manifest.to_doc(), str(primary_out) + ".manifest.json")
     if status != 0:
         failure = CheckFailed(f"{command}: a check failed; see its output document")
@@ -708,7 +716,7 @@ def reproduce(manifest_path: str) -> int:
         print(line)
         if actual != digest:
             failures.append(line)
-    out_key = _OUT_PARAM[manifest.command]
+    out_key = _COMMANDS[manifest.command].out
     with tempfile.TemporaryDirectory(prefix="factlaw-reproduce-") as scratch:
         params = dict(manifest.params)
         rerun_map = {}
@@ -756,55 +764,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON file with parameters for this command")
-        if seed:
-            p.add_argument("--seed", type=int, help="root seed (required unless configured)")
-
-    p = sub.add_parser("gen-painting", help="generate a parcelled painting")
-    p.add_argument("--spec", help="painting spec JSON file")
-    p.add_argument("--out", help="output painting JSON path")
-    add_common(p)
-
-    p = sub.add_parser("play-puzzle", help="reconstruct a painting from fragments")
-    p.add_argument("--painting", help="painting JSON file")
-    p.add_argument("--mode", choices=("location", "border"))
-    p.add_argument("--replicas", type=int)
-    p.add_argument("--report", help="assembly report JSON path")
-    p.add_argument("--trial-budget", type=int, dest="trial_budget")
-    add_common(p)
-
-    p = sub.add_parser("play-prob-game", help="draw-with-replacement frequencies")
-    p.add_argument("--painting", help="painting JSON file")
-    p.add_argument("--draws", type=int)
-    p.add_argument("--out", help="frequency table path (CSV by default)")
-    p.add_argument("--format", choices=("csv", "json"))
-    add_common(p)
-
-    p = sub.add_parser("validate-space", help="check measure axioms on a space file")
-    p.add_argument("--space", help="probability space JSON file")
-    p.add_argument("--out", help="validation report JSON path (default: stdout)")
-    add_common(p, seed=False)
-
-    p = sub.add_parser("lln", help="meta-probability estimation and N0 search")
-    p.add_argument("--out", help="report JSON path (default: stdout)")
-    add_common(p)
-
-    p = sub.add_parser("integrate", help="recover the law from a complexified stream")
-    p.add_argument("--form", help="hidden form JSON file")
-    p.add_argument("--confirm", type=int, help="confirmation replicas K")
-    p.add_argument("--max-events", type=int, dest="max_events")
-    p.add_argument("--out", help="integration result JSON path")
-    add_common(p)
-
-    p = sub.add_parser("end-to-end", help="integrated law vs fresh frequencies")
-    p.add_argument("--form", help="hidden form JSON file")
-    p.add_argument("--draws", type=int)
-    p.add_argument("--confirm", type=int)
-    p.add_argument("--max-events", type=int, dest="max_events")
-    p.add_argument("--tolerance", help="optional sup-distance bound, e.g. 1/100 or 0.01")
-    p.add_argument("--out", help="comparison report JSON path (default: stdout)")
-    add_common(p)
+        for key, (_, _, text) in command.keys.items():
+            if text is not None:
+                p.add_argument("--" + key.replace("_", "-"), help=text)
 
     p = sub.add_parser("reproduce", help="re-run a manifest and diff digests")
     p.add_argument("--manifest", required=True, help="run manifest JSON file")

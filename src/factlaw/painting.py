@@ -301,23 +301,6 @@ def colour_form_view(painting: Painting) -> View:
     return View(tuple(aspects))
 
 
-def approx_colour_view(painting: Painting) -> View:
-    """The simplifying view seeing only the approximate-colour label."""
-    values = tuple(label_value(j) for j in range(1, painting.palette_q + 1))
-    return View((AspectView(ASPECT_APPROX_COLOUR, values),))
-
-
-def source_view(painting: Painting) -> View:
-    """Every aspect the painting can answer, plus the spatial grid frame."""
-    rich = colour_form_view(painting)
-    label_aspect = approx_colour_view(painting).aspects[0]
-    return View(
-        rich.aspects + (label_aspect,),
-        has_grid_frame=True,
-        grid_dims=(painting.width, painting.height),
-    )
-
-
 def describe_tile(
     painting: Painting, coords: tuple[int, int], view_selector: str
 ) -> Description:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from .painting import Painting, label_histogram, painting_digest
 from .prob import (
@@ -66,16 +66,8 @@ class RandomPhenomenon:
             cum.append(total)
         return cum, total
 
-    def stream(self, seed: int | None = None) -> Iterator:
-        """Endless label stream; an explicit ``seed`` overrides the stored one."""
-        rng = random.Random(self.seed if seed is None else seed)
-        cum, total = self._cumulative()
-        labels = self.universe.elements
-        while True:
-            yield labels[bisect_right(cum, rng.random() * total)]
-
     def sample(self, n: int, seed: int | None = None) -> list:
-        """The first ``n`` draws of the stream, as a list."""
+        """``n`` draws; an explicit ``seed`` overrides the stored one."""
         if n < 0:
             raise ValueError("n must be >= 0")
         rng = random.Random(self.seed if seed is None else seed)
@@ -83,9 +75,6 @@ class RandomPhenomenon:
         labels = self.universe.elements
         rnd = rng.random
         return [labels[bisect_right(cum, rnd() * total)] for _ in repeat(None, n)]
-
-    def with_seed(self, seed: int) -> "RandomPhenomenon":
-        return replace(self, seed=seed)
 
     def underlying_law(self) -> Measure:
         """The exact distribution the sampler realizes (not an estimate)."""
@@ -100,11 +89,10 @@ class RandomPhenomenon:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Counts from a finite draw run; optionally the per-draw history."""
+    """Counts from a finite draw run."""
 
     n_draws: int
     counts: Mapping[Any, int]
-    history: tuple | None = None
 
     def __post_init__(self) -> None:
         counts = dict(self.counts)
@@ -113,11 +101,6 @@ class FrequencyTable:
             raise ValueError("counts must be non-negative")
         if sum(counts.values()) != self.n_draws:
             raise ValueError("counts must sum to n_draws")
-        if self.history is not None:
-            history = tuple(self.history)
-            object.__setattr__(self, "history", history)
-            if len(history) != self.n_draws:
-                raise ValueError("history length must equal n_draws")
 
     def relative_frequency(self, label) -> Fraction:
         if label not in self.counts:
@@ -125,15 +108,6 @@ class FrequencyTable:
         if self.n_draws == 0:
             return Fraction(0)
         return Fraction(self.counts[label], self.n_draws)
-
-    def merged(self, other: "FrequencyTable") -> "FrequencyTable":
-        """Additive, order-independent combination; histories are dropped."""
-        if set(self.counts) != set(other.counts):
-            raise UniverseMismatch("tables track different label sets")
-        combined = {
-            label: self.counts[label] + other.counts[label] for label in self.counts
-        }
-        return FrequencyTable(self.n_draws + other.n_draws, combined)
 
 
 def probabilise_painting(painting: Painting, seed: int = 0) -> RandomPhenomenon:
@@ -160,7 +134,6 @@ def run_frequency_experiment(
     n_draws: int,
     *,
     seed: int | None = None,
-    keep_history: bool = False,
 ) -> FrequencyTable:
     """Run ``n_draws`` draws and tabulate counts for every universe label."""
     if n_draws < 0:
@@ -169,9 +142,7 @@ def run_frequency_experiment(
     counts = {label: 0 for label in phenomenon.universe}
     for d in draws:
         counts[d] += 1
-    return FrequencyTable(
-        n_draws, counts, history=tuple(draws) if keep_history else None
-    )
+    return FrequencyTable(n_draws, counts)
 
 
 @dataclass(frozen=True)

@@ -99,16 +99,6 @@ class Board:
             if piece.edges is not None and not _fits(self.cells, pos, piece):
                 raise InconsistentSignatures(f"seam mismatch at {pos}")
 
-    def payload_grid(self) -> list[list[Any]]:
-        """Payloads row by row from the top, for easy eyeballing."""
-        x0, x1, y0, y1 = self.bbox
-        return [
-            [self.cells[(x, y)].payload if (x, y) in self.cells else None
-             for x in range(x0, x1 + 1)]
-            for y in range(y1, y0 - 1, -1)
-        ]
-
-
 @dataclass(frozen=True)
 class AssemblyReport:
     """What an assembly run did: counts, interleaving, finished boards.

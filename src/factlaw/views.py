@@ -16,7 +16,7 @@ its own does not establish mutual existence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 
 class NoMutualExistence(Exception):
@@ -193,51 +193,3 @@ def restrict_view(
         return View(aspects, has_grid_frame=True, grid_dims=view.grid_dims)
     return View(aspects)
 
-
-# --- JSON round trips -------------------------------------------------------
-#
-# Aspect lists are sorted by aspect id on the way out so that two equal views
-# always produce byte-identical documents.
-
-
-def view_to_doc(view: View) -> dict[str, Any]:
-    return {
-        "aspects": [
-            {"aspect_id": a.aspect_id, "values": list(a.values)}
-            for a in sorted(view.aspects, key=lambda a: a.aspect_id)
-        ],
-        "has_grid_frame": view.has_grid_frame,
-        "grid_dims": list(view.grid_dims) if view.grid_dims is not None else None,
-    }
-
-
-def view_from_doc(doc: Mapping[str, Any]) -> View:
-    aspects = tuple(
-        AspectView(entry["aspect_id"], tuple(entry["values"]))
-        for entry in doc["aspects"]
-    )
-    dims = doc.get("grid_dims")
-    return View(
-        aspects,
-        has_grid_frame=bool(doc.get("has_grid_frame", False)),
-        grid_dims=tuple(dims) if dims is not None else None,
-    )
-
-
-def description_to_doc(desc: Description) -> dict[str, Any]:
-    return {
-        "generator_id": desc.generator_id,
-        "entity_id": desc.entity_id,
-        "points": dict(sorted(desc.points.items())),
-        "grid_coords": list(desc.grid_coords) if desc.grid_coords is not None else None,
-    }
-
-
-def description_from_doc(doc: Mapping[str, Any]) -> Description:
-    coords = doc.get("grid_coords")
-    return Description(
-        doc["generator_id"],
-        doc["entity_id"],
-        dict(doc["points"]),
-        tuple(coords) if coords is not None else None,
-    )

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factlaw import painting_from_doc, painting_to_doc
-from factlaw.cli import main, run
+from factlaw import PaintingSpec, generate_painting, painting_from_doc, painting_to_doc
+from factlaw.cli import _COMMANDS, main, run
+from factlaw.integration import generate_hidden_form
 from factlaw.serialize import dump_json, load_json, sha256_of_file
 
 from conftest import REFERENCE_SPEC
@@ -431,6 +432,8 @@ del LLN_N0["n_draws"]
         (LLN_N0, {"label": 0}),
         (LLN_META, {"weights": [0, 0]}),
         (LLN_META, {"weights": [-1, 2]}),
+        # a total that overflows the sampler's float arithmetic
+        pytest.param(LLN_META, {"weights": [10**400, 1]}, id="weights=[10**400, 1]"),
         (LLN_META, {"epsilon": 0}),
         (LLN_N0, {"delta": 0}),
         (LLN_N0, {"delta": "1/1"}),
@@ -631,6 +634,71 @@ def test_validate_space_has_no_seed_flag(capsys):
         main(["validate-space", "--help"])
     assert exc.value.code == 0
     assert "--seed" not in capsys.readouterr().out
+
+
+def flag_of(key):
+    return "--" + key.replace("_", "-")
+
+
+SMALL_SPEC = PaintingSpec(4, 3, 2, {1: 7, 2: 5}, seed=11)
+# command -> a value, as a config file holds it, for every key that has a flag
+FLAG_VALUES = {
+    "gen-painting": {"spec": "spec.json", "seed": 9, "out": "out.json"},
+    "play-puzzle": {"painting": "painting.json", "mode": "border", "replicas": 2,
+                    "seed": 3, "report": "out.json", "trial_budget": 500},
+    "play-prob-game": {"painting": "painting.json", "draws": 50, "seed": 5,
+                       "out": "out.json", "format": "json"},
+    "validate-space": {"space": "space.json", "out": "out.json"},
+    "lln": {"seed": 4, "out": "out.json"},
+    "integrate": {"form": "form.json", "seed": 1, "confirm": 2, "max_events": 10**5,
+                  "out": "out.json"},
+    "end-to-end": {"form": "form.json", "draws": 50, "seed": 9, "confirm": 2,
+                   "max_events": 10**5, "tolerance": "1/2", "out": "out.json"},
+}
+FLAGGED_KEYS = [
+    pytest.param(name, key, id=f"{name} {flag_of(key)}")
+    for name, command in _COMMANDS.items()
+    for key, (_, _, text) in command.keys.items()
+    if text is not None
+]
+
+
+@pytest.mark.parametrize("command, key", FLAGGED_KEYS)
+def test_flag_and_config_key_write_the_same_manifest(
+    tmp_path, monkeypatch, command, key
+):
+    monkeypatch.chdir(tmp_path)
+    dump_json(SMALL_SPEC.to_doc(), "spec.json")
+    dump_json(painting_to_doc(generate_painting(SMALL_SPEC)), "painting.json")
+    dump_json(generate_hidden_form(SMALL_SPEC).to_doc(), "form.json")
+    dump_json({"universe": [1, 2], "law": HALVES}, "space.json")
+    config_only = {k: v for k, v in LLN_META.items() if k != "seed"}
+    values = dict(config_only if command == "lln" else {}, **FLAG_VALUES[command])
+    manifest = Path(values[_COMMANDS[command].out] + ".manifest.json")
+
+    def params_and_hash(params, argv):
+        dump_json(params, "config.json")
+        manifest.unlink(missing_ok=True)
+        assert main([command, "--config", "config.json", *argv]) == 0
+        doc = load_json(manifest)
+        return doc["params"], doc["config_hash"]
+
+    from_config = params_and_hash(values, [])
+    rest = {k: v for k, v in values.items() if k != key}
+    from_flag = params_and_hash(rest, [flag_of(key), str(values[key])])
+    assert from_flag == from_config
+
+
+def test_lln_help_lists_no_config_only_key(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lln", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    config_only = [k for k, (_, _, h) in _COMMANDS["lln"].keys.items() if h is None]
+    assert len(config_only) == 12
+    for key in config_only:
+        assert flag_of(key) not in text
+    assert "--seed" in text and "--out" in text
 
 
 def test_cli_import_loads_no_process_pool():

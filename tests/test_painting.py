@@ -23,7 +23,6 @@ from factlaw.painting import (
     interior_signature_multiset,
     painting_digest,
     source_description,
-    source_view,
 )
 
 from conftest import REFERENCE_SPEC
@@ -148,14 +147,6 @@ def test_describe_tile_matches_apply_view_route():
         direct = describe_tile(p, tile.coords, "colour_form")
         filtered = apply_view(view, source_description(p, tile.coords))
         assert filtered == direct
-
-
-def test_source_view_covers_everything():
-    p = generate_painting(PaintingSpec(3, 3, 2, {1: 5, 2: 4}, seed=2))
-    view = source_view(p)
-    assert view.has_grid_frame and view.grid_dims == (3, 3)
-    d = apply_view(view, source_description(p, (2, 2)))
-    assert d == source_description(p, (2, 2))
 
 
 def test_describe_tile_errors():

@@ -309,11 +309,6 @@ def test_board_validate_edges_catches_mismatch():
         board.validate_edges()
 
 
-def test_board_payload_grid_reads_top_down():
-    board = Board({(1, 1): Piece("sw", None), (2, 2): Piece("ne", None)})
-    assert board.payload_grid() == [[None, "ne"], ["sw", None]]
-
-
 def test_assembly_report_invariants():
     board = Board({(1, 1): Piece("p", None)})
     with pytest.raises(ValueError):

@@ -14,12 +14,6 @@ from factlaw import (
     apply_view,
     restrict_view,
 )
-from factlaw.views import (
-    description_from_doc,
-    description_to_doc,
-    view_from_doc,
-    view_to_doc,
-)
 
 
 def make_view(*aspect_specs, frame=None):
@@ -225,21 +219,3 @@ def test_monotonicity_property(view, entity, data):
         assert narrow.points == kept_points
         assert narrow.grid_coords is None  # restriction drops the frame
 
-
-# --- serialization ----------------------------------------------------------
-
-
-def test_view_doc_round_trip_and_stable_order():
-    doc = view_to_doc(TILE_VIEW)
-    assert [a["aspect_id"] for a in doc["aspects"]] == sorted(
-        a["aspect_id"] for a in doc["aspects"]
-    )
-    assert view_from_doc(doc) == TILE_VIEW
-
-
-def test_description_doc_round_trip():
-    doc = description_to_doc(TILE_ENTITY)
-    assert list(doc["points"]) == sorted(doc["points"])
-    assert description_from_doc(doc) == TILE_ENTITY
-    no_coords = Description("g", "e", {"a": "v"})
-    assert description_from_doc(description_to_doc(no_coords)) == no_coords
