@@ -104,14 +104,19 @@ def _as_str(value: Any, key: str) -> str:
 
 
 def _as_number(value: Any, key: str) -> Any:
-    """Exact numbers: int, finite float, or a "num/den" or decimal string
-    ("0.01" reads as 1/100); kept exact."""
+    """Exact numbers: int, finite float, or a "num/den" or decimal string.
+
+    A float reads as the decimal it shows, like the same text on a flag:
+    0.01 and "0.01" are both 1/100.
+    """
     if isinstance(value, bool) or (
         isinstance(value, float) and not math.isfinite(value)
     ):
         raise ConfigError(f"{key} must be a number or num/den, got {value!r}")
-    if isinstance(value, (int, float)):
+    if isinstance(value, int):
         return value
+    if isinstance(value, float):
+        return Fraction(repr(value))
     if isinstance(value, str):
         try:
             return fraction_from_str(value) if "/" in value else Fraction(value)
@@ -507,7 +512,7 @@ def _cmd_lln(params: Mapping[str, Any]):
     doc: dict[str, Any] = {
         "operation": operation,
         "label": label,
-        "target": str(Fraction(target) if not isinstance(target, float) else target),
+        "target": str(Fraction(target)),
         "epsilon": str(epsilon),
         "repetitions": params["repetitions"],
         "seed": seed,

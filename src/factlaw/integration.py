@@ -3,7 +3,10 @@
 The forward direction (probabilisation) hides an integrated form behind a
 stream of label draws.  This module walks the inverse direction: each draw
 is *complexified* — enriched with a globally registered complexification
-index and four edge signatures — and :func:`integrate` feeds the stream of
+index and four edge signatures.  The :class:`HiddenForm` is the painting's
+own grid seen through that complexified view: its cells are the
+:class:`ComplexifiedEvent` values, row-major like the painting's tiles, and
+the stream emits them as they are.  :func:`integrate` feeds the stream of
 complexified events, one piece per event, straight into the puzzle
 module's :class:`~factlaw.puzzle.BorderAssembler`, whose open patches are
 the nascent replicas and whose closed boards are the completed ones.  Once
@@ -23,8 +26,11 @@ from .painting import (
     Painting,
     PaintingSpec,
     check_edge_coherence,
+    edges_from_doc,
+    edges_to_doc,
     generate_painting,
     label_histogram,
+    place_row_major,
 )
 from .phenomenon import (
     DivergenceReport,
@@ -36,7 +42,7 @@ from .phenomenon import (
 from .prob import Measure, Universe
 from .puzzle import Board, BorderAssembler, InconsistentSignatures, Piece
 from .seeding import derive_seed
-from .serialize import fraction_to_str, sha256_of_doc
+from .serialize import sha256_of_doc
 
 
 class BudgetExhausted(RuntimeError):
@@ -74,45 +80,31 @@ class ComplexifiedEvent:
 
 
 @dataclass(frozen=True)
-class FormCell:
-    coords: tuple[int, int]
-    label_r: int
-    r_prime: int
-    edge_sigs: tuple[str, str, str, str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        object.__setattr__(self, "edge_sigs", tuple(self.edge_sigs))
-
-
-@dataclass(frozen=True)
 class HiddenForm:
     """The integrated form the integrator never sees directly.
 
-    A painting-shaped grid whose cells carry (label, complexification index,
-    edge signatures).  Within the cloud of any one label, every
-    complexification index is distinct; the index space ``s_prime`` must be
-    at least ten times the largest label count, which operationalizes
-    "complexification indices are drawn from a vastly larger space".
+    A painting-shaped grid whose cells are the :class:`ComplexifiedEvent`
+    each cell emits (label, complexification index, edge signatures),
+    stored row-major from (1, 1) like :attr:`Painting.tiles`: the cell at
+    ``(x, y)`` is ``cells[(y - 1) * width + (x - 1)]``.  Within the cloud of
+    any one label, every complexification index is distinct; the index
+    space ``s_prime`` must be at least ten times the largest label count,
+    which operationalizes "complexification indices are drawn from a vastly
+    larger space".
     """
 
     width: int
     height: int
     s_prime: int
-    cells: tuple[FormCell, ...]
+    cells: tuple[ComplexifiedEvent, ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(
-            sorted(self.cells, key=lambda c: (c.coords[1], c.coords[0]))
-        )
+        cells = tuple(self.cells)
         object.__setattr__(self, "cells", cells)
-        expected = [
-            (x, y)
-            for y in range(1, self.height + 1)
-            for x in range(1, self.width + 1)
-        ]
-        if [c.coords for c in cells] != expected:
-            raise ValueError("cells must cover each grid position exactly once")
+        if len(cells) != self.width * self.height:
+            raise ValueError(
+                f"expected {self.width * self.height} cells, got {len(cells)}"
+            )
         labels = sorted({c.label_r for c in cells})
         if labels != list(range(1, labels[-1] + 1)):
             raise ValueError("labels must be exactly 1..s with every value present")
@@ -123,20 +115,19 @@ class HiddenForm:
             )
         per_label: dict[int, set[int]] = {}
         for c in cells:
-            if not 1 <= c.r_prime <= self.s_prime:
-                raise ValueError(f"r_prime {c.r_prime} outside 1..{self.s_prime}")
+            r_prime = c.complexification_r_prime
+            if not 1 <= r_prime <= self.s_prime:
+                raise ValueError(f"r_prime {r_prime} outside 1..{self.s_prime}")
             seen = per_label.setdefault(c.label_r, set())
-            if c.r_prime in seen:
+            if r_prime in seen:
                 raise ValueError(
-                    f"complexification index {c.r_prime} repeats within"
+                    f"complexification index {r_prime} repeats within"
                     f" label {c.label_r}'s cloud"
                 )
-            seen.add(c.r_prime)
-        check_edge_coherence(
-            self.width, self.height, lambda x, y: self.cell_at(x, y).edge_sigs
-        )
+            seen.add(r_prime)
+        check_edge_coherence(self.width, self.height, [c.edge_sigs for c in cells])
 
-    def cell_at(self, x: int, y: int) -> FormCell:
+    def cell_at(self, x: int, y: int) -> ComplexifiedEvent:
         return self.cells[(y - 1) * self.width + (x - 1)]
 
     @property
@@ -158,38 +149,30 @@ class HiddenForm:
             "s_prime": self.s_prime,
             "cells": [
                 {
-                    "x": c.coords[0],
-                    "y": c.coords[1],
+                    "x": i % self.width + 1,
+                    "y": i // self.width + 1,
                     "label": c.label_r,
-                    "rp": c.r_prime,
-                    "edges": {
-                        "n": c.edge_sigs[0],
-                        "e": c.edge_sigs[1],
-                        "s": c.edge_sigs[2],
-                        "w": c.edge_sigs[3],
-                    },
+                    "rp": c.complexification_r_prime,
+                    "edges": edges_to_doc(c.edge_sigs),
                 }
-                for c in self.cells
+                for i, c in enumerate(self.cells)
             ],
         }
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "HiddenForm":
-        cells = tuple(
-            FormCell(
+        width, height = int(doc["width"]), int(doc["height"])
+        placed = (
+            (
                 (int(e["x"]), int(e["y"])),
-                int(e["label"]),
-                int(e["rp"]),
-                (
-                    e["edges"]["n"],
-                    e["edges"]["e"],
-                    e["edges"]["s"],
-                    e["edges"]["w"],
+                ComplexifiedEvent(
+                    int(e["label"]), int(e["rp"]), edges_from_doc(e["edges"])
                 ),
             )
             for e in doc["cells"]
         )
-        return cls(int(doc["width"]), int(doc["height"]), int(doc["s_prime"]), cells)
+        cells = place_row_major(width, height, placed, "cells")
+        return cls(width, height, int(doc["s_prime"]), cells)
 
 
 def form_digest(form: HiddenForm) -> str:
@@ -218,7 +201,7 @@ def hidden_form_from_painting(
     }
     used = {j: iter(pool) for j, pool in index_pool.items()}
     cells = tuple(
-        FormCell(t.coords, t.approx_colour, next(used[t.approx_colour]), t.edge_sigs)
+        ComplexifiedEvent(t.approx_colour, next(used[t.approx_colour]), t.edge_sigs)
         for t in painting.tiles
     )
     return HiddenForm(painting.width, painting.height, s_prime, cells)
@@ -237,12 +220,15 @@ def generate_hidden_form(
 
 
 def complexified_phenomenon(form: HiddenForm, seed: int = 0) -> Iterator[ComplexifiedEvent]:
-    """Endless stream: pick a uniformly random cell, emit its event, coords stripped."""
+    """Endless stream: pick a uniformly random cell and emit its stored event.
+
+    Replica copies of a cell are the same frozen value, so the stream hands
+    out the form's own events; no coordinates travel with them.
+    """
     rng = random.Random(seed)
     cells = form.cells
     while True:
-        cell = cells[rng.randrange(len(cells))]
-        yield ComplexifiedEvent(cell.label_r, cell.r_prime, cell.edge_sigs)
+        yield cells[rng.randrange(len(cells))]
 
 
 def label_projection(form: HiddenForm, seed: int = 0) -> RandomPhenomenon:
@@ -309,10 +295,7 @@ class IntegrationResult:
             "per_label": {str(r): n for r, n in sorted(self.per_label.items())},
             "pair_count": len(self.per_pair_counts),
             "total_labels": self.total_labels,
-            "law": {
-                str(r): fraction_to_str(p)
-                for r, p in sorted(self.law.atom_probs.items())
-            },
+            "law": self.law.to_doc(),
             "law_decimal": {
                 str(r): float(p) for r, p in sorted(self.law.atom_probs.items())
             },
@@ -417,10 +400,7 @@ class ComparisonReport:
 
     def to_doc(self) -> dict[str, Any]:
         return {
-            "law": {
-                str(r): fraction_to_str(p)
-                for r, p in sorted(self.law.atom_probs.items())
-            },
+            "law": self.law.to_doc(),
             "frequencies": {
                 str(r): self.frequency_table.counts[r]
                 for r in sorted(self.frequency_table.counts)

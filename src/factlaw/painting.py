@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .seeding import derive_seed
 from .serialize import sha256_of_doc
@@ -27,7 +27,11 @@ ASPECT_COLOUR_FORM = "colour_form"
 ASPECT_APPROX_COLOUR = "approx_colour"
 ASPECT_EDGES = ("edge_n", "edge_e", "edge_s", "edge_w")
 
+EDGE_KEYS = ("n", "e", "s", "w")
+
 GENERATOR_ID = "tile-extraction"
+
+T = TypeVar("T")
 
 
 class InfeasibleSpec(ValueError):
@@ -120,20 +124,39 @@ class PaintingSpec:
         )
 
 
+def place_row_major(
+    width: int, height: int, placed: Iterable[tuple[tuple[int, int], T]], what: str
+) -> tuple[T, ...]:
+    """Order ``(coords, item)`` pairs row-major from the bottom-left (1, 1).
+
+    The result puts the item at ``(x, y)`` on index
+    ``(y - 1) * width + (x - 1)``, the layout of every grid in this package.
+    Raises ``ValueError`` unless the coordinates cover the width x height
+    grid exactly once; ``what`` names the items in the message.
+    """
+    ordered = sorted(placed, key=lambda pair: (pair[0][1], pair[0][0]))
+    cells = width * height
+    if len(ordered) != cells:
+        raise ValueError(f"expected {cells} {what}, got {len(ordered)}")
+    expected = [(x, y) for y in range(1, height + 1) for x in range(1, width + 1)]
+    if [coords for coords, _ in ordered] != expected:
+        raise ValueError(f"{what} do not cover each grid cell exactly once")
+    return tuple(item for _, item in ordered)
+
+
 def check_edge_coherence(
-    width: int,
-    height: int,
-    edges_at: Callable[[int, int], tuple[str, str, str, str]],
+    width: int, height: int, edges: Sequence[tuple[str, str, str, str]]
 ) -> None:
     """Verify pairwise interior matches and boundary markers on a full grid.
 
-    ``edges_at(x, y)`` must return the (N, E, S, W) signatures of the cell.
-    Shared by paintings and hidden forms, which carry the same grid shape.
-    Raises ``ValueError`` on the first violation.
+    ``edges`` holds the (N, E, S, W) signatures of every cell in row-major
+    order.  Shared by paintings and hidden forms, which carry the same grid
+    shape.  Raises ``ValueError`` on the first violation.
     """
     for y in range(1, height + 1):
         for x in range(1, width + 1):
-            n, e, s, w = edges_at(x, y)
+            i = (y - 1) * width + (x - 1)
+            n, e, s, w = edges[i]
             if (y == height) != (n == BOUNDARY):
                 raise ValueError(f"bad north boundary marker at {(x, y)}")
             if (x == width) != (e == BOUNDARY):
@@ -143,14 +166,14 @@ def check_edge_coherence(
             if (x == 1) != (w == BOUNDARY):
                 raise ValueError(f"bad west boundary marker at {(x, y)}")
             if x < width:
-                east_w = edges_at(x + 1, y)[3]
+                east_w = edges[i + 1][3]
                 if e != east_w:
                     raise ValueError(
                         f"edge mismatch between {(x, y)} E={e!r} and"
                         f" {(x + 1, y)} W={east_w!r}"
                     )
             if y < height:
-                north_s = edges_at(x, y + 1)[2]
+                north_s = edges[i + width][2]
                 if n != north_s:
                     raise ValueError(
                         f"edge mismatch between {(x, y)} N={n!r} and"
@@ -172,21 +195,11 @@ class Painting:
     tiles: tuple[Tile, ...]
 
     def __post_init__(self) -> None:
-        tiles = tuple(
-            sorted(self.tiles, key=lambda t: (t.coords[1], t.coords[0]))
+        tiles = place_row_major(
+            self.width, self.height, ((t.coords, t) for t in self.tiles), "tiles"
         )
         object.__setattr__(self, "tiles", tiles)
-        cells = self.width * self.height
-        if len(tiles) != cells:
-            raise ValueError(f"expected {cells} tiles, got {len(tiles)}")
-        expected = [
-            (x, y)
-            for y in range(1, self.height + 1)
-            for x in range(1, self.width + 1)
-        ]
-        if [t.coords for t in tiles] != expected:
-            raise ValueError("tiles do not cover each grid cell exactly once")
-        if not self.palette_q < cells:
+        if not self.palette_q < len(tiles):
             raise ValueError("palette must be strictly smaller than the grid")
         labels = {t.approx_colour for t in tiles}
         if not labels <= set(range(1, self.palette_q + 1)):
@@ -196,18 +209,13 @@ class Painting:
         forms = [t.colour_form_id for t in tiles]
         if len(set(forms)) != len(forms):
             raise ValueError("colour_form_ids must be distinct")
-        check_edge_coherence(
-            self.width, self.height, lambda x, y: self.tile_at((x, y)).edge_sigs
-        )
+        check_edge_coherence(self.width, self.height, [t.edge_sigs for t in tiles])
 
     def tile_at(self, coords: tuple[int, int]) -> Tile:
         x, y = coords
         if not (1 <= x <= self.width and 1 <= y <= self.height):
             raise OutOfGrid(coords)
         return self.tiles[(y - 1) * self.width + (x - 1)]
-
-    def __iter__(self):
-        return iter(self.tiles)
 
 
 def generate_painting(spec: PaintingSpec) -> Painting:
@@ -330,6 +338,16 @@ def describe_tile(
 # --- JSON round trip --------------------------------------------------------
 
 
+def edges_to_doc(edge_sigs: tuple[str, str, str, str]) -> dict[str, str]:
+    """The file form of a cell's (N, E, S, W) signatures."""
+    return dict(zip(EDGE_KEYS, edge_sigs))
+
+
+def edges_from_doc(doc: Mapping[str, str]) -> tuple[str, str, str, str]:
+    """Inverse of :func:`edges_to_doc`; a missing side raises ``KeyError``."""
+    return tuple(doc[key] for key in EDGE_KEYS)  # type: ignore[return-value]
+
+
 def painting_to_doc(painting: Painting) -> dict[str, Any]:
     return {
         "width": painting.width,
@@ -341,12 +359,7 @@ def painting_to_doc(painting: Painting) -> dict[str, Any]:
                 "y": t.coords[1],
                 "label": t.approx_colour,
                 "form": t.colour_form_id,
-                "edges": {
-                    "n": t.edge_sigs[0],
-                    "e": t.edge_sigs[1],
-                    "s": t.edge_sigs[2],
-                    "w": t.edge_sigs[3],
-                },
+                "edges": edges_to_doc(t.edge_sigs),
             }
             for t in painting.tiles
         ],
@@ -359,12 +372,7 @@ def painting_from_doc(doc: Mapping[str, Any]) -> Painting:
             (int(entry["x"]), int(entry["y"])),
             entry["form"],
             int(entry["label"]),
-            (
-                entry["edges"]["n"],
-                entry["edges"]["e"],
-                entry["edges"]["s"],
-                entry["edges"]["w"],
-            ),
+            edges_from_doc(entry["edges"]),
         )
         for entry in doc["tiles"]
     )

@@ -144,15 +144,12 @@ class FragmentPool:
 
     fragments: list[Description]
     replica_count: int = 1
-    mode: str = "border"  # "location" | "border"
     seed: int = 0
     _cursor: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.replica_count < 1:
             raise ValueError("replica_count must be at least 1")
-        if self.mode not in ("location", "border"):
-            raise ValueError(f"unknown pool mode {self.mode!r}")
         order = list(self.fragments)
         random.Random(derive_seed(self.seed, "draw-order")).shuffle(order)
         self.fragments = order
@@ -167,7 +164,7 @@ class FragmentPool:
             for _ in range(replicas)
             for tile in painting.tiles
         ]
-        return cls(fragments, replica_count=replicas, mode=mode, seed=seed)
+        return cls(fragments, replica_count=replicas, seed=seed)
 
     def __len__(self) -> int:
         return len(self.fragments) - self._cursor

@@ -120,12 +120,6 @@ class Description:
         if self.grid_coords is not None:
             object.__setattr__(self, "grid_coords", tuple(int(c) for c in self.grid_coords))
 
-    def value(self, aspect_id: str) -> str:
-        try:
-            return self.points[aspect_id]
-        except KeyError:
-            raise UnknownAspect(aspect_id) from None
-
     def __hash__(self) -> int:
         return hash(
             (

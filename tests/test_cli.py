@@ -252,14 +252,17 @@ def test_prob_game_json_format_uses_rationals(tmp_path, painting_file):
 
 def test_validate_space_passes_and_prints_to_stdout(tmp_path, capsys):
     space = tmp_path / "space.json"
-    dump_json(
-        {"universe": [1, 2, 3], "law": {"1": "3/5", "2": "3/10", "3": "1/10"}},
-        str(space),
-    )
-    assert main(["validate-space", "--space", str(space)]) == 0
-    doc = json.loads(capsys.readouterr().out.strip())
-    assert doc["passed"] is True
-    assert doc["events"] == 8
+    # A JSON float weight reads as the decimal it shows, so 0.1 + 0.2 + 0.7
+    # sums to exactly 1.
+    for law in (
+        {"1": "3/5", "2": "3/10", "3": "1/10"},
+        {"1": 0.1, "2": 0.2, "3": 0.7},
+    ):
+        dump_json({"universe": [1, 2, 3], "law": law}, str(space))
+        assert main(["validate-space", "--space", str(space)]) == 0
+        doc = json.loads(capsys.readouterr().out.strip())
+        assert doc["passed"] is True
+        assert doc["events"] == 8
 
 
 def test_validate_space_fails_on_short_norm(tmp_path):
@@ -387,7 +390,7 @@ def test_lln_find_n0_certifies(tmp_path):
     assert main(["lln", "--config", config]) == 0
     doc = load_json(str(out))
     assert doc["n0"] == 128
-    assert doc["delta"] == "0.05"
+    assert doc["delta"] == "1/20"
 
 
 def test_lln_target_defaults_to_the_sampled_law(tmp_path, painting_file):
@@ -491,6 +494,23 @@ def test_integrate_budget_exhaustion_is_a_runtime_error(tmp_path, form_file, cap
     assert code == 1
     record = read_error(capsys)
     assert record["type"] == "BudgetExhausted"
+
+
+@pytest.mark.parametrize("fault", ["repeated", "missing"])
+def test_form_without_exact_grid_cover_is_a_config_error(
+    tmp_path, capsys, reference_form, fault
+):
+    doc = reference_form.to_doc()
+    cells = doc["cells"]
+    if fault == "repeated":
+        cells[1] = dict(cells[1], x=cells[0]["x"])
+    else:
+        del cells[-1]
+    form = tmp_path / "form.json"
+    dump_json(doc, str(form))
+    argv = ["integrate", "--form", str(form), "--seed", "1", "--out", str(tmp_path / "o.json")]
+    assert_config_error(main(argv), capsys)
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_end_to_end_within_tolerance(tmp_path, form_file):
@@ -653,7 +673,7 @@ FLAG_VALUES = {
     "integrate": {"form": "form.json", "seed": 1, "confirm": 2, "max_events": 10**5,
                   "out": "out.json"},
     "end-to-end": {"form": "form.json", "draws": 50, "seed": 9, "confirm": 2,
-                   "max_events": 10**5, "tolerance": "1/2", "out": "out.json"},
+                   "max_events": 10**5, "tolerance": 0.1, "out": "out.json"},
 }
 FLAGGED_KEYS = [
     pytest.param(name, key, id=f"{name} {flag_of(key)}")

@@ -8,7 +8,6 @@ from factlaw import (
     AmbiguousStream,
     BudgetExhausted,
     ComplexifiedEvent,
-    FormCell,
     HiddenForm,
     InconsistentReplicas,
     IntegrationConfig,
@@ -39,7 +38,7 @@ def blank_event(label, r_prime=1):
     return ComplexifiedEvent(label, r_prime, BLANK)
 
 
-TRIVIAL_FORM = HiddenForm(1, 1, 10, (FormCell((1, 1), 1, 1, BLANK),))
+TRIVIAL_FORM = HiddenForm(1, 1, 10, (blank_event(1),))
 
 
 # --- complexified events and hidden forms -----------------------------------
@@ -85,7 +84,7 @@ def test_indices_are_unique_within_each_label_cloud(reference_painting):
     form = hidden_form_from_painting(reference_painting, seed=5)
     by_label = {}
     for cell in form.cells:
-        by_label.setdefault(cell.label_r, []).append(cell.r_prime)
+        by_label.setdefault(cell.label_r, []).append(cell.complexification_r_prime)
     for indices in by_label.values():
         assert len(indices) == len(set(indices))
         assert all(1 <= rp <= form.s_prime for rp in indices)
@@ -93,8 +92,8 @@ def test_indices_are_unique_within_each_label_cloud(reference_painting):
 
 def test_hidden_form_rejects_repeating_indices():
     cells = (
-        FormCell((1, 1), 1, 5, (B, "e", B, B)),
-        FormCell((2, 1), 1, 5, (B, B, B, "e")),
+        ComplexifiedEvent(1, 5, (B, "e", B, B)),
+        ComplexifiedEvent(1, 5, (B, B, B, "e")),
     )
     with pytest.raises(ValueError):
         HiddenForm(2, 1, 20, cells)
@@ -102,15 +101,28 @@ def test_hidden_form_rejects_repeating_indices():
 
 def test_hidden_form_rejects_label_gaps_and_bad_coverage():
     with pytest.raises(ValueError):
-        HiddenForm(1, 1, 10, (FormCell((1, 1), 3, 1, BLANK),))
+        HiddenForm(1, 1, 10, (blank_event(3),))
     with pytest.raises(ValueError):
-        HiddenForm(2, 1, 10, (FormCell((1, 1), 1, 1, BLANK),))
+        HiddenForm(2, 1, 10, (blank_event(1),))
 
 
 def test_hidden_form_doc_round_trip(reference_form):
     doc = reference_form.to_doc()
     assert HiddenForm.from_doc(doc) == reference_form
     assert form_digest(HiddenForm.from_doc(doc)) == form_digest(reference_form)
+
+
+def test_hidden_form_from_doc_places_cells_by_coordinates(reference_form):
+    doc = reference_form.to_doc()
+    shuffled = dict(doc, cells=doc["cells"][::-1])
+    assert HiddenForm.from_doc(shuffled) == reference_form
+    cells = doc["cells"]
+    repeated = dict(doc, cells=[cells[0], dict(cells[1], x=1)] + cells[2:])
+    with pytest.raises(ValueError, match="exactly once"):
+        HiddenForm.from_doc(repeated)
+    missing = dict(doc, cells=cells[:-1])
+    with pytest.raises(ValueError, match="expected 100 cells, got 99"):
+        HiddenForm.from_doc(missing)
 
 
 def test_generate_hidden_form_is_deterministic():
@@ -125,11 +137,7 @@ def test_stream_is_deterministic_and_emits_form_events(reference_form):
     first = list(itertools.islice(complexified_phenomenon(reference_form, 8), 200))
     second = list(itertools.islice(complexified_phenomenon(reference_form, 8), 200))
     assert first == second
-    catalogue = {
-        ComplexifiedEvent(c.label_r, c.r_prime, c.edge_sigs)
-        for c in reference_form.cells
-    }
-    assert set(first) <= catalogue
+    assert set(first) <= set(reference_form.cells)
 
 
 def test_label_projection_matches_form_counts(reference_form):

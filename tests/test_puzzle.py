@@ -68,7 +68,7 @@ def test_location_game_duplicate_coordinates_is_corruption(reference_painting):
         reference_painting, "location", seed=1
     ).draw_all()
     clash = dataclasses.replace(fragments[0], grid_coords=fragments[1].grid_coords)
-    pool = FragmentPool([clash] + fragments[1:], mode="location", seed=2)
+    pool = FragmentPool([clash] + fragments[1:], seed=2)
     with pytest.raises(DuplicateCoordinates):
         solve_by_location(pool)
 
@@ -83,7 +83,7 @@ def test_location_game_incomplete_grid_is_not_certified(reference_painting):
     fragments = FragmentPool.from_painting(
         reference_painting, "location", seed=9
     ).draw_all()
-    report = solve_by_location(FragmentPool(fragments[:-1], mode="location"))
+    report = solve_by_location(FragmentPool(fragments[:-1]))
     assert report.placements == 99
     assert report.completed_replicas == 0
     assert report.completion_order == ()
@@ -118,7 +118,7 @@ def test_border_game_rejects_located_fragments(reference_painting):
 
 def test_border_game_rejects_empty_pool():
     with pytest.raises(ValueError):
-        solve_by_borders(FragmentPool([], mode="border"))
+        solve_by_borders(FragmentPool([]))
 
 
 def test_multi_replica_assembly_completes_every_copy(reference_painting):
@@ -190,7 +190,7 @@ def test_tampered_signature_is_detected(reference_painting):
     )
     fragments[victim_index] = tampered
     with pytest.raises(InconsistentSignatures):
-        solve_by_borders(FragmentPool(fragments, mode="border", seed=4))
+        solve_by_borders(FragmentPool(fragments, seed=4))
 
 
 def test_foreign_piece_from_another_painting_is_detected():
@@ -201,7 +201,7 @@ def test_foreign_piece_from_another_painting_is_detected():
     fragments = FragmentPool.from_painting(host, "border", seed=6).draw_all()
     stranger = FragmentPool.from_painting(other, "border", seed=6).draw_all()[0]
     with pytest.raises(UnsolvablePool):
-        solve_by_borders(FragmentPool(fragments + [stranger], mode="border"))
+        solve_by_borders(FragmentPool(fragments + [stranger]))
 
 
 # --- the border game, ambiguous signatures ----------------------------------
@@ -289,8 +289,6 @@ def test_pool_len_counts_down(reference_painting):
 def test_pool_rejects_bad_parameters():
     with pytest.raises(ValueError):
         FragmentPool([], replica_count=0)
-    with pytest.raises(ValueError):
-        FragmentPool([], mode="jigsaw")
 
 
 def test_board_canonical_translation():
@@ -322,7 +320,7 @@ def test_assembly_report_invariants():
 def test_description_without_edges_is_rejected():
     bare = Description("tile-extraction", "cf_0001", {"colour_form": "cf_0001"}, None)
     with pytest.raises(ValueError):
-        solve_by_borders(FragmentPool([bare], mode="border"))
+        solve_by_borders(FragmentPool([bare]))
 
 
 # --- fuzzing the unique border game -----------------------------------------
