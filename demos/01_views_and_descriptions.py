@@ -34,7 +34,6 @@ rich_view = View(
         AspectView("approx_colour", ("colour_1", "colour_2")),
         AspectView("edge_n", ("s00012", "s00013")),
     ),
-    has_grid_frame=True,
     grid_dims=(10, 10),
 )
 

@@ -45,6 +45,7 @@ from .integration import (
 from .painting import PaintingSpec, generate_painting, painting_from_doc, painting_to_doc
 from .phenomenon import (
     RandomPhenomenon,
+    compare_law,
     factual_space_from_painting,
     probabilise_painting,
     run_frequency_experiment,
@@ -364,19 +365,17 @@ def _cmd_play_prob_game(params: Mapping[str, Any]):
     phenomenon = probabilise_painting(painting, seed)
     table = run_frequency_experiment(phenomenon, params["draws"])
     law = factual_space_from_painting(painting).law
-    rows = []
-    for label in sorted(table.counts):
-        freq = table.relative_frequency(label)
-        prob = law[label]
-        rows.append(
-            {
-                "label": label,
-                "count": table.counts[label],
-                "rel_freq": freq,
-                "law_prob": prob,
-                "abs_diff": abs(freq - prob),
-            }
-        )
+    gaps = compare_law(table, law).per_label
+    rows = [
+        {
+            "label": label,
+            "count": table.counts[label],
+            "rel_freq": table.relative_frequency(label),
+            "law_prob": law[label],
+            "abs_diff": gaps[label],
+        }
+        for label in sorted(table.counts)
+    ]
     ratios = ("rel_freq", "law_prob", "abs_diff")
     out = params["out"]
     if params.get("format", "csv") == "json":

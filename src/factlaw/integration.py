@@ -101,6 +101,8 @@ class HiddenForm:
     def __post_init__(self) -> None:
         cells = tuple(self.cells)
         object.__setattr__(self, "cells", cells)
+        if self.width < 1 or self.height < 1:
+            raise ValueError("grid extents must be positive")
         if len(cells) != self.width * self.height:
             raise ValueError(
                 f"expected {self.width * self.height} cells, got {len(cells)}"
@@ -139,8 +141,7 @@ class HiddenForm:
 
     def normalized_histogram(self) -> dict[int, Fraction]:
         """The exact law a correct integration must recover."""
-        total = self.width * self.height
-        return {r: Fraction(n, total) for r, n in sorted(self.label_counts.items())}
+        return Measure.from_counts(dict(sorted(self.label_counts.items()))).atom_probs
 
     def to_doc(self) -> dict[str, Any]:
         return {
@@ -369,16 +370,13 @@ def integrate(
             raise InconsistentReplicas(
                 "confirmation replicas disagree on counts"
             )
-    total_labels = sum(label_counts.values())
-    law = Measure(
-        {r: Fraction(n, total_labels) for r, n in sorted(label_counts.items())}
-    )
+    per_label = dict(sorted(label_counts.items()))
     return IntegrationResult(
         n_phi_total=n_total,
         per_pair_counts=pair_counts,
-        per_label=dict(sorted(label_counts.items())),
-        total_labels=total_labels,
-        law=law,
+        per_label=per_label,
+        total_labels=sum(per_label.values()),
+        law=Measure.from_counts(per_label),
         replicas_used_for_confirmation=needed,
         events_consumed=events,
         completion_log=tuple(enumerate(draw for _, draw in finished)),

@@ -275,11 +275,16 @@ def label_histogram(painting: Painting) -> dict[int, int]:
     return counts
 
 
-def interior_signature_multiset(painting: Painting) -> dict[str, int]:
-    """How many tile-sides carry each interior signature (2 each when unique)."""
+def interior_signature_multiset(
+    edges: Iterable[tuple[str, str, str, str]],
+) -> dict[str, int]:
+    """How many sides carry each interior signature, given each piece's edge tuple.
+
+    On a painting's tiles every count is 2 when signatures are unique.
+    """
     counts: dict[str, int] = {}
-    for tile in painting.tiles:
-        for sig in tile.edge_sigs:
+    for sigs in edges:
+        for sig in sigs:
             if sig != BOUNDARY:
                 counts[sig] = counts.get(sig, 0) + 1
     return counts
@@ -303,7 +308,8 @@ def source_description(painting: Painting, coords: tuple[int, int]) -> Descripti
 def colour_form_view(painting: Painting) -> View:
     """The view seeing colour-form identity and edge signatures, no frame."""
     forms = tuple(sorted(t.colour_form_id for t in painting.tiles))
-    sigs = tuple(sorted(interior_signature_multiset(painting))) + (BOUNDARY,)
+    edges = (t.edge_sigs for t in painting.tiles)
+    sigs = tuple(sorted(interior_signature_multiset(edges))) + (BOUNDARY,)
     aspects = [AspectView(ASPECT_COLOUR_FORM, forms)]
     aspects += [AspectView(aspect_id, sigs) for aspect_id in ASPECT_EDGES]
     return View(tuple(aspects))

@@ -15,13 +15,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .painting import Painting, label_histogram, painting_digest
 from .prob import (
     EventAlgebra,
+    ForeignElement,
     Measure,
     Universe,
+    composition_rank,
     generate_algebra,
     validate_measure,
 )
@@ -78,18 +80,17 @@ class RandomPhenomenon:
 
     def underlying_law(self) -> Measure:
         """The exact distribution the sampler realizes (not an estimate)."""
-        total = sum(self.weights)
-        return Measure(
-            {
-                label: Fraction(w, total)
-                for label, w in zip(self.universe.elements, self.weights)
-            }
-        )
+        return Measure.from_counts(dict(zip(self.universe.elements, self.weights)))
 
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Counts from a finite draw run."""
+    """The tally of a finite draw run: one count per label, summing to ``n_draws``.
+
+    The counts in table order form the run's statistical structure, the
+    count vector it realized; :attr:`structure_index` names it by its rank
+    among all count vectors of the same total.
+    """
 
     n_draws: int
     counts: Mapping[Any, int]
@@ -101,6 +102,29 @@ class FrequencyTable:
             raise ValueError("counts must be non-negative")
         if sum(counts.values()) != self.n_draws:
             raise ValueError("counts must sum to n_draws")
+
+    @classmethod
+    def from_draws(cls, draws: Sequence, universe: Universe) -> "FrequencyTable":
+        """Tally ``draws`` over ``universe``, zero-filled in universe order.
+
+        Raises :class:`~factlaw.prob.ForeignElement` on a draw outside the
+        universe.
+        """
+        counts = dict.fromkeys(universe, 0)
+        try:
+            for d in draws:
+                counts[d] += 1
+        except KeyError as exc:
+            raise ForeignElement(exc.args[0]) from None
+        return cls(len(draws), counts)
+
+    @property
+    def structure_index(self) -> int:
+        """Lexicographic rank of the count vector among all with this total.
+
+        Computed on each read, in time linear in ``n_draws``.
+        """
+        return composition_rank(tuple(self.counts.values()))
 
     def relative_frequency(self, label) -> Fraction:
         if label not in self.counts:
@@ -136,13 +160,9 @@ def run_frequency_experiment(
     seed: int | None = None,
 ) -> FrequencyTable:
     """Run ``n_draws`` draws and tabulate counts for every universe label."""
-    if n_draws < 0:
-        raise ValueError("n_draws must be >= 0")
-    draws = phenomenon.sample(n_draws, seed=seed)
-    counts = {label: 0 for label in phenomenon.universe}
-    for d in draws:
-        counts[d] += 1
-    return FrequencyTable(n_draws, counts)
+    return FrequencyTable.from_draws(
+        phenomenon.sample(n_draws, seed=seed), phenomenon.universe
+    )
 
 
 @dataclass(frozen=True)
@@ -170,13 +190,11 @@ def factual_space_from_painting(
     singleton label events) by union/intersection closure.
     """
     histogram = label_histogram(painting)
-    total = painting.width * painting.height
-    universe = Universe(tuple(range(1, painting.palette_q + 1)))
+    universe = Universe(tuple(histogram))
     if algebra_generators is None:
         algebra_generators = [{j} for j in universe.elements]
     algebra = generate_algebra(universe, algebra_generators)
-    law = Measure({j: Fraction(histogram[j], total) for j in universe.elements})
-    return FactualSpace(universe, algebra, law)
+    return FactualSpace(universe, algebra, Measure.from_counts(histogram))
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,22 @@ class Measure:
             raise ValueError("measure needs at least one atom")
         object.__setattr__(self, "atom_probs", coerced)
 
+    @classmethod
+    def from_counts(cls, counts: Mapping[Label, int]) -> "Measure":
+        """The law read off counts: each count over their total.
+
+        The package's one count-to-law rule: every law read off counts goes
+        through it.  Atoms keep the order of ``counts``, and a zero count
+        stays as a 0-weight atom.  Raises ``ValueError`` on a negative count
+        or a zero total.
+        """
+        if any(n < 0 for n in counts.values()):
+            raise ValueError("counts must be non-negative")
+        total = sum(counts.values())
+        if total == 0:
+            raise ValueError("counts must have a positive total")
+        return cls({label: Fraction(n, total) for label, n in counts.items()})
+
     @property
     def labels(self) -> tuple[Label, ...]:
         return tuple(self.atom_probs)
@@ -445,6 +461,12 @@ def find_N0(
 
 
 # --- statistical structures -------------------------------------------------
+#
+# A run of n draws over q labels realizes one count vector, one count per
+# label in universe order: the run's statistical structure.  There are
+# ``count_statistical_structures(n, q)`` of them, and ``composition_rank``
+# numbers them lexicographically from 0.  A draw tally carries its structure
+# as ``phenomenon.FrequencyTable.structure_index``.
 
 
 def count_statistical_structures(n_draws: int, n_labels: int) -> int:
@@ -475,44 +497,3 @@ def composition_rank(counts: Sequence[int]) -> int:
             rank += math.comb(remaining - v + slots - 1, slots - 1)
         remaining -= c
     return rank
-
-
-@dataclass(frozen=True)
-class SequenceStatistics:
-    """Counts of an observed label sequence plus its structure index.
-
-    ``structure_index`` identifies which of the possible count vectors this
-    sequence realized (the lexicographic rank among all compositions of the
-    draw total into one part per universe label).
-    """
-
-    n_trials: int
-    counts: Mapping[Label, int]
-    structure_index: int
-
-    def __post_init__(self) -> None:
-        counts = dict(self.counts)
-        object.__setattr__(self, "counts", counts)
-        if any(c < 0 for c in counts.values()):
-            raise ValueError("counts must be non-negative")
-        if sum(counts.values()) != self.n_trials:
-            raise ValueError("counts must sum to n_trials")
-
-    @classmethod
-    def from_sequence(
-        cls, draws: Sequence[Label], universe: Universe
-    ) -> "SequenceStatistics":
-        counts = {label: 0 for label in universe}
-        for d in draws:
-            if d not in counts:
-                raise ForeignElement(d)
-            counts[d] += 1
-        vector = [counts[label] for label in universe]
-        return cls(len(draws), counts, composition_rank(vector))
-
-    def relative_frequency(self, label: Label) -> Fraction:
-        if label not in self.counts:
-            raise ForeignElement(label)
-        if self.n_trials == 0:
-            raise ValueError("no trials recorded")
-        return Fraction(self.counts[label], self.n_trials)

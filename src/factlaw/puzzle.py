@@ -27,6 +27,7 @@ from .painting import (
     BOUNDARY,
     Painting,
     describe_tile,
+    interior_signature_multiset,
 )
 from .seeding import derive_seed
 from .views import Description
@@ -443,15 +444,6 @@ def solve_by_location(pool: FragmentPool) -> AssemblyReport:
     )
 
 
-def _signature_side_counts(fragments: Sequence[Description]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for fragment in fragments:
-        for sig in _edges_of(fragment):
-            if sig != BOUNDARY:
-                counts[sig] = counts.get(sig, 0) + 1
-    return counts
-
-
 def solve_by_borders(
     pool: FragmentPool, *, trial_budget: int | None = None
 ) -> AssemblyReport:
@@ -471,17 +463,20 @@ def solve_by_borders(
     for fragment in draws:
         if fragment.grid_coords is not None:
             raise ValueError("border-game fragments must not carry coordinates")
-    side_counts = _signature_side_counts(draws)
+    sigs = [_edges_of(f) for f in draws]
+    side_counts = interior_signature_multiset(sigs)
     unique = all(c <= 2 * pool.replica_count for c in side_counts.values())
     if unique:
-        return _solve_greedy(draws)
-    return _solve_scanline(draws, trial_budget)
+        return _solve_greedy(draws, sigs)
+    return _solve_scanline(draws, sigs, trial_budget)
 
 
-def _solve_greedy(draws: Sequence[Description]) -> AssemblyReport:
+def _solve_greedy(
+    draws: Sequence[Description], sigs: Sequence[tuple[str, str, str, str]]
+) -> AssemblyReport:
     assembler = BorderAssembler()
-    for i, fragment in enumerate(draws):
-        assembler.add(Piece(fragment, _edges_of(fragment)), draw_index=i + 1)
+    for i, (fragment, edges) in enumerate(zip(draws, sigs)):
+        assembler.add(Piece(fragment, edges), draw_index=i + 1)
     if not assembler.all_complete():
         raise InconsistentSignatures("pool exhausted with incomplete boards")
     return _report(assembler.placements, assembler.placements,
@@ -503,7 +498,9 @@ def _report(placements: int, trials: int,
 
 
 def _solve_scanline(
-    draws: Sequence[Description], trial_budget: int | None
+    draws: Sequence[Description],
+    sigs: Sequence[tuple[str, str, str, str]],
+    trial_budget: int | None,
 ) -> AssemblyReport:
     """Fill every cell of every board in raster order, backtracking on one stack.
 
@@ -519,7 +516,6 @@ def _solve_scanline(
     proves that no assembly exists.
     """
     budget = trial_budget if trial_budget is not None else 100_000
-    sigs = [_edges_of(f) for f in draws]
     boards = sum(e[S] == BOUNDARY and e[W] == BOUNDARY for e in sigs)
     bottom = sum(e[S] == BOUNDARY for e in sigs)
     left = sum(e[W] == BOUNDARY for e in sigs)

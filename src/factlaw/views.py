@@ -59,10 +59,13 @@ class AspectView:
 
 @dataclass(frozen=True)
 class View:
-    """A finite bundle of aspects, optionally with a spatial grid frame."""
+    """A finite bundle of aspects, optionally with a spatial grid frame.
+
+    ``grid_dims`` (2 or 3 positive extents) is the grid frame; ``None``
+    means the view has none.
+    """
 
     aspects: tuple[AspectView, ...]
-    has_grid_frame: bool = False
     grid_dims: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -75,15 +78,15 @@ class View:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate aspect ids in view")
         object.__setattr__(self, "aspects", aspects)
-        if self.has_grid_frame:
-            if self.grid_dims is None:
-                raise ValueError("a grid frame needs grid_dims")
+        if self.grid_dims is not None:
             dims = tuple(self.grid_dims)
             if len(dims) not in (2, 3) or any(d < 1 for d in dims):
                 raise ValueError(f"bad grid_dims {dims!r}")
             object.__setattr__(self, "grid_dims", dims)
-        elif self.grid_dims is not None:
-            raise ValueError("grid_dims given without a grid frame")
+
+    @property
+    def has_grid_frame(self) -> bool:
+        return self.grid_dims is not None
 
     @property
     def aspect_ids(self) -> tuple[str, ...]:
@@ -183,7 +186,5 @@ def restrict_view(
     if missing:
         raise UnknownAspect(sorted(missing)[0])
     aspects = tuple(a for a in view.aspects if a.aspect_id in keep_set)
-    if keep_grid_frame and view.has_grid_frame:
-        return View(aspects, has_grid_frame=True, grid_dims=view.grid_dims)
-    return View(aspects)
+    return View(aspects, grid_dims=view.grid_dims if keep_grid_frame else None)
 

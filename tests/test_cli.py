@@ -496,7 +496,7 @@ def test_integrate_budget_exhaustion_is_a_runtime_error(tmp_path, form_file, cap
     assert record["type"] == "BudgetExhausted"
 
 
-@pytest.mark.parametrize("fault", ["repeated", "missing"])
+@pytest.mark.parametrize("fault", ["repeated", "missing", "empty"])
 def test_form_without_exact_grid_cover_is_a_config_error(
     tmp_path, capsys, reference_form, fault
 ):
@@ -504,8 +504,10 @@ def test_form_without_exact_grid_cover_is_a_config_error(
     cells = doc["cells"]
     if fault == "repeated":
         cells[1] = dict(cells[1], x=cells[0]["x"])
-    else:
+    elif fault == "missing":
         del cells[-1]
+    else:
+        doc = {"width": 0, "height": 0, "s_prime": 10, "cells": []}
     form = tmp_path / "form.json"
     dump_json(doc, str(form))
     argv = ["integrate", "--form", str(form), "--seed", "1", "--out", str(tmp_path / "o.json")]

@@ -104,6 +104,8 @@ def test_hidden_form_rejects_label_gaps_and_bad_coverage():
         HiddenForm(1, 1, 10, (blank_event(3),))
     with pytest.raises(ValueError):
         HiddenForm(2, 1, 10, (blank_event(1),))
+    with pytest.raises(ValueError, match="extents must be positive"):
+        HiddenForm(0, 0, 10, ())
 
 
 def test_hidden_form_doc_round_trip(reference_form):

@@ -1,4 +1,15 @@
+import importlib
+from pathlib import Path
+
 import factlaw
+import factlaw.cli as cli
+import factlaw.integration as integration
+import factlaw.painting as painting
+from factlaw.integration import HiddenForm
+from factlaw.phenomenon import RandomPhenomenon
+from factlaw.puzzle import FragmentPool
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_every_export_resolves_once():
@@ -6,3 +17,29 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(factlaw, name)]
     assert missing == []
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # The benchmark's traced runs patch names in these namespaces by
+    # ``owner.__dict__[attr]``; a name that moves away breaks every one.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    owners = (cli, integration, painting, HiddenForm, RandomPhenomenon, FragmentPool)
+    before = [dict(vars(owner)) for owner in owners]
+    run = cli.run
+    uninstall = tracing.Recorder().install()
+    try:
+        assert cli.run is not run
+        patched = [
+            name
+            for owner, names in zip(owners, before)
+            for name, value in vars(owner).items()
+            if names.get(name) is not value
+        ]
+        assert "run_frequency_experiment" in patched
+        assert "factual_space_from_painting" in patched
+        assert "sample" in patched
+    finally:
+        uninstall()
+    assert cli.run is run
+    assert [dict(vars(owner)) for owner in owners] == before

@@ -97,7 +97,7 @@ def test_edge_coherence_and_boundary_markers():
 
 def test_unique_mode_signatures_pair_exactly_once():
     p = generate_painting(REFERENCE_SPEC)
-    multiset = interior_signature_multiset(p)
+    multiset = interior_signature_multiset(t.edge_sigs for t in p.tiles)
     assert all(count == 2 for count in multiset.values())
     interior = 2 * 10 * 9  # horizontal plus vertical seams of a 10x10 grid
     assert len(multiset) == interior
@@ -108,7 +108,7 @@ def test_ambiguous_mode_repeats_signatures():
         6, 6, 2, {1: 20, 2: 16}, uniqueness_mode=AMBIGUOUS_EDGES, seed=5
     )
     p = generate_painting(spec)
-    multiset = interior_signature_multiset(p)
+    multiset = interior_signature_multiset(t.edge_sigs for t in p.tiles)
     assert max(multiset.values()) > 2
 
 
@@ -190,4 +190,5 @@ def test_generator_fuzz_respects_invariants(seed, unique):
     assert histogram == spec.label_counts
     assert sum(histogram.values()) == spec.width * spec.height
     if unique:
-        assert all(c == 2 for c in interior_signature_multiset(p).values())
+        multiset = interior_signature_multiset(t.edge_sigs for t in p.tiles)
+        assert all(c == 2 for c in multiset.values())

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,15 @@ from hypothesis import given, settings, strategies as st
 from factlaw import (
     DivergenceReport,
     FactualSpace,
+    ForeignElement,
     FrequencyTable,
     Measure,
     RandomPhenomenon,
     Universe,
     UniverseMismatch,
     compare_law,
+    composition_rank,
+    count_statistical_structures,
     factual_space_from_painting,
     generate_algebra,
     probabilise_painting,
@@ -106,6 +110,31 @@ def test_frequency_table_invariants():
         FrequencyTable(2, {1: -1, 2: 3})
     with pytest.raises(UniverseMismatch):
         FrequencyTable(1, {1: 1}).relative_frequency(2)
+
+
+def test_frequency_table_from_draws():
+    u = Universe((1, 2, 3))
+    table = FrequencyTable.from_draws([1, 3, 1, 1, 2], u)
+    assert table.n_draws == 5
+    assert table.counts == {1: 3, 2: 1, 3: 1}
+    assert table.relative_frequency(1) == Fraction(3, 5)
+    assert table.structure_index == composition_rank((3, 1, 1))
+    assert 0 <= table.structure_index < count_statistical_structures(5, 3)
+    with pytest.raises(ForeignElement):
+        FrequencyTable.from_draws([1, 9], u)
+    with pytest.raises(ValueError):
+        FrequencyTable(3, {1: 1, 2: 1})  # counts do not sum to n_draws
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 60), st.integers(1, 5), st.integers(0, 2**31))
+def test_random_draws_have_consistent_tables(n, q, seed):
+    rng = random.Random(seed)
+    u = Universe(tuple(range(1, q + 1)))
+    draws = [rng.randint(1, q) for _ in range(n)]
+    table = FrequencyTable.from_draws(draws, u)
+    assert sum(table.counts.values()) == n
+    assert 0 <= table.structure_index < count_statistical_structures(n, q)
 
 
 # --- paintings as phenomena -------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from factlaw import (
     Measure,
     NotReached,
     RandomPhenomenon,
-    SequenceStatistics,
     Universe,
     UnknownLabel,
     composition_rank,
@@ -161,6 +159,16 @@ def test_event_probabilities():
     with pytest.raises(ForeignElement):
         event_probability(THREE_ATOMS, {"z"})
     assert u  # silence unused warnings in older linters
+
+
+def test_measure_from_counts_is_counts_over_their_total():
+    law = Measure.from_counts({"c": 6, "a": 0, "b": 4})
+    assert law.atom_probs == {"c": Fraction(3, 5), "a": 0, "b": Fraction(2, 5)}
+    assert law.labels == ("c", "a", "b")  # order kept, zero count kept
+    with pytest.raises(ValueError):
+        Measure.from_counts({"a": 2, "b": -1})
+    with pytest.raises(ValueError):
+        Measure.from_counts({"a": 0, "b": 0})
 
 
 def test_validate_measure_passes_on_clean_space():
@@ -403,28 +411,3 @@ def test_composition_rank_is_the_lexicographic_index():
             ordered = sorted(enumerate_compositions(n, q))
             for i, counts in enumerate(ordered):
                 assert composition_rank(counts) == i
-
-
-def test_sequence_statistics_from_sequence():
-    u = Universe((1, 2, 3))
-    stats = SequenceStatistics.from_sequence([1, 3, 1, 1, 2], u)
-    assert stats.n_trials == 5
-    assert stats.counts == {1: 3, 2: 1, 3: 1}
-    assert stats.relative_frequency(1) == Fraction(3, 5)
-    assert stats.structure_index == composition_rank((3, 1, 1))
-    assert 0 <= stats.structure_index < count_statistical_structures(5, 3)
-    with pytest.raises(ForeignElement):
-        SequenceStatistics.from_sequence([1, 9], u)
-    with pytest.raises(ValueError):
-        SequenceStatistics(3, {1: 1, 2: 1}, 0)  # counts do not sum to trials
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 60), st.integers(1, 5), st.integers(0, 2**31))
-def test_random_sequences_have_consistent_statistics(n, q, seed):
-    rng = random.Random(seed)
-    u = Universe(tuple(range(1, q + 1)))
-    draws = [rng.randint(1, q) for _ in range(n)]
-    stats = SequenceStatistics.from_sequence(draws, u)
-    assert sum(stats.counts.values()) == n
-    assert 0 <= stats.structure_index < count_statistical_structures(n, q)

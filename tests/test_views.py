@@ -20,7 +20,7 @@ def make_view(*aspect_specs, frame=None):
     aspects = tuple(AspectView(a, tuple(vs)) for a, vs in aspect_specs)
     if frame is None:
         return View(aspects)
-    return View(aspects, has_grid_frame=True, grid_dims=frame)
+    return View(aspects, grid_dims=frame)
 
 
 TILE_VIEW = make_view(
@@ -53,13 +53,10 @@ def test_view_invariants():
     with pytest.raises(ValueError):
         View((a, a))
     with pytest.raises(ValueError):
-        View((a,), has_grid_frame=True)  # frame without dims
-    with pytest.raises(ValueError):
-        View((a,), grid_dims=(3, 3))  # dims without frame
-    with pytest.raises(ValueError):
-        View((a,), has_grid_frame=True, grid_dims=(3,))  # 1-d frame
-    v = View((a,), has_grid_frame=True, grid_dims=(4, 5, 6))
+        View((a,), grid_dims=(3,))  # 1-d frame
+    v = View((a,), grid_dims=(4, 5, 6))
     assert v.grid_dims == (4, 5, 6)
+    assert v.has_grid_frame and not View((a,)).has_grid_frame
     assert "colour" in v and "weight" not in v
     with pytest.raises(UnknownAspect):
         v.aspect("weight")
@@ -155,7 +152,7 @@ def views(draw):
         for i in ids
     )
     if draw(st.booleans()):
-        return View(aspects, has_grid_frame=True, grid_dims=(8, 8))
+        return View(aspects, grid_dims=(8, 8))
     return View(aspects)
 
 
