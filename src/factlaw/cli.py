@@ -602,7 +602,7 @@ _COMMANDS: dict[str, Command] = {
     "play-prob-game": Command(
         "draw-with-replacement frequencies", "out", _cmd_play_prob_game, {
             "painting": (_as_str, True, "painting JSON file"),
-            "draws": (_as_int_in(0), True, "number of draws"),
+            "draws": (_as_int_in(1), True, "number of draws"),
             "seed": (_as_int, True, _SEED_HELP),
             "out": (_as_str, True, "frequency table path (CSV by default)"),
             "format": (_as_choice(("csv", "json")), False, "csv or json"),
@@ -645,7 +645,7 @@ _COMMANDS: dict[str, Command] = {
     "end-to-end": Command(
         "integrated law vs fresh frequencies", "out", _cmd_end_to_end, {
             "form": (_as_str, True, "hidden form JSON file"),
-            "draws": (_as_int_in(0), True, "number of fresh draws"),
+            "draws": (_as_int_in(1), True, "number of fresh draws"),
             "seed": (_as_int, True, _SEED_HELP),
             "confirm": (_as_int_in(1), False, "confirmation replicas K"),
             "max_events": (_as_int_in(1), False, "most events to read"),

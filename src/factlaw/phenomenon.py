@@ -122,7 +122,7 @@ class FrequencyTable:
     def structure_index(self) -> int:
         """Lexicographic rank of the count vector among all with this total.
 
-        Computed on each read, in time linear in ``n_draws``.
+        Computed on each read, with two binomials per label.
         """
         return composition_rank(tuple(self.counts.values()))
 

@@ -492,8 +492,11 @@ def composition_rank(counts: Sequence[int]) -> int:
     remaining = total
     parts = len(counts)
     for i, c in enumerate(counts[:-1]):
+        # The vectors that share the prefix and hold less than c here: one
+        # binomial per smaller value, summed by the hockey-stick identity.
         slots = parts - i - 1
-        for v in range(c):
-            rank += math.comb(remaining - v + slots - 1, slots - 1)
+        rank += math.comb(remaining + slots, slots) - math.comb(
+            remaining - c + slots, slots
+        )
         remaining -= c
     return rank

@@ -191,29 +191,23 @@ def _edges_of(fragment: Description) -> tuple[str, str, str, str]:
 
 
 class _Patch:
-    """One nascent board during assembly (mutable working state)."""
+    """One nascent board during assembly (mutable working state).
 
-    __slots__ = ("patch_id", "cells", "req_count", "bbox")
+    ``slots`` is the patch's ledger of open slots: each empty cell that a
+    placed neighbour demands, with the ``req_index`` keys it is filed under
+    (one per demanding neighbour).  The patch is complete once the ledger
+    is empty and its cells fill their bounding box.
+    """
+
+    __slots__ = ("patch_id", "cells", "slots")
 
     def __init__(self, patch_id: int):
         self.patch_id = patch_id
         self.cells: dict[tuple[int, int], Piece] = {}
-        self.req_count = 0
-        self.bbox: tuple[int, int, int, int] | None = None
-
-    def grow_bbox(self, pos: tuple[int, int]) -> None:
-        x, y = pos
-        if self.bbox is None:
-            self.bbox = (x, x, y, y)
-        else:
-            x0, x1, y0, y1 = self.bbox
-            self.bbox = (min(x0, x), max(x1, x), min(y0, y), max(y1, y))
+        self.slots: dict[tuple[int, int], list[tuple[int, str]]] = {}
 
     def is_complete(self) -> bool:
-        if self.req_count != 0 or self.bbox is None:
-            return False
-        x0, x1, y0, y1 = self.bbox
-        return len(self.cells) == (x1 - x0 + 1) * (y1 - y0 + 1)
+        return not self.slots and Board(self.cells).is_full_rectangle()
 
 
 def _fits(cells: dict[tuple[int, int], Piece], pos: tuple[int, int],
@@ -251,15 +245,18 @@ def _open_sides(
 class BorderAssembler:
     """Greedy border-matching assembly with merge-on-bridge.
 
-    Maintains an index from (required side, signature) to open slots.  A new
-    piece attaches to the oldest matching slot, in ``(patch_id, pos, side)``
-    order, else opens a new patch.  Then each open side of each newly
-    occupied cell merges in, by rigid translation, the patch of the first
-    foreign slot, in ``(patch_id, pos)`` order, that demands its signature
-    and whose patch does not overlap (overlapping cells are fungible
-    duplicates of other replicas).  The host keeps its id.  One merge per
-    side suffices: any other such slot would put its patch's piece on the
-    cell that merge has just filled.
+    Maintains an index from (required side, signature) to open slots
+    ``(patch_id, cell)``; each patch's slot ledger lists, per open cell, the
+    index keys it is filed under, so closing a slot touches only its own
+    keys.  A new piece attaches to the oldest matching slot, in
+    ``(patch_id, pos, side)`` order, else opens a new patch.  Then each open
+    side of each newly occupied cell merges in, by rigid translation, the
+    patch of the first foreign slot, in ``(patch_id, pos)`` order, that
+    demands its signature and whose patch does not overlap (overlapping
+    cells are fungible duplicates of other replicas).  The host keeps its
+    id.  One merge per side suffices: any other such slot would put its
+    patch's piece on the cell that merge has just filled.  Drawn pieces and
+    merged patches alike enter a patch through :meth:`_place`.
 
     A signature contradiction, at a matched slot or along a merge seam,
     raises :class:`InconsistentSignatures`.
@@ -272,54 +269,42 @@ class BorderAssembler:
         self.placements = 0
         self.next_patch_id = 0
 
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _unindex(self, key: tuple[int, str], slot: tuple[int, tuple[int, int]]) -> bool:
-        """Remove one open slot; empty buckets are deleted.  False if absent."""
-        slots = self.req_index.get(key)
-        if not slots or slot not in slots:
-            return False
-        slots.remove(slot)
-        if not slots:
-            del self.req_index[key]
-        return True
-
-    def _add_requirements(self, patch: _Patch, pos: tuple[int, int], piece: Piece) -> None:
-        for d, sig, target in _open_sides(patch.cells, pos, piece):
-            self.req_index.setdefault((_OPPOSITE[d], sig), set()).add(
-                (patch.patch_id, target)
-            )
-            patch.req_count += 1
-
-    def _remove_requirements_at(self, patch: _Patch, pos: tuple[int, int]) -> None:
-        x, y = pos
-        for d in (N, E, S, W):
-            dx, dy = _DELTAS[d]
-            neighbour = patch.cells.get((x + dx, y + dy))
-            if neighbour is not None and self._unindex(
-                (d, neighbour.edges[_OPPOSITE[d]]), (patch.patch_id, pos)  # type: ignore[index]
-            ):
-                patch.req_count -= 1
-
-    def _drop_patch_requirements(self, patch: _Patch) -> None:
-        for pos, piece in patch.cells.items():
-            for d, sig, target in _open_sides(patch.cells, pos, piece):
-                self._unindex((_OPPOSITE[d], sig), (patch.patch_id, target))
-        patch.req_count = 0
-
     # -- placement and merging ----------------------------------------------
 
-    def _raw_place(self, patch: _Patch, pos: tuple[int, int], piece: Piece) -> None:
-        """Place with full-fit validation; no completion check, no bridging."""
-        assert pos not in patch.cells, "open slots are never occupied"
-        if not _fits(patch.cells, pos, piece):
-            raise InconsistentSignatures(
-                f"piece does not fit its matched slot at {pos}"
-            )
-        patch.cells[pos] = piece
-        patch.grow_bbox(pos)
-        self._remove_requirements_at(patch, pos)
-        self._add_requirements(patch, pos, piece)
+    def _close(self, patch: _Patch, cell: tuple[int, int]) -> None:
+        """Withdraw the open slot at ``cell`` from the ledger and the index;
+        empty index buckets are deleted."""
+        slot = (patch.patch_id, cell)
+        for key in patch.slots.pop(cell, ()):
+            slots = self.req_index[key]
+            slots.remove(slot)
+            if not slots:
+                del self.req_index[key]
+
+    def _place(
+        self, patch: _Patch, cells: dict[tuple[int, int], Piece], clash: str
+    ) -> list[tuple[int, int]]:
+        """Put ``cells`` into ``patch``: the only way a cell enters a patch.
+
+        Every cell, in the given order, must fit the patch as it stands,
+        else :class:`InconsistentSignatures` names ``clash`` and the first
+        misfit cell before any state changes.  Then the cells fill their
+        slots in sorted order, and each open side they face becomes a slot.
+        Returns the placed cells, sorted; no completion check, no bridging.
+        """
+        for pos, piece in cells.items():
+            if not _fits(patch.cells, pos, piece):
+                raise InconsistentSignatures(f"{clash} at {pos}")
+        placed = sorted(cells)
+        for pos in placed:
+            self._close(patch, pos)
+            patch.cells[pos] = cells[pos]
+        for pos in placed:
+            for d, sig, target in _open_sides(patch.cells, pos, cells[pos]):
+                key = (_OPPOSITE[d], sig)
+                self.req_index.setdefault(key, set()).add((patch.patch_id, target))
+                patch.slots.setdefault(target, []).append(key)
+        return placed
 
     def _try_merge(
         self, host: _Patch, guest: _Patch, offset: tuple[int, int]
@@ -336,14 +321,10 @@ class BorderAssembler:
         }
         if any(pos in host.cells for pos in shifted):
             return None
-        for pos, piece in shifted.items():
-            if not _fits(host.cells, pos, piece):
-                raise InconsistentSignatures(f"merge seam mismatch at {pos}")
-        self._drop_patch_requirements(guest)
+        placed = self._place(host, shifted, "merge seam mismatch")
+        for cell in list(guest.slots):
+            self._close(guest, cell)
         del self.patches[guest.patch_id]
-        placed = sorted(shifted)
-        for pos in placed:
-            self._raw_place(host, pos, shifted[pos])
         return placed
 
     def _bridge_from(self, patch: _Patch, pos: tuple[int, int]) -> None:
@@ -379,20 +360,19 @@ class BorderAssembler:
         return sorted(found)
 
     def add(self, piece: Piece, draw_index: int) -> None:
-        """Greedy step: attach to the oldest matching open slot and bridge from
-        there, else seed a new patch, which no slot can bridge to; then close
-        the patch if it is complete."""
+        """Greedy step: attach to the oldest matching open slot, else seed a
+        new patch; bridge from the piece (from a new seed this finds nothing:
+        no slot demands its signatures), then close the patch if complete."""
         candidates = self.candidate_slots(piece)
         if candidates:
             patch_id, pos, _ = candidates[0]
             patch = self.patches[patch_id]
-            self._raw_place(patch, pos, piece)
-            self._bridge_from(patch, pos)
         else:
-            patch = _Patch(self.next_patch_id)
+            patch, pos = _Patch(self.next_patch_id), (0, 0)
             self.next_patch_id += 1
             self.patches[patch.patch_id] = patch
-            self._raw_place(patch, (0, 0), piece)
+        self._place(patch, {pos: piece}, "piece does not fit its matched slot")
+        self._bridge_from(patch, pos)
         self.placements += 1
         if patch.is_complete():
             del self.patches[patch.patch_id]

@@ -177,6 +177,24 @@ def enumerate_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     return result
 
 
+def composition_rank_by_steps(counts) -> int:
+    """Lexicographic rank of a count vector, one binomial per unit of count.
+
+    Each entry ``c`` adds the vectors that share the prefix and hold
+    ``0..c-1`` there, one binomial per value: the reference route for
+    ``prob.composition_rank``, linear in the total.
+    """
+    rank = 0
+    remaining = sum(counts)
+    parts = len(counts)
+    for i, c in enumerate(counts[:-1]):
+        slots = parts - i - 1
+        for v in range(c):
+            rank += comb(remaining - v + slots - 1, slots - 1)
+        remaining -= c
+    return rank
+
+
 def powerset(iterable):
     items = list(iterable)
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))

@@ -589,7 +589,9 @@ def required_args(command, painting, form, out):
         ["integrate", "--confirm", "0"],
         ["integrate", "--max-events", "0"],
         ["play-prob-game", "--draws", "-5"],
+        ["play-prob-game", "--draws", "0"],
         ["end-to-end", "--draws", "-1"],
+        ["end-to-end", "--draws", "0"],
     ],
     ids=" ".join,
 )

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from oracles import (
     binomial_window_probability_naive,
     closure_by_fixpoint,
     closure_by_lattice,
+    composition_rank_by_steps,
     enumerate_compositions,
     measure_report_by_fractions,
 )
@@ -411,3 +413,15 @@ def test_composition_rank_is_the_lexicographic_index():
             ordered = sorted(enumerate_compositions(n, q))
             for i, counts in enumerate(ordered):
                 assert composition_rank(counts) == i
+
+
+def test_composition_rank_matches_the_stepwise_sum_on_large_totals():
+    rng = random.Random(17)
+    vectors = [(60_000, 30_000, 10_000), (0, 100_000), (100_000, 0, 0, 0)]
+    for _ in range(40):
+        total = rng.randint(0, rng.choice((10, 1_000, 100_000)))
+        cuts = sorted(rng.randint(0, total) for _ in range(rng.randint(0, 5)))
+        bounds = [0, *cuts, total]
+        vectors.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    for counts in vectors:
+        assert composition_rank(counts) == composition_rank_by_steps(counts)

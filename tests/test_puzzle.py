@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from factlaw import (
     AMBIGUOUS_EDGES,
     ASPECT_COLOUR_FORM,
+    ASPECT_EDGES,
     AssemblyReport,
     Board,
     BorderAssembler,
@@ -17,11 +18,12 @@ from factlaw import (
     PaintingSpec,
     Piece,
     UnsolvablePool,
+    complexified_phenomenon,
     generate_painting,
     solve_by_borders,
     solve_by_location,
 )
-from factlaw.puzzle import _edges_of
+from factlaw.puzzle import E, N, _edges_of
 
 from conftest import REFERENCE_SPEC
 
@@ -175,6 +177,99 @@ def test_unique_signatures_leave_no_real_choice(reference_painting):
         assert all(len(ps) == 1 for ps in positions_by_patch.values())
         assembler.add(piece, draw_index=i + 1)
     assert assembler.all_complete()
+
+
+def assert_ledgers_match_the_index(assembler):
+    filed = {
+        (key, patch_id, cell)
+        for key, slots in assembler.req_index.items()
+        for patch_id, cell in slots
+    }
+    ledgered = [
+        (key, patch.patch_id, cell)
+        for patch in assembler.patches.values()
+        for cell, keys in patch.slots.items()
+        for key in keys
+    ]
+    assert len(set(ledgered)) == len(ledgered)
+    assert set(ledgered) == filed
+    assert all(assembler.req_index.values())
+    # A patch closes exactly when its ledger runs empty.
+    assert all(patch.slots for patch in assembler.patches.values())
+    assert not any(patch.slots for patch, _ in assembler.completed)
+
+
+def replicated_pieces(painting, form):
+    fragments = FragmentPool.from_painting(
+        painting, "border", replicas=3, seed=8
+    ).draw_all()
+    return [Piece(fragment, _edges_of(fragment)) for fragment in fragments]
+
+
+def streamed_pieces(painting, form):
+    return (Piece(event, event.edge_sigs) for event in complexified_phenomenon(form, 8))
+
+
+@pytest.mark.parametrize(
+    "pieces", [replicated_pieces, streamed_pieces], ids=("pool", "stream")
+)
+def test_slot_ledgers_agree_with_the_requirement_index(
+    reference_painting, reference_form, pieces
+):
+    # White box: each patch's ledger files exactly the slots the index
+    # holds for it, after every add, through attachments, bridge merges
+    # and closings of three intermingled replicas.
+    assembler = BorderAssembler()
+    for i, piece in enumerate(pieces(reference_painting, reference_form)):
+        assembler.add(piece, draw_index=i + 1)
+        assert_ledgers_match_the_index(assembler)
+        if len(assembler.completed) == 3:
+            break
+    assert len(assembler.completed) == 3
+
+
+def with_edges(fragment, edges):
+    return dataclasses.replace(
+        fragment, points={**fragment.points, **dict(zip(ASPECT_EDGES, edges))}
+    )
+
+
+def half_turn(fragments, i):
+    n, e, s, w = _edges_of(fragments[i])
+    fragments[i] = with_edges(fragments[i], (s, w, n, e))
+
+
+def swap_side(fragments, i, j, side):
+    first, second = list(_edges_of(fragments[i])), list(_edges_of(fragments[j]))
+    first[side], second[side] = second[side], first[side]
+    fragments[i] = with_edges(fragments[i], first)
+    fragments[j] = with_edges(fragments[j], second)
+
+
+@pytest.mark.parametrize(
+    "replicas, tamper, args, message",
+    [
+        (2, half_turn, (3,), "piece does not fit its matched slot at (-3, -7)"),
+        (2, half_turn, (7,), "merge seam mismatch at (-4, -2)"),
+        (1, swap_side, (0, 1, E), "piece does not fit its matched slot at (-2, 0)"),
+        (1, swap_side, (0, 1, N), "merge seam mismatch at (3, 0)"),
+    ],
+    ids=("turned-slot", "turned-seam", "swapped-slot", "swapped-seam"),
+)
+def test_clash_verdicts_name_the_misfit_cell(
+    reference_painting, replicas, tamper, args, message
+):
+    # A piece that meets a clash at its matched slot and a patch that meets
+    # one along a merge seam each name the cell where the seam rule failed.
+    fragments = FragmentPool.from_painting(
+        reference_painting, "border", replicas=replicas, seed=0
+    ).draw_all()
+    tamper(fragments, *args)
+    pool = FragmentPool(fragments, replica_count=replicas, seed=0)
+    with pytest.raises(InconsistentSignatures) as caught:
+        solve_by_borders(pool)
+    assert caught.type is InconsistentSignatures
+    assert str(caught.value) == message
 
 
 def test_tampered_signature_is_detected(reference_painting):
