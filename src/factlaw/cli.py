@@ -596,7 +596,7 @@ _COMMANDS: dict[str, Command] = {
             "replicas": (_as_int_in(1), False, "painting replicas in the pool"),
             "seed": (_as_int, True, _SEED_HELP),
             "report": (_as_str, True, "assembly report JSON path"),
-            "trial_budget": (_as_int_in(1), False, "search trials, ambiguous pools only"),
+            "trial_budget": (_as_int_in(1), False, "search trials: ambiguous pools, greedy refusals"),
         },
     ),
     "play-prob-game": Command(

@@ -42,11 +42,24 @@ class DuplicateCoordinates(Exception):
 
 
 class UnsolvablePool(Exception):
-    """No assembly of the pool exists, or the named trial budget ran out."""
+    """No assembly of the pool exists, or the named trial budget ran out.
+
+    A pool with unique signatures that has no assembly raises
+    :class:`InconsistentSignatures` instead; it raises this only when the
+    search that checks a greedy refusal runs out of its trial budget.
+    """
 
 
 class InconsistentSignatures(Exception):
-    """The pool cannot come from one painting: signatures contradict."""
+    """Signatures contradict: no assembly of the pieces exists.
+
+    :class:`BorderAssembler` raises it at the first clash it meets.  The
+    border game raises it for a pool only when it is true: a pool is solved
+    whenever its pieces tile full, seam-consistent boards, even boards of
+    different paintings.  So when greedy assembly clashes, the scan-line
+    search runs on the same draws and returns any boards it finds; the
+    greedy clash is raised only once the search proves there are none.
+    """
 
 
 @dataclass(frozen=True)
@@ -197,17 +210,49 @@ class _Patch:
     placed neighbour demands, with the ``req_index`` keys it is filed under
     (one per demanding neighbour).  The patch is complete once the ledger
     is empty and its cells fill their bounding box.
+
+    ``shift`` carries a stored cell into the patch's own frame, the one its
+    first piece opened at (0, 0); clash messages name cells in it.
+    ``lineage`` records, in that frame, how the patch grew: the two ints
+    ``x, y`` of the cell of each drawn piece placed in it, and a tuple
+    ``(dx, dy, lineage)`` for each patch merged into it, whose own frame
+    sits at ``(dx, dy)``.
     """
 
-    __slots__ = ("patch_id", "cells", "slots")
+    __slots__ = ("patch_id", "cells", "slots", "shift", "lineage")
 
     def __init__(self, patch_id: int):
         self.patch_id = patch_id
         self.cells: dict[tuple[int, int], Piece] = {}
         self.slots: dict[tuple[int, int], list[tuple[int, str]]] = {}
+        self.shift = (0, 0)
+        self.lineage: list[int | tuple] = []
 
     def is_complete(self) -> bool:
         return not self.slots and Board(self.cells).is_full_rectangle()
+
+    def lineage_order(self) -> list[tuple[int, int]]:
+        """The stored cells in the order they would have entered the patch
+        had every merge moved the guest: drawn pieces as placed, and each
+        merged patch as one block in position order."""
+        sx, sy = self.shift
+        order = []
+        entries = iter(self.lineage)
+        for entry in entries:
+            if isinstance(entry, int):
+                order.append((entry - sx, next(entries) - sy))
+                continue
+            block, stack = [], [entry]
+            while stack:
+                dx, dy, lineage = stack.pop()
+                items = iter(lineage)
+                for item in items:
+                    if isinstance(item, int):
+                        block.append((item + dx - sx, next(items) + dy - sy))
+                    else:
+                        stack.append((item[0] + dx, item[1] + dy, item[2]))
+            order.extend(sorted(block))
+        return order
 
 
 def _fits(cells: dict[tuple[int, int], Piece], pos: tuple[int, int],
@@ -224,6 +269,18 @@ def _fits(cells: dict[tuple[int, int], Piece], pos: tuple[int, int],
         if mine != neighbour.edges[_OPPOSITE[d]] or mine == BOUNDARY:  # type: ignore[index]
             return False
     return True
+
+
+def _misfit(
+    patch: _Patch, cells: dict[tuple[int, int], Piece]
+) -> tuple[int, int] | None:
+    """The first of ``cells``, in the given order, that breaks the seam rule
+    against ``patch``, named in the patch's own frame; None if all fit."""
+    for (x, y), piece in cells.items():
+        if not _fits(patch.cells, (x, y), piece):
+            sx, sy = patch.shift
+            return x + sx, y + sy
+    return None
 
 
 def _open_sides(
@@ -250,13 +307,20 @@ class BorderAssembler:
     index keys it is filed under, so closing a slot touches only its own
     keys.  A new piece attaches to the oldest matching slot, in
     ``(patch_id, pos, side)`` order, else opens a new patch.  Then each open
-    side of each newly occupied cell merges in, by rigid translation, the
-    patch of the first foreign slot, in ``(patch_id, pos)`` order, that
-    demands its signature and whose patch does not overlap (overlapping
-    cells are fungible duplicates of other replicas).  The host keeps its
-    id.  One merge per side suffices: any other such slot would put its
-    patch's piece on the cell that merge has just filled.  Drawn pieces and
-    merged patches alike enter a patch through :meth:`_place`.
+    side of the new piece merges in, by rigid translation, the patch of the
+    first foreign slot, in ``(patch_id, pos)`` order, that demands its
+    signature and whose patch does not overlap (overlapping cells are
+    fungible duplicates of other replicas).  One merge per side suffices:
+    any other such slot would put its patch's piece on the cell that merge
+    has just filled.  Cells that a merge moves are not bridged from again
+    (see :meth:`_bridge_from`).
+
+    A merge moves the smaller patch into the larger, so each cell moves
+    O(log n) times.  The merged patch keeps the host's id, and clash
+    messages name cells in the host's frame whichever patch moved.  Drawn
+    pieces and merged patches alike enter a patch through :meth:`_place`.
+    ``placements`` counts drawn pieces, ``merges`` the merges made and
+    ``cells_moved`` the cells those merges moved.
 
     A signature contradiction, at a matched slot or along a merge seam,
     raises :class:`InconsistentSignatures`.
@@ -267,6 +331,8 @@ class BorderAssembler:
         self.req_index: dict[tuple[int, str], set[tuple[int, tuple[int, int]]]] = {}
         self.completed: list[tuple[_Patch, int]] = []
         self.placements = 0
+        self.merges = 0
+        self.cells_moved = 0
         self.next_patch_id = 0
 
     # -- placement and merging ----------------------------------------------
@@ -283,18 +349,18 @@ class BorderAssembler:
 
     def _place(
         self, patch: _Patch, cells: dict[tuple[int, int], Piece], clash: str
-    ) -> list[tuple[int, int]]:
+    ) -> None:
         """Put ``cells`` into ``patch``: the only way a cell enters a patch.
 
         Every cell, in the given order, must fit the patch as it stands,
         else :class:`InconsistentSignatures` names ``clash`` and the first
-        misfit cell before any state changes.  Then the cells fill their
+        misfit cell, in the patch's frame, before any state changes.  Then the cells fill their
         slots in sorted order, and each open side they face becomes a slot.
-        Returns the placed cells, sorted; no completion check, no bridging.
+        No completion check, no bridging.
         """
-        for pos, piece in cells.items():
-            if not _fits(patch.cells, pos, piece):
-                raise InconsistentSignatures(f"{clash} at {pos}")
+        misfit = _misfit(patch, cells)
+        if misfit is not None:
+            raise InconsistentSignatures(f"{clash} at {misfit}")
         placed = sorted(cells)
         for pos in placed:
             self._close(patch, pos)
@@ -304,46 +370,87 @@ class BorderAssembler:
                 key = (_OPPOSITE[d], sig)
                 self.req_index.setdefault(key, set()).add((patch.patch_id, target))
                 patch.slots.setdefault(target, []).append(key)
-        return placed
 
     def _try_merge(
         self, host: _Patch, guest: _Patch, offset: tuple[int, int]
-    ) -> list[tuple[int, int]] | None:
-        """Move ``guest`` into ``host`` shifted by ``offset``; None if refused.
+    ) -> tuple[int, int] | None:
+        """Merge ``guest``, whose cell ``c`` sits at ``c + offset`` in the
+        host, into ``host``; None if refused, else how the host's stored
+        cells moved (``(0, 0)`` unless the host was the one moved).
 
-        Refused when any shifted cell overlaps the host (fungible duplicate
-        content from another replica).  A mismatched seam between the two
-        patches raises :class:`InconsistentSignatures`.
+        The smaller patch's cells move into the larger patch (the guest's on
+        a tie); the overlap and seam checks scan the smaller one, which the
+        symmetric seam rule allows.  Refused when a moved cell overlaps the
+        other patch (fungible duplicate content from another replica).  A
+        mismatched seam raises :class:`InconsistentSignatures` naming the
+        first misfit guest cell in :meth:`_Patch.lineage_order`, in the
+        host's frame, whichever patch moved.  The merged patch is ``host``,
+        with its id and frame: when the host moved, it takes over the
+        guest's cells and ledger, re-keyed to the host's id.
         """
         ox, oy = offset
-        shifted = {
-            (x + ox, y + oy): piece for (x, y), piece in guest.cells.items()
-        }
-        if any(pos in host.cells for pos in shifted):
+        if len(guest.cells) <= len(host.cells):
+            small, big, (dx, dy) = guest, host, offset
+        else:
+            small, big, (dx, dy) = host, guest, (-ox, -oy)
+        shifted = {(x + dx, y + dy): piece for (x, y), piece in small.cells.items()}
+        if any(pos in big.cells for pos in shifted):
             return None
-        placed = self._place(host, shifted, "merge seam mismatch")
-        for cell in list(guest.slots):
-            self._close(guest, cell)
+        try:
+            self._place(big, shifted, "merge seam mismatch")
+        except InconsistentSignatures:
+            moved_guest = {
+                (x + ox, y + oy): guest.cells[(x, y)] for x, y in guest.lineage_order()
+            }
+            misfit = _misfit(host, moved_guest)
+            raise InconsistentSignatures(f"merge seam mismatch at {misfit}") from None
+        for cell in list(small.slots):
+            self._close(small, cell)
         del self.patches[guest.patch_id]
-        return placed
+        self.merges += 1
+        self.cells_moved += len(shifted)
+        (hx, hy), (gx, gy) = host.shift, guest.shift
+        host.lineage.append((ox + hx - gx, oy + hy - gy, guest.lineage))
+        if big is host:
+            return 0, 0
+        for cell, keys in guest.slots.items():
+            for key in keys:
+                slots = self.req_index[key]
+                slots.remove((guest.patch_id, cell))
+                slots.add((host.patch_id, cell))
+        host.cells, host.slots, host.shift = guest.cells, guest.slots, (hx + ox, hy + oy)
+        return dx, dy
 
     def _bridge_from(self, patch: _Patch, pos: tuple[int, int]) -> None:
-        """Cascade merges triggered by newly occupied cells of ``patch``."""
-        queue = [pos]
-        while queue:
-            pos = queue.pop(0)
-            x, y = pos
-            for d, sig, _ in _open_sides(patch.cells, pos, patch.cells[pos]):
-                # A foreign slot demanding edge[d] == sig can be aligned so
-                # that this piece fills it.
-                foreign = sorted(
-                    s for s in self.req_index.get((d, sig), ()) if s[0] != patch.patch_id
-                )
-                for patch_id, (sx, sy) in foreign:
-                    placed = self._try_merge(patch, self.patches[patch_id], (x - sx, y - sy))
-                    if placed is not None:
-                        queue.extend(placed)
-                        break
+        """Merge into ``patch`` the patches that its new piece at ``pos``
+        bridges to: on each open side, the first foreign patch that does not
+        overlap.
+
+        Only the new piece is bridged from; cells that merges move are not,
+        as they would find nothing.  A moved cell gains no open side, so
+        every pair of an open side and a matching foreign slot was tried
+        when the later of their two pieces was placed.  A merge refused then
+        was refused for overlap, or passed over after a merge on the same
+        side filled the cell its patch needed, and overlap only grows as
+        patches merge.  When a merge moves the host's cells, ``pos`` follows
+        them.
+        """
+        x, y = pos
+        piece = patch.cells[pos]
+        for d, sig, _ in list(_open_sides(patch.cells, pos, piece)):
+            dx, dy = _DELTAS[d]
+            if (x + dx, y + dy) in patch.cells:
+                continue  # an earlier side's merge filled this one
+            # A foreign slot demanding edge[d] == sig can be aligned so that
+            # this piece fills it.
+            foreign = sorted(
+                s for s in self.req_index.get((d, sig), ()) if s[0] != patch.patch_id
+            )
+            for patch_id, (sx, sy) in foreign:
+                moved = self._try_merge(patch, self.patches[patch_id], (x - sx, y - sy))
+                if moved is not None:
+                    x, y = x + moved[0], y + moved[1]
+                    break
 
     # -- public API ----------------------------------------------------------
 
@@ -372,6 +479,8 @@ class BorderAssembler:
             self.next_patch_id += 1
             self.patches[patch.patch_id] = patch
         self._place(patch, {pos: piece}, "piece does not fit its matched slot")
+        (x, y), (sx, sy) = pos, patch.shift
+        patch.lineage += (x + sx, y + sy)
         self._bridge_from(patch, pos)
         self.placements += 1
         if patch.is_complete():
@@ -433,9 +542,12 @@ def solve_by_borders(
     sides, signatures behave uniquely and a greedy pass in draw order
     suffices.  Otherwise the pool is ambiguous and a scan-line search runs
     instead, bounded by ``trial_budget`` pieces set on cells (default
-    100 000).  Raises :class:`InconsistentSignatures` for unique pools no
-    single painting can explain, and :class:`UnsolvablePool` when an
-    ambiguous pool has no assembly or the trial budget runs out.
+    100 000).  The search also checks every greedy refusal, since greedy
+    can clash on a pool that has an assembly (replicas of two paintings
+    whose signatures share one namespace).  Raises
+    :class:`InconsistentSignatures` for a unique pool that has no assembly,
+    and :class:`UnsolvablePool` when an ambiguous pool has none or the
+    trial budget runs out.
     """
     draws = pool.draw_all()
     if not draws:
@@ -446,9 +558,16 @@ def solve_by_borders(
     sigs = [_edges_of(f) for f in draws]
     side_counts = interior_signature_multiset(sigs)
     unique = all(c <= 2 * pool.replica_count for c in side_counts.values())
+    refusal: InconsistentSignatures | None = None
     if unique:
-        return _solve_greedy(draws, sigs)
-    return _solve_scanline(draws, sigs, trial_budget)
+        try:
+            return _solve_greedy(draws, sigs)
+        except InconsistentSignatures as error:
+            refusal = error
+    report = _solve_scanline(draws, sigs, trial_budget)
+    if report is None:
+        raise refusal or UnsolvablePool("no consistent assembly found")
+    return report
 
 
 def _solve_greedy(
@@ -481,7 +600,7 @@ def _solve_scanline(
     draws: Sequence[Description],
     sigs: Sequence[tuple[str, str, str, str]],
     trial_budget: int | None,
-) -> AssemblyReport:
+) -> AssemblyReport | None:
     """Fill every cell of every board in raster order, backtracking on one stack.
 
     The boundary marks fix the layout: each board has one piece with
@@ -493,18 +612,19 @@ def _solve_scanline(
     edges are the boundary mark exactly on the right column and top row.
     Pieces with equal edge tuples are interchangeable, so one per tuple is
     tried.  Backtracking crosses board boundaries, so an exhausted stack
-    proves that no assembly exists.
+    proves that no assembly exists: then the result is None.  Raises
+    :class:`UnsolvablePool` when ``trial_budget`` runs out first.
     """
     budget = trial_budget if trial_budget is not None else 100_000
     boards = sum(e[S] == BOUNDARY and e[W] == BOUNDARY for e in sigs)
     bottom = sum(e[S] == BOUNDARY for e in sigs)
     left = sum(e[W] == BOUNDARY for e in sigs)
     if not boards or bottom % boards or left % boards:
-        raise UnsolvablePool("no consistent assembly found")
+        return None
     width, height = bottom // boards, left // boards
     cells = boards * width * height
     if cells != len(draws):
-        raise UnsolvablePool("no consistent assembly found")
+        return None
 
     # Draw indices of the pieces sharing each edge tuple, in draw order.
     groups: dict[tuple, list[int]] = {}
@@ -533,7 +653,7 @@ def _solve_scanline(
         if edges is None:
             stack.pop()
             if not stack:
-                raise UnsolvablePool("no consistent assembly found")
+                return None
             stock[chosen.pop()] += 1
             continue
         trials += 1

@@ -23,7 +23,14 @@ from factlaw import (
     solve_by_borders,
     solve_by_location,
 )
-from factlaw.puzzle import E, N, _edges_of
+from factlaw.puzzle import (
+    E,
+    N,
+    _edges_of,
+    _open_sides,
+    _solve_greedy,
+    _solve_scanline,
+)
 
 from conftest import REFERENCE_SPEC
 
@@ -159,6 +166,25 @@ def test_greedy_interleaving_is_pinned(reference_painting, seed, order):
     assert solve_by_borders(pool).completion_order == order
 
 
+@pytest.mark.parametrize(
+    "seed, merges, cells_moved",
+    [(0, 60, 180), (1, 68, 185), (2, 57, 203)],
+    ids=("seed0", "seed1", "seed2"),
+)
+def test_merge_counters_are_pinned(reference_painting, seed, merges, cells_moved):
+    # The interleaving pools above.  Moving every guest into its host made
+    # the same merges but moved 231 / 221 / 346 cells; moving the smaller
+    # patch of each pair moves fewer.
+    fragments = FragmentPool.from_painting(
+        reference_painting, "border", replicas=3, seed=seed
+    ).draw_all()
+    assembler = BorderAssembler()
+    for i, fragment in enumerate(fragments):
+        assembler.add(Piece(fragment, _edges_of(fragment)), draw_index=i + 1)
+    assert assembler.all_complete()
+    assert (assembler.merges, assembler.cells_moved) == (merges, cells_moved)
+
+
 def test_unique_signatures_leave_no_real_choice(reference_painting):
     # White box: with unique edges and one replica, every open requirement
     # bucket holds at most one slot, and a piece never sees two different
@@ -208,6 +234,36 @@ def replicated_pieces(painting, form):
 
 def streamed_pieces(painting, form):
     return (Piece(event, event.edge_sigs) for event in complexified_phenomenon(form, 8))
+
+
+def assert_no_mergeable_pair_is_left(assembler):
+    # Every foreign slot that an open side's piece could fill belongs to a
+    # patch that overlaps this one at that alignment, so bridging from the
+    # newly placed piece alone left no merge undone.
+    for patch in assembler.patches.values():
+        for (x, y), piece in patch.cells.items():
+            for d, sig, _ in _open_sides(patch.cells, (x, y), piece):
+                for patch_id, (sx, sy) in assembler.req_index.get((d, sig), ()):
+                    if patch_id == patch.patch_id:
+                        continue
+                    other = assembler.patches[patch_id].cells
+                    dx, dy = x - sx, y - sy
+                    assert any((ox + dx, oy + dy) in patch.cells for ox, oy in other)
+
+
+@pytest.mark.parametrize(
+    "pieces", [replicated_pieces, streamed_pieces], ids=("pool", "stream")
+)
+def test_no_mergeable_pair_is_left_after_any_add(
+    reference_painting, reference_form, pieces
+):
+    assembler = BorderAssembler()
+    for i, piece in enumerate(pieces(reference_painting, reference_form)):
+        assembler.add(piece, draw_index=i + 1)
+        assert_no_mergeable_pair_is_left(assembler)
+        if len(assembler.completed) == 3:
+            break
+    assert len(assembler.completed) == 3
 
 
 @pytest.mark.parametrize(
@@ -272,6 +328,23 @@ def test_clash_verdicts_name_the_misfit_cell(
     assert str(caught.value) == message
 
 
+def test_merge_clash_names_the_guest_cell_that_came_first():
+    # Two guest cells meet the half-turned piece here.  The message names
+    # the one that entered the guest first, each patch merged into it
+    # counting as one block in position order, whichever patch the merge
+    # moves; the guest's stored cell order would name (1, -2).
+    painting = generate_painting(
+        PaintingSpec(6, 5, 3, {1: 9, 2: 12, 3: 9}, seed=802273)
+    )
+    fragments = FragmentPool.from_painting(
+        painting, "border", replicas=3, seed=802273
+    ).draw_all()
+    half_turn(fragments, 37)
+    with pytest.raises(InconsistentSignatures) as caught:
+        solve_by_borders(FragmentPool(fragments, replica_count=3, seed=802273))
+    assert str(caught.value) == "merge seam mismatch at (0, -3)"
+
+
 def test_tampered_signature_is_detected(reference_painting):
     fragments = FragmentPool.from_painting(
         reference_painting, "border", seed=4
@@ -297,6 +370,29 @@ def test_foreign_piece_from_another_painting_is_detected():
     stranger = FragmentPool.from_painting(other, "border", seed=6).draw_all()[0]
     with pytest.raises(UnsolvablePool):
         solve_by_borders(FragmentPool(fragments + [stranger]))
+
+
+def test_pool_mixing_two_paintings_is_rebuilt():
+    # Both paintings name their seams from one namespace, so the pool
+    # passes as unique and greedy assembly clashes ("piece does not fit
+    # its matched slot"); the boards exist, and the search finds them.
+    first, second = (
+        generate_painting(PaintingSpec(3, 3, 2, {1: 5, 2: 4}, seed=seed))
+        for seed in (1, 2)
+    )
+    fragments = [
+        fragment
+        for painting in (first, second)
+        for fragment in FragmentPool.from_painting(painting, "border").draw_all()
+    ]
+    report = solve_by_borders(FragmentPool(fragments, replica_count=2, seed=0))
+    assert report.completion_order == ((0, 17), (1, 18))
+    for board in report.boards:
+        board.validate_edges()
+    rebuilt = sorted(sorted(board_form_grid(board).items()) for board in report.boards)
+    assert rebuilt == sorted(
+        sorted(source_form_grid(painting).items()) for painting in (first, second)
+    )
 
 
 # --- the border game, ambiguous signatures ----------------------------------
@@ -458,3 +554,66 @@ def test_border_game_recovers_replicated_pools(seed, replicas):
     target = source_form_grid(painting)
     for board in report.boards:
         assert board_form_grid(board) == target
+
+
+def quarter_turn(fragments, i, rng):
+    n, e, s, w = _edges_of(fragments[i])
+    fragments[i] = with_edges(fragments[i], (w, n, e, s))
+
+
+def swap_two_sides(fragments, i, rng):
+    edges = list(_edges_of(fragments[i]))
+    a, b = rng.sample(range(4), 2)
+    edges[a], edges[b] = edges[b], edges[a]
+    fragments[i] = with_edges(fragments[i], edges)
+
+
+def swap_side_between_pieces(fragments, i, rng):
+    swap_side(fragments, i, rng.randrange(len(fragments)), rng.randrange(4))
+
+
+def verdict(solve):
+    """The number of boards rebuilt, or "refused"."""
+    try:
+        report = solve()
+    except (InconsistentSignatures, UnsolvablePool):
+        return "refused"
+    return "refused" if report is None else len(report.boards)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from(
+        ["none", quarter_turn, swap_two_sides, swap_side_between_pieces, "mix"]
+    ),
+)
+def test_greedy_and_scanline_verdicts_agree(data, tampering):
+    # Tampering permutes signatures, so every pool still counts as unique
+    # and goes to greedy assembly first.  On one painting's replicas greedy
+    # alone must agree with the exhaustive search; a pool mixing a second
+    # painting in can make greedy clash although boards exist, and there
+    # the border game must still give the search's verdict.
+    spec = random_unique_spec(data)
+    replicas = data.draw(st.integers(2 if tampering == "mix" else 1, 3), label="R")
+    seed = data.draw(st.integers(0, 2**31), label="pool seed")
+    painting = generate_painting(spec)
+    if tampering == "mix":
+        other = generate_painting(dataclasses.replace(spec, seed=spec.seed + 1))
+        fragments = FragmentPool.from_painting(
+            painting, "border", replicas=replicas - 1
+        ).draw_all() + FragmentPool.from_painting(other, "border").draw_all()
+    else:
+        fragments = FragmentPool.from_painting(
+            painting, "border", replicas=replicas
+        ).draw_all()
+    if callable(tampering):
+        rng = random.Random(seed)
+        tampering(fragments, rng.randrange(len(fragments)), rng)
+    pool = FragmentPool(fragments, replica_count=replicas, seed=seed)
+    draws = list(pool.fragments)
+    sigs = [_edges_of(fragment) for fragment in draws]
+    searched = verdict(lambda: _solve_scanline(draws, sigs, None))
+    assert verdict(lambda: solve_by_borders(pool)) == searched
+    if tampering != "mix":
+        assert verdict(lambda: _solve_greedy(draws, sigs)) == searched
