@@ -54,7 +54,12 @@ class InconsistentReplicas(RuntimeError):
 
 
 class AmbiguousStream(RuntimeError):
-    """An event clashed with the slot its signature matched: edges repeat."""
+    """An event clashed with the slot its signature matched: edges repeat.
+
+    Refusing the stream is the true verdict: on an ambiguous form, a smaller
+    rectangle can tile from the events seen so far before every cell has
+    been drawn, so geometry alone cannot certify that the form is complete.
+    """
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,7 @@ class HiddenForm:
                 f"expected {self.width * self.height} cells, got {len(cells)}"
             )
         labels = sorted({c.label_r for c in cells})
-        if labels != list(range(1, labels[-1] + 1)):
+        if labels != list(range(1, len(labels) + 1)):
             raise ValueError("labels must be exactly 1..s with every value present")
         counts = self.label_counts
         if self.s_prime < 10 * max(counts.values()):
@@ -334,6 +339,13 @@ def integrate(
     confirmation replicas must agree exactly, else
     :class:`InconsistentReplicas`.  The result is exact: no frequencies,
     no limits, just counting on the reconstructed form.
+
+    On a form whose cells emit distinct events, the ``j``-th replica closes
+    at the first event by which every cell has been drawn ``j`` times, the
+    earliest it can: events consumed follow the ``k``-th cover time of the
+    cells ("double Dixie cup" waiting time, Newman & Shepp 1960).  On a
+    stream from one form the replicas agree by construction, so the
+    confirmation replicas guard only against corrupt or mixed streams.
     """
     if config is None:
         config = IntegrationConfig()

@@ -64,6 +64,8 @@ class Tile:
         object.__setattr__(self, "edge_sigs", sigs)
         if self.approx_colour < 1:
             raise ValueError("approx_colour labels start at 1")
+        if not isinstance(self.colour_form_id, str) or not self.colour_form_id:
+            raise ValueError("colour_form_id must be a non-empty string")
 
 
 @dataclass(frozen=True)

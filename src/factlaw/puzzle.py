@@ -285,10 +285,12 @@ def _misfit(
 
 def _open_sides(
     cells: dict[tuple[int, int], Piece], pos: tuple[int, int], piece: Piece
-) -> Iterator[tuple[int, str, tuple[int, int]]]:
+) -> list[tuple[int, str, tuple[int, int]]]:
     """``(side, signature, neighbour cell)`` for each non-boundary side of
-    ``piece`` at ``pos`` facing a cell that is empty when the walk gets there."""
+    ``piece`` at ``pos`` facing a cell that ``cells`` leaves empty, in
+    N, E, S, W order."""
     x, y = pos
+    sides = []
     for d in (N, E, S, W):
         sig = piece.edges[d]  # type: ignore[index]
         if sig == BOUNDARY:
@@ -296,7 +298,8 @@ def _open_sides(
         dx, dy = _DELTAS[d]
         target = (x + dx, y + dy)
         if target not in cells:
-            yield d, sig, target
+            sides.append((d, sig, target))
+    return sides
 
 
 class BorderAssembler:
@@ -305,12 +308,14 @@ class BorderAssembler:
     Maintains an index from (required side, signature) to open slots
     ``(patch_id, cell)``; each patch's slot ledger lists, per open cell, the
     index keys it is filed under, so closing a slot touches only its own
-    keys.  A new piece attaches to the oldest matching slot, in
-    ``(patch_id, pos, side)`` order, else opens a new patch.  Then each open
-    side of the new piece merges in, by rigid translation, the patch of the
-    first foreign slot, in ``(patch_id, pos)`` order, that demands its
-    signature and whose patch does not overlap (overlapping cells are
-    fungible duplicates of other replicas).  One merge per side suffices:
+    keys.  A new piece attaches to the oldest matching slot, the minimum
+    ``(patch_id, pos, side)`` among them, else opens a new patch.  Then each
+    open side of the new piece, as :meth:`_place` filed it, merges in, by
+    rigid translation, the patch of the first foreign slot, in
+    ``(patch_id, pos)`` order, that demands its signature and whose patch
+    does not overlap (overlapping cells are fungible duplicates of other
+    replicas).  So each placed piece costs one walk of its sides and no
+    sort of its candidates.  One merge per side suffices:
     any other such slot would put its patch's piece on the cell that merge
     has just filled.  Cells that a merge moves are not bridged from again
     (see :meth:`_bridge_from`).
@@ -349,14 +354,16 @@ class BorderAssembler:
 
     def _place(
         self, patch: _Patch, cells: dict[tuple[int, int], Piece], clash: str
-    ) -> None:
+    ) -> list[tuple[int, str, tuple[int, int]]]:
         """Put ``cells`` into ``patch``: the only way a cell enters a patch.
 
         Every cell, in the given order, must fit the patch as it stands,
         else :class:`InconsistentSignatures` names ``clash`` and the first
-        misfit cell, in the patch's frame, before any state changes.  Then the cells fill their
-        slots in sorted order, and each open side they face becomes a slot.
-        No completion check, no bridging.
+        misfit cell, in the patch's frame, before any state changes.  Then
+        the cells fill their slots in sorted order, and each open side they
+        face becomes a slot.  Returns the ``(side, signature, cell)`` triples
+        filed, cell by cell in sorted order: for one placed cell, exactly
+        its open sides.  No completion check, no bridging.
         """
         misfit = _misfit(patch, cells)
         if misfit is not None:
@@ -365,11 +372,14 @@ class BorderAssembler:
         for pos in placed:
             self._close(patch, pos)
             patch.cells[pos] = cells[pos]
-        for pos in placed:
-            for d, sig, target in _open_sides(patch.cells, pos, cells[pos]):
-                key = (_OPPOSITE[d], sig)
-                self.req_index.setdefault(key, set()).add((patch.patch_id, target))
-                patch.slots.setdefault(target, []).append(key)
+        filed = [
+            side for pos in placed for side in _open_sides(patch.cells, pos, cells[pos])
+        ]
+        for d, sig, target in filed:
+            key = (_OPPOSITE[d], sig)
+            self.req_index.setdefault(key, set()).add((patch.patch_id, target))
+            patch.slots.setdefault(target, []).append(key)
+        return filed
 
     def _try_merge(
         self, host: _Patch, guest: _Patch, offset: tuple[int, int]
@@ -421,10 +431,16 @@ class BorderAssembler:
         host.cells, host.slots, host.shift = guest.cells, guest.slots, (hx + ox, hy + oy)
         return dx, dy
 
-    def _bridge_from(self, patch: _Patch, pos: tuple[int, int]) -> None:
+    def _bridge_from(
+        self,
+        patch: _Patch,
+        pos: tuple[int, int],
+        sides: list[tuple[int, str, tuple[int, int]]],
+    ) -> None:
         """Merge into ``patch`` the patches that its new piece at ``pos``
-        bridges to: on each open side, the first foreign patch that does not
-        overlap.
+        bridges to: on each of its open ``sides``, as :meth:`_place` filed
+        them, the first foreign patch that does not overlap.  A side whose
+        signature no slot demands is passed over at once.
 
         Only the new piece is bridged from; cells that merges move are not,
         as they would find nothing.  A moved cell gains no open side, so
@@ -436,16 +452,16 @@ class BorderAssembler:
         them.
         """
         x, y = pos
-        piece = patch.cells[pos]
-        for d, sig, _ in list(_open_sides(patch.cells, pos, piece)):
+        for d, sig, _ in sides:
+            # A foreign slot demanding edge[d] == sig can be aligned so that
+            # this piece fills it.
+            demanding = self.req_index.get((d, sig))
+            if demanding is None:
+                continue
             dx, dy = _DELTAS[d]
             if (x + dx, y + dy) in patch.cells:
                 continue  # an earlier side's merge filled this one
-            # A foreign slot demanding edge[d] == sig can be aligned so that
-            # this piece fills it.
-            foreign = sorted(
-                s for s in self.req_index.get((d, sig), ()) if s[0] != patch.patch_id
-            )
+            foreign = sorted(s for s in demanding if s[0] != patch.patch_id)
             for patch_id, (sx, sy) in foreign:
                 moved = self._try_merge(patch, self.patches[patch_id], (x - sx, y - sy))
                 if moved is not None:
@@ -454,34 +470,35 @@ class BorderAssembler:
 
     # -- public API ----------------------------------------------------------
 
-    def candidate_slots(self, piece: Piece) -> list[tuple[int, tuple[int, int], int]]:
-        """Open slots this piece could fill: (patch_id, pos, side) sorted oldest-first."""
+    def candidate_slots(self, piece: Piece) -> Iterator[tuple[int, tuple[int, int], int]]:
+        """Open slots this piece could fill, as distinct (patch_id, pos, side)
+        triples in no particular order."""
         assert piece.edges is not None
-        found = set()
         for d in (N, E, S, W):
             sig = piece.edges[d]
             if sig == BOUNDARY:
                 continue
             for patch_id, pos in self.req_index.get((d, sig), ()):
-                found.add((patch_id, pos, d))
-        return sorted(found)
+                yield patch_id, pos, d
 
     def add(self, piece: Piece, draw_index: int) -> None:
-        """Greedy step: attach to the oldest matching open slot, else seed a
-        new patch; bridge from the piece (from a new seed this finds nothing:
-        no slot demands its signatures), then close the patch if complete."""
-        candidates = self.candidate_slots(piece)
-        if candidates:
-            patch_id, pos, _ = candidates[0]
+        """Greedy step: attach to the oldest matching open slot, the minimum
+        of :meth:`candidate_slots`, else seed a new patch; bridge from the
+        open sides :meth:`_place` filed for the piece (from a new seed this
+        finds nothing: no slot demands its signatures), then close the patch
+        if complete."""
+        slot = min(self.candidate_slots(piece), default=None)
+        if slot is not None:
+            patch_id, pos, _ = slot
             patch = self.patches[patch_id]
         else:
             patch, pos = _Patch(self.next_patch_id), (0, 0)
             self.next_patch_id += 1
             self.patches[patch.patch_id] = patch
-        self._place(patch, {pos: piece}, "piece does not fit its matched slot")
+        sides = self._place(patch, {pos: piece}, "piece does not fit its matched slot")
         (x, y), (sx, sy) = pos, patch.shift
         patch.lineage += (x + sx, y + sy)
-        self._bridge_from(patch, pos)
+        self._bridge_from(patch, pos, sides)
         self.placements += 1
         if patch.is_complete():
             del self.patches[patch.patch_id]

@@ -4,7 +4,8 @@ Everything here is computed by a different route than the implementation
 under test: exact binomial tail sums for frequency-window probabilities, a
 closed-form lattice construction for union/intersection closures, Fraction
 sums for every event pair of a measure, explicit enumeration for composition
-counts, and the closed-form chi-square quantile for two degrees of freedom.
+counts, the closed-form chi-square quantile for two degrees of freedom, and a
+plain per-event counter for the cover times that bound integration.
 Keeping these in the test tree (and dumb on purpose) is what makes the
 dual-route checks meaningful.
 """
@@ -193,6 +194,29 @@ def composition_rank_by_steps(counts) -> int:
             rank += comb(remaining - v + slots - 1, slots - 1)
         remaining -= c
     return rank
+
+
+def cover_times(stream, n_cells: int, k: int) -> list[int]:
+    """The first event index (counting from 1) at which every one of
+    ``n_cells`` distinct events has been seen at least 1, ..., ``k`` times.
+
+    A plain counter over event values, with no geometry: the earliest a
+    ``k``-replica integration of a form whose cells emit distinct events can
+    close each replica.  Stops reading once all ``k`` times are known.
+    """
+    seen: dict = {}
+    reached = [0] * (k + 1)  # reached[j]: distinct events seen at least j times
+    times: list[int] = []
+    for index, event in enumerate(stream, start=1):
+        count = seen.get(event, 0) + 1
+        seen[event] = count
+        if count <= k:
+            reached[count] += 1
+            if reached[count] == n_cells:
+                times.append(index)
+                if count == k:
+                    break
+    return times
 
 
 def powerset(iterable):

@@ -515,6 +515,36 @@ def test_form_without_exact_grid_cover_is_a_config_error(
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["integrate"], ["end-to-end", "--draws", "10"]], ids=" ".join
+)
+def test_form_label_too_large_for_a_range_is_a_config_error(
+    tmp_path, capsys, reference_form, argv
+):
+    doc = reference_form.to_doc()
+    doc["cells"][0]["label"] = 10**30
+    form = tmp_path / "form.json"
+    dump_json(doc, str(form))
+    out = tmp_path / "o.json"
+    extra = required_args(argv[0], None, str(form), str(out))
+    assert_config_error(main(argv + extra), capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form_id", ["", 7, None], ids=("empty", "int", "null"))
+def test_tile_form_id_that_is_not_a_nonempty_string_is_a_config_error(
+    tmp_path, capsys, painting_file, form_id
+):
+    doc = load_json(painting_file)
+    doc["tiles"][0]["form"] = form_id
+    painting = tmp_path / "bad-painting.json"
+    dump_json(doc, str(painting))
+    report = tmp_path / "o.json"
+    extra = required_args("play-puzzle", str(painting), None, str(report))
+    assert_config_error(main(["play-puzzle", "--mode", "border"] + extra), capsys)
+    assert not report.exists()
+
+
 def test_end_to_end_within_tolerance(tmp_path, form_file):
     out = tmp_path / "e2e.json"
     code = main(

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from factlaw import (
     label_projection,
     run_frequency_experiment,
 )
-from oracles import chi_square_quantile_df2, chi_square_statistic
+from oracles import chi_square_quantile_df2, chi_square_statistic, cover_times
 
 from conftest import REFERENCE_SPEC
 
@@ -350,3 +351,27 @@ def test_integration_recovers_any_small_form(seed):
         IntegrationConfig(confirmation_replicas=2),
     )
     assert result.law.atom_probs == {1: Fraction(2, 3), 2: Fraction(1, 3)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**31), st.integers(1, 4))
+def test_replicas_complete_at_the_cover_times_of_the_stream(width, height, seed, k):
+    # No replica can close before every cell has been drawn once more than
+    # for the previous one; greedy assembly closes each at that very event,
+    # so any change that delays a completion fails here.
+    cells = width * height
+    if cells == 1:
+        form = TRIVIAL_FORM
+    else:
+        rng = random.Random(seed)
+        q = rng.randint(1, min(4, cells - 1))
+        counts = {j: 1 for j in range(1, q + 1)}
+        for _ in range(cells - q):
+            counts[rng.randint(1, q)] += 1
+        form = generate_hidden_form(PaintingSpec(width, height, q, counts, seed=seed))
+    result = integrate(
+        complexified_phenomenon(form, seed), IntegrationConfig(confirmation_replicas=k)
+    )
+    expected = cover_times(complexified_phenomenon(form, seed), cells, k)
+    assert [draw for _, draw in result.completion_log] == expected
+    assert result.events_consumed == expected[-1]
