@@ -62,9 +62,10 @@ from .puzzle import FragmentPool, solve_by_borders, solve_by_location
 from .serialize import (
     canonical_dumps,
     dump_json,
-    fraction_from_str,
     fraction_to_str,
     load_json,
+    read_int,
+    read_number,
     sha256_of_doc,
     sha256_of_file,
 )
@@ -87,49 +88,16 @@ class CheckFailed(Exception):
 # --- configuration ----------------------------------------------------------
 
 
-def _as_int(value: Any, key: str) -> int:
-    if isinstance(value, bool) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-
-
 def _as_str(value: Any, key: str) -> str:
     if not isinstance(value, str) or not value:
-        raise ConfigError(f"{key} must be a non-empty string, got {value!r}")
+        raise ValueError(f"{key} must be a non-empty string, got {value!r}")
     return value
-
-
-def _as_number(value: Any, key: str) -> Any:
-    """Exact numbers: int, finite float, or a "num/den" or decimal string.
-
-    A float reads as the decimal it shows, like the same text on a flag:
-    0.01 and "0.01" are both 1/100.
-    """
-    if isinstance(value, bool) or (
-        isinstance(value, float) and not math.isfinite(value)
-    ):
-        raise ConfigError(f"{key} must be a number or num/den, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    if isinstance(value, str):
-        try:
-            return fraction_from_str(value) if "/" in value else Fraction(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number or num/den, got {value!r}") from None
-    raise ConfigError(f"{key} must be a number or num/den, got {value!r}")
 
 
 def _as_choice(options: tuple[str, ...]) -> Callable[[Any, str], str]:
     def cast(value: Any, key: str) -> str:
         if value not in options:
-            raise ConfigError(f"{key} must be one of {options}, got {value!r}")
+            raise ValueError(f"{key} must be one of {options}, got {value!r}")
         return value
 
     return cast
@@ -137,10 +105,10 @@ def _as_choice(options: tuple[str, ...]) -> Callable[[Any, str], str]:
 
 def _as_int_in(low: int, high: int | None = None) -> Callable[[Any, str], int]:
     def cast(value: Any, key: str) -> int:
-        number = _as_int(value, key)
+        number = read_int(value, key)
         if number < low or (high is not None and number > high):
             bound = f">= {low}" if high is None else f"from {low} to {high}"
-            raise ConfigError(f"{key} must be an integer {bound}, got {value!r}")
+            raise ValueError(f"{key} must be an integer {bound}, got {value!r}")
         return number
 
     return cast
@@ -148,8 +116,8 @@ def _as_int_in(low: int, high: int | None = None) -> Callable[[Any, str], int]:
 
 def _as_int_list(value: Any, key: str) -> list[int]:
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key} must be a non-empty list of integers")
-    return [_as_int(v, key) for v in value]
+        raise ValueError(f"{key} must be a non-empty list of integers")
+    return [read_int(v, key) for v in value]
 
 
 @dataclass(frozen=True)
@@ -159,7 +127,8 @@ class Command:
     ``keys`` maps each parameter to (caster, required, help).  A key whose
     help is None is config-only; every other key is also the flag ``--key``
     (``_`` written ``-``).  The caster is the one conversion rule for a flag
-    and a config file alike.
+    and a config file alike; it raises ``ValueError`` on a bad value, which
+    validation reports as a ConfigError.
     """
 
     help: str
@@ -191,7 +160,10 @@ class ExperimentConfig:
         validated = {}
         for key, (cast, required, _) in command.keys.items():
             if key in params and params[key] is not None:
-                validated[key] = cast(params[key], key)
+                try:
+                    validated[key] = cast(params[key], key)
+                except ValueError as exc:
+                    raise ConfigError(str(exc)) from None
             elif required:
                 raise ConfigError(f"{self.command} requires parameter {key!r}")
         object.__setattr__(self, "params", validated)
@@ -417,7 +389,7 @@ def _space_from_doc(doc: Any):
     for key, value in doc["law"].items():
         if key not in by_name:
             raise ConfigError(f"law names unknown element {key!r}")
-        law[by_name[key]] = _as_number(value, f"law[{key}]")
+        law[by_name[key]] = read_number(value, f"law[{key}]")
     missing = [e for e in universe.elements if e not in law]
     if missing:
         raise ConfigError(f"law misses elements {missing!r}")
@@ -511,8 +483,8 @@ def _cmd_lln(params: Mapping[str, Any]):
     doc: dict[str, Any] = {
         "operation": operation,
         "label": label,
-        "target": str(Fraction(target)),
-        "epsilon": str(epsilon),
+        "target": fraction_to_str(target),
+        "epsilon": fraction_to_str(epsilon),
         "repetitions": params["repetitions"],
         "seed": seed,
     }
@@ -539,7 +511,7 @@ def _cmd_lln(params: Mapping[str, Any]):
             start=start,
             cap=cap,
         )
-        doc.update({"delta": str(params["delta"]), "n0": n0})
+        doc.update({"delta": fraction_to_str(params["delta"]), "n0": n0})
     outputs = _write_doc(doc, params.get("out"))
     return 0, outputs, inputs, (seed,)
 
@@ -570,8 +542,8 @@ def _cmd_end_to_end(params: Mapping[str, Any]):
     status = 0
     tolerance = params.get("tolerance")
     if tolerance is not None:
-        within = report.sup_distance <= Fraction(tolerance)
-        doc["tolerance"] = str(tolerance)
+        within = report.sup_distance <= tolerance
+        doc["tolerance"] = fraction_to_str(tolerance)
         doc["within_tolerance"] = within
         status = 0 if within else 1
     outputs = _write_doc(doc, params.get("out"))
@@ -585,7 +557,7 @@ _COMMANDS: dict[str, Command] = {
         "generate a parcelled painting", "out", _cmd_gen_painting, {
             "spec": (_as_str, True, "painting spec JSON file"),
             # may come from the spec file instead
-            "seed": (_as_int, False, _SEED_HELP),
+            "seed": (read_int, False, _SEED_HELP),
             "out": (_as_str, True, "output painting JSON path"),
         },
     ),
@@ -594,7 +566,7 @@ _COMMANDS: dict[str, Command] = {
             "painting": (_as_str, True, "painting JSON file"),
             "mode": (_as_choice(("location", "border")), True, "location or border"),
             "replicas": (_as_int_in(1), False, "painting replicas in the pool"),
-            "seed": (_as_int, True, _SEED_HELP),
+            "seed": (read_int, True, _SEED_HELP),
             "report": (_as_str, True, "assembly report JSON path"),
             "trial_budget": (_as_int_in(1), False, "search trials: ambiguous pools, greedy refusals"),
         },
@@ -603,7 +575,7 @@ _COMMANDS: dict[str, Command] = {
         "draw-with-replacement frequencies", "out", _cmd_play_prob_game, {
             "painting": (_as_str, True, "painting JSON file"),
             "draws": (_as_int_in(1), True, "number of draws"),
-            "seed": (_as_int, True, _SEED_HELP),
+            "seed": (read_int, True, _SEED_HELP),
             "out": (_as_str, True, "frequency table path (CSV by default)"),
             "format": (_as_choice(("csv", "json")), False, "csv or json"),
         },
@@ -619,15 +591,15 @@ _COMMANDS: dict[str, Command] = {
             "operation": (_as_choice(("meta-probability", "find-n0")), True, None),
             "painting": (_as_str, False, None),
             "weights": (_as_int_list, False, None),
-            "label": (_as_int, True, None),
-            "target": (_as_number, False, None),
-            "epsilon": (_as_number, True, None),
+            "label": (read_int, True, None),
+            "target": (read_number, False, None),
+            "epsilon": (read_number, True, None),
             "n_draws": (_as_int_in(1), False, None),
             "repetitions": (_as_int_in(1), True, None),
-            "delta": (_as_number, False, None),
+            "delta": (read_number, False, None),
             "start": (_as_int_in(1), False, None),
-            "cap": (_as_int, False, None),
-            "seed": (_as_int, True, _SEED_HELP),
+            "cap": (read_int, False, None),
+            "seed": (read_int, True, _SEED_HELP),
             # lln runs in one process, so the only valid value is 1.
             "jobs": (_as_int_in(1, 1), False, None),
             "out": (_as_str, False, "report JSON path (default: stdout)"),
@@ -636,7 +608,7 @@ _COMMANDS: dict[str, Command] = {
     "integrate": Command(
         "recover the law from a complexified stream", "out", _cmd_integrate, {
             "form": (_as_str, True, "hidden form JSON file"),
-            "seed": (_as_int, True, _SEED_HELP),
+            "seed": (read_int, True, _SEED_HELP),
             "confirm": (_as_int_in(1), False, "confirmation replicas K"),
             "max_events": (_as_int_in(1), False, "most events to read"),
             "out": (_as_str, True, "integration result JSON path"),
@@ -646,10 +618,10 @@ _COMMANDS: dict[str, Command] = {
         "integrated law vs fresh frequencies", "out", _cmd_end_to_end, {
             "form": (_as_str, True, "hidden form JSON file"),
             "draws": (_as_int_in(1), True, "number of fresh draws"),
-            "seed": (_as_int, True, _SEED_HELP),
+            "seed": (read_int, True, _SEED_HELP),
             "confirm": (_as_int_in(1), False, "confirmation replicas K"),
             "max_events": (_as_int_in(1), False, "most events to read"),
-            "tolerance": (_as_number, False, "sup-distance bound, e.g. 1/100 or 0.01"),
+            "tolerance": (read_number, False, "sup-distance bound, e.g. 1/100 or 0.01"),
             "out": (_as_str, False, "comparison report JSON path (default: stdout)"),
         },
     ),

@@ -42,7 +42,7 @@ from .phenomenon import (
 from .prob import Measure, Universe
 from .puzzle import Board, BorderAssembler, InconsistentSignatures, Piece
 from .seeding import derive_seed
-from .serialize import sha256_of_doc
+from .serialize import read_int, sha256_of_doc
 
 
 class BudgetExhausted(RuntimeError):
@@ -167,18 +167,21 @@ class HiddenForm:
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "HiddenForm":
-        width, height = int(doc["width"]), int(doc["height"])
+        width = read_int(doc["width"], "width")
+        height = read_int(doc["height"], "height")
         placed = (
             (
-                (int(e["x"]), int(e["y"])),
+                (read_int(e["x"], "cell x"), read_int(e["y"], "cell y")),
                 ComplexifiedEvent(
-                    int(e["label"]), int(e["rp"]), edges_from_doc(e["edges"])
+                    read_int(e["label"], "cell label"),
+                    read_int(e["rp"], "cell rp"),
+                    edges_from_doc(e["edges"]),
                 ),
             )
             for e in doc["cells"]
         )
         cells = place_row_major(width, height, placed, "cells")
-        return cls(width, height, int(doc["s_prime"]), cells)
+        return cls(width, height, read_int(doc["s_prime"], "s_prime"), cells)
 
 
 def form_digest(form: HiddenForm) -> str:
@@ -213,13 +216,9 @@ def hidden_form_from_painting(
     return HiddenForm(painting.width, painting.height, s_prime, cells)
 
 
-def generate_hidden_form(
-    spec: PaintingSpec, s_prime: int | None = None
-) -> HiddenForm:
+def generate_hidden_form(spec: PaintingSpec) -> HiddenForm:
     painting = generate_painting(spec)
-    return hidden_form_from_painting(
-        painting, s_prime=s_prime, seed=derive_seed(spec.seed, "form")
-    )
+    return hidden_form_from_painting(painting, seed=derive_seed(spec.seed, "form"))
 
 
 # --- the phenomenon side ----------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .seeding import derive_seed
-from .serialize import sha256_of_doc
+from .serialize import read_int, sha256_of_doc
 from .views import AspectView, Description, View, UnknownAspect
 
 BOUNDARY = "B"
@@ -117,12 +117,15 @@ class PaintingSpec:
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "PaintingSpec":
         return cls(
-            width=int(doc["width"]),
-            height=int(doc["height"]),
-            q=int(doc["q"]),
-            label_counts={int(k): int(v) for k, v in doc["label_counts"].items()},
+            width=read_int(doc["width"], "width"),
+            height=read_int(doc["height"], "height"),
+            q=read_int(doc["q"], "q"),
+            label_counts={
+                read_int(k, "label_counts key"): read_int(v, f"label_counts[{k}]")
+                for k, v in doc["label_counts"].items()
+            },
             uniqueness_mode=doc.get("uniqueness_mode", UNIQUE_EDGES),
-            seed=int(doc.get("seed", 0)),
+            seed=read_int(doc.get("seed", 0), "seed"),
         )
 
 
@@ -377,14 +380,19 @@ def painting_to_doc(painting: Painting) -> dict[str, Any]:
 def painting_from_doc(doc: Mapping[str, Any]) -> Painting:
     tiles = tuple(
         Tile(
-            (int(entry["x"]), int(entry["y"])),
+            (read_int(entry["x"], "tile x"), read_int(entry["y"], "tile y")),
             entry["form"],
-            int(entry["label"]),
+            read_int(entry["label"], "tile label"),
             edges_from_doc(entry["edges"]),
         )
         for entry in doc["tiles"]
     )
-    return Painting(int(doc["width"]), int(doc["height"]), int(doc["q"]), tiles)
+    return Painting(
+        read_int(doc["width"], "width"),
+        read_int(doc["height"], "height"),
+        read_int(doc["q"], "q"),
+        tiles,
+    )
 
 
 def painting_digest(painting: Painting) -> str:

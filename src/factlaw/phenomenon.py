@@ -154,15 +154,10 @@ def probabilise_painting(painting: Painting, seed: int = 0) -> RandomPhenomenon:
 
 
 def run_frequency_experiment(
-    phenomenon: RandomPhenomenon,
-    n_draws: int,
-    *,
-    seed: int | None = None,
+    phenomenon: RandomPhenomenon, n_draws: int
 ) -> FrequencyTable:
     """Run ``n_draws`` draws and tabulate counts for every universe label."""
-    return FrequencyTable.from_draws(
-        phenomenon.sample(n_draws, seed=seed), phenomenon.universe
-    )
+    return FrequencyTable.from_draws(phenomenon.sample(n_draws), phenomenon.universe)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Hashable, Iterable, Mapping, Protocol, Sequence
+from typing import Hashable, Iterable, Mapping, Protocol, Sequence
 
 from .seeding import derive_seed
+from .serialize import fraction_to_str
 
 Label = Hashable
 
@@ -29,19 +30,6 @@ class UnknownLabel(KeyError):
 
 class NotReached(RuntimeError):
     """The doubling search hit its cap before meeting the target confidence."""
-
-
-def _as_fraction(value: Any) -> Fraction:
-    """Coerce ints, strings and exact floats to Fraction without surprises."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(*value.as_integer_ratio())
-    raise TypeError(f"cannot interpret {value!r} as an exact probability")
 
 
 @dataclass(frozen=True)
@@ -153,7 +141,7 @@ class Measure:
     atom_probs: Mapping[Label, Fraction]
 
     def __post_init__(self) -> None:
-        coerced = {k: _as_fraction(v) for k, v in self.atom_probs.items()}
+        coerced = {k: Fraction(v) for k, v in self.atom_probs.items()}
         if not coerced:
             raise ValueError("measure needs at least one atom")
         object.__setattr__(self, "atom_probs", coerced)
@@ -192,8 +180,6 @@ class Measure:
         return hash(tuple(sorted(self.atom_probs.items(), key=lambda kv: repr(kv[0]))))
 
     def to_doc(self) -> dict:
-        from .serialize import fraction_to_str
-
         return {
             str(label): fraction_to_str(p)
             for label, p in self.atom_probs.items()
@@ -401,8 +387,8 @@ def meta_probability(
         raise UnknownLabel(label)
     if n_draws < 1 or repetitions < 1:
         raise ValueError("n_draws and repetitions must be positive")
-    target_f = _as_fraction(target)
-    epsilon_f = _as_fraction(epsilon)
+    target_f = Fraction(target)
+    epsilon_f = Fraction(epsilon)
     if epsilon_f <= 0:
         raise ValueError("epsilon must be positive")
     hits = sum(

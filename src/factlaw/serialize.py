@@ -4,12 +4,18 @@ Probabilities travel through files as strings ``"num/den"`` in lowest terms
 (``"3/10"``, ``"1/1"``), never as floats, so that laws survive a round trip
 bit-for-bit.  Canonical dumps sort object keys and use a fixed separator
 style, which makes output digests reproducible.
+
+Every JSON value that becomes a number is read here, by one of two readers:
+:func:`read_int` for integers (config keys and the integer fields of input
+files alike) and :func:`read_number` for exact values.  Both raise
+``ValueError`` naming the field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -20,14 +26,40 @@ def fraction_to_str(value: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def fraction_from_str(text: str) -> Fraction:
-    """Parse the ``"num/den"`` wire form back into a :class:`Fraction`."""
-    num, _, den = text.partition("/")
-    if not den:
-        raise ValueError(f"not a num/den rational: {text!r}")
-    if int(den) == 0:
-        raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den))
+def read_int(value: Any, what: str) -> int:
+    """An integer: an int, an integral finite float, or a numeric string.
+
+    Booleans, fractional or non-finite floats and anything else raise
+    ``ValueError``, so ``2.5`` or ``true`` is never read as ``2`` or ``1``.
+    """
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def read_number(value: Any, what: str) -> int | Fraction:
+    """An exact number: an int, a finite float, or a "num/den" or decimal string.
+
+    An int passes through unchanged.  A float reads as the decimal it shows,
+    like the same text on a flag: 0.01 and "0.01" are both 1/100.  Anything
+    else, a zero denominator included, raises ``ValueError``.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and math.isfinite(value):
+        return Fraction(repr(value))
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if slash else Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{what} must be a number or num/den, got {value!r}")
 
 
 def canonical_dumps(doc: Any) -> str:

@@ -667,6 +667,56 @@ def test_malformed_input_file_is_a_config_error(
     assert not list(tmp_path.glob("out.*"))
 
 
+# A 3x3 spec whose hidden form has a cell with rp 1.
+TINY_SPEC = PaintingSpec(3, 3, 2, {1: 6, 2: 3}, seed=2)
+# file -> (the command that reads it, its other parameters)
+INTEGER_FIELD_RUNS = {
+    "spec": ("gen-painting", {"out": "out.json"}),
+    "painting": ("play-puzzle", {"mode": "location", "seed": 1, "report": "out.json"}),
+    "form": ("integrate", {"seed": 1, "out": "out.json"}),
+}
+# (file, list of entries or None for the document itself, field) -> the kinds
+# tried: True where the field holds 1, n + 0.5 where it holds n, and JSON's
+# Infinity.  Each of them once read as a valid integer, or crashed.
+WRONG_KIND_FIELDS = {
+    ("spec", None, "width"): ("half", "infinity"),
+    ("spec", None, "seed"): ("half", "infinity"),
+    ("painting", "tiles", "x"): ("true", "half", "infinity"),
+    ("painting", "tiles", "label"): ("true", "half", "infinity"),
+    ("form", None, "s_prime"): ("half", "infinity"),
+    ("form", "cells", "rp"): ("true", "half", "infinity"),
+}
+
+
+@pytest.mark.parametrize(
+    "file, entries, field, kind",
+    [
+        pytest.param(file, entries, field, kind, id=f"{file}-{field}-{kind}")
+        for (file, entries, field), kinds in WRONG_KIND_FIELDS.items()
+        for kind in kinds
+    ],
+)
+def test_integer_field_of_the_wrong_kind_is_a_config_error(
+    tmp_path, monkeypatch, capsys, file, entries, field, kind
+):
+    monkeypatch.chdir(tmp_path)
+    doc = {
+        "spec": TINY_SPEC.to_doc(),
+        "painting": painting_to_doc(generate_painting(TINY_SPEC)),
+        "form": generate_hidden_form(TINY_SPEC).to_doc(),
+    }[file]
+    # In a list, change the first entry whose field holds 1.
+    entry = doc if entries is None else next(e for e in doc[entries] if e[field] == 1)
+    n = entry[field]
+    assert kind != "true" or n == 1
+    entry[field] = {"true": True, "half": n + 0.5, "infinity": float("inf")}[kind]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    command, params = INTEGER_FIELD_RUNS[file]
+    assert_config_error(run(command, None, dict(params, **{file: str(path)})), capsys)
+    assert not list(tmp_path.glob("out.*"))
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,4 @@
+import ast
 import importlib
 from pathlib import Path
 
@@ -9,7 +10,8 @@ from factlaw.integration import HiddenForm
 from factlaw.phenomenon import RandomPhenomenon
 from factlaw.puzzle import FragmentPool
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_export_resolves_once():
@@ -43,3 +45,16 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         uninstall()
     assert cli.run is run
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_every_python_file_parses_with_the_python_3_10_grammar():
+    # The package supports Python 3.10; a newer construct (``except*``, a
+    # ``type`` statement, ...) must fail here, not only in a 3.10 interpreter.
+    files = [
+        path
+        for top in ("src", "tests", "demos", "perfbench")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+    assert files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
