@@ -24,7 +24,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -437,19 +436,16 @@ def _lln_sampler(params: Mapping[str, Any], seed: int):
         sampler = probabilise_painting(painting, seed)
     else:
         weights = params["weights"]
+        universe = Universe(tuple(range(1, len(weights) + 1)))
         try:
-            total = float(sum(weights))  # the sampler scales a float by it
-        except OverflowError:
-            total = math.inf
-        if any(w < 0 for w in weights) or not 0 < total < math.inf:
+            sampler = RandomPhenomenon(
+                "weighted-draw", universe, tuple(weights), seed=seed
+            )
+        except ValueError:
             raise ConfigError(
                 "weights must be non-negative with a positive total that is a"
                 f" finite float, got {weights!r}"
-            )
-        universe = Universe(tuple(range(1, len(weights) + 1)))
-        sampler = RandomPhenomenon(
-            "weighted-draw", universe, tuple(weights), seed=seed
-        )
+            ) from None
         inputs = {}
     return sampler, inputs
 

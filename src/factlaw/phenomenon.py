@@ -6,15 +6,28 @@ colour label — coordinates and colour-form stay silent.  Long draw runs
 produce frequency tables whose relative frequencies approach the exact
 per-label ratios of the painting; those ratios, packaged with an event
 algebra, form the painting's factual probability space.
+
+A sampler's draws are a fixed function of its weights and seed.  Draw i
+takes the i-th ``random()`` value x of ``random.Random(seed)`` and emits
+the label whose running weight sum first exceeds ``fl(x * total)``, the
+float product rounded as Python rounds it.  That product is monotone in x,
+so the rule is a threshold rule: label j is passed over exactly when x is
+at least ``cut_j``, the least float with ``running_j <= fl(cut_j * total)``.
+Each cut is found once, by stepping from ``running_j / total`` to its
+neighbouring floats until the comparison flips; Python compares an int with
+a float exactly, so the cuts reproduce the per-draw rule with no rounding
+slack, and a draw costs one bisection over the cuts.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import repeat, starmap
 from typing import Any, Mapping, Sequence
 
 from .painting import Painting, label_histogram, painting_digest
@@ -27,11 +40,26 @@ from .prob import (
     generate_algebra,
     validate_measure,
 )
-from .serialize import fraction_to_str
+from .serialize import fraction_to_str, read_int
 
 
 class UniverseMismatch(Exception):
     """A frequency table and a law disagree about the label set."""
+
+
+def _cut(running: int, total: int, scale: float) -> float:
+    """The least float ``c`` with ``running <= c * scale``, ``scale = float(total)``.
+
+    ``running / total`` is within a few ulps of it; the steps settle the
+    rounding of the product exactly.
+    """
+    c = running / total
+    while c * scale < running:
+        c = math.nextafter(c, math.inf)
+    below = math.nextafter(c, -math.inf)
+    while running <= below * scale:
+        c, below = below, math.nextafter(below, -math.inf)
+    return c
 
 
 @dataclass(frozen=True)
@@ -40,8 +68,10 @@ class RandomPhenomenon:
 
     The sampler draws universe elements with replacement according to the
     integer ``weights`` (one per universe element, in universe order), via a
-    deterministic stream derived from ``seed``.  Instances are plain frozen
-    values.
+    deterministic stream derived from ``seed``.  Each weight is read by
+    :func:`~factlaw.serialize.read_int`, and the total must convert to a
+    finite float, since the draw rule scales by it.  Instances are plain
+    frozen values.
     """
 
     procedure_id: str
@@ -49,34 +79,45 @@ class RandomPhenomenon:
     weights: tuple[int, ...]
     seed: int = 0
     provenance: str = "none"
+    _cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        weights = tuple(int(w) for w in self.weights)
+        weights = tuple(read_int(w, "weight") for w in self.weights)
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(self.universe):
             raise ValueError("need exactly one weight per universe element")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        if sum(weights) == 0:
+        total = sum(weights)
+        if total == 0:
             raise ValueError("total weight must be positive")
-
-    def _cumulative(self) -> tuple[list[int], int]:
-        cum: list[int] = []
-        total = 0
-        for w in self.weights:
-            total += w
-            cum.append(total)
-        return cum, total
+        try:
+            scale = float(total)
+        except OverflowError:
+            raise ValueError(
+                f"total weight {total} does not convert to a finite float"
+            ) from None
+        cuts, running = [], 0
+        for w in weights:
+            running += w
+            cuts.append(_cut(running, total, scale))
+        object.__setattr__(self, "_cuts", tuple(cuts))
 
     def sample(self, n: int, seed: int | None = None) -> list:
-        """``n`` draws; an explicit ``seed`` overrides the stored one."""
+        """``n`` draws; an explicit ``seed`` overrides the stored one.
+
+        Draw i is ``labels[bisect_right(cuts, x)]`` for the i-th
+        ``random()`` value x, which equals the per-draw rule
+        ``labels[bisect_right(running_sums, x * total)]`` exactly (see the
+        module docstring): one ``random()`` per draw, the same stream.
+        """
         if n < 0:
             raise ValueError("n must be >= 0")
         rng = random.Random(self.seed if seed is None else seed)
-        cum, total = self._cumulative()
-        labels = self.universe.elements
-        rnd = rng.random
-        return [labels[bisect_right(cum, rnd() * total)] for _ in repeat(None, n)]
+        labels, cuts = self.universe.elements, self._cuts
+        return [
+            labels[bisect_right(cuts, x)] for x in starmap(rng.random, repeat((), n))
+        ]
 
     def underlying_law(self) -> Measure:
         """The exact distribution the sampler realizes (not an estimate)."""
@@ -107,15 +148,14 @@ class FrequencyTable:
     def from_draws(cls, draws: Sequence, universe: Universe) -> "FrequencyTable":
         """Tally ``draws`` over ``universe``, zero-filled in universe order.
 
-        Raises :class:`~factlaw.prob.ForeignElement` on a draw outside the
-        universe.
+        Raises :class:`~factlaw.prob.ForeignElement` naming the first draw
+        outside the universe.
         """
         counts = dict.fromkeys(universe, 0)
-        try:
-            for d in draws:
-                counts[d] += 1
-        except KeyError as exc:
-            raise ForeignElement(exc.args[0]) from None
+        for label, count in Counter(draws).items():  # first-seen order
+            if label not in counts:
+                raise ForeignElement(label)
+            counts[label] = count
         return cls(len(draws), counts)
 
     @property

@@ -4,16 +4,19 @@ Everything here is computed by a different route than the implementation
 under test: exact binomial tail sums for frequency-window probabilities, a
 closed-form lattice construction for union/intersection closures, Fraction
 sums for every event pair of a measure, explicit enumeration for composition
-counts, the closed-form chi-square quantile for two degrees of freedom, and a
-plain per-event counter for the cover times that bound integration.
+counts, the closed-form chi-square quantile for two degrees of freedom, a
+plain per-event counter for the cover times that bound integration, and the
+per-draw scale-and-bisect rule that label sampling must reproduce.
 Keeping these in the test tree (and dumb on purpose) is what makes the
 dual-route checks meaningful.
 """
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from math import ceil, comb, floor, log
 
 
@@ -217,6 +220,20 @@ def cover_times(stream, n_cells: int, k: int) -> list[int]:
                 if count == k:
                     break
     return times
+
+
+def reference_draws(labels, weights, n: int, seed: int) -> list:
+    """``n`` weighted draws by the per-draw rule: scale each ``random()`` of
+    ``random.Random(seed)`` by the total weight and bisect the running sums.
+    """
+    rng = random.Random(seed)
+    cum: list[int] = []
+    total = 0
+    for w in weights:
+        total += w
+        cum.append(total)
+    rnd = rng.random
+    return [labels[bisect_right(cum, rnd() * total)] for _ in repeat(None, n)]
 
 
 def powerset(iterable):

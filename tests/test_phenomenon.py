@@ -1,8 +1,13 @@
+import hashlib
+import math
 import random
+import struct
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import reference_draws
 
 from factlaw import (
     DivergenceReport,
@@ -68,6 +73,99 @@ def test_sampler_rejects_bad_parameters():
         coin().sample(-1)
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [(2.5, 1), (True, 1), (1, float("inf")), ("x", 1), (10**400, 1), (2**1023, 2**1023)],
+    ids=["fractional", "bool", "infinite", "text", "10**400", "2**1024"],
+)
+def test_sampler_rejects_non_integer_weights_and_totals_beyond_float(weights):
+    with pytest.raises(ValueError):
+        RandomPhenomenon("weighted-draw", Universe((1, 2)), weights)
+
+
+def test_sampler_reads_weights_by_the_integer_rule():
+    ph = coin((2.0, "3"))
+    assert ph.weights == (2, 3)
+    assert all(type(w) is int for w in ph.weights)
+    # the largest total that still converts to a finite float
+    biggest = RandomPhenomenon(
+        "weighted-draw", Universe(("x",)), (int(sys.float_info.max),), seed=1
+    )
+    assert biggest.sample(3) == ["x", "x", "x"]
+
+
+# --- the draw rule ----------------------------------------------------------
+
+
+def test_sample_draws_are_pinned():
+    # Captured from the per-draw rule before the threshold sampler replaced it.
+    draws = coin((6, 3, 1), seed=5).sample(10_000)
+    assert (
+        hashlib.sha256(bytes(draws)).hexdigest()
+        == "b012bc63dde83b9ebaef9e29d203d6bd2bbd34b589a86ff82804479122807648"
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0), st.integers(1, 9), st.integers(0, 2**80)),
+        min_size=1,
+        max_size=6,
+    ).filter(lambda w: sum(w) > 0),
+    st.integers(0, 300),
+    st.integers(0, 2**32),
+)
+def test_sample_equals_the_per_draw_rule(weights, n, seed):
+    labels = tuple(range(len(weights)))
+    ph = RandomPhenomenon("weighted-draw", Universe(labels), tuple(weights), seed)
+    assert ph.sample(n) == reference_draws(labels, weights, n, seed)
+
+
+def least_float_reaching(running: int, total: int) -> float:
+    """The least float x >= 0 with ``running <= x * total``, by bisection
+    over the bit patterns of the floats in [0, 2], which sort like their values.
+    """
+
+    def value(b: int) -> float:
+        return struct.unpack("<d", struct.pack("<q", b))[0]
+
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 2.0))[0]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if running <= value(mid) * total:
+            hi = mid
+        else:
+            lo = mid + 1
+    return value(lo)
+
+
+@pytest.mark.parametrize(
+    "total",
+    [10, 20, 2**53 + 1, 10**17 + 7, 10**300],
+    ids=["10", "20", "2**53+1", "10**17+7", "10**300"],
+)
+def test_sample_matches_the_per_draw_rule_at_every_cut(monkeypatch, total):
+    third, seventh = total // 3, total // 7 + 1
+    weights = (0, third, 0, seventh, total - third - seventh)
+    labels = tuple("abcde")
+    xs, running = [], 0
+    for w in weights:
+        running += w
+        cut = least_float_reaching(running, total)
+        near = (math.nextafter(cut, -math.inf), cut, math.nextafter(cut, math.inf))
+        xs += [x for x in near if 0 <= x < 1]
+
+    class Scripted:  # a random.Random whose random() yields xs in order
+        def __init__(self, seed=None):
+            self.random = iter(xs).__next__
+
+    monkeypatch.setattr(random, "Random", Scripted)
+    draws = RandomPhenomenon("weighted-draw", Universe(labels), weights).sample(len(xs))
+    assert draws == reference_draws(labels, weights, len(xs), seed=0)
+    assert set(draws) == {"b", "d", "e"}
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     st.lists(st.integers(0, 9), min_size=2, max_size=5).filter(lambda w: sum(w) > 0),
@@ -124,6 +222,15 @@ def test_frequency_table_from_draws():
         FrequencyTable.from_draws([1, 9], u)
     with pytest.raises(ValueError):
         FrequencyTable(3, {1: 1, 2: 1})  # counts do not sum to n_draws
+
+
+def test_from_draws_names_the_first_foreign_draw_and_keeps_universe_order():
+    u = Universe((3, 1, 2))
+    with pytest.raises(ForeignElement) as info:
+        FrequencyTable.from_draws([1, "first", 2, "later", "later", "later"], u)
+    assert info.value.args == ("first",)
+    table = FrequencyTable.from_draws([2, 2, 3], u)
+    assert list(table.counts.items()) == [(3, 1), (1, 0), (2, 2)]
 
 
 @settings(max_examples=40, deadline=None)
