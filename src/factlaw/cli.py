@@ -233,11 +233,15 @@ class RunManifest:
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "RunManifest":
-        if doc["command"] not in _COMMANDS:
-            raise ValueError(f"unknown command {doc['command']!r}")
+        """Read a manifest whose params the command's table accepts."""
+        params = dict(doc["params"])
+        try:
+            ExperimentConfig(doc["command"], params)
+        except ConfigError as exc:
+            raise ValueError(str(exc)) from None
         return cls(
             command=doc["command"],
-            params=dict(doc["params"]),
+            params=params,
             config_hash=doc["config_hash"],
             seeds=tuple(doc["seeds"]),
             artifact_version=doc["artifact_version"],

@@ -355,8 +355,13 @@ def edges_to_doc(edge_sigs: tuple[str, str, str, str]) -> dict[str, str]:
 
 
 def edges_from_doc(doc: Mapping[str, str]) -> tuple[str, str, str, str]:
-    """Inverse of :func:`edges_to_doc`; a missing side raises ``KeyError``."""
-    return tuple(doc[key] for key in EDGE_KEYS)  # type: ignore[return-value]
+    """Inverse of :func:`edges_to_doc`; a missing side raises ``KeyError``,
+    and a signature that is not a string ``ValueError``."""
+    edges = tuple(doc[key] for key in EDGE_KEYS)
+    for edge in edges:
+        if not isinstance(edge, str):
+            raise ValueError(f"edge signatures must be strings, got {edge!r}")
+    return edges  # type: ignore[return-value]
 
 
 def painting_to_doc(painting: Painting) -> dict[str, Any]:

@@ -53,7 +53,8 @@ class UnsolvablePool(Exception):
 class InconsistentSignatures(Exception):
     """Signatures contradict: no assembly of the pieces exists.
 
-    :class:`BorderAssembler` raises it at the first clash it meets.  The
+    :class:`BorderAssembler` raises it at the first clash it meets, naming
+    only its kind; callers prefix the draw or event that met it.  The
     border game raises it for a pool only when it is true: a pool is solved
     whenever its pieces tile full, seam-consistent boards, even boards of
     different paintings.  So when greedy assembly clashes, the scan-line
@@ -210,49 +211,17 @@ class _Patch:
     placed neighbour demands, with the ``req_index`` keys it is filed under
     (one per demanding neighbour).  The patch is complete once the ledger
     is empty and its cells fill their bounding box.
-
-    ``shift`` carries a stored cell into the patch's own frame, the one its
-    first piece opened at (0, 0); clash messages name cells in it.
-    ``lineage`` records, in that frame, how the patch grew: the two ints
-    ``x, y`` of the cell of each drawn piece placed in it, and a tuple
-    ``(dx, dy, lineage)`` for each patch merged into it, whose own frame
-    sits at ``(dx, dy)``.
     """
 
-    __slots__ = ("patch_id", "cells", "slots", "shift", "lineage")
+    __slots__ = ("patch_id", "cells", "slots")
 
     def __init__(self, patch_id: int):
         self.patch_id = patch_id
         self.cells: dict[tuple[int, int], Piece] = {}
         self.slots: dict[tuple[int, int], list[tuple[int, str]]] = {}
-        self.shift = (0, 0)
-        self.lineage: list[int | tuple] = []
 
     def is_complete(self) -> bool:
         return not self.slots and Board(self.cells).is_full_rectangle()
-
-    def lineage_order(self) -> list[tuple[int, int]]:
-        """The stored cells in the order they would have entered the patch
-        had every merge moved the guest: drawn pieces as placed, and each
-        merged patch as one block in position order."""
-        sx, sy = self.shift
-        order = []
-        entries = iter(self.lineage)
-        for entry in entries:
-            if isinstance(entry, int):
-                order.append((entry - sx, next(entries) - sy))
-                continue
-            block, stack = [], [entry]
-            while stack:
-                dx, dy, lineage = stack.pop()
-                items = iter(lineage)
-                for item in items:
-                    if isinstance(item, int):
-                        block.append((item + dx - sx, next(items) + dy - sy))
-                    else:
-                        stack.append((item[0] + dx, item[1] + dy, item[2]))
-            order.extend(sorted(block))
-        return order
 
 
 def _fits(cells: dict[tuple[int, int], Piece], pos: tuple[int, int],
@@ -269,18 +238,6 @@ def _fits(cells: dict[tuple[int, int], Piece], pos: tuple[int, int],
         if mine != neighbour.edges[_OPPOSITE[d]] or mine == BOUNDARY:  # type: ignore[index]
             return False
     return True
-
-
-def _misfit(
-    patch: _Patch, cells: dict[tuple[int, int], Piece]
-) -> tuple[int, int] | None:
-    """The first of ``cells``, in the given order, that breaks the seam rule
-    against ``patch``, named in the patch's own frame; None if all fit."""
-    for (x, y), piece in cells.items():
-        if not _fits(patch.cells, (x, y), piece):
-            sx, sy = patch.shift
-            return x + sx, y + sy
-    return None
 
 
 def _open_sides(
@@ -321,14 +278,13 @@ class BorderAssembler:
     (see :meth:`_bridge_from`).
 
     A merge moves the smaller patch into the larger, so each cell moves
-    O(log n) times.  The merged patch keeps the host's id, and clash
-    messages name cells in the host's frame whichever patch moved.  Drawn
-    pieces and merged patches alike enter a patch through :meth:`_place`.
+    O(log n) times.  The merged patch keeps the host's id.  Drawn pieces
+    and merged patches alike enter a patch through :meth:`_place`.
     ``placements`` counts drawn pieces, ``merges`` the merges made and
     ``cells_moved`` the cells those merges moved.
 
     A signature contradiction, at a matched slot or along a merge seam,
-    raises :class:`InconsistentSignatures`.
+    raises :class:`InconsistentSignatures` naming only its kind.
     """
 
     def __init__(self) -> None:
@@ -357,17 +313,16 @@ class BorderAssembler:
     ) -> list[tuple[int, str, tuple[int, int]]]:
         """Put ``cells`` into ``patch``: the only way a cell enters a patch.
 
-        Every cell, in the given order, must fit the patch as it stands,
-        else :class:`InconsistentSignatures` names ``clash`` and the first
-        misfit cell, in the patch's frame, before any state changes.  Then
-        the cells fill their slots in sorted order, and each open side they
-        face becomes a slot.  Returns the ``(side, signature, cell)`` triples
-        filed, cell by cell in sorted order: for one placed cell, exactly
-        its open sides.  No completion check, no bridging.
+        Every cell must fit the patch as it stands, else
+        :class:`InconsistentSignatures` (``clash``) is raised before any
+        state changes.  Then the cells fill their slots in sorted order, and
+        each open side they face becomes a slot.  Returns the ``(side,
+        signature, cell)`` triples filed, cell by cell in sorted order: for
+        one placed cell, exactly its open sides.  No completion check, no
+        bridging.
         """
-        misfit = _misfit(patch, cells)
-        if misfit is not None:
-            raise InconsistentSignatures(f"{clash} at {misfit}")
+        if not all(_fits(patch.cells, pos, piece) for pos, piece in cells.items()):
+            raise InconsistentSignatures(clash)
         placed = sorted(cells)
         for pos in placed:
             self._close(patch, pos)
@@ -392,11 +347,10 @@ class BorderAssembler:
         a tie); the overlap and seam checks scan the smaller one, which the
         symmetric seam rule allows.  Refused when a moved cell overlaps the
         other patch (fungible duplicate content from another replica).  A
-        mismatched seam raises :class:`InconsistentSignatures` naming the
-        first misfit guest cell in :meth:`_Patch.lineage_order`, in the
-        host's frame, whichever patch moved.  The merged patch is ``host``,
-        with its id and frame: when the host moved, it takes over the
-        guest's cells and ledger, re-keyed to the host's id.
+        mismatched seam raises :class:`InconsistentSignatures` (``merge seam
+        mismatch``) from :meth:`_place`.  The merged patch is ``host``, with
+        its id: when the host moved, it takes over the guest's cells and
+        ledger, re-keyed to the host's id.
         """
         ox, oy = offset
         if len(guest.cells) <= len(host.cells):
@@ -406,21 +360,12 @@ class BorderAssembler:
         shifted = {(x + dx, y + dy): piece for (x, y), piece in small.cells.items()}
         if any(pos in big.cells for pos in shifted):
             return None
-        try:
-            self._place(big, shifted, "merge seam mismatch")
-        except InconsistentSignatures:
-            moved_guest = {
-                (x + ox, y + oy): guest.cells[(x, y)] for x, y in guest.lineage_order()
-            }
-            misfit = _misfit(host, moved_guest)
-            raise InconsistentSignatures(f"merge seam mismatch at {misfit}") from None
+        self._place(big, shifted, "merge seam mismatch")
         for cell in list(small.slots):
             self._close(small, cell)
         del self.patches[guest.patch_id]
         self.merges += 1
         self.cells_moved += len(shifted)
-        (hx, hy), (gx, gy) = host.shift, guest.shift
-        host.lineage.append((ox + hx - gx, oy + hy - gy, guest.lineage))
         if big is host:
             return 0, 0
         for cell, keys in guest.slots.items():
@@ -428,7 +373,7 @@ class BorderAssembler:
                 slots = self.req_index[key]
                 slots.remove((guest.patch_id, cell))
                 slots.add((host.patch_id, cell))
-        host.cells, host.slots, host.shift = guest.cells, guest.slots, (hx + ox, hy + oy)
+        host.cells, host.slots = guest.cells, guest.slots
         return dx, dy
 
     def _bridge_from(
@@ -496,8 +441,6 @@ class BorderAssembler:
             self.next_patch_id += 1
             self.patches[patch.patch_id] = patch
         sides = self._place(patch, {pos: piece}, "piece does not fit its matched slot")
-        (x, y), (sx, sy) = pos, patch.shift
-        patch.lineage += (x + sx, y + sy)
         self._bridge_from(patch, pos, sides)
         self.placements += 1
         if patch.is_complete():
@@ -591,8 +534,11 @@ def _solve_greedy(
     draws: Sequence[Description], sigs: Sequence[tuple[str, str, str, str]]
 ) -> AssemblyReport:
     assembler = BorderAssembler()
-    for i, (fragment, edges) in enumerate(zip(draws, sigs)):
-        assembler.add(Piece(fragment, edges), draw_index=i + 1)
+    for i, (fragment, edges) in enumerate(zip(draws, sigs), 1):
+        try:
+            assembler.add(Piece(fragment, edges), draw_index=i)
+        except InconsistentSignatures as exc:
+            raise InconsistentSignatures(f"draw {i}: {exc}") from None
     if not assembler.all_complete():
         raise InconsistentSignatures("pool exhausted with incomplete boards")
     return _report(assembler.placements, assembler.placements,

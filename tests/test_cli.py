@@ -717,6 +717,34 @@ def test_integer_field_of_the_wrong_kind_is_a_config_error(
     assert not list(tmp_path.glob("out.*"))
 
 
+@pytest.mark.parametrize("signature", [[1], {"a": 1}, 7], ids=("list", "object", "int"))
+@pytest.mark.parametrize(
+    "file, entries, command",
+    [
+        ("painting", "tiles", ["play-puzzle", "--mode", "border"]),
+        ("form", "cells", ["integrate"]),
+        ("form", "cells", ["end-to-end", "--draws", "10"]),
+    ],
+    ids=("painting", "form-integrate", "form-end-to-end"),
+)
+def test_edge_signature_that_is_not_a_string_is_a_config_error(
+    tmp_path, capsys, file, entries, command, signature
+):
+    # Both sides of one seam carry the signature, so it matches itself.
+    doc = {
+        "painting": painting_to_doc(generate_painting(TINY_SPEC)),
+        "form": generate_hidden_form(TINY_SPEC).to_doc(),
+    }[file]
+    by_cell = {(e["x"], e["y"]): e for e in doc[entries]}
+    by_cell[1, 1]["edges"]["e"] = by_cell[2, 1]["edges"]["w"] = signature
+    path = tmp_path / f"{file}.json"
+    dump_json(doc, str(path))
+    out = tmp_path / "o.json"
+    extra = required_args(command[0], str(path), str(path), str(out))
+    assert_config_error(main(command + extra), capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1003,6 +1031,20 @@ def test_reproduce_rejects_broken_manifest(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["reproduce", "--manifest", str(path)]) == 2
     assert read_error(capsys)["error"] == "config"
+
+
+@pytest.mark.parametrize("out", [["x"], {"a": 1}], ids=["list", "object"])
+def test_reproduce_rejects_manifest_params_the_command_does_not_take(
+    tmp_path, spec_file, capsys, out
+):
+    painting = tmp_path / "p.json"
+    assert main(["gen-painting", "--spec", spec_file, "--out", str(painting)]) == 0
+    manifest_path = str(painting) + ".manifest.json"
+    manifest = load_json(manifest_path)
+    manifest["params"]["out"] = out
+    dump_json(manifest, manifest_path)
+    capsys.readouterr()
+    assert_config_error(main(["reproduce", "--manifest", manifest_path]), capsys)
 
 
 # --- installed entry point --------------------------------------------------

@@ -287,8 +287,12 @@ def test_ambiguous_stream_is_rejected():
         ComplexifiedEvent(1, 4, (B, B, "z", "x2")),       # (2,1)
         ComplexifiedEvent(1, 5, (B, "x2", "w", B)),       # clashes at (1,1)
     ]
-    with pytest.raises(AmbiguousStream, match="event 5"):
+    with pytest.raises(AmbiguousStream) as caught:
         integrate(iter(events), IntegrationConfig(confirmation_replicas=1))
+    assert str(caught.value) == (
+        "event 5: piece does not fit its matched slot;"
+        " integration needs unique edge signatures"
+    )
 
 
 def test_integration_config_validation():

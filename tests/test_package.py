@@ -1,5 +1,6 @@
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import factlaw
@@ -58,3 +59,22 @@ def test_every_python_file_parses_with_the_python_3_10_grammar():
     assert files
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    files = sorted((ROOT / "src" / "factlaw").glob("*.py"))
+    assert files
+    outside = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue  # a relative import stays inside factlaw
+            for module in modules:
+                top = module.partition(".")[0]
+                if top != "factlaw" and top not in sys.stdlib_module_names:
+                    outside.add(f"{path.name}: {module}")
+    assert sorted(outside) == []

@@ -302,47 +302,36 @@ def swap_side(fragments, i, j, side):
     fragments[j] = with_edges(fragments[j], second)
 
 
+GUEST_SPEC = PaintingSpec(6, 5, 3, {1: 9, 2: 12, 3: 9}, seed=802273)
+
+
 @pytest.mark.parametrize(
-    "replicas, tamper, args, message",
+    "spec, seed, replicas, tamper, args, message",
     [
-        (2, half_turn, (3,), "piece does not fit its matched slot at (-3, -7)"),
-        (2, half_turn, (7,), "merge seam mismatch at (-4, -2)"),
-        (1, swap_side, (0, 1, E), "piece does not fit its matched slot at (-2, 0)"),
-        (1, swap_side, (0, 1, N), "merge seam mismatch at (3, 0)"),
+        (REFERENCE_SPEC, 0, 2, half_turn, (3,),
+         "draw 153: piece does not fit its matched slot"),
+        (REFERENCE_SPEC, 0, 2, half_turn, (7,), "draw 131: merge seam mismatch"),
+        (REFERENCE_SPEC, 0, 1, swap_side, (0, 1, E),
+         "draw 40: piece does not fit its matched slot"),
+        (REFERENCE_SPEC, 0, 1, swap_side, (0, 1, N), "draw 65: merge seam mismatch"),
+        (GUEST_SPEC, 802273, 3, half_turn, (37,), "draw 52: merge seam mismatch"),
     ],
-    ids=("turned-slot", "turned-seam", "swapped-slot", "swapped-seam"),
+    ids=("turned-slot", "turned-seam", "swapped-slot", "swapped-seam", "turned-guest"),
 )
-def test_clash_verdicts_name_the_misfit_cell(
-    reference_painting, replicas, tamper, args, message
-):
+def test_clash_verdicts_name_the_draw(spec, seed, replicas, tamper, args, message):
     # A piece that meets a clash at its matched slot and a patch that meets
-    # one along a merge seam each name the cell where the seam rule failed.
+    # one along a merge seam each name the kind of clash and the draw that
+    # revealed it.  In the last case two guest cells meet the half-turned
+    # piece at once; the verdict names neither.
     fragments = FragmentPool.from_painting(
-        reference_painting, "border", replicas=replicas, seed=0
+        generate_painting(spec), "border", replicas=replicas, seed=seed
     ).draw_all()
     tamper(fragments, *args)
-    pool = FragmentPool(fragments, replica_count=replicas, seed=0)
+    pool = FragmentPool(fragments, replica_count=replicas, seed=seed)
     with pytest.raises(InconsistentSignatures) as caught:
         solve_by_borders(pool)
     assert caught.type is InconsistentSignatures
     assert str(caught.value) == message
-
-
-def test_merge_clash_names_the_guest_cell_that_came_first():
-    # Two guest cells meet the half-turned piece here.  The message names
-    # the one that entered the guest first, each patch merged into it
-    # counting as one block in position order, whichever patch the merge
-    # moves; the guest's stored cell order would name (1, -2).
-    painting = generate_painting(
-        PaintingSpec(6, 5, 3, {1: 9, 2: 12, 3: 9}, seed=802273)
-    )
-    fragments = FragmentPool.from_painting(
-        painting, "border", replicas=3, seed=802273
-    ).draw_all()
-    half_turn(fragments, 37)
-    with pytest.raises(InconsistentSignatures) as caught:
-        solve_by_borders(FragmentPool(fragments, replica_count=3, seed=802273))
-    assert str(caught.value) == "merge seam mismatch at (0, -3)"
 
 
 def test_tampered_signature_is_detected(reference_painting):
