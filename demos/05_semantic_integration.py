@@ -15,6 +15,7 @@ from factlaw import (
     PaintingSpec,
     complexified_phenomenon,
     end_to_end_check,
+    expected_cover_time,
     generate_hidden_form,
     integrate,
 )
@@ -35,6 +36,12 @@ print()
 result = integrate(complexified_phenomenon(form, seed=1))
 print("Integration (assemble until 3 replicas complete and agree):")
 print(f"  events consumed : {result.events_consumed}")
+# Replica j closes at the first event by which every cell has been drawn j
+# times, so the mean events consumed is the k-th cover time of the cells.
+cells = form.width * form.height
+mean = expected_cover_time(cells, result.replicas_used_for_confirmation)
+print(f"  exact mean      : {float(mean):.2f} (k-th cover time of {cells} cells,"
+      " Newman & Shepp 1960)")
 print(f"  completions at  : {[d for _, d in result.completion_log]}")
 print(f"  tiles per replica: {result.n_phi_total}")
 law = {r: str(p) for r, p in sorted(result.law.atom_probs.items())}

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 from typing import Any, Iterable, Iterator, Mapping
 
 from .painting import (
@@ -342,9 +343,10 @@ def integrate(
     On a form whose cells emit distinct events, the ``j``-th replica closes
     at the first event by which every cell has been drawn ``j`` times, the
     earliest it can: events consumed follow the ``k``-th cover time of the
-    cells ("double Dixie cup" waiting time, Newman & Shepp 1960).  On a
-    stream from one form the replicas agree by construction, so the
-    confirmation replicas guard only against corrupt or mixed streams.
+    cells ("double Dixie cup" waiting time, Newman & Shepp 1960), whose
+    mean :func:`expected_cover_time` gives exactly.  On a stream from one
+    form the replicas agree by construction, so the confirmation replicas
+    guard only against corrupt or mixed streams.
     """
     if config is None:
         config = IntegrationConfig()
@@ -392,6 +394,46 @@ def integrate(
         events_consumed=events,
         completion_log=tuple(enumerate(draw for _, draw in finished)),
     )
+
+
+def expected_cover_time(n_cells: int, k: int) -> Fraction:
+    """The exact mean number of uniform draws from ``n_cells`` cells until
+    every cell has been drawn ``k`` times: the mean events a ``k``-replica
+    :func:`integrate` consumes on a form whose cells emit distinct events.
+
+    Inclusion-exclusion over the cells still short of ``k`` draws, in the
+    Poissonized form of Newman & Shepp (1960), with ``S(t) = sum_{i<k}
+    t**i / i!``::
+
+        E = N * sum_{j=1..N} (-1)**(j+1) * C(N, j) * int_0^inf (S(t) e**-t)**j dt
+
+    and ``int_0^inf t**m e**(-j t) dt = m! / j**(m+1)``.  ``S`` is kept as
+    the integer polynomial ``(k-1)! * S``, so each term is one fraction.
+    The cost grows faster than ``N**2``: at ``k`` = 3, 0.02 s for ``N`` =
+    100 and 13 s for ``N`` = 576 on a 2-core VM, most of it in adding the
+    fractions.
+    """
+    if n_cells < 1 or k < 1:
+        raise ValueError("need at least one cell and k >= 1")
+    scale = factorial(k - 1)
+    base = [scale // factorial(i) for i in range(k)]
+    factorials = [1]
+    for m in range(1, n_cells * (k - 1) + 1):
+        factorials.append(factorials[-1] * m)
+    power = [1]  # coefficients of ((k-1)! * S)**j, lowest degree first
+    total = Fraction(0)
+    for j in range(1, n_cells + 1):
+        product = [0] * (len(power) + k - 1)
+        for m, c in enumerate(power):
+            for i, b in enumerate(base):
+                product[m + i] += c * b
+        power = product
+        integral = 0  # sum of c_m * m! * j**(degree - m), by Horner's rule
+        for m, c in enumerate(power):
+            integral = integral * j + c * factorials[m]
+        term = Fraction(comb(n_cells, j) * integral, j ** len(power) * scale**j)
+        total += term if j % 2 else -term
+    return n_cells * total
 
 
 @dataclass(frozen=True)

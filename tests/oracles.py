@@ -5,8 +5,9 @@ under test: exact binomial tail sums for frequency-window probabilities, a
 closed-form lattice construction for union/intersection closures, Fraction
 sums for every event pair of a measure, explicit enumeration for composition
 counts, the closed-form chi-square quantile for two degrees of freedom, a
-plain per-event counter for the cover times that bound integration, and the
-per-draw scale-and-bisect rule that label sampling must reproduce.
+plain per-event counter for the cover times that bound integration, a
+first-step Markov chain for their mean, and the per-draw scale-and-bisect
+rule that label sampling must reproduce.
 Keeping these in the test tree (and dumb on purpose) is what makes the
 dual-route checks meaningful.
 """
@@ -220,6 +221,38 @@ def cover_times(stream, n_cells: int, k: int) -> list[int]:
                 if count == k:
                     break
     return times
+
+
+def cover_time_by_chain(n_cells: int, k: int) -> Fraction:
+    """The mean of the ``k``-th cover time by first-step analysis of a
+    Markov chain, with no inclusion-exclusion.
+
+    The state counts the cells seen 0, 1, ..., ``k - 1`` times (cells seen
+    ``k`` times are done).  A draw hits a cell seen ``i`` times with
+    probability ``a_i / N`` and moves it up one level, or hits a done cell
+    and leaves the state as it is, so ``E(a) = (N + sum_i a_i E(a_i')) /
+    sum_i a_i``, and ``E`` is 0 once every cell is done.
+    """
+    memo: dict[tuple[int, ...], Fraction] = {}
+
+    def mean(state: tuple[int, ...]) -> Fraction:
+        if state in memo:
+            return memo[state]
+        live = sum(state)
+        if live == 0:
+            return Fraction(0)
+        total = Fraction(n_cells)
+        for i, cells in enumerate(state):
+            if cells:
+                step = list(state)
+                step[i] -= 1
+                if i + 1 < k:
+                    step[i + 1] += 1
+                total += cells * mean(tuple(step))
+        memo[state] = total / live
+        return memo[state]
+
+    return mean((n_cells,) + (0,) * (k - 1))
 
 
 def reference_draws(labels, weights, n: int, seed: int) -> list:

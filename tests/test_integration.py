@@ -17,6 +17,7 @@ from factlaw import (
     PaintingSpec,
     complexified_phenomenon,
     end_to_end_check,
+    expected_cover_time,
     factual_space_from_painting,
     form_digest,
     generate_hidden_form,
@@ -27,7 +28,12 @@ from factlaw import (
     label_projection,
     run_frequency_experiment,
 )
-from oracles import chi_square_quantile_df2, chi_square_statistic, cover_times
+from oracles import (
+    chi_square_quantile_df2,
+    chi_square_statistic,
+    cover_time_by_chain,
+    cover_times,
+)
 
 from conftest import REFERENCE_SPEC
 
@@ -379,3 +385,19 @@ def test_replicas_complete_at_the_cover_times_of_the_stream(width, height, seed,
     expected = cover_times(complexified_phenomenon(form, seed), cells, k)
     assert [draw for _, draw in result.completion_log] == expected
     assert result.events_consumed == expected[-1]
+
+
+def test_expected_cover_time_equals_the_markov_chain():
+    # Inclusion-exclusion against first-step analysis, exact to the last
+    # digit; k = 1 is the coupon collector's N * H_N.
+    for n_cells in range(1, 13):
+        harmonic = sum(Fraction(1, i) for i in range(1, n_cells + 1))
+        assert expected_cover_time(n_cells, 1) == n_cells * harmonic
+        for k in range(1, 5):
+            assert expected_cover_time(n_cells, k) == cover_time_by_chain(n_cells, k)
+
+
+def test_expected_cover_time_rejects_empty_arguments():
+    for n_cells, k in ((0, 1), (1, 0), (-3, 2)):
+        with pytest.raises(ValueError):
+            expected_cover_time(n_cells, k)

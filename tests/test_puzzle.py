@@ -8,6 +8,7 @@ from factlaw import (
     AMBIGUOUS_EDGES,
     ASPECT_COLOUR_FORM,
     ASPECT_EDGES,
+    BOUNDARY,
     AssemblyReport,
     Board,
     BorderAssembler,
@@ -26,8 +27,8 @@ from factlaw import (
 from factlaw.puzzle import (
     E,
     N,
+    _STEPS,
     _edges_of,
-    _open_sides,
     _solve_greedy,
     _solve_scanline,
 )
@@ -198,8 +199,9 @@ def test_unique_signatures_leave_no_real_choice(reference_painting):
         piece = Piece(fragment, _edges_of(fragment))
         assert all(len(slots) <= 1 for slots in assembler.req_index.values())
         positions_by_patch = {}
-        for patch_id, pos, _ in assembler.candidate_slots(piece):
-            positions_by_patch.setdefault(patch_id, set()).add(pos)
+        for key in enumerate(piece.edges):
+            for patch_id, pos in assembler.req_index.get(key, ()):
+                positions_by_patch.setdefault(patch_id, set()).add(pos)
         assert all(len(ps) == 1 for ps in positions_by_patch.values())
         assembler.add(piece, draw_index=i + 1)
     assert assembler.all_complete()
@@ -240,15 +242,18 @@ def assert_no_mergeable_pair_is_left(assembler):
     # Every foreign slot that an open side's piece could fill belongs to a
     # patch that overlaps this one at that alignment, so bridging from the
     # newly placed piece alone left no merge undone.
+    # Cells are the assembler's integer keys, so an offset is one int.
     for patch in assembler.patches.values():
-        for (x, y), piece in patch.cells.items():
-            for d, sig, _ in _open_sides(patch.cells, (x, y), piece):
-                for patch_id, (sx, sy) in assembler.req_index.get((d, sig), ()):
+        for pos, piece in patch.cells.items():
+            for d, sig in enumerate(piece.edges):
+                if sig == BOUNDARY or pos + _STEPS[d] in patch.cells:
+                    continue
+                for patch_id, slot in assembler.req_index.get((d, sig), ()):
                     if patch_id == patch.patch_id:
                         continue
                     other = assembler.patches[patch_id].cells
-                    dx, dy = x - sx, y - sy
-                    assert any((ox + dx, oy + dy) in patch.cells for ox, oy in other)
+                    offset = pos - slot
+                    assert any(cell + offset in patch.cells for cell in other)
 
 
 @pytest.mark.parametrize(
