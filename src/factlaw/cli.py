@@ -41,7 +41,13 @@ from .integration import (
     end_to_end_check,
     integrate as run_integration,
 )
-from .painting import PaintingSpec, generate_painting, painting_from_doc, painting_to_doc
+from .painting import (
+    PaintingSpec,
+    generate_painting,
+    interior_signature_multiset,
+    painting_from_doc,
+    painting_to_doc,
+)
 from .phenomenon import (
     RandomPhenomenon,
     compare_law,
@@ -524,8 +530,23 @@ def _integration_config(params: Mapping[str, Any]) -> IntegrationConfig:
     )
 
 
+def _load_form(path: str) -> tuple[HiddenForm, dict[str, str]]:
+    """Load a hidden form, refusing one on which an interior signature is on
+    more than one seam: there integration can close a smaller board and
+    report a wrong law."""
+    form, inputs = _load_input(path, "hidden form", HiddenForm.from_doc)
+    counts = interior_signature_multiset(cell.edge_sigs for cell in form.cells)
+    for sig, count in counts.items():
+        if count > 2:
+            raise ConfigError(
+                f"hidden form {path}: signature {sig!r} is on {count} sides;"
+                " integration needs unique edge signatures"
+            )
+    return form, inputs
+
+
 def _cmd_integrate(params: Mapping[str, Any]):
-    form, inputs = _load_input(params["form"], "hidden form", HiddenForm.from_doc)
+    form, inputs = _load_form(params["form"])
     seed = params["seed"]
     config = _integration_config(params)
     result = run_integration(complexified_phenomenon(form, seed), config)
@@ -534,13 +555,15 @@ def _cmd_integrate(params: Mapping[str, Any]):
 
 
 def _cmd_end_to_end(params: Mapping[str, Any]):
-    form, inputs = _load_input(params["form"], "hidden form", HiddenForm.from_doc)
+    tolerance = params.get("tolerance")
+    if tolerance is not None and tolerance < 0:
+        raise ConfigError("tolerance must not be negative")
+    form, inputs = _load_form(params["form"])
     seed = params["seed"]
     config = _integration_config(params)
     report = end_to_end_check(form, params["draws"], seed, config)
     doc = report.to_doc()
     status = 0
-    tolerance = params.get("tolerance")
     if tolerance is not None:
         within = report.sup_distance <= tolerance
         doc["tolerance"] = fraction_to_str(tolerance)
@@ -568,7 +591,7 @@ _COMMANDS: dict[str, Command] = {
             "replicas": (_as_int_in(1), False, "painting replicas in the pool"),
             "seed": (read_int, True, _SEED_HELP),
             "report": (_as_str, True, "assembly report JSON path"),
-            "trial_budget": (_as_int_in(1), False, "search trials: ambiguous pools, greedy refusals"),
+            "trial_budget": (_as_int_in(1), False, "most search trials (default 100000 + pool size)"),
         },
     ),
     "play-prob-game": Command(

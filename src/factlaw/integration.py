@@ -347,6 +347,12 @@ def integrate(
     mean :func:`expected_cover_time` gives exactly.  On a stream from one
     form the replicas agree by construction, so the confirmation replicas
     guard only against corrupt or mixed streams.
+
+    Precondition: the stream comes from a form whose interior signatures
+    each lie on one seam.  On a form where one repeats, copies of an event
+    can chain into a smaller board that closes, with a wrong law and no
+    clash, before every cell is drawn; the stream cannot show it, so the
+    ``integrate`` and ``end-to-end`` commands check the form instead.
     """
     if config is None:
         config = IntegrationConfig()

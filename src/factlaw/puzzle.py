@@ -3,21 +3,19 @@
 Fragments are drawn one at a time from a shuffled pool and placed on boards.
 In the location game every fragment carries its coordinates, so placement is
 certain.  In the border game coordinates are filtered out and only edge
-signatures guide assembly.  When signatures are unique, a drawn fragment
-attaches where an open slot demands its signature, else it opens a new
-nascent board; bridging fragments trigger rigid-translation merges of
-partial boards.  With several replicas of the painting mixed into one pool,
-boards grow intermingled and complete only near the end of the stream.
-When signatures repeat, draw order cannot settle ties, and a scan-line
-search fills the boards cell by cell instead.
+signatures guide assembly: one scan-line search rebuilds the whole pool
+cell by cell, backtracking where signatures repeat.  With several replicas
+of the painting mixed into one pool, boards close only near the end of the
+stream.
 
-The border-matching engine (:class:`BorderAssembler`) is shared with the
-semantic-integration module, which feeds it complexified events instead of
-tile descriptions.  Inside it a cell ``(x, y)`` is the single int
-``x * 2**32 + y``: neighbours are one addition away, and while
-``|y| < 2**31``, which a patch's connectedness guarantees, int order is
-``(x, y)`` order, so every tie-break picks the same cell.  A finished patch
-becomes a :class:`Board` on ``(x, y)`` cells again.
+The online border-matching engine (:class:`BorderAssembler`) serves the
+semantic-integration module, which feeds it complexified events one at a
+time; bridging events trigger rigid-translation merges of partial boards.
+Inside it a cell ``(x, y)`` is the single int ``x * 2**32 + y``:
+neighbours are one addition away, and while ``|y| < 2**31``, which a
+patch's connectedness guarantees, int order is ``(x, y)`` order, so every
+tie-break picks the same cell.  A finished patch becomes a :class:`Board`
+on ``(x, y)`` cells again.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .painting import (
     BOUNDARY,
     Painting,
     describe_tile,
-    interior_signature_multiset,
 )
 from .seeding import derive_seed
 from .views import Description
@@ -48,22 +45,17 @@ class DuplicateCoordinates(Exception):
 class UnsolvablePool(Exception):
     """No assembly of the pool exists, or the named trial budget ran out.
 
-    A pool with unique signatures that has no assembly raises
-    :class:`InconsistentSignatures` instead; it raises this only when the
-    search that checks a greedy refusal runs out of its trial budget.
+    The border game's one verdict on a pool it cannot rebuild.
     """
 
 
 class InconsistentSignatures(Exception):
-    """Signatures contradict: no assembly of the pieces exists.
+    """Signatures contradict: the pieces met so far fit no assembly.
 
     :class:`BorderAssembler` raises it at the first clash it meets, naming
-    only its kind; callers prefix the draw or event that met it.  The
-    border game raises it for a pool only when it is true: a pool is solved
-    whenever its pieces tile full, seam-consistent boards, even boards of
-    different paintings.  So when greedy assembly clashes, the scan-line
-    search runs on the same draws and returns any boards it finds; the
-    greedy clash is raised only once the search proves there are none.
+    only its kind; callers prefix the draw or event that met it.
+    :meth:`Board.validate_edges` raises it for a board with a mismatched
+    seam.
     """
 
 
@@ -461,9 +453,6 @@ class BorderAssembler:
             del self.patches[patch.patch_id]
             self.completed.append((patch, draw_index))
 
-    def all_complete(self) -> bool:
-        return not self.patches
-
     def completed_boards(self) -> list[tuple[Board, int]]:
         """Canonicalized finished boards with their completing draw index."""
         return [
@@ -512,16 +501,11 @@ def solve_by_borders(
 ) -> AssemblyReport:
     """Assemble fragments by edge-signature attraction alone.
 
-    When every signature occurs on at most ``2 * replica_count`` fragment
-    sides, signatures behave uniquely and a greedy pass in draw order
-    suffices.  Otherwise the pool is ambiguous and a scan-line search runs
-    instead, bounded by ``trial_budget`` pieces set on cells (default
-    100 000).  The search also checks every greedy refusal, since greedy
-    can clash on a pool that has an assembly (replicas of two paintings
-    whose signatures share one namespace).  Raises
-    :class:`InconsistentSignatures` for a unique pool that has no assembly,
-    and :class:`UnsolvablePool` when an ambiguous pool has none or the
-    trial budget runs out.
+    Every pool goes to the scan-line search (:func:`_solve_scanline`),
+    bounded by ``trial_budget``.  A pool is solved whenever its pieces tile
+    full, seam-consistent boards, even boards of different paintings.
+    Raises :class:`UnsolvablePool` when no assembly exists or the trial
+    budget runs out.
     """
     draws = pool.draw_all()
     if not draws:
@@ -529,48 +513,10 @@ def solve_by_borders(
     for fragment in draws:
         if fragment.grid_coords is not None:
             raise ValueError("border-game fragments must not carry coordinates")
-    sigs = [_edges_of(f) for f in draws]
-    side_counts = interior_signature_multiset(sigs)
-    unique = all(c <= 2 * pool.replica_count for c in side_counts.values())
-    refusal: InconsistentSignatures | None = None
-    if unique:
-        try:
-            return _solve_greedy(draws, sigs)
-        except InconsistentSignatures as error:
-            refusal = error
-    report = _solve_scanline(draws, sigs, trial_budget)
+    report = _solve_scanline(draws, [_edges_of(f) for f in draws], trial_budget)
     if report is None:
-        raise refusal or UnsolvablePool("no consistent assembly found")
+        raise UnsolvablePool("no consistent assembly found")
     return report
-
-
-def _solve_greedy(
-    draws: Sequence[Description], sigs: Sequence[tuple[str, str, str, str]]
-) -> AssemblyReport:
-    assembler = BorderAssembler()
-    for i, (fragment, edges) in enumerate(zip(draws, sigs), 1):
-        try:
-            assembler.add(Piece(fragment, edges), draw_index=i)
-        except InconsistentSignatures as exc:
-            raise InconsistentSignatures(f"draw {i}: {exc}") from None
-    if not assembler.all_complete():
-        raise InconsistentSignatures("pool exhausted with incomplete boards")
-    return _report(assembler.placements, assembler.placements,
-                   assembler.completed_boards())
-
-
-def _report(placements: int, trials: int,
-            finished: Sequence[tuple[Board, int]]) -> AssemblyReport:
-    """Report boards given in closing order with their closing draw index."""
-    return AssemblyReport(
-        placements=placements,
-        trials=trials,
-        completed_replicas=len(finished),
-        completion_order=tuple(
-            (index, draw_index) for index, (_, draw_index) in enumerate(finished)
-        ),
-        boards=tuple(board for board, _ in finished),
-    )
 
 
 def _solve_scanline(
@@ -588,11 +534,16 @@ def _solve_scanline(
     boundary mark on the left column and bottom row), and whose E and N
     edges are the boundary mark exactly on the right column and top row.
     Pieces with equal edge tuples are interchangeable, so one per tuple is
-    tried.  Backtracking crosses board boundaries, so an exhausted stack
+    tried; with unique signatures no cell has a second, so trials equal
+    pieces.  Backtracking crosses board boundaries, so an exhausted stack
     proves that no assembly exists: then the result is None.  Raises
-    :class:`UnsolvablePool` when ``trial_budget`` runs out first.
+    :class:`UnsolvablePool` when ``trial_budget`` runs out first; the
+    default, 100 000 plus the number of pieces, suffices whenever no
+    backtracking is needed.  Identical pieces go out in draw order, so on
+    replicas of one painting board ``j`` closes at the ``j``-th cover time
+    of the draws.
     """
-    budget = trial_budget if trial_budget is not None else 100_000
+    budget = trial_budget if trial_budget is not None else 100_000 + len(draws)
     boards = sum(e[S] == BOUNDARY and e[W] == BOUNDARY for e in sigs)
     bottom = sum(e[S] == BOUNDARY for e in sigs)
     left = sum(e[W] == BOUNDARY for e in sigs)
@@ -656,4 +607,12 @@ def _solve_scanline(
         })
         finished.append((board, max(placed.values()) + 1))
     finished.sort(key=lambda entry: entry[1])
-    return _report(cells, trials, finished)
+    return AssemblyReport(
+        placements=cells,
+        trials=trials,
+        completed_replicas=len(finished),
+        completion_order=tuple(
+            (index, draw_index) for index, (_, draw_index) in enumerate(finished)
+        ),
+        boards=tuple(board for board, _ in finished),
+    )

@@ -12,10 +12,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factlaw import PaintingSpec, generate_painting, painting_from_doc, painting_to_doc
+from factlaw import (
+    AMBIGUOUS_EDGES,
+    PaintingSpec,
+    generate_painting,
+    painting_from_doc,
+    painting_to_doc,
+)
 from factlaw.cli import _COMMANDS, main, run
 from factlaw.integration import generate_hidden_form
-from factlaw.serialize import dump_json, load_json, sha256_of_file
+from factlaw.serialize import dump_json, fraction_to_str, load_json, sha256_of_file
 
 from conftest import REFERENCE_SPEC
 
@@ -496,6 +502,63 @@ def test_integrate_budget_exhaustion_is_a_runtime_error(tmp_path, form_file, cap
     assert record["type"] == "BudgetExhausted"
 
 
+# A 3-cell strip whose middle cell shows "a001" on its W and E sides: copies
+# of that one event chain into a longer strip that closes, so a stream of it
+# at seed 1005 with one replica integrates to a 7-cell law, {1: 1/7, 2: 6/7}.
+AMBIGUOUS_STRIP = PaintingSpec(3, 1, 2, {1: 1, 2: 2}, AMBIGUOUS_EDGES, 5)
+
+
+@pytest.mark.parametrize(
+    "argv", [["integrate"], ["end-to-end", "--draws", "10"]], ids=" ".join
+)
+def test_form_with_a_repeated_signature_is_refused(tmp_path, capsys, argv):
+    form = tmp_path / "strip.json"
+    dump_json(generate_hidden_form(AMBIGUOUS_STRIP).to_doc(), str(form))
+    out = tmp_path / "o.json"
+    argv = argv + ["--form", str(form), "--seed", "1005", "--confirm", "1",
+                   "--out", str(out)]
+    code = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "config"
+    assert str(form) in record["message"] and "'a001'" in record["message"]
+    assert not out.exists()
+
+
+SMALL_SHAPES = [(2, 1), (3, 1), (4, 1), (5, 1), (3, 2), (2, 3), (2, 2)]
+
+
+@st.composite
+def small_ambiguous_forms(draw):
+    width, height = draw(st.sampled_from(SMALL_SHAPES), label="shape")
+    cells = width * height
+    q = draw(st.integers(1, min(3, cells - 1)), label="q")
+    cuts = sorted(draw(st.sets(st.integers(1, cells - 1), min_size=q - 1,
+                               max_size=q - 1), label="cuts"))
+    bounds = [0, *cuts, cells]
+    counts = {j: bounds[j] - bounds[j - 1] for j in range(1, q + 1)}
+    seed = draw(st.integers(0, 2**31), label="seed")
+    return generate_hidden_form(
+        PaintingSpec(width, height, q, counts, AMBIGUOUS_EDGES, seed)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=small_ambiguous_forms(), k=st.integers(1, 3), seed=st.integers(0, 2**31))
+def test_integrate_never_passes_a_wrong_law(form, k, seed):
+    with tempfile.TemporaryDirectory() as scratch:
+        path, out = Path(scratch, "form.json"), Path(scratch, "law.json")
+        dump_json(form.to_doc(), str(path))
+        code, _, err = one_run("integrate", {"form": str(path), "seed": seed,
+                                             "confirm": k, "out": str(out)})
+        assert_one_error_line_per_failure(code, err)
+        if code == 0:
+            law = {str(r): fraction_to_str(p)
+                   for r, p in form.normalized_histogram().items()}
+            assert load_json(str(out))["law"] == law
+
+
 @pytest.mark.parametrize("fault", ["repeated", "missing", "empty"])
 def test_form_without_exact_grid_cover_is_a_config_error(
     tmp_path, capsys, reference_form, fault
@@ -596,6 +659,17 @@ def test_end_to_end_tolerance_gate_fails_loudly(tmp_path, form_file):
     )
     assert code == 1
     assert load_json(str(out))["within_tolerance"] is False
+
+
+def test_end_to_end_negative_tolerance_is_a_config_error(tmp_path, form_file, capsys):
+    # No result can pass a negative bound; a bound of 0 stays a valid gate.
+    out = tmp_path / "e2e.json"
+    argv = ["end-to-end", "--form", form_file, "--draws", "10", "--seed", "1",
+            "--out", str(out), "--tolerance"]
+    assert_config_error(main(argv + ["-1"]), capsys)
+    assert not out.exists()
+    assert main(argv + ["0"]) in (0, 1)
+    assert load_json(str(out))["tolerance"] == "0/1"
 
 
 # --- config plumbing --------------------------------------------------------

@@ -29,11 +29,11 @@ from factlaw.puzzle import (
     N,
     _STEPS,
     _edges_of,
-    _solve_greedy,
     _solve_scanline,
 )
 
 from conftest import REFERENCE_SPEC
+from oracles import cover_times
 
 
 def source_form_grid(painting):
@@ -167,6 +167,36 @@ def test_greedy_interleaving_is_pinned(reference_painting, seed, order):
     assert solve_by_borders(pool).completion_order == order
 
 
+def random_unique_spec(data):
+    width = data.draw(st.integers(2, 6), label="width")
+    height = data.draw(st.integers(2, 6), label="height")
+    cells = width * height
+    q = data.draw(st.integers(1, min(4, cells - 1)), label="q")
+    seed = data.draw(st.integers(0, 2**31), label="seed")
+    rng = random.Random(seed)
+    counts = {j: 1 for j in range(1, q + 1)}
+    for _ in range(cells - q):
+        counts[rng.randint(1, q)] += 1
+    return PaintingSpec(width, height, q, counts, seed=seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_replicas_close_at_the_cover_times_of_the_draws(data):
+    # What the pinned interleavings mean, whichever way the pool is solved:
+    # board j closes at the first draw by which every tile has come out j
+    # times (Newman & Shepp 1960).
+    spec = random_unique_spec(data)
+    replicas = data.draw(st.integers(1, 4), label="R")
+    pool_seed = data.draw(st.integers(0, 2**31), label="pool seed")
+    pool = FragmentPool.from_painting(
+        generate_painting(spec), "border", replicas=replicas, seed=pool_seed
+    )
+    stream = [fragment.entity_id for fragment in pool.fragments]
+    expected = cover_times(stream, spec.width * spec.height, replicas)
+    assert solve_by_borders(pool).completion_order == tuple(enumerate(expected))
+
+
 @pytest.mark.parametrize(
     "seed, merges, cells_moved",
     [(0, 60, 180), (1, 68, 185), (2, 57, 203)],
@@ -182,7 +212,7 @@ def test_merge_counters_are_pinned(reference_painting, seed, merges, cells_moved
     assembler = BorderAssembler()
     for i, fragment in enumerate(fragments):
         assembler.add(Piece(fragment, _edges_of(fragment)), draw_index=i + 1)
-    assert assembler.all_complete()
+    assert not assembler.patches
     assert (assembler.merges, assembler.cells_moved) == (merges, cells_moved)
 
 
@@ -204,7 +234,7 @@ def test_unique_signatures_leave_no_real_choice(reference_painting):
                 positions_by_patch.setdefault(patch_id, set()).add(pos)
         assert all(len(ps) == 1 for ps in positions_by_patch.values())
         assembler.add(piece, draw_index=i + 1)
-    assert assembler.all_complete()
+    assert not assembler.patches
 
 
 def assert_ledgers_match_the_index(assembler):
@@ -324,19 +354,23 @@ GUEST_SPEC = PaintingSpec(6, 5, 3, {1: 9, 2: 12, 3: 9}, seed=802273)
     ids=("turned-slot", "turned-seam", "swapped-slot", "swapped-seam", "turned-guest"),
 )
 def test_clash_verdicts_name_the_draw(spec, seed, replicas, tamper, args, message):
-    # A piece that meets a clash at its matched slot and a patch that meets
-    # one along a merge seam each name the kind of clash and the draw that
-    # revealed it.  In the last case two guest cells meet the half-turned
-    # piece at once; the verdict names neither.
+    # Fed the pool in draw order, the assembler meets a clash at a piece's
+    # matched slot or along a merge seam, and the verdict names the kind of
+    # clash and the draw that revealed it.  In the last case two guest cells
+    # meet the half-turned piece at once; the verdict names neither.  The
+    # border game proves that no assembly of these pools exists.
     fragments = FragmentPool.from_painting(
         generate_painting(spec), "border", replicas=replicas, seed=seed
     ).draw_all()
     tamper(fragments, *args)
     pool = FragmentPool(fragments, replica_count=replicas, seed=seed)
+    assembler = BorderAssembler()
     with pytest.raises(InconsistentSignatures) as caught:
+        for draw, fragment in enumerate(pool.fragments, 1):
+            assembler.add(Piece(fragment, _edges_of(fragment)), draw_index=draw)
+    assert f"draw {draw}: {caught.value}" == message
+    with pytest.raises(UnsolvablePool, match="no consistent assembly found"):
         solve_by_borders(pool)
-    assert caught.type is InconsistentSignatures
-    assert str(caught.value) == message
 
 
 def test_tampered_signature_is_detected(reference_painting):
@@ -351,13 +385,13 @@ def test_tampered_signature_is_detected(reference_painting):
         victim, points={**victim.points, "edge_n": "s99999"}
     )
     fragments[victim_index] = tampered
-    with pytest.raises(InconsistentSignatures):
+    with pytest.raises(UnsolvablePool):
         solve_by_borders(FragmentPool(fragments, seed=4))
 
 
 def test_foreign_piece_from_another_painting_is_detected():
-    # A stray piece reuses the host's signature namespace, so the pool
-    # turns ambiguous and the search proves no assembly exists.
+    # A stray piece reuses the host's signature namespace; the search
+    # proves no assembly exists.
     host = generate_painting(PaintingSpec(2, 2, 1, {1: 4}, seed=1))
     other = generate_painting(PaintingSpec(2, 2, 1, {1: 4}, seed=2))
     fragments = FragmentPool.from_painting(host, "border", seed=6).draw_all()
@@ -367,9 +401,9 @@ def test_foreign_piece_from_another_painting_is_detected():
 
 
 def test_pool_mixing_two_paintings_is_rebuilt():
-    # Both paintings name their seams from one namespace, so the pool
-    # passes as unique and greedy assembly clashes ("piece does not fit
-    # its matched slot"); the boards exist, and the search finds them.
+    # Both paintings name their seams from one namespace, so greedy
+    # assembly in draw order clashes ("piece does not fit its matched
+    # slot"); the boards exist, and the search finds them.
     first, second = (
         generate_painting(PaintingSpec(3, 3, 2, {1: 5, 2: 4}, seed=seed))
         for seed in (1, 2)
@@ -511,19 +545,6 @@ def test_description_without_edges_is_rejected():
 # --- fuzzing the unique border game -----------------------------------------
 
 
-def random_unique_spec(data):
-    width = data.draw(st.integers(2, 6), label="width")
-    height = data.draw(st.integers(2, 6), label="height")
-    cells = width * height
-    q = data.draw(st.integers(1, min(4, cells - 1)), label="q")
-    seed = data.draw(st.integers(0, 2**31), label="seed")
-    rng = random.Random(seed)
-    counts = {j: 1 for j in range(1, q + 1)}
-    for _ in range(cells - q):
-        counts[rng.randint(1, q)] += 1
-    return PaintingSpec(width, height, q, counts, seed=seed)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_border_game_recovers_any_unique_painting(data):
@@ -570,9 +591,21 @@ def verdict(solve):
     """The number of boards rebuilt, or "refused"."""
     try:
         report = solve()
-    except (InconsistentSignatures, UnsolvablePool):
+    except UnsolvablePool:
         return "refused"
     return "refused" if report is None else len(report.boards)
+
+
+def greedy_verdict(draws, sigs):
+    """The greedy assembler's verdict on the draws, fed in order: the
+    number of boards it closes, or "refused" at a clash or a leftover patch."""
+    assembler = BorderAssembler()
+    try:
+        for i, (fragment, edges) in enumerate(zip(draws, sigs), 1):
+            assembler.add(Piece(fragment, edges), draw_index=i)
+    except InconsistentSignatures:
+        return "refused"
+    return "refused" if assembler.patches else len(assembler.completed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -583,9 +616,9 @@ def verdict(solve):
     ),
 )
 def test_greedy_and_scanline_verdicts_agree(data, tampering):
-    # Tampering permutes signatures, so every pool still counts as unique
-    # and goes to greedy assembly first.  On one painting's replicas greedy
-    # alone must agree with the exhaustive search; a pool mixing a second
+    # Tampering permutes signatures, so every pool still counts as unique.
+    # On one painting's replicas the greedy assembler fed in draw order
+    # must agree with the exhaustive search; a pool mixing a second
     # painting in can make greedy clash although boards exist, and there
     # the border game must still give the search's verdict.
     spec = random_unique_spec(data)
@@ -610,4 +643,4 @@ def test_greedy_and_scanline_verdicts_agree(data, tampering):
     searched = verdict(lambda: _solve_scanline(draws, sigs, None))
     assert verdict(lambda: solve_by_borders(pool)) == searched
     if tampering != "mix":
-        assert verdict(lambda: _solve_greedy(draws, sigs)) == searched
+        assert greedy_verdict(draws, sigs) == searched
