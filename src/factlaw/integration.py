@@ -6,10 +6,11 @@ is *complexified* — enriched with a globally registered complexification
 index and four edge signatures.  The :class:`HiddenForm` is the painting's
 own grid seen through that complexified view: its cells are the
 :class:`ComplexifiedEvent` values, row-major like the painting's tiles, and
-the stream emits them as they are.  :func:`integrate` feeds the stream of
-complexified events, one piece per event, straight into the puzzle
-module's :class:`~factlaw.puzzle.BorderAssembler`, whose open patches are
-the nascent replicas and whose closed boards are the completed ones.  Once
+the stream emits them as they are.  :func:`integrate`, waiting for ``k``
+replicas, feeds the first ``k`` copies of each complexified event, one
+piece per copy, straight into the puzzle module's
+:class:`~factlaw.puzzle.BorderAssembler`, whose open patches are the
+nascent replicas and whose closed boards are the completed ones.  Once
 enough replicas complete, per-label counting on a completed replica yields
 the law exactly, as rationals, with no appeal to limits: the time ordering
 of the stream leaves no trace in the result.
@@ -24,6 +25,7 @@ from math import comb, factorial
 from typing import Any, Iterable, Iterator, Mapping
 
 from .painting import (
+    BOUNDARY,
     Painting,
     PaintingSpec,
     check_edge_coherence,
@@ -55,7 +57,8 @@ class InconsistentReplicas(RuntimeError):
 
 
 class AmbiguousStream(RuntimeError):
-    """An event clashed with the slot its signature matched: edges repeat.
+    """Edges repeat: a new event showed a side and signature that an earlier
+    event already showed, or an event clashed with the slot it matched.
 
     Refusing the stream is the true verdict: on an ambiguous form, a smaller
     rectangle can tile from the events seen so far before every cell has
@@ -328,14 +331,17 @@ def integrate(
 ) -> IntegrationResult:
     """Assemble the stream until enough replicas complete; count out the law.
 
-    Each event goes to one border assembler: it attaches to the oldest
-    replica that wants one of its signatures, opens a fresh replica
-    otherwise, and may bridge replicas into one.  An event whose signatures
-    clash with its matched slot (possible only for streams that violate
-    unique matching) raises :class:`AmbiguousStream` naming the event.
-    Consumes events until ``config.confirmation_replicas`` replicas are
-    complete (raising :class:`BudgetExhausted` if ``max_events`` arrives
-    first).  The first completed replica supplies the counts; the remaining
+    With ``k = config.confirmation_replicas``, the first ``k`` copies of
+    each distinct event go to one border assembler: a copy attaches to the
+    oldest replica that wants one of its signatures, opens a fresh replica
+    otherwise, and may bridge replicas into one.  Later copies are counted
+    but not placed.  A new event that shows a non-boundary signature on the
+    side where an earlier distinct event showed it, or whose signatures
+    clash with its matched slot, raises :class:`AmbiguousStream` naming the
+    event.  Consumes events until ``k`` replicas are complete (raising
+    :class:`BudgetExhausted` if ``max_events`` arrives first).  Both
+    ``max_events`` and ``events_consumed`` count every drawn event, placed
+    or not.  The first completed replica supplies the counts; the remaining
     confirmation replicas must agree exactly, else
     :class:`InconsistentReplicas`.  The result is exact: no frequencies,
     no limits, just counting on the reconstructed form.
@@ -348,16 +354,30 @@ def integrate(
     form the replicas agree by construction, so the confirmation replicas
     guard only against corrupt or mixed streams.
 
+    So a copy beyond the ``k``-th cannot change the first ``k`` completions
+    on such a form: the stream without those copies holds the same first
+    ``k`` copies of each cell at the same draws, so its cover times up to
+    ``k`` are the same, and with them the completions, ``events_consumed``
+    and ``completion_log``.  The argument rests on the closing rule above
+    holding for any order of draws; the tests check it on uniform streams
+    and, by a digest of unique-form documents taken while every copy was
+    still placed, on the filtered ones.
+
     Precondition: the stream comes from a form whose interior signatures
-    each lie on one seam.  On a form where one repeats, copies of an event
-    can chain into a smaller board that closes, with a wrong law and no
-    clash, before every cell is drawn; the stream cannot show it, so the
-    ``integrate`` and ``end-to-end`` commands check the form instead.
+    each lie on one seam.  The repeated-signature check cannot catch every
+    form that breaks it: a smaller board can close, with a wrong law and no
+    clash, before the cell that shares a signature is ever drawn.  On the
+    strip ``PaintingSpec(3, 1, 2, {1: 1, 2: 2}, AMBIGUOUS_EDGES, 5)`` at
+    ``k`` = 1, 200 of stream seeds 0-299 are refused and the other 100 give
+    a wrong law.  So the ``integrate`` and ``end-to-end`` commands check the
+    form itself as well.
     """
     if config is None:
         config = IntegrationConfig()
     assembler = BorderAssembler()
     needed = config.confirmation_replicas
+    copies: dict[ComplexifiedEvent, int] = {}
+    first_shown: dict[tuple[int, str], int] = {}
     events = 0
     for event in stream:
         if events >= config.max_events:
@@ -366,6 +386,21 @@ def integrate(
                 f" {len(assembler.completed)} of {needed} replicas complete"
             )
         events += 1
+        placed = copies.get(event, 0)
+        if placed == needed:
+            continue
+        copies[event] = placed + 1
+        if not placed:
+            for side, sig in enumerate(event.edge_sigs):
+                if sig == BOUNDARY:
+                    continue
+                first = first_shown.setdefault((side, sig), events)
+                if first != events:
+                    raise AmbiguousStream(
+                        f"event {events}: {'NESW'[side]} signature {sig}"
+                        f" was first shown by event {first}; integration"
+                        " needs unique edge signatures"
+                    )
         try:
             assembler.add(Piece(event, event.edge_sigs), events)
         except InconsistentSignatures as exc:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -6,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from factlaw import (
+    AMBIGUOUS_EDGES,
     AmbiguousStream,
+    BorderAssembler,
     BudgetExhausted,
     ComplexifiedEvent,
     HiddenForm,
@@ -301,6 +305,32 @@ def test_ambiguous_stream_is_rejected():
     )
 
 
+def test_stream_that_repeats_a_signature_is_refused():
+    # The middle cell of this strip shows a001 on both its W and E sides, so
+    # it repeats the E pair of the left cell and the W pair of the right one.
+    form = generate_hidden_form(
+        PaintingSpec(3, 1, 2, {1: 1, 2: 2}, AMBIGUOUS_EDGES, 5)
+    )
+    one = IntegrationConfig(confirmation_replicas=1)
+    refused = wrong = 0
+    for seed in range(300):
+        try:
+            result = integrate(complexified_phenomenon(form, seed), one)
+        except AmbiguousStream:
+            refused += 1
+        else:
+            wrong += result.law.atom_probs != form.normalized_histogram()
+    # The other 100 streams close a 2-cell board from the end cells before
+    # the middle one is drawn: no stream check can see that cell.
+    assert (refused, wrong) == (200, 100)
+    with pytest.raises(AmbiguousStream) as caught:
+        integrate(complexified_phenomenon(form, 0), one)
+    assert str(caught.value) == (
+        "event 3: E signature a001 was first shown by event 1;"
+        " integration needs unique edge signatures"
+    )
+
+
 def test_integration_config_validation():
     with pytest.raises(ValueError):
         IntegrationConfig(confirmation_replicas=0)
@@ -385,6 +415,54 @@ def test_replicas_complete_at_the_cover_times_of_the_stream(width, height, seed,
     expected = cover_times(complexified_phenomenon(form, seed), cells, k)
     assert [draw for _, draw in result.completion_log] == expected
     assert result.events_consumed == expected[-1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_each_event_reaches_the_assembler_k_times(reference_form, k, monkeypatch):
+    placed = {}
+    add = BorderAssembler.add
+
+    def counting_add(self, piece, draw_index):
+        placed[piece.payload] = placed.get(piece.payload, 0) + 1
+        return add(self, piece, draw_index)
+
+    monkeypatch.setattr(BorderAssembler, "add", counting_add)
+    result = integrate(
+        complexified_phenomenon(reference_form, k),
+        IntegrationConfig(confirmation_replicas=k),
+    )
+    # By the k-th cover time every cell has been drawn at least k times.
+    assert placed == dict.fromkeys(reference_form.cells, k)
+    expected = cover_times(complexified_phenomenon(reference_form, k), 100, k)
+    assert result.events_consumed == expected[-1]
+
+
+def unique_form_documents():
+    docs = []
+    for side in range(2, 25):
+        cells = side * side
+        counts = {1: cells * 6 // 10, 2: cells * 3 // 10}
+        counts[3] = cells - counts[1] - counts[2]
+        for seed in (1, 2):
+            form = generate_hidden_form(PaintingSpec(side, side, 3, counts, seed=seed))
+            for k in range(1, 5):
+                result = integrate(
+                    complexified_phenomenon(form, seed),
+                    IntegrationConfig(confirmation_replicas=k),
+                )
+                docs.append([side, seed, k, result.to_doc()])
+    return docs
+
+
+# Captured while integrate still placed every copy of every event.
+UNIQUE_FORM_DIGEST = "bbd6a0d221ec1dbb271c8ecb9caffd3f97802e178e609ef5f748e1fc29c2de06"
+
+
+def test_integrate_documents_on_unique_forms_are_pinned():
+    # Square forms of sides 2-24, two seeds each, k = 1..4: the law,
+    # events_consumed and completion_log of every document.
+    text = json.dumps(unique_form_documents(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == UNIQUE_FORM_DIGEST
 
 
 def test_expected_cover_time_equals_the_markov_chain():
