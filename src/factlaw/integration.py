@@ -7,13 +7,13 @@ index and four edge signatures.  The :class:`HiddenForm` is the painting's
 own grid seen through that complexified view: its cells are the
 :class:`ComplexifiedEvent` values, row-major like the painting's tiles, and
 the stream emits them as they are.  :func:`integrate`, waiting for ``k``
-replicas, feeds the first ``k`` copies of each complexified event, one
-piece per copy, straight into the puzzle module's
-:class:`~factlaw.puzzle.BorderAssembler`, whose open patches are the
-nascent replicas and whose closed boards are the completed ones.  Once
-enough replicas complete, per-label counting on a completed replica yields
-the law exactly, as rationals, with no appeal to limits: the time ordering
-of the stream leaves no trace in the result.
+replicas, joins each distinct complexified event once, on its first copy,
+into a group: a nascent replica, laid out cell by cell as signatures
+match.  Later copies are only counted, and a group's ``j``-th replica
+closes once its events fill their rectangle and each has been drawn ``j``
+times.  Once enough replicas complete, per-label counting on a completed
+replica yields the law exactly, as rationals, with no appeal to limits:
+the time ordering of the stream leaves no trace in the result.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .phenomenon import (
     run_frequency_experiment,
 )
 from .prob import Measure, Universe
-from .puzzle import Board, BorderAssembler, InconsistentSignatures, Piece
+from .puzzle import _OPPOSITE, _fits
 from .seeding import derive_seed
 from .serialize import read_int, sha256_of_doc
 
@@ -58,7 +58,8 @@ class InconsistentReplicas(RuntimeError):
 
 class AmbiguousStream(RuntimeError):
     """Edges repeat: a new event showed a side and signature that an earlier
-    event already showed, or an event clashed with the slot it matched.
+    event already showed, or an event, or a cell a bridge moved, clashed
+    with a neighbour.
 
     Refusing the stream is the true verdict: on an ambiguous form, a smaller
     rectangle can tile from the events seen so far before every cell has
@@ -314,54 +315,185 @@ class IntegrationResult:
         }
 
 
-def _board_counts(board: Board) -> tuple[int, dict[tuple[int, int], int], dict[int, int]]:
+# A cell (x, y) of a group is the int ``x * _X + y``: its N/S neighbours are
+# one apart, its E/W neighbours ``_X`` apart, and a translation is one int
+# added to every cell.  A group is connected and holds the cell 0 of its
+# frame, so ``|y|`` stays below its size, far below ``_X // 2``.
+_X = 1 << 32
+_STEPS = (1, _X, -1, -_X)  # N, E, S, W
+
+
+def _fills_box(cells: Mapping[int, Any]) -> bool:
+    xs, ys = zip(*(divmod(pos + _X // 2, _X) for pos in cells))
+    return (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1) == len(cells)
+
+
+class _Group:
+    """A nascent replica: the distinct events joined so far through
+    matching signatures, each once, on its cell.
+
+    ``open`` counts the non-boundary sides of its events that face an empty
+    cell; ``drawn[j]`` counts its events drawn more than ``j`` times, for
+    ``j < k``; ``closed`` counts its replicas closed so far.
+    """
+
+    __slots__ = ("cells", "open", "drawn", "closed")
+
+    def __init__(self, event: ComplexifiedEvent, k: int):
+        self.cells = {0: event}
+        self.open = sum(sig != BOUNDARY for sig in event.edge_sigs)
+        self.drawn = [1] + [0] * (k - 1)
+        self.closed = 0
+
+
+class _Replicas:
+    """The groups of one stream, waiting for ``k`` replicas to close.
+
+    ``shown`` maps each non-boundary ``(side, signature)`` pair to the
+    number and the event that first showed it; ``where`` maps each distinct
+    event to its group and cell; ``completed`` logs ``(group, event
+    number)`` for every replica closed, in event order.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.copies: dict[ComplexifiedEvent, int] = {}
+        self.shown: dict[tuple[int, str], tuple[int, ComplexifiedEvent]] = {}
+        self.where: dict[ComplexifiedEvent, tuple[_Group, int]] = {}
+        self.completed: list[tuple[_Group, int]] = []
+
+    def add(self, event: ComplexifiedEvent, number: int) -> None:
+        """Count the ``number``-th event of the stream: a new event joins
+        the geometry, one of its first ``k`` copies raises its group's
+        counts, and a later copy does nothing."""
+        copies = self.copies.get(event, 0)
+        if copies == self.k:
+            return
+        self.copies[event] = copies + 1
+        if copies:
+            group = self.where[event][0]
+            group.drawn[copies] += 1
+            if group.closed == copies and group.drawn[copies] == len(group.cells):
+                self._close(group, number)
+            return
+        for side, sig in enumerate(event.edge_sigs):
+            if sig == BOUNDARY:
+                continue
+            first, _ = self.shown.setdefault((side, sig), (number, event))
+            if first != number:
+                raise AmbiguousStream(
+                    f"event {number}: {'NESW'[side]} signature {sig}"
+                    f" was first shown by event {first}; integration"
+                    " needs unique edge signatures"
+                )
+        self._join(event, number)
+
+    def _join(self, event: ComplexifiedEvent, number: int) -> None:
+        """Give a new event a group of its own, then bridge it, side by side
+        in N, E, S, W order, to the group of each partner, the event that
+        shows its signature on the facing side.  The first bridge sets its
+        cell.  A partner in its own group, or the event itself, bridges
+        nothing."""
+        self.where[event] = (_Group(event, self.k), 0)
+        clash = "piece does not fit its matched slot"
+        for d, sig in enumerate(event.edge_sigs):
+            if sig == BOUNDARY:
+                continue
+            # With no partner, the event stands in: its own group.
+            _, partner = self.shown.get((_OPPOSITE[d], sig), (0, event))
+            group, pos = self.where[event]
+            other, at = self.where[partner]
+            if other is not group:
+                self._merge(group, other, pos + _STEPS[d] - at, number, clash)
+                clash = "merge seam mismatch"
+        group = self.where[event][0]
+        if not group.open and _fills_box(group.cells):
+            self._close(group, number)
+
+    def _merge(
+        self, group: _Group, other: _Group, shift: int, number: int, clash: str
+    ) -> None:
+        """Move the smaller of two groups into the larger (``other`` on a
+        tie); ``shift`` takes a cell of ``other`` into ``group``'s frame.
+        A moved cell that breaks the seam rule with a neighbour raises
+        :class:`AmbiguousStream` (``clash``) before any state changes.
+
+        A moved cell that lands on a taken cell breaks it too.  Unless both
+        groups are single events, which a bridge sets side by side, the
+        larger group is connected with two cells or more, so the taken cell
+        has a neighbour there, and only the taken cell's event shows that
+        neighbour the signature across their seam."""
+        if len(other.cells) > len(group.cells):
+            group, other, shift = other, group, -shift
+        have = group.cells
+        moved = {}
+        seams = 0
+        for pos, event in other.cells.items():
+            pos += shift
+            around = [have.get(pos + step) for step in _STEPS]
+            if not _fits(
+                event.edge_sigs, [None if e is None else e.edge_sigs for e in around]
+            ):
+                raise AmbiguousStream(
+                    f"event {number}: {clash}; integration needs unique edge"
+                    " signatures"
+                )
+            seams += 4 - around.count(None)
+            moved[pos] = event
+        have.update(moved)
+        for pos, event in moved.items():
+            self.where[event] = (group, pos)
+        group.open += other.open - 2 * seams
+        group.drawn = [a + b for a, b in zip(group.drawn, other.drawn)]
+
+    def _close(self, group: _Group, number: int) -> None:
+        group.closed += 1
+        self.completed.append((group, number))
+
+
+def _counts(group: _Group) -> tuple[int, dict[tuple[int, int], int], dict[int, int]]:
     pair_counts: dict[tuple[int, int], int] = {}
     label_counts: dict[int, int] = {}
-    for piece in board.cells.values():
-        event: ComplexifiedEvent = piece.payload
+    for event in group.cells.values():
         pair = (event.label_r, event.complexification_r_prime)
         pair_counts[pair] = pair_counts.get(pair, 0) + 1
         label_counts[event.label_r] = label_counts.get(event.label_r, 0) + 1
-    return len(board.cells), pair_counts, label_counts
+    return len(group.cells), pair_counts, label_counts
 
 
 def integrate(
     stream: Iterable[ComplexifiedEvent],
     config: IntegrationConfig | None = None,
 ) -> IntegrationResult:
-    """Assemble the stream until enough replicas complete; count out the law.
+    """Join the stream's events into replicas until enough close; count out
+    the law.
 
-    With ``k = config.confirmation_replicas``, the first ``k`` copies of
-    each distinct event go to one border assembler: a copy attaches to the
-    oldest replica that wants one of its signatures, opens a fresh replica
-    otherwise, and may bridge replicas into one.  Later copies are counted
-    but not placed.  A new event that shows a non-boundary signature on the
-    side where an earlier distinct event showed it, or whose signatures
-    clash with its matched slot, raises :class:`AmbiguousStream` naming the
+    Each distinct event joins the geometry once, on its first copy: it
+    takes the cell its first matching signature names, next to the event
+    that shows that signature on the facing side, and bridges into one
+    group every group whose events match its other signatures.  Later
+    copies are only counted.  With ``k = config.confirmation_replicas``,
+    replica ``j`` of a group closes at the event by which its events fill
+    their bounding box, no non-boundary side faces an empty cell, and every
+    one of its events has been drawn ``j`` times.  A new event that shows a
+    non-boundary signature on the side where an earlier distinct event
+    showed it, or that contradicts a neighbour (its own or, along a
+    bridge, a moved one's), raises :class:`AmbiguousStream` naming the
     event.  Consumes events until ``k`` replicas are complete (raising
     :class:`BudgetExhausted` if ``max_events`` arrives first).  Both
-    ``max_events`` and ``events_consumed`` count every drawn event, placed
-    or not.  The first completed replica supplies the counts; the remaining
-    confirmation replicas must agree exactly, else
-    :class:`InconsistentReplicas`.  The result is exact: no frequencies,
-    no limits, just counting on the reconstructed form.
+    ``max_events`` and ``events_consumed`` count every drawn event.  The
+    first completed replica supplies the counts; the remaining confirmation
+    replicas must agree exactly, else :class:`InconsistentReplicas`.  The
+    result is exact: no frequencies, no limits, just counting on the
+    reconstructed form.
 
-    On a form whose cells emit distinct events, the ``j``-th replica closes
-    at the first event by which every cell has been drawn ``j`` times, the
-    earliest it can: events consumed follow the ``k``-th cover time of the
+    On a form whose cells emit distinct events, the one group closes its
+    ``j``-th replica at the first event by which every cell has been drawn
+    ``j`` times: events consumed follow the ``k``-th cover time of the
     cells ("double Dixie cup" waiting time, Newman & Shepp 1960), whose
     mean :func:`expected_cover_time` gives exactly.  On a stream from one
     form the replicas agree by construction, so the confirmation replicas
     guard only against corrupt or mixed streams.
-
-    So a copy beyond the ``k``-th cannot change the first ``k`` completions
-    on such a form: the stream without those copies holds the same first
-    ``k`` copies of each cell at the same draws, so its cover times up to
-    ``k`` are the same, and with them the completions, ``events_consumed``
-    and ``completion_log``.  The argument rests on the closing rule above
-    holding for any order of draws; the tests check it on uniform streams
-    and, by a digest of unique-form documents taken while every copy was
-    still placed, on the filtered ones.
 
     Precondition: the stream comes from a form whose interior signatures
     each lie on one seam.  The repeated-signature check cannot catch every
@@ -374,53 +506,28 @@ def integrate(
     """
     if config is None:
         config = IntegrationConfig()
-    assembler = BorderAssembler()
     needed = config.confirmation_replicas
-    copies: dict[ComplexifiedEvent, int] = {}
-    first_shown: dict[tuple[int, str], int] = {}
+    replicas = _Replicas(needed)
     events = 0
     for event in stream:
         if events >= config.max_events:
             raise BudgetExhausted(
                 f"{config.max_events} events consumed,"
-                f" {len(assembler.completed)} of {needed} replicas complete"
+                f" {len(replicas.completed)} of {needed} replicas complete"
             )
         events += 1
-        placed = copies.get(event, 0)
-        if placed == needed:
-            continue
-        copies[event] = placed + 1
-        if not placed:
-            for side, sig in enumerate(event.edge_sigs):
-                if sig == BOUNDARY:
-                    continue
-                first = first_shown.setdefault((side, sig), events)
-                if first != events:
-                    raise AmbiguousStream(
-                        f"event {events}: {'NESW'[side]} signature {sig}"
-                        f" was first shown by event {first}; integration"
-                        " needs unique edge signatures"
-                    )
-        try:
-            assembler.add(Piece(event, event.edge_sigs), events)
-        except InconsistentSignatures as exc:
-            raise AmbiguousStream(
-                f"event {events}: {exc}; integration needs"
-                " unique edge signatures"
-            ) from exc
-        if len(assembler.completed) >= needed:
+        replicas.add(event, events)
+        if len(replicas.completed) >= needed:
             break
     else:
         raise BudgetExhausted(
-            f"stream ended with {len(assembler.completed)} of {needed}"
+            f"stream ended with {len(replicas.completed)} of {needed}"
             " replicas complete"
         )
-    finished = assembler.completed_boards()
-    reference, _ = finished[0]
-    n_total, pair_counts, label_counts = _board_counts(reference)
-    for board, _ in finished[1:]:
-        other = _board_counts(board)
-        if other != (n_total, pair_counts, label_counts):
+    finished = replicas.completed
+    n_total, pair_counts, label_counts = _counts(finished[0][0])
+    for group, _ in finished[1:]:
+        if _counts(group) != (n_total, pair_counts, label_counts):
             raise InconsistentReplicas(
                 "confirmation replicas disagree on counts"
             )
@@ -433,7 +540,7 @@ def integrate(
         law=Measure.from_counts(per_label),
         replicas_used_for_confirmation=needed,
         events_consumed=events,
-        completion_log=tuple(enumerate(draw for _, draw in finished)),
+        completion_log=tuple(enumerate(number for _, number in finished)),
     )
 
 

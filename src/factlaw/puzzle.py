@@ -6,16 +6,8 @@ certain.  In the border game coordinates are filtered out and only edge
 signatures guide assembly: one scan-line search rebuilds the whole pool
 cell by cell, backtracking where signatures repeat.  With several replicas
 of the painting mixed into one pool, boards close only near the end of the
-stream.
-
-The online border-matching engine (:class:`BorderAssembler`) serves the
-semantic-integration module, which feeds it complexified events one at a
-time; bridging events trigger rigid-translation merges of partial boards.
-Inside it a cell ``(x, y)`` is the single int ``x * 2**32 + y``:
-neighbours are one addition away, and while ``|y| < 2**31``, which a
-patch's connectedness guarantees, int order is ``(x, y)`` order, so every
-tie-break picks the same cell.  A finished patch becomes a :class:`Board`
-on ``(x, y)`` cells again.
+stream.  One seam rule (:func:`_fits`) decides whether neighbouring pieces
+agree, here and in the semantic-integration module.
 """
 
 from __future__ import annotations
@@ -50,13 +42,8 @@ class UnsolvablePool(Exception):
 
 
 class InconsistentSignatures(Exception):
-    """Signatures contradict: the pieces met so far fit no assembly.
-
-    :class:`BorderAssembler` raises it at the first clash it meets, naming
-    only its kind; callers prefix the draw or event that met it.
-    :meth:`Board.validate_edges` raises it for a board with a mismatched
-    seam.
-    """
+    """Signatures contradict: :meth:`Board.validate_edges` found a board
+    with a mismatched seam."""
 
 
 @dataclass(frozen=True)
@@ -107,9 +94,10 @@ class Board:
     def validate_edges(self) -> None:
         """Full post-hoc scan: every adjacent pair shares equal signatures."""
         for (x, y), piece in self.cells.items():
-            if piece.edges is not None and not _fits(
-                piece, [self.cells.get((x + dx, y + dy)) for dx, dy in _DELTAS]
-            ):
+            if piece.edges is None:
+                continue
+            around = [self.cells.get((x + dx, y + dy)) for dx, dy in _DELTAS]
+            if not _fits(piece.edges, [None if p is None else p.edges for p in around]):
                 raise InconsistentSignatures(f"seam mismatch at {(x, y)}")
 
 @dataclass(frozen=True)
@@ -202,263 +190,17 @@ def _edges_of(fragment: Description) -> tuple[str, str, str, str]:
         raise ValueError("fragment carries no edge signatures") from None
 
 
-class _Patch:
-    """One nascent board during assembly (mutable working state).
-
-    ``cells`` maps integer cell keys (see :class:`BorderAssembler`) to
-    pieces.  ``slots`` is the patch's ledger of open slots: each empty cell
-    that a placed neighbour demands, with the ``req_index`` keys it is filed
-    under (one per demanding neighbour).  The patch is complete once the
-    ledger is empty and its cells fill their bounding box.
-    """
-
-    __slots__ = ("patch_id", "cells", "slots")
-
-    def __init__(self, patch_id: int):
-        self.patch_id = patch_id
-        self.cells: dict[int, Piece] = {}
-        self.slots: dict[int, list[tuple[int, str]]] = {}
-
-
-def _fits(piece: Piece, neighbours: Sequence[Piece | None]) -> bool:
-    """The seam rule: each present neighbour, in N, E, S, W order, shows
-    ``piece`` the same non-boundary signature across their shared side."""
-    for d, neighbour in enumerate(neighbours):
-        if neighbour is not None:
-            mine = piece.edges[d]  # type: ignore[index]
-            if mine != neighbour.edges[_OPPOSITE[d]] or mine == BOUNDARY:  # type: ignore[index]
+def _fits(
+    edges: Sequence[str], neighbours: Sequence[Sequence[str] | None]
+) -> bool:
+    """The seam rule: each present neighbour's edges, in N, E, S, W order,
+    show ``edges`` the same non-boundary signature across their shared side."""
+    for d, other in enumerate(neighbours):
+        if other is not None:
+            mine = edges[d]
+            if mine != other[_OPPOSITE[d]] or mine == BOUNDARY:
                 return False
     return True
-
-
-# A cell (x, y) of the assembler is the int ``x * _X + y``, for |y| < _Y_LIMIT.
-_X = 1 << 32
-_Y_LIMIT = 1 << 31
-_STEPS = (1, _X, -1, -_X)  # N, E, S, W
-
-
-def _board(cells: dict[int, Piece]) -> Board:
-    """The board of integer-keyed ``cells``, back on ``(x, y)`` cells."""
-    decoded = {}
-    for pos, piece in cells.items():
-        x, y = divmod(pos + _Y_LIMIT, _X)
-        decoded[x, y - _Y_LIMIT] = piece
-    return Board(decoded)
-
-
-class BorderAssembler:
-    """Greedy border-matching assembly with merge-on-bridge.
-
-    A cell ``(x, y)`` is stored as the single int ``x * 2**32 + y``: its
-    N/S neighbours are ``pos ± 1``, its E/W neighbours ``pos ± 2**32``, and
-    a translation is one int added to every cell.  While ``|y| < 2**31``,
-    int order is the lexicographic order of ``(x, y)`` tuples, so every
-    ``min`` and ``sorted`` over cells chooses as it would over tuples.  The
-    bound always holds: a patch is connected and holds its origin, the
-    first piece placed in its frame, so ``|y|`` stays below its piece
-    count, and in a seam-consistent board below the painting's height.
-    Cells turn back into ``(x, y)`` only when a finished patch becomes a
-    :class:`Board`.
-
-    Maintains an index from (required side, signature) to open slots
-    ``(patch_id, cell)``; each patch's slot ledger lists, per open cell, the
-    index keys it is filed under, so closing a slot touches only its own
-    keys.  A new piece attaches to the oldest matching slot, the minimum
-    ``(patch_id, cell)`` among the buckets its signatures name, else opens
-    a new patch.  Then each open side of the new piece, as :meth:`_place`
-    filed it, merges in, by rigid translation, the patch of the first
-    foreign slot, in ``(patch_id, cell)`` order, that demands its signature
-    and whose patch does not overlap (overlapping cells are fungible
-    duplicates of other replicas).  So each placed piece costs one walk of
-    its sides and no sort of its candidates.  One merge per side suffices:
-    any other such slot would put its patch's piece on the cell that merge
-    has just filled.  Cells that a merge moves are not bridged from again
-    (see :meth:`_bridge_from`).
-
-    A merge moves the smaller patch into the larger, so each cell moves
-    O(log n) times.  The merged patch keeps the host's id.  Drawn pieces
-    and merged patches alike enter a patch through :meth:`_place`.
-    ``placements`` counts drawn pieces, ``merges`` the merges made and
-    ``cells_moved`` the cells those merges moved.
-
-    A signature contradiction, at a matched slot or along a merge seam,
-    raises :class:`InconsistentSignatures` naming only its kind.
-    """
-
-    def __init__(self) -> None:
-        self.patches: dict[int, _Patch] = {}
-        self.req_index: dict[tuple[int, str], set[tuple[int, int]]] = {}
-        self.completed: list[tuple[_Patch, int]] = []
-        self.placements = 0
-        self.merges = 0
-        self.cells_moved = 0
-        self.next_patch_id = 0
-
-    # -- placement and merging ----------------------------------------------
-
-    def _close(self, patch: _Patch, cell: int) -> None:
-        """Withdraw the open slot at ``cell`` from the ledger and the index;
-        empty index buckets are deleted."""
-        slot = (patch.patch_id, cell)
-        for key in patch.slots.pop(cell, ()):
-            slots = self.req_index[key]
-            slots.remove(slot)
-            if not slots:
-                del self.req_index[key]
-
-    def _place(
-        self, patch: _Patch, cells: dict[int, Piece], clash: str
-    ) -> list[tuple[int, str]]:
-        """Put ``cells`` into ``patch``: the only way a cell enters a patch.
-
-        Every cell must fit the patch as it stands, else
-        :class:`InconsistentSignatures` (``clash``) is raised before any
-        state changes.  Then the cells fill their slots in sorted order of
-        their keys ``x * 2**32 + y``, which is ``(x, y)`` order while
-        ``|y| < 2**31``, and each open side they face becomes a slot.
-        Returns the ``(side, signature)`` pairs filed, cell by cell in
-        sorted order: for one placed cell, exactly its open sides in N, E,
-        S, W order.  No completion check, no bridging.
-        """
-        have, ledger, patch_id = patch.cells, patch.slots, patch.patch_id
-        north, east, south, west = _STEPS
-        for pos, piece in cells.items():
-            if not _fits(piece, (have.get(pos + north), have.get(pos + east),
-                                 have.get(pos + south), have.get(pos + west))):
-                raise InconsistentSignatures(clash)
-        placed = sorted(cells)
-        for pos in placed:
-            if pos in ledger:
-                self._close(patch, pos)
-            have[pos] = cells[pos]
-        index = self.req_index
-        filed = []
-        for pos in placed:
-            for d, sig in enumerate(cells[pos].edges):  # type: ignore[arg-type]
-                target = pos + _STEPS[d]
-                if sig == BOUNDARY or target in have:
-                    continue
-                key = (_OPPOSITE[d], sig)
-                index.setdefault(key, set()).add((patch_id, target))
-                ledger.setdefault(target, []).append(key)
-                filed.append((d, sig))
-        return filed
-
-    def _try_merge(self, host: _Patch, guest: _Patch, offset: int) -> int | None:
-        """Merge ``guest``, whose cell ``c`` sits at ``c + offset`` in the
-        host, into ``host``; None if refused, else how the host's stored
-        cells moved (``0`` unless the host was the one moved).  An offset is
-        one int, ``dx * 2**32 + dy``, and adding it is exact; the cells it
-        yields belong to the merged patch, so they keep ``|y| < 2**31`` and
-        with it the ``(x, y)`` order of their keys.
-
-        The smaller patch's cells move into the larger patch (the guest's on
-        a tie); the overlap and seam checks scan the smaller one, which the
-        symmetric seam rule allows.  The shifted cells are built and checked
-        for overlap in one pass: refused when a moved cell overlaps the
-        other patch (fungible duplicate content from another replica).  A
-        mismatched seam raises :class:`InconsistentSignatures` (``merge seam
-        mismatch``) from :meth:`_place`.  The merged patch is ``host``, with
-        its id: when the host moved, it takes over the guest's cells and
-        ledger, re-keyed to the host's id.
-        """
-        if len(guest.cells) <= len(host.cells):
-            small, big, shift = guest, host, offset
-        else:
-            small, big, shift = host, guest, -offset
-        occupied = big.cells
-        shifted = {}
-        for pos, piece in small.cells.items():
-            pos += shift
-            if pos in occupied:
-                return None
-            shifted[pos] = piece
-        self._place(big, shifted, "merge seam mismatch")
-        for cell in list(small.slots):
-            self._close(small, cell)
-        del self.patches[guest.patch_id]
-        self.merges += 1
-        self.cells_moved += len(shifted)
-        if big is host:
-            return 0
-        for cell, keys in guest.slots.items():
-            for key in keys:
-                slots = self.req_index[key]
-                slots.remove((guest.patch_id, cell))
-                slots.add((host.patch_id, cell))
-        host.cells, host.slots = guest.cells, guest.slots
-        return shift
-
-    def _bridge_from(
-        self, patch: _Patch, pos: int, sides: list[tuple[int, str]]
-    ) -> None:
-        """Merge into ``patch`` the patches that its new piece at ``pos``
-        bridges to: on each of its open ``sides``, as :meth:`_place` filed
-        them, the first foreign patch that does not overlap.  A side whose
-        signature no slot demands is passed over at once.
-
-        Only the new piece is bridged from; cells that merges move are not,
-        as they would find nothing.  A moved cell gains no open side, so
-        every pair of an open side and a matching foreign slot was tried
-        when the later of their two pieces was placed.  A merge refused then
-        was refused for overlap, or passed over after a merge on the same
-        side filled the cell its patch needed, and overlap only grows as
-        patches merge.  When a merge moves the host's cells, ``pos`` follows
-        them.
-        """
-        for d, sig in sides:
-            # A foreign slot demanding edge[d] == sig can be aligned so that
-            # this piece fills it.
-            demanding = self.req_index.get((d, sig))
-            if demanding is None:
-                continue
-            if pos + _STEPS[d] in patch.cells:
-                continue  # an earlier side's merge filled this one
-            for patch_id, slot in sorted(demanding):
-                if patch_id == patch.patch_id:
-                    continue
-                moved = self._try_merge(patch, self.patches[patch_id], pos - slot)
-                if moved is not None:
-                    pos += moved
-                    break
-
-    # -- public API ----------------------------------------------------------
-
-    def add(self, piece: Piece, draw_index: int) -> None:
-        """Greedy step: attach to the oldest matching open slot, the least
-        minimum of the requirement buckets its signatures name, else seed a
-        new patch; bridge from the open sides :meth:`_place` filed for the
-        piece (from a new seed this finds nothing: no slot demands its
-        signatures), then close the patch if complete.  No bucket is keyed
-        by the boundary mark, so a boundary side names none."""
-        get = self.req_index.get
-        slot = None
-        for key in enumerate(piece.edges):  # type: ignore[arg-type]
-            bucket = get(key)
-            if bucket is not None:
-                least = min(bucket)
-                if slot is None or least < slot:
-                    slot = least
-        if slot is not None:
-            patch_id, pos = slot
-            patch = self.patches[patch_id]
-        else:
-            patch, pos = _Patch(self.next_patch_id), 0
-            self.next_patch_id += 1
-            self.patches[patch.patch_id] = patch
-        sides = self._place(patch, {pos: piece}, "piece does not fit its matched slot")
-        self._bridge_from(patch, pos, sides)
-        self.placements += 1
-        if not patch.slots and _board(patch.cells).is_full_rectangle():
-            del self.patches[patch.patch_id]
-            self.completed.append((patch, draw_index))
-
-    def completed_boards(self) -> list[tuple[Board, int]]:
-        """Canonicalized finished boards with their completing draw index."""
-        return [
-            (_board(patch.cells).canonical(), draw_index)
-            for patch, draw_index in self.completed
-        ]
 
 
 # --- the games --------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every narrative demo runs to the end against the library in ``src``."""
+"""Every narrative demo runs to the end against the library in ``src``,
+with warnings turned into errors as in the tests."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         capture_output=True,
         text=True,
         env=env,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from factlaw import (
     AMBIGUOUS_EDGES,
     AmbiguousStream,
-    BorderAssembler,
     BudgetExhausted,
     ComplexifiedEvent,
     HiddenForm,
@@ -32,6 +32,8 @@ from factlaw import (
     label_projection,
     run_frequency_experiment,
 )
+from factlaw.integration import _STEPS, _Replicas
+from factlaw.puzzle import _OPPOSITE, _solve_scanline
 from oracles import (
     chi_square_quantile_df2,
     chi_square_statistic,
@@ -247,8 +249,8 @@ def test_integration_is_seed_independent(reference_form):
     ids=("seed0", "seed1", "seed2"),
 )
 def test_integration_interleaving_is_pinned(reference_form, seed, events, log):
-    # With-replacement streams repeat events, so attachment and bridge-merge
-    # order decide which duplicates join which replica and when each closes.
+    # With-replacement streams repeat events; replica j closes once every
+    # cell has been drawn j times.
     result = integrate(complexified_phenomenon(reference_form, seed))
     assert result.events_consumed == events
     assert result.completion_log == log
@@ -302,6 +304,22 @@ def test_ambiguous_stream_is_rejected():
     assert str(caught.value) == (
         "event 5: piece does not fit its matched slot;"
         " integration needs unique edge signatures"
+    )
+
+
+def test_merge_seam_clash_is_rejected():
+    # Event 4 matches event 3 on its E side and event 1 on its S side; the
+    # bridge puts event 2 under event 3, whose S signature it does not show.
+    events = [
+        ComplexifiedEvent(1, 1, ("v0", "h0", B, B)),
+        ComplexifiedEvent(1, 2, ("v1", B, B, "h0")),
+        ComplexifiedEvent(1, 3, (B, B, "v9", "h1")),
+        ComplexifiedEvent(1, 4, (B, "h1", "v0", B)),
+    ]
+    with pytest.raises(AmbiguousStream) as caught:
+        integrate(iter(events), IntegrationConfig(confirmation_replicas=1))
+    assert str(caught.value) == (
+        "event 4: merge seam mismatch; integration needs unique edge signatures"
     )
 
 
@@ -393,48 +411,169 @@ def test_integration_recovers_any_small_form(seed):
     assert result.law.atom_probs == {1: Fraction(2, 3), 2: Fraction(1, 3)}
 
 
+def random_form(width, height, seed):
+    """A unique-edge form of the given extents with 1-4 random labels."""
+    cells = width * height
+    if cells == 1:
+        return TRIVIAL_FORM
+    rng = random.Random(seed)
+    q = rng.randint(1, min(4, cells - 1))
+    counts = {j: 1 for j in range(1, q + 1)}
+    for _ in range(cells - q):
+        counts[rng.randint(1, q)] += 1
+    return generate_hidden_form(PaintingSpec(width, height, q, counts, seed=seed))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**31), st.integers(1, 4))
 def test_replicas_complete_at_the_cover_times_of_the_stream(width, height, seed, k):
     # No replica can close before every cell has been drawn once more than
-    # for the previous one; greedy assembly closes each at that very event,
-    # so any change that delays a completion fails here.
-    cells = width * height
-    if cells == 1:
-        form = TRIVIAL_FORM
-    else:
-        rng = random.Random(seed)
-        q = rng.randint(1, min(4, cells - 1))
-        counts = {j: 1 for j in range(1, q + 1)}
-        for _ in range(cells - q):
-            counts[rng.randint(1, q)] += 1
-        form = generate_hidden_form(PaintingSpec(width, height, q, counts, seed=seed))
+    # for the previous one; integration closes each at that very event, so
+    # any change that delays a completion fails here.
+    form = random_form(width, height, seed)
     result = integrate(
         complexified_phenomenon(form, seed), IntegrationConfig(confirmation_replicas=k)
     )
-    expected = cover_times(complexified_phenomenon(form, seed), cells, k)
+    expected = cover_times(complexified_phenomenon(form, seed), width * height, k)
     assert [draw for _, draw in result.completion_log] == expected
     assert result.events_consumed == expected[-1]
 
 
+def retouched(event, edges):
+    return dataclasses.replace(event, edge_sigs=tuple(edges))
+
+
+def half_turn(cells, rng):
+    i = rng.randrange(len(cells))
+    n, e, s, w = cells[i].edge_sigs
+    return {cells[i]: retouched(cells[i], (s, w, n, e))}
+
+
+def swap_two_sides(cells, rng):
+    i = rng.randrange(len(cells))
+    edges = list(cells[i].edge_sigs)
+    a, b = rng.sample(range(4), 2)
+    edges[a], edges[b] = edges[b], edges[a]
+    return {cells[i]: retouched(cells[i], edges)}
+
+
+def swap_side(cells, i, j, side):
+    first, second = list(cells[i].edge_sigs), list(cells[j].edge_sigs)
+    first[side], second[side] = second[side], first[side]
+    return {cells[i]: retouched(cells[i], first), cells[j]: retouched(cells[j], second)}
+
+
+def swap_side_between_cells(cells, rng):
+    i, j = rng.sample(range(len(cells)), 2)
+    return swap_side(cells, i, j, rng.randrange(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(2, 5),
+    st.integers(0, 2**31),
+    st.integers(1, 4),
+    st.sampled_from(
+        [half_turn, swap_two_sides, swap_side_between_cells, "interleave", "stray"]
+    ),
+)
+def test_every_law_is_certified_by_the_scanline_search(
+    width, height, seed, k, tampering
+):
+    # Integration either refuses a tampered stream, or the distinct events
+    # it counted tile one board on their own, as the border game's
+    # exhaustive search proves.
+    form = random_form(width, height, seed)
+    rng = random.Random(seed)
+    events = list(itertools.islice(complexified_phenomenon(form, seed), 2000))
+    other = random_form(width, height, seed + 1)
+    strays = list(itertools.islice(complexified_phenomenon(other, seed), 2000))
+    if tampering == "interleave":
+        events = [e for pair in zip(events, strays) for e in pair]
+    elif tampering == "stray":
+        for stray in strays[:3]:
+            events.insert(rng.randrange(len(events) + 1), stray)
+    else:
+        swap = tampering(form.cells, rng)
+        events = [swap.get(event, event) for event in events]
+    try:
+        result = integrate(iter(events), IntegrationConfig(confirmation_replicas=k))
+    except (AmbiguousStream, BudgetExhausted, InconsistentReplicas):
+        return
+    counted = [
+        event
+        for event in dict.fromkeys(events[: result.events_consumed])
+        if (event.label_r, event.complexification_r_prime) in result.per_pair_counts
+    ]
+    report = _solve_scanline(counted, [event.edge_sigs for event in counted], None)
+    assert report is not None and report.completed_replicas == 1
+    assert len(counted) == result.n_phi_total
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_each_event_reaches_the_assembler_k_times(reference_form, k, monkeypatch):
-    placed = {}
-    add = BorderAssembler.add
+def test_each_distinct_event_joins_once(reference_form, k, monkeypatch):
+    joined = {}
+    join = _Replicas._join
 
-    def counting_add(self, piece, draw_index):
-        placed[piece.payload] = placed.get(piece.payload, 0) + 1
-        return add(self, piece, draw_index)
+    def counting_join(self, event, number):
+        joined[event] = joined.get(event, 0) + 1
+        return join(self, event, number)
 
-    monkeypatch.setattr(BorderAssembler, "add", counting_add)
+    monkeypatch.setattr(_Replicas, "_join", counting_join)
     result = integrate(
         complexified_phenomenon(reference_form, k),
         IntegrationConfig(confirmation_replicas=k),
     )
-    # By the k-th cover time every cell has been drawn at least k times.
-    assert placed == dict.fromkeys(reference_form.cells, k)
+    # Later copies only raise counts, however many replicas are awaited.
+    assert joined == dict.fromkeys(reference_form.cells, 1)
     expected = cover_times(complexified_phenomenon(reference_form, k), 100, k)
     assert result.events_consumed == expected[-1]
+
+
+def assert_groups_are_consistent(replicas):
+    # White box: each group's open count equals a recount, and every
+    # partner pair, two events showing one signature on facing sides, lies
+    # in one group, so no bridge was left undone.
+    groups = {id(group): group for group, _ in replicas.where.values()}
+    for group in groups.values():
+        recount = sum(
+            sig != B and pos + _STEPS[d] not in group.cells
+            for pos, event in group.cells.items()
+            for d, sig in enumerate(event.edge_sigs)
+        )
+        assert group.open == recount
+    for event, (group, _) in replicas.where.items():
+        for d, sig in enumerate(event.edge_sigs):
+            shown = replicas.shown.get((_OPPOSITE[d], sig))
+            if sig != B and shown is not None:
+                assert replicas.where[shown[1]][0] is group
+
+
+def swapped_stream(form, seed):
+    # Cells 44 and 45 trade their N signatures: no pair repeats, but the
+    # two cells bridge groups at the wrong places until a seam clashes.
+    swap = swap_side(form.cells, 44, 45, 0)
+    return (swap.get(event, event) for event in complexified_phenomenon(form, seed))
+
+
+@pytest.mark.parametrize(
+    "stream, clash",
+    [(complexified_phenomenon, None), (swapped_stream, "event 94: merge seam mismatch")],
+    ids=("unique", "swapped"),
+)
+def test_groups_stay_consistent_after_every_event(reference_form, stream, clash):
+    replicas = _Replicas(3)
+    try:
+        for number, event in enumerate(stream(reference_form, 8), 1):
+            replicas.add(event, number)
+            assert_groups_are_consistent(replicas)
+            if len(replicas.completed) == 3:
+                break
+    except AmbiguousStream as exc:
+        assert str(exc).startswith(f"{clash};")
+    else:
+        assert clash is None
 
 
 def unique_form_documents():
