@@ -1,7 +1,14 @@
 import pytest
 
-from factlaw import PaintingSpec, RandomPhenomenon, Universe, generate_painting
-from factlaw.integration import generate_hidden_form
+from factlaw import (
+    BOUNDARY,
+    PaintingSpec,
+    RandomPhenomenon,
+    Universe,
+    generate_painting,
+)
+from factlaw.integration import _STEPS, generate_hidden_form
+from factlaw.puzzle import _OPPOSITE
 
 # The 10x10 three-label painting with a 60/30/10 split that most scenario
 # tests revolve around.
@@ -27,3 +34,26 @@ def reference_form():
 @pytest.fixture()
 def fair_coin():
     return RandomPhenomenon("weighted-draw", Universe((1, 2)), (1, 1), seed=0)
+
+
+def assert_open_counts_are_recounted(replicas):
+    # White box: each group's open count equals a recount of the sides
+    # that face an empty cell of that group.
+    groups = {id(group): group for group, _ in replicas.where.values()}
+    for group in groups.values():
+        recount = sum(
+            sig != BOUNDARY and pos + _STEPS[d] not in group.cells
+            for pos, event in group.cells.items()
+            for d, sig in enumerate(event.edge_sigs)
+        )
+        assert group.open == recount
+
+
+def assert_no_partner_pair_spans_groups(replicas):
+    # White box: every partner pair, two events showing one signature on
+    # facing sides, lies in one group, so no bridge was left undone.
+    for event, (group, _) in replicas.where.items():
+        for d, sig in enumerate(event.edge_sigs):
+            shown = replicas.shown.get((_OPPOSITE[d], sig))
+            if sig != BOUNDARY and shown is not None:
+                assert replicas.where[shown[1]][0] is group

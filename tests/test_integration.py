@@ -32,8 +32,8 @@ from factlaw import (
     label_projection,
     run_frequency_experiment,
 )
-from factlaw.integration import _STEPS, _Replicas
-from factlaw.puzzle import _OPPOSITE, _solve_scanline
+from factlaw.integration import _Replicas
+from factlaw.puzzle import _solve_scanline
 from oracles import (
     chi_square_quantile_df2,
     chi_square_statistic,
@@ -41,7 +41,11 @@ from oracles import (
     cover_times,
 )
 
-from conftest import REFERENCE_SPEC
+from conftest import (
+    REFERENCE_SPEC,
+    assert_no_partner_pair_spans_groups,
+    assert_open_counts_are_recounted,
+)
 
 B = "B"
 BLANK = (B, B, B, B)
@@ -532,22 +536,8 @@ def test_each_distinct_event_joins_once(reference_form, k, monkeypatch):
 
 
 def assert_groups_are_consistent(replicas):
-    # White box: each group's open count equals a recount, and every
-    # partner pair, two events showing one signature on facing sides, lies
-    # in one group, so no bridge was left undone.
-    groups = {id(group): group for group, _ in replicas.where.values()}
-    for group in groups.values():
-        recount = sum(
-            sig != B and pos + _STEPS[d] not in group.cells
-            for pos, event in group.cells.items()
-            for d, sig in enumerate(event.edge_sigs)
-        )
-        assert group.open == recount
-    for event, (group, _) in replicas.where.items():
-        for d, sig in enumerate(event.edge_sigs):
-            shown = replicas.shown.get((_OPPOSITE[d], sig))
-            if sig != B and shown is not None:
-                assert replicas.where[shown[1]][0] is group
+    assert_open_counts_are_recounted(replicas)
+    assert_no_partner_pair_spans_groups(replicas)
 
 
 def swapped_stream(form, seed):

@@ -17,10 +17,12 @@ from factlaw import (
     PaintingSpec,
     Piece,
     UnsolvablePool,
+    complexified_phenomenon,
     generate_painting,
     solve_by_borders,
     solve_by_location,
 )
+from factlaw.integration import _Replicas
 from factlaw.puzzle import (
     E,
     N,
@@ -28,7 +30,11 @@ from factlaw.puzzle import (
     _solve_scanline,
 )
 
-from conftest import REFERENCE_SPEC
+from conftest import (
+    REFERENCE_SPEC,
+    assert_no_partner_pair_spans_groups,
+    assert_open_counts_are_recounted,
+)
 from oracles import cover_times
 
 
@@ -191,6 +197,33 @@ def test_replicas_close_at_the_cover_times_of_the_draws(data):
     stream = [fragment.entity_id for fragment in pool.fragments]
     expected = cover_times(stream, spec.width * spec.height, replicas)
     assert solve_by_borders(pool).completion_order == tuple(enumerate(expected))
+
+
+def streamed_events(form):
+    return complexified_phenomenon(form, 8)
+
+
+def add_until_three_close(form, events, check):
+    # Three intermingled replicas of the reference form, checked after
+    # every event through attachments, bridges and closings.
+    replicas = _Replicas(3)
+    for number, event in enumerate(events(form), 1):
+        replicas.add(event, number)
+        check(replicas)
+        if len(replicas.completed) == 3:
+            break
+    assert len(replicas.completed) == 3
+
+
+@pytest.mark.parametrize("events", [streamed_events], ids=("stream",))
+def test_no_mergeable_pair_is_left_after_any_add(reference_form, events):
+    add_until_three_close(reference_form, events, assert_no_partner_pair_spans_groups)
+
+
+@pytest.mark.parametrize("events", [streamed_events], ids=("stream",))
+def test_slot_ledgers_agree_with_the_requirement_index(reference_form, events):
+    # A group's open count is its ledger of slots still to fill.
+    add_until_three_close(reference_form, events, assert_open_counts_are_recounted)
 
 
 def with_edges(fragment, edges):
