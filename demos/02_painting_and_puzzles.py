@@ -1,4 +1,4 @@
-"""The parcelled painting and its two reconstruction games.
+"""The parcelled painting and its three reconstruction games.
 
 A painting is a W x H grid of tiles: each tile has a unique colour form, an
 approximate-colour label, and four edge signatures that are boundary marks

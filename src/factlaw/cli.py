@@ -3,8 +3,9 @@
 Commands: gen-painting, play-puzzle, play-prob-game, validate-space, lln,
 integrate, end-to-end, reproduce.  All randomness flows from explicit seeds
 (a run without one fails validation), results are written as canonical JSON
-or CSV, and every file-producing run also writes a RunManifest recording
-input/output digests so `reproduce` can re-run it and diff byte-for-byte.
+or CSV, and every file-producing run also writes a manifest of its params and
+input/output digests, which `reproduce` validates as a config, re-runs and
+diffs byte-for-byte.
 
 Each command is declared once, in ``_COMMANDS``: its parameter table, its
 output key and its worker.  Config validation, the argument parser and
@@ -142,44 +143,40 @@ class Command:
     keys: Mapping[str, tuple[Callable[[Any, str], Any], bool, str | None]]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A validated parameter block for one command."""
+def validate_params(
+    command: str, params: Mapping[str, Any], schema_version: Any = SCHEMA_VERSION
+) -> dict[str, Any]:
+    """Read ``params`` through ``command``'s table; raise ConfigError on a fault.
 
-    command: str
-    params: Mapping[str, Any]
-    schema_version: int = SCHEMA_VERSION
-
-    def __post_init__(self) -> None:
-        if self.schema_version != SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported schema_version {self.schema_version!r}"
-            )
-        command = _COMMANDS.get(self.command)
-        if command is None:
-            raise ConfigError(f"unknown command {self.command!r}")
-        params = dict(self.params)
-        unknown = set(params) - set(command.keys)
-        if unknown:
-            raise ConfigError(f"unknown parameters for {self.command}: {sorted(unknown)}")
-        validated = {}
-        for key, (cast, required, _) in command.keys.items():
-            if key in params and params[key] is not None:
-                try:
-                    validated[key] = cast(params[key], key)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
-            elif required:
-                raise ConfigError(f"{self.command} requires parameter {key!r}")
-        object.__setattr__(self, "params", validated)
+    The checks run in order: the schema version, the command, unknown keys,
+    then each key's caster.  A key set to None counts as absent.
+    """
+    if schema_version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {schema_version!r}")
+    table = _COMMANDS.get(command)
+    if table is None:
+        raise ConfigError(f"unknown command {command!r}")
+    unknown = set(params) - set(table.keys)
+    if unknown:
+        raise ConfigError(f"unknown parameters for {command}: {sorted(unknown)}")
+    validated = {}
+    for key, (cast, required, _) in table.keys.items():
+        if params.get(key) is not None:
+            try:
+                validated[key] = cast(params[key], key)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        elif required:
+            raise ConfigError(f"{command} requires parameter {key!r}")
+    return validated
 
 
 def load_config(
     command: str,
     config_path: str | None,
     overrides: Mapping[str, Any] | None = None,
-) -> ExperimentConfig:
-    """Merge a JSON config file with CLI overrides and validate the result."""
+) -> dict[str, Any]:
+    """Merge a JSON config file with CLI overrides; return the validated params."""
     params: dict[str, Any] = {}
     schema_version = SCHEMA_VERSION
     if config_path is not None:
@@ -207,55 +204,7 @@ def load_config(
     for key, value in (overrides or {}).items():
         if value is not None:
             params[key] = value
-    return ExperimentConfig(command, params, schema_version)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to re-run a command and diff its outputs."""
-
-    command: str
-    params: Mapping[str, Any]
-    config_hash: str
-    seeds: tuple[int, ...]
-    artifact_version: str
-    inputs: Mapping[str, str]
-    outputs: Mapping[str, str]
-    wall_clock_s: float
-    schema_version: int = SCHEMA_VERSION
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "params": _jsonable_params(self.params),
-            "config_hash": self.config_hash,
-            "seeds": list(self.seeds),
-            "artifact_version": self.artifact_version,
-            "inputs": dict(self.inputs),
-            "outputs": dict(self.outputs),
-            "wall_clock_s": self.wall_clock_s,
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "RunManifest":
-        """Read a manifest whose params the command's table accepts."""
-        params = dict(doc["params"])
-        try:
-            ExperimentConfig(doc["command"], params)
-        except ConfigError as exc:
-            raise ValueError(str(exc)) from None
-        return cls(
-            command=doc["command"],
-            params=params,
-            config_hash=doc["config_hash"],
-            seeds=tuple(doc["seeds"]),
-            artifact_version=doc["artifact_version"],
-            inputs=dict(doc["inputs"]),
-            outputs=dict(doc["outputs"]),
-            wall_clock_s=doc["wall_clock_s"],
-            schema_version=doc.get("schema_version", SCHEMA_VERSION),
-        )
+    return validate_params(command, params, schema_version)
 
 
 def _jsonable_params(params: Mapping[str, Any]) -> dict[str, Any]:
@@ -263,10 +212,6 @@ def _jsonable_params(params: Mapping[str, Any]) -> dict[str, Any]:
         key: fraction_to_str(value) if isinstance(value, Fraction) else value
         for key, value in params.items()
     }
-
-
-def _config_hash(command: str, params: Mapping[str, Any]) -> str:
-    return sha256_of_doc({"command": command, "params": _jsonable_params(params)})
 
 
 # --- command workers --------------------------------------------------------
@@ -663,13 +608,13 @@ def run(
 ) -> int:
     """Validate, dispatch, write outputs plus a manifest; return the exit code."""
     try:
-        config = load_config(command, config_path, overrides)
+        params = load_config(command, config_path, overrides)
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2
     started = time.monotonic()
     try:
-        status, outputs, inputs, seeds = _COMMANDS[command].worker(config.params)
+        status, outputs, inputs, seeds = _COMMANDS[command].worker(params)
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2
@@ -677,28 +622,47 @@ def run(
         _emit_error("runtime", exc)
         return 1
     if outputs:
-        manifest = RunManifest(
-            command=command,
-            params=config.params,
-            config_hash=_config_hash(command, config.params),
-            seeds=tuple(seeds),
-            artifact_version=__version__,
-            inputs=inputs,
-            outputs=outputs,
-            wall_clock_s=round(time.monotonic() - started, 6),
-        )
-        primary_out = config.params.get(_COMMANDS[command].out)
-        dump_json(manifest.to_doc(), str(primary_out) + ".manifest.json")
+        jsonable = _jsonable_params(params)
+        manifest = {
+            "command": command,
+            "params": jsonable,
+            "config_hash": sha256_of_doc({"command": command, "params": jsonable}),
+            "seeds": list(seeds),
+            "artifact_version": __version__,
+            "inputs": inputs,
+            "outputs": outputs,
+            "wall_clock_s": round(time.monotonic() - started, 6),
+            "schema_version": SCHEMA_VERSION,
+        }
+        primary_out = params.get(_COMMANDS[command].out)
+        dump_json(manifest, str(primary_out) + ".manifest.json")
     if status != 0:
         failure = CheckFailed(f"{command}: a check failed; see its output document")
         _emit_error("check", failure)
     return status
 
 
+def _read_manifest(doc: Any) -> tuple[str, dict, dict[str, str], dict[str, str]]:
+    """A manifest's command, params, inputs and outputs.
+
+    A manifest is a wrapped config (``command``, ``schema_version``,
+    ``params``), which :func:`validate_params` reads, plus the record of the
+    run that :func:`run` wrote.  A record field that is missing or does not
+    convert makes the manifest malformed, although only inputs and outputs
+    are read.
+    """
+    command, params = doc["command"], dict(doc["params"])
+    validate_params(command, params, doc.get("schema_version", SCHEMA_VERSION))
+    tuple(doc["seeds"]), doc["config_hash"], doc["artifact_version"], doc["wall_clock_s"]
+    return command, params, dict(doc["inputs"]), dict(doc["outputs"])
+
+
 def reproduce(manifest_path: str) -> int:
     """Re-run a manifest in a scratch directory and diff output digests."""
     try:
-        manifest, _ = _load_input(manifest_path, "manifest", RunManifest.from_doc)
+        (command, params, inputs, outputs), _ = _load_input(
+            manifest_path, "manifest", _read_manifest
+        )
     except MissingInput as exc:
         _emit_error("runtime", exc)
         return 1
@@ -706,7 +670,7 @@ def reproduce(manifest_path: str) -> int:
         _emit_error("config", exc)
         return 2
     failures = []
-    for path, digest in manifest.inputs.items():
+    for path, digest in inputs.items():
         if not os.path.exists(path):
             _emit_error("runtime", MissingInput(f"input not found: {path}"))
             return 1
@@ -715,19 +679,18 @@ def reproduce(manifest_path: str) -> int:
         print(line)
         if actual != digest:
             failures.append(line)
-    out_key = _COMMANDS[manifest.command].out
+    out_key = _COMMANDS[command].out
     with tempfile.TemporaryDirectory(prefix="factlaw-reproduce-") as scratch:
-        params = dict(manifest.params)
         rerun_map = {}
-        for recorded_path in manifest.outputs:
+        for recorded_path in outputs:
             fresh = str(Path(scratch) / Path(recorded_path).name)
             rerun_map[recorded_path] = fresh
         if params.get(out_key) in rerun_map:
             params[out_key] = rerun_map[params[out_key]]
-        status = run(manifest.command, None, params)
+        status = run(command, None, params)
         if status == 2:
             return 2
-        for recorded_path, recorded_digest in manifest.outputs.items():
+        for recorded_path, recorded_digest in outputs.items():
             fresh = rerun_map[recorded_path]
             if not os.path.exists(fresh):
                 line = f"output {recorded_path}: MISSING on re-run"

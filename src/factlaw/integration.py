@@ -250,7 +250,6 @@ def label_projection(form: HiddenForm, seed: int = 0) -> RandomPhenomenon:
         universe=universe,
         weights=tuple(counts[r] for r in universe.elements),
         seed=seed,
-        provenance=f"hidden_form:{form_digest(form)}",
     )
 
 

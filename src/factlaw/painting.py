@@ -259,15 +259,13 @@ def generate_painting(spec: PaintingSpec) -> Painting:
         alphabet = max(2, len(seams) // 3)
         sig_of = {seam: f"a{rng.randrange(alphabet):03d}" for seam in seams}
 
-    def seam_sig(a: tuple[int, int], b: tuple[int, int]) -> str:
-        return sig_of[(a, b) if (a, b) in sig_of else (b, a)]
-
+    # Each seam is keyed (lower/left cell, upper/right cell), as stored.
     tiles = []
     for i, (x, y) in enumerate(cells):
-        n = seam_sig((x, y), (x, y + 1)) if y < h else BOUNDARY
-        e = seam_sig((x, y), (x + 1, y)) if x < w else BOUNDARY
-        s = seam_sig((x, y - 1), (x, y)) if y > 1 else BOUNDARY
-        west = seam_sig((x - 1, y), (x, y)) if x > 1 else BOUNDARY
+        n = sig_of[(x, y), (x, y + 1)] if y < h else BOUNDARY
+        e = sig_of[(x, y), (x + 1, y)] if x < w else BOUNDARY
+        s = sig_of[(x, y - 1), (x, y)] if y > 1 else BOUNDARY
+        west = sig_of[(x - 1, y), (x, y)] if x > 1 else BOUNDARY
         tiles.append(Tile((x, y), form_ids[i], labels[i], (n, e, s, west)))
     return Painting(w, h, q, tuple(tiles))
 
@@ -401,5 +399,5 @@ def painting_from_doc(doc: Mapping[str, Any]) -> Painting:
 
 
 def painting_digest(painting: Painting) -> str:
-    """Stable content digest used as the painting's identity in provenance."""
+    """A short, stable digest of the painting's canonical document."""
     return sha256_of_doc(painting_to_doc(painting))[:12]

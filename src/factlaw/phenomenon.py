@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import repeat, starmap
 from typing import Any, Mapping, Sequence
 
-from .painting import Painting, label_histogram, painting_digest
+from .painting import Painting, label_histogram
 from .prob import (
     EventAlgebra,
     ForeignElement,
@@ -78,7 +78,6 @@ class RandomPhenomenon:
     universe: Universe
     weights: tuple[int, ...]
     seed: int = 0
-    provenance: str = "none"
     _cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -189,7 +188,6 @@ def probabilise_painting(painting: Painting, seed: int = 0) -> RandomPhenomenon:
         universe=universe,
         weights=weights,
         seed=seed,
-        provenance=f"painting:{painting_digest(painting)}",
     )
 
 

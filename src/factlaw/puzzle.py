@@ -41,6 +41,9 @@ class UnsolvablePool(Exception):
     """
 
 
+_NO_ASSEMBLY = "no consistent assembly found"
+
+
 class InconsistentSignatures(Exception):
     """Signatures contradict: :meth:`Board.validate_edges` found a board
     with a mismatched seam."""
@@ -255,17 +258,14 @@ def solve_by_borders(
     for fragment in draws:
         if fragment.grid_coords is not None:
             raise ValueError("border-game fragments must not carry coordinates")
-    report = _solve_scanline(draws, [_edges_of(f) for f in draws], trial_budget)
-    if report is None:
-        raise UnsolvablePool("no consistent assembly found")
-    return report
+    return _solve_scanline(draws, [_edges_of(f) for f in draws], trial_budget)
 
 
 def _solve_scanline(
     draws: Sequence[Description],
     sigs: Sequence[tuple[str, str, str, str]],
     trial_budget: int | None,
-) -> AssemblyReport | None:
+) -> AssemblyReport:
     """Fill every cell of every board in raster order, backtracking on one stack.
 
     The boundary marks fix the layout: each board has one piece with
@@ -278,23 +278,23 @@ def _solve_scanline(
     Pieces with equal edge tuples are interchangeable, so one per tuple is
     tried; with unique signatures no cell has a second, so trials equal
     pieces.  Backtracking crosses board boundaries, so an exhausted stack
-    proves that no assembly exists: then the result is None.  Raises
-    :class:`UnsolvablePool` when ``trial_budget`` runs out first; the
-    default, 100 000 plus the number of pieces, suffices whenever no
-    backtracking is needed.  Identical pieces go out in draw order, so on
-    replicas of one painting board ``j`` closes at the ``j``-th cover time
-    of the draws.
+    proves that no assembly exists.  Raises :class:`UnsolvablePool` with
+    "no consistent assembly found" when none exists, and with "trial budget
+    N exhausted" when ``trial_budget`` runs out first; the default, 100 000
+    plus the number of pieces, suffices whenever no backtracking is needed.
+    Identical pieces go out in draw order, so on replicas of one painting
+    board ``j`` closes at the ``j``-th cover time of the draws.
     """
     budget = trial_budget if trial_budget is not None else 100_000 + len(draws)
     boards = sum(e[S] == BOUNDARY and e[W] == BOUNDARY for e in sigs)
     bottom = sum(e[S] == BOUNDARY for e in sigs)
     left = sum(e[W] == BOUNDARY for e in sigs)
     if not boards or bottom % boards or left % boards:
-        return None
+        raise UnsolvablePool(_NO_ASSEMBLY)
     width, height = bottom // boards, left // boards
     cells = boards * width * height
     if cells != len(draws):
-        return None
+        raise UnsolvablePool(_NO_ASSEMBLY)
 
     # Draw indices of the pieces sharing each edge tuple, in draw order.
     groups: dict[tuple, list[int]] = {}
@@ -323,7 +323,7 @@ def _solve_scanline(
         if edges is None:
             stack.pop()
             if not stack:
-                return None
+                raise UnsolvablePool(_NO_ASSEMBLY)
             stock[chosen.pop()] += 1
             continue
         trials += 1

@@ -21,7 +21,13 @@ from factlaw import (
 )
 from factlaw.cli import _COMMANDS, main, run
 from factlaw.integration import generate_hidden_form
-from factlaw.serialize import dump_json, fraction_to_str, load_json, sha256_of_file
+from factlaw.serialize import (
+    dump_json,
+    fraction_to_str,
+    load_json,
+    sha256_of_doc,
+    sha256_of_file,
+)
 
 from conftest import REFERENCE_SPEC
 
@@ -869,17 +875,27 @@ FLAGGED_KEYS = [
 ]
 
 
+def write_flag_inputs():
+    """Write the input files that FLAG_VALUES names to the working directory."""
+    dump_json(SMALL_SPEC.to_doc(), "spec.json")
+    dump_json(painting_to_doc(generate_painting(SMALL_SPEC)), "painting.json")
+    dump_json(generate_hidden_form(SMALL_SPEC).to_doc(), "form.json")
+    dump_json({"universe": [1, 2], "law": HALVES}, "space.json")
+
+
+def flag_config(command):
+    """FLAG_VALUES[command] as a config; lln gets its config-only keys too."""
+    config_only = {k: v for k, v in LLN_META.items() if k != "seed"}
+    return dict(config_only if command == "lln" else {}, **FLAG_VALUES[command])
+
+
 @pytest.mark.parametrize("command, key", FLAGGED_KEYS)
 def test_flag_and_config_key_write_the_same_manifest(
     tmp_path, monkeypatch, command, key
 ):
     monkeypatch.chdir(tmp_path)
-    dump_json(SMALL_SPEC.to_doc(), "spec.json")
-    dump_json(painting_to_doc(generate_painting(SMALL_SPEC)), "painting.json")
-    dump_json(generate_hidden_form(SMALL_SPEC).to_doc(), "form.json")
-    dump_json({"universe": [1, 2], "law": HALVES}, "space.json")
-    config_only = {k: v for k, v in LLN_META.items() if k != "seed"}
-    values = dict(config_only if command == "lln" else {}, **FLAG_VALUES[command])
+    write_flag_inputs()
+    values = flag_config(command)
     manifest = Path(values[_COMMANDS[command].out] + ".manifest.json")
 
     def params_and_hash(params, argv):
@@ -893,6 +909,25 @@ def test_flag_and_config_key_write_the_same_manifest(
     rest = {k: v for k, v in values.items() if k != key}
     from_flag = params_and_hash(rest, [flag_of(key), str(values[key])])
     assert from_flag == from_config
+
+
+# sha256 of the manifests that test_manifest_format_is_pinned writes, each
+# without its wall_clock_s.  They hold the digests of the inputs and outputs
+# too, so any change to a manifest field or to an output document moves it.
+MANIFESTS_SHA256 = "de7d9eaea913cc74b635420e1efd37f20a2ded8cc19ce23276edf63e6fd7080a"
+
+
+def test_manifest_format_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_flag_inputs()
+    manifests = {}
+    for command in FLAG_VALUES:
+        dump_json(flag_config(command), "config.json")
+        assert main([command, "--config", "config.json"]) == 0
+        manifest = load_json("out.json.manifest.json")
+        del manifest["wall_clock_s"]
+        manifests[command] = manifest
+    assert sha256_of_doc(manifests) == MANIFESTS_SHA256
 
 
 def test_lln_help_lists_no_config_only_key(capsys):
@@ -1105,6 +1140,28 @@ def test_reproduce_rejects_broken_manifest(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["reproduce", "--manifest", str(path)]) == 2
     assert read_error(capsys)["error"] == "config"
+
+
+@pytest.mark.parametrize("version", [99, None], ids=["99", "absent"])
+def test_reproduce_reads_schema_version_as_config_does(
+    tmp_path, spec_file, capsys, version
+):
+    out = tmp_path / "p.json"
+    assert main(["gen-painting", "--spec", spec_file, "--out", str(out)]) == 0
+    manifest_path = str(out) + ".manifest.json"
+    manifest = load_json(manifest_path)
+    if version is None:
+        del manifest["schema_version"]
+    else:
+        manifest["schema_version"] = version
+    dump_json(manifest, manifest_path)
+    capsys.readouterr()
+    code = main(["reproduce", "--manifest", manifest_path])
+    if version is None:
+        assert code == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "reproduce: pass"
+    else:
+        assert_config_error(code, capsys)
 
 
 @pytest.mark.parametrize("out", [["x"], {"a": 1}], ids=["list", "object"])

@@ -163,7 +163,6 @@ def test_label_projection_matches_form_counts(reference_form):
     ph = label_projection(reference_form, seed=2)
     assert ph.universe.elements == (1, 2, 3)
     assert ph.weights == (60, 30, 10)
-    assert ph.provenance == f"hidden_form:{form_digest(reference_form)}"
 
 
 def test_label_projection_passes_goodness_of_fit(reference_form):
@@ -511,7 +510,7 @@ def test_every_law_is_certified_by_the_scanline_search(
         if (event.label_r, event.complexification_r_prime) in result.per_pair_counts
     ]
     report = _solve_scanline(counted, [event.edge_sigs for event in counted], None)
-    assert report is not None and report.completed_replicas == 1
+    assert report.completed_replicas == 1
     assert len(counted) == result.n_phi_total
 
 
