@@ -10,6 +10,7 @@ event algebra, law) is validated against the measure axioms by counting.
 from factlaw import (
     PaintingSpec,
     compare_law,
+    event_probability,
     factual_space_from_painting,
     generate_painting,
     probabilise_painting,
@@ -39,6 +40,7 @@ for n in (100, 1_000, 10_000, 100_000):
 print("\nThe factual probability space behind the phenomenon:")
 space = factual_space_from_painting(painting)
 print(f"  events in the algebra: {len(space.algebra.events)}")
+print(f"  P(label 1 or 2)      : {event_probability(space.law, {1, 2})}")
 report = validate_measure(space.law, space.algebra)
 for check in report.checks:
     print(f"  {check.name:<22} {'ok' if check.passed else 'FAILED'}")

@@ -36,8 +36,10 @@ from typing import Any, Callable, Mapping, NoReturn
 
 from . import __version__
 from .integration import (
+    AmbiguousStream,
     HiddenForm,
     IntegrationConfig,
+    check_integrable,
     complexified_phenomenon,
     end_to_end_check,
     integrate as run_integration,
@@ -45,7 +47,6 @@ from .integration import (
 from .painting import (
     PaintingSpec,
     generate_painting,
-    interior_signature_multiset,
     painting_from_doc,
     painting_to_doc,
 )
@@ -148,10 +149,11 @@ def validate_params(
 ) -> dict[str, Any]:
     """Read ``params`` through ``command``'s table; raise ConfigError on a fault.
 
-    The checks run in order: the schema version, the command, unknown keys,
-    then each key's caster.  A key set to None counts as absent.
+    The checks run in order: the schema version (the int 1, not ``true`` or
+    ``1.0``), the command, unknown keys, then each key's caster.  A key set
+    to None counts as absent.
     """
-    if schema_version != SCHEMA_VERSION:
+    if type(schema_version) is not int or schema_version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {schema_version!r}")
     table = _COMMANDS.get(command)
     if table is None:
@@ -476,17 +478,13 @@ def _integration_config(params: Mapping[str, Any]) -> IntegrationConfig:
 
 
 def _load_form(path: str) -> tuple[HiddenForm, dict[str, str]]:
-    """Load a hidden form, refusing one on which an interior signature is on
-    more than one seam: there integration can close a smaller board and
-    report a wrong law."""
+    """Load a hidden form; one that fails :func:`check_integrable` is a
+    config error naming the file."""
     form, inputs = _load_input(path, "hidden form", HiddenForm.from_doc)
-    counts = interior_signature_multiset(cell.edge_sigs for cell in form.cells)
-    for sig, count in counts.items():
-        if count > 2:
-            raise ConfigError(
-                f"hidden form {path}: signature {sig!r} is on {count} sides;"
-                " integration needs unique edge signatures"
-            )
+    try:
+        check_integrable(form)
+    except AmbiguousStream as exc:
+        raise ConfigError(f"hidden form {path}: {exc}") from None
     return form, inputs
 
 
@@ -649,12 +647,19 @@ def _read_manifest(doc: Any) -> tuple[str, dict, dict[str, str], dict[str, str]]
     ``params``), which :func:`validate_params` reads, plus the record of the
     run that :func:`run` wrote.  A record field that is missing or does not
     convert makes the manifest malformed, although only inputs and outputs
-    are read.
+    are read.  So do ``outputs`` that do not name the primary output, which
+    the re-run would otherwise write over.
     """
     command, params = doc["command"], dict(doc["params"])
     validate_params(command, params, doc.get("schema_version", SCHEMA_VERSION))
     tuple(doc["seeds"]), doc["config_hash"], doc["artifact_version"], doc["wall_clock_s"]
-    return command, params, dict(doc["inputs"]), dict(doc["outputs"])
+    outputs = dict(doc["outputs"])
+    out_key = _COMMANDS[command].out
+    if params.get(out_key) not in outputs:
+        raise ConfigError(
+            f"manifest outputs do not name its {out_key} {params.get(out_key)!r}"
+        )
+    return command, params, dict(doc["inputs"]), outputs
 
 
 def reproduce(manifest_path: str) -> int:
@@ -681,12 +686,8 @@ def reproduce(manifest_path: str) -> int:
             failures.append(line)
     out_key = _COMMANDS[command].out
     with tempfile.TemporaryDirectory(prefix="factlaw-reproduce-") as scratch:
-        rerun_map = {}
-        for recorded_path in outputs:
-            fresh = str(Path(scratch) / Path(recorded_path).name)
-            rerun_map[recorded_path] = fresh
-        if params.get(out_key) in rerun_map:
-            params[out_key] = rerun_map[params[out_key]]
+        rerun_map = {path: str(Path(scratch) / Path(path).name) for path in outputs}
+        params[out_key] = rerun_map[params[out_key]]
         status = run(command, None, params)
         if status == 2:
             return 2

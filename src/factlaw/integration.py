@@ -26,12 +26,15 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from .painting import (
     BOUNDARY,
+    OPPOSITE,
     Painting,
     PaintingSpec,
     check_edge_coherence,
     edges_from_doc,
     edges_to_doc,
+    fits,
     generate_painting,
+    interior_signature_multiset,
     label_histogram,
     place_row_major,
 )
@@ -43,7 +46,6 @@ from .phenomenon import (
     run_frequency_experiment,
 )
 from .prob import Measure, Universe
-from .puzzle import _OPPOSITE, _fits
 from .seeding import derive_seed
 from .serialize import read_int, sha256_of_doc
 
@@ -57,9 +59,10 @@ class InconsistentReplicas(RuntimeError):
 
 
 class AmbiguousStream(RuntimeError):
-    """Edges repeat: a new event showed a side and signature that an earlier
-    event already showed, or an event, or a cell a bridge moved, clashed
-    with a neighbour.
+    """Edges repeat: a form carries an interior signature on more than two
+    sides, a new event showed a side and signature that an earlier event
+    already showed, or an event, or a cell a bridge moved, clashed with a
+    neighbour.
 
     Refusing the stream is the true verdict: on an ambiguous form, a smaller
     rectangle can tile from the events seen so far before every cell has
@@ -399,7 +402,7 @@ class _Replicas:
             if sig == BOUNDARY:
                 continue
             # With no partner, the event stands in: its own group.
-            _, partner = self.shown.get((_OPPOSITE[d], sig), (0, event))
+            _, partner = self.shown.get((OPPOSITE[d], sig), (0, event))
             group, pos = self.where[event]
             other, at = self.where[partner]
             if other is not group:
@@ -430,7 +433,7 @@ class _Replicas:
         for pos, event in other.cells.items():
             pos += shift
             around = [have.get(pos + step) for step in _STEPS]
-            if not _fits(
+            if not fits(
                 event.edge_sigs, [None if e is None else e.edge_sigs for e in around]
             ):
                 raise AmbiguousStream(
@@ -458,6 +461,19 @@ def _counts(group: _Group) -> tuple[int, dict[tuple[int, int], int], dict[int, i
         pair_counts[pair] = pair_counts.get(pair, 0) + 1
         label_counts[event.label_r] = label_counts.get(event.label_r, 0) + 1
     return len(group.cells), pair_counts, label_counts
+
+
+def check_integrable(form: HiddenForm) -> None:
+    """Refuse a form on which an interior signature lies on more than one
+    seam: there integration can close a smaller board and report a wrong
+    law.  Raises :class:`AmbiguousStream` naming the first such signature."""
+    counts = interior_signature_multiset(cell.edge_sigs for cell in form.cells)
+    for sig, count in counts.items():
+        if count > 2:
+            raise AmbiguousStream(
+                f"signature {sig!r} is on {count} sides; integration needs"
+                " unique edge signatures"
+            )
 
 
 def integrate(
@@ -494,14 +510,15 @@ def integrate(
     form the replicas agree by construction, so the confirmation replicas
     guard only against corrupt or mixed streams.
 
-    Precondition: the stream comes from a form whose interior signatures
-    each lie on one seam.  The repeated-signature check cannot catch every
-    form that breaks it: a smaller board can close, with a wrong law and no
-    clash, before the cell that shares a signature is ever drawn.  On the
-    strip ``PaintingSpec(3, 1, 2, {1: 1, 2: 2}, AMBIGUOUS_EDGES, 5)`` at
-    ``k`` = 1, 200 of stream seeds 0-299 are refused and the other 100 give
-    a wrong law.  So the ``integrate`` and ``end-to-end`` commands check the
-    form itself as well.
+    Precondition: the stream comes from a form that passes
+    :func:`check_integrable`, one whose interior signatures each lie on one
+    seam.  The repeated-signature check cannot catch every form that breaks
+    it: a smaller board can close, with a wrong law and no clash, before the
+    cell that shares a signature is ever drawn.  On the strip
+    ``PaintingSpec(3, 1, 2, {1: 1, 2: 2}, AMBIGUOUS_EDGES, 5)`` at ``k`` = 1,
+    200 of stream seeds 0-299 are refused and the other 100 give a wrong
+    law.  So :func:`end_to_end_check` and the ``integrate`` and
+    ``end-to-end`` commands call :func:`check_integrable` on the form first.
     """
     if config is None:
         config = IntegrationConfig()
@@ -617,9 +634,12 @@ def end_to_end_check(
 ) -> ComparisonReport:
     """Integrate the law, then test it against an independent frequency run.
 
-    The two runs use seeds derived from ``seed`` with distinct tags, so the
-    frequency experiment shares no randomness with the integration stream.
+    The form must pass :func:`check_integrable`, else
+    :class:`AmbiguousStream`.  The two runs use seeds derived from ``seed``
+    with distinct tags, so the frequency experiment shares no randomness
+    with the integration stream.
     """
+    check_integrable(form)
     result = integrate(
         complexified_phenomenon(form, derive_seed(seed, "integration")), config
     )

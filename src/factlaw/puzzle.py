@@ -6,8 +6,9 @@ certain.  In the border game coordinates are filtered out and only edge
 signatures guide assembly: one scan-line search rebuilds the whole pool
 cell by cell, backtracking where signatures repeat.  With several replicas
 of the painting mixed into one pool, boards close only near the end of the
-stream.  One seam rule (:func:`_fits`) decides whether neighbouring pieces
-agree, here and in the semantic-integration module.
+stream.  The painting module's seam rule (:func:`factlaw.painting.fits`)
+decides whether neighbouring pieces agree, here and in the
+semantic-integration module.
 """
 
 from __future__ import annotations
@@ -19,15 +20,18 @@ from typing import Any, Iterator, Sequence
 from .painting import (
     ASPECT_EDGES,
     BOUNDARY,
+    E,
+    N,
+    S,
+    W,
     Painting,
     describe_tile,
+    fits,
 )
 from .seeding import derive_seed
 from .views import Description
 
-N, E, S, W = 0, 1, 2, 3
-_DELTAS = ((0, 1), (1, 0), (0, -1), (-1, 0))
-_OPPOSITE = (S, W, N, E)
+_DELTAS = ((0, 1), (1, 0), (0, -1), (-1, 0))  # N, E, S, W
 
 
 class DuplicateCoordinates(Exception):
@@ -100,7 +104,7 @@ class Board:
             if piece.edges is None:
                 continue
             around = [self.cells.get((x + dx, y + dy)) for dx, dy in _DELTAS]
-            if not _fits(piece.edges, [None if p is None else p.edges for p in around]):
+            if not fits(piece.edges, [None if p is None else p.edges for p in around]):
                 raise InconsistentSignatures(f"seam mismatch at {(x, y)}")
 
 @dataclass(frozen=True)
@@ -191,19 +195,6 @@ def _edges_of(fragment: Description) -> tuple[str, str, str, str]:
         return tuple(fragment.points[a] for a in ASPECT_EDGES)  # type: ignore[return-value]
     except KeyError:
         raise ValueError("fragment carries no edge signatures") from None
-
-
-def _fits(
-    edges: Sequence[str], neighbours: Sequence[Sequence[str] | None]
-) -> bool:
-    """The seam rule: each present neighbour's edges, in N, E, S, W order,
-    show ``edges`` the same non-boundary signature across their shared side."""
-    for d, other in enumerate(neighbours):
-        if other is not None:
-            mine = edges[d]
-            if mine != other[_OPPOSITE[d]] or mine == BOUNDARY:
-                return False
-    return True
 
 
 # --- the games --------------------------------------------------------------

@@ -134,18 +134,6 @@ class Description:
         )
 
 
-@dataclass(frozen=True)
-class EpistemicReferential:
-    """The pairing (generator of entities, view) every description is relative to."""
-
-    generator_id: str
-    view: View
-
-    def __post_init__(self) -> None:
-        if not self.generator_id:
-            raise ValueError("generator_id must be non-empty")
-
-
 def apply_view(view: View, entity: Description) -> Description:
     """Re-examine ``entity`` through ``view``, keeping only what it can express.
 

@@ -8,7 +8,7 @@ from factlaw import (
     generate_painting,
 )
 from factlaw.integration import _STEPS, generate_hidden_form
-from factlaw.puzzle import _OPPOSITE
+from factlaw.painting import OPPOSITE
 
 # The 10x10 three-label painting with a 60/30/10 split that most scenario
 # tests revolve around.
@@ -54,6 +54,6 @@ def assert_no_partner_pair_spans_groups(replicas):
     # facing sides, lies in one group, so no bridge was left undone.
     for event, (group, _) in replicas.where.items():
         for d, sig in enumerate(event.edge_sigs):
-            shown = replicas.shown.get((_OPPOSITE[d], sig))
+            shown = replicas.shown.get((OPPOSITE[d], sig))
             if sig != BOUNDARY and shown is not None:
                 assert replicas.where[shown[1]][0] is group

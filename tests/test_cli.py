@@ -972,6 +972,17 @@ def test_config_values_are_not_coerced(tmp_path, capsys, change):
     assert_config_error(main(["lln", "--config", config]), capsys)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "1.0", "str"])
+def test_config_schema_version_must_be_the_int_1(
+    tmp_path, spec_file, capsys, version
+):
+    config, out = tmp_path / "c.json", tmp_path / "p.json"
+    doc = {"schema_version": version, "spec": spec_file, "out": str(out)}
+    dump_json(doc, str(config))
+    assert_config_error(main(["gen-painting", "--config", str(config)]), capsys)
+    assert not out.exists()
+
+
 def test_broken_config_json_is_rejected(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text("{not json")
@@ -1142,7 +1153,9 @@ def test_reproduce_rejects_broken_manifest(tmp_path, capsys, text):
     assert read_error(capsys)["error"] == "config"
 
 
-@pytest.mark.parametrize("version", [99, None], ids=["99", "absent"])
+@pytest.mark.parametrize(
+    "version", [99, None, True, 1.0], ids=["99", "absent", "true", "1.0"]
+)
 def test_reproduce_reads_schema_version_as_config_does(
     tmp_path, spec_file, capsys, version
 ):
@@ -1162,6 +1175,22 @@ def test_reproduce_reads_schema_version_as_config_does(
         assert capsys.readouterr().out.strip().splitlines()[-1] == "reproduce: pass"
     else:
         assert_config_error(code, capsys)
+
+
+def test_reproduce_refuses_outputs_without_the_primary_output(
+    tmp_path, spec_file, capsys
+):
+    # Unless the outputs name it, the re-run would write the user's own file.
+    painting = tmp_path / "p.json"
+    assert main(["gen-painting", "--spec", spec_file, "--out", str(painting)]) == 0
+    manifest_path = str(painting) + ".manifest.json"
+    manifest = load_json(manifest_path)
+    manifest["outputs"] = {}
+    dump_json(manifest, manifest_path)
+    painting.write_bytes(b"not the painting\n")
+    capsys.readouterr()
+    assert_config_error(main(["reproduce", "--manifest", manifest_path]), capsys)
+    assert painting.read_bytes() == b"not the painting\n"
 
 
 @pytest.mark.parametrize("out", [["x"], {"a": 1}], ids=["list", "object"])

@@ -352,6 +352,20 @@ def test_stream_that_repeats_a_signature_is_refused():
     )
 
 
+def test_end_to_end_check_refuses_a_form_with_a_repeated_signature():
+    # Without the form check, 20 of these root seeds give a wrong law.
+    form = generate_hidden_form(
+        PaintingSpec(3, 1, 2, {1: 1, 2: 2}, AMBIGUOUS_EDGES, 5)
+    )
+    for seed in range(300):
+        with pytest.raises(AmbiguousStream) as caught:
+            end_to_end_check(form, n_freq=10, seed=seed)
+        assert str(caught.value) == (
+            "signature 'a001' is on 4 sides; integration needs unique edge"
+            " signatures"
+        )
+
+
 def test_integration_config_validation():
     with pytest.raises(ValueError):
         IntegrationConfig(confirmation_replicas=0)

@@ -78,3 +78,20 @@ def test_the_runtime_imports_only_the_standard_library():
                 if top != "factlaw" and top not in sys.stdlib_module_names:
                     outside.add(f"{path.name}: {module}")
     assert sorted(outside) == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A rule one module needs from another is public there, or it has two
+    # owners.
+    private = []
+    for path in sorted((ROOT / "src" / "factlaw").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "factlaw"
+            ):
+                private += [
+                    f"{path.name}:{node.lineno}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and alias.name != "__version__"
+                ]
+    assert private == []

@@ -11,19 +11,13 @@ from factlaw import (
     Painting,
     PaintingSpec,
     Tile,
-    apply_view,
     describe_tile,
     generate_painting,
     label_histogram,
     painting_from_doc,
     painting_to_doc,
 )
-from factlaw.painting import (
-    colour_form_view,
-    interior_signature_multiset,
-    painting_digest,
-    source_description,
-)
+from factlaw.painting import interior_signature_multiset, painting_digest
 
 from conftest import REFERENCE_SPEC
 
@@ -119,15 +113,6 @@ def test_describe_tile_location_view():
     assert d.points == {}
 
 
-def test_describe_tile_approx_colour_view():
-    p = generate_painting(REFERENCE_SPEC)
-    for coords in [(1, 1), (10, 10), (4, 7)]:
-        d = describe_tile(p, coords, "approx_colour")
-        tile = p.tile_at(coords)
-        assert d.points == {"approx_colour": f"j{tile.approx_colour}"}
-        assert d.grid_coords is None
-
-
 def test_describe_tile_colour_form_view():
     p = generate_painting(REFERENCE_SPEC)
     d = describe_tile(p, (2, 5), "colour_form")
@@ -136,17 +121,6 @@ def test_describe_tile_colour_form_view():
     assert d.grid_coords is None
     assert "approx_colour" not in d.points
     assert tuple(d.points[a] for a in ("edge_n", "edge_e", "edge_s", "edge_w")) == tile.edge_sigs
-
-
-def test_describe_tile_matches_apply_view_route():
-    # Filtering the full source description through the rich view must land
-    # on the same point cloud as the direct per-view accessor.
-    p = generate_painting(PaintingSpec(4, 3, 2, {1: 7, 2: 5}, seed=11))
-    view = colour_form_view(p)
-    for tile in p.tiles:
-        direct = describe_tile(p, tile.coords, "colour_form")
-        filtered = apply_view(view, source_description(p, tile.coords))
-        assert filtered == direct
 
 
 def test_describe_tile_errors():

@@ -23,12 +23,8 @@ from factlaw import (
     solve_by_location,
 )
 from factlaw.integration import _Replicas
-from factlaw.puzzle import (
-    E,
-    N,
-    _edges_of,
-    _solve_scanline,
-)
+from factlaw.painting import E, N
+from factlaw.puzzle import _edges_of, _solve_scanline
 
 from conftest import (
     REFERENCE_SPEC,

@@ -7,7 +7,6 @@ from factlaw import (
     AspectView,
     Description,
     EmptyKeepSet,
-    EpistemicReferential,
     NoMutualExistence,
     UnknownAspect,
     View,
@@ -71,13 +70,6 @@ def test_description_is_immutable_and_defensive():
         d.entity_id = "other"
     with pytest.raises(ValueError):
         Description("", "e", {})
-
-
-def test_epistemic_referential_requires_generator():
-    v = make_view(("colour", ["red"]))
-    EpistemicReferential("gen", v)
-    with pytest.raises(ValueError):
-        EpistemicReferential("", v)
 
 
 def test_apply_view_filters_out_location():
