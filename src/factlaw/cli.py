@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 import tempfile
@@ -182,11 +181,11 @@ def load_config(
     params: dict[str, Any] = {}
     schema_version = SCHEMA_VERSION
     if config_path is not None:
-        if not os.path.exists(config_path):
+        if not os.path.isfile(config_path):
             raise ConfigError(f"config file not found: {config_path}")
         try:
             doc = load_json(config_path)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -222,21 +221,19 @@ def _jsonable_params(params: Mapping[str, Any]) -> dict[str, Any]:
 # inputs map paths to digests.
 
 
-def _require_file(path: str, what: str) -> str:
-    if not os.path.exists(path):
-        raise MissingInput(f"{what} not found: {path}")
-    return path
-
-
 def _load_input(
     path: str, what: str, parse: Callable[[Any], Any]
 ) -> tuple[Any, dict[str, str]]:
     """Read and parse one input file; return it with its path -> digest entry.
 
-    A missing file is a runtime error (MissingInput); a file that is there but
-    does not parse as ``what`` is a config error that names the file.
+    A missing file is a runtime error (MissingInput); a path that is there but
+    is not a file, or does not parse as ``what``, is a config error that names
+    the file.
     """
-    _require_file(path, what)
+    if not os.path.exists(path):
+        raise MissingInput(f"{what} not found: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"malformed {what} {path}: not a file")
     try:
         parsed = parse(load_json(path))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -647,19 +644,22 @@ def _read_manifest(doc: Any) -> tuple[str, dict, dict[str, str], dict[str, str]]
     ``params``), which :func:`validate_params` reads, plus the record of the
     run that :func:`run` wrote.  A record field that is missing or does not
     convert makes the manifest malformed, although only inputs and outputs
-    are read.  So do ``outputs`` that do not name the primary output, which
-    the re-run would otherwise write over.
+    are read.  So do ``params``, ``inputs`` or ``outputs`` that are not JSON
+    objects, and ``outputs`` that do not name the primary output, which the
+    re-run would otherwise write over.
     """
-    command, params = doc["command"], dict(doc["params"])
+    for key in ("params", "inputs", "outputs"):
+        if not isinstance(doc[key], dict):
+            raise ConfigError(f"manifest {key} must be a JSON object")
+    command, params, outputs = doc["command"], doc["params"], doc["outputs"]
     validate_params(command, params, doc.get("schema_version", SCHEMA_VERSION))
     tuple(doc["seeds"]), doc["config_hash"], doc["artifact_version"], doc["wall_clock_s"]
-    outputs = dict(doc["outputs"])
     out_key = _COMMANDS[command].out
     if params.get(out_key) not in outputs:
         raise ConfigError(
             f"manifest outputs do not name its {out_key} {params.get(out_key)!r}"
         )
-    return command, params, dict(doc["inputs"]), outputs
+    return command, params, doc["inputs"], outputs
 
 
 def reproduce(manifest_path: str) -> int:

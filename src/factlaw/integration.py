@@ -196,22 +196,16 @@ def form_digest(form: HiddenForm) -> str:
     return sha256_of_doc(form.to_doc())[:12]
 
 
-def hidden_form_from_painting(
-    painting: Painting, s_prime: int | None = None, seed: int = 0
-) -> HiddenForm:
+def hidden_form_from_painting(painting: Painting, seed: int = 0) -> HiddenForm:
     """Assign complexification indices to a painting's tiles.
 
-    Indices are sampled without replacement within each label cloud from
-    1..s_prime, so the within-cloud uniqueness invariant holds by
-    construction.  ``s_prime`` defaults to the guardrail minimum, ten times
-    the largest label count.
+    The index space ``s_prime`` is the guardrail minimum, ten times the
+    largest label count.  Indices are sampled without replacement within
+    each label cloud from 1..s_prime, so the within-cloud uniqueness
+    invariant holds by construction.
     """
     histogram = label_histogram(painting)
-    minimum = 10 * max(histogram.values())
-    if s_prime is None:
-        s_prime = minimum
-    if s_prime < minimum:
-        raise ValueError(f"s_prime must be at least {minimum}")
+    s_prime = 10 * max(histogram.values())
     rng = random.Random(derive_seed(seed, "complexification"))
     index_pool = {
         j: rng.sample(range(1, s_prime + 1), k=histogram[j]) for j in histogram

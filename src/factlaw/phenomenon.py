@@ -36,7 +36,6 @@ from .prob import (
     ForeignElement,
     Measure,
     Universe,
-    composition_rank,
     generate_algebra,
     validate_measure,
 )
@@ -125,12 +124,7 @@ class RandomPhenomenon:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """The tally of a finite draw run: one count per label, summing to ``n_draws``.
-
-    The counts in table order form the run's statistical structure, the
-    count vector it realized; :attr:`structure_index` names it by its rank
-    among all count vectors of the same total.
-    """
+    """The tally of a finite draw run: one count per label, summing to ``n_draws``."""
 
     n_draws: int
     counts: Mapping[Any, int]
@@ -156,14 +150,6 @@ class FrequencyTable:
                 raise ForeignElement(label)
             counts[label] = count
         return cls(len(draws), counts)
-
-    @property
-    def structure_index(self) -> int:
-        """Lexicographic rank of the count vector among all with this total.
-
-        Computed on each read, with two binomials per label.
-        """
-        return composition_rank(tuple(self.counts.values()))
 
     def relative_frequency(self, label) -> Fraction:
         if label not in self.counts:

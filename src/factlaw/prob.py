@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Protocol, Sequence
+from typing import Hashable, Iterable, Mapping, Protocol
 
 from .seeding import derive_seed
 from .serialize import fraction_to_str
@@ -175,9 +175,6 @@ class Measure:
             return self.atom_probs[label]
         except KeyError:
             raise ForeignElement(label) from None
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.atom_probs.items(), key=lambda kv: repr(kv[0]))))
 
     def to_doc(self) -> dict:
         return {
@@ -444,45 +441,3 @@ def find_N0(
         f"no draw count up to {cap} reached confidence {1 - delta}"
         f" (last estimate {last})"
     )
-
-
-# --- statistical structures -------------------------------------------------
-#
-# A run of n draws over q labels realizes one count vector, one count per
-# label in universe order: the run's statistical structure.  There are
-# ``count_statistical_structures(n, q)`` of them, and ``composition_rank``
-# numbers them lexicographically from 0.  A draw tally carries its structure
-# as ``phenomenon.FrequencyTable.structure_index``.
-
-
-def count_statistical_structures(n_draws: int, n_labels: int) -> int:
-    """Number of count vectors (compositions of ``n_draws`` into ``n_labels`` parts)."""
-    if n_draws < 0:
-        raise ValueError("n_draws must be >= 0")
-    if n_labels < 1:
-        raise ValueError("n_labels must be >= 1")
-    return math.comb(n_draws + n_labels - 1, n_labels - 1)
-
-
-def composition_rank(counts: Sequence[int]) -> int:
-    """Lexicographic rank of a count vector among all with the same total.
-
-    Vectors are ordered lexicographically on their entries; the rank is
-    0-based.  rank((0,...,total)) == 0 only when the first entries sort
-    lowest; concretely (0, n) ranks before (1, n-1).
-    """
-    if any(c < 0 for c in counts):
-        raise ValueError("counts must be non-negative")
-    total = sum(counts)
-    rank = 0
-    remaining = total
-    parts = len(counts)
-    for i, c in enumerate(counts[:-1]):
-        # The vectors that share the prefix and hold less than c here: one
-        # binomial per smaller value, summed by the hockey-stick identity.
-        slots = parts - i - 1
-        rank += math.comb(remaining + slots, slots) - math.comb(
-            remaining - c + slots, slots
-        )
-        remaining -= c
-    return rank

@@ -75,8 +75,12 @@ def dump_json(doc: Any, path) -> None:
 
 
 def load_json(path) -> Any:
+    """Read one JSON document; a document nested too deep is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deep to decode") from None
 
 
 def sha256_of_file(path) -> str:

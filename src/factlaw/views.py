@@ -123,16 +123,6 @@ class Description:
         if self.grid_coords is not None:
             object.__setattr__(self, "grid_coords", tuple(int(c) for c in self.grid_coords))
 
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.generator_id,
-                self.entity_id,
-                tuple(sorted(self.points.items())),
-                self.grid_coords,
-            )
-        )
-
 
 def apply_view(view: View, entity: Description) -> Description:
     """Re-examine ``entity`` through ``view``, keeping only what it can express.

@@ -3,11 +3,10 @@
 Everything here is computed by a different route than the implementation
 under test: exact binomial tail sums for frequency-window probabilities, a
 closed-form lattice construction for union/intersection closures, Fraction
-sums for every event pair of a measure, explicit enumeration for composition
-counts, the closed-form chi-square quantile for two degrees of freedom, a
-plain per-event counter for the cover times that bound integration, a
-first-step Markov chain for their mean, and the per-draw scale-and-bisect
-rule that label sampling must reproduce.
+sums for every event pair of a measure, the closed-form chi-square quantile
+for two degrees of freedom, a plain per-event counter for the cover times
+that bound integration, a first-step Markov chain for their mean, and the
+per-draw scale-and-bisect rule that label sampling must reproduce.
 Keeping these in the test tree (and dumb on purpose) is what makes the
 dual-route checks meaningful.
 """
@@ -169,35 +168,6 @@ def measure_report_by_fractions(
             for name, passed, detail in checks
         ],
     }
-
-
-def enumerate_compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """All ways to write ``total`` as an ordered sum of ``parts`` >= 0 terms."""
-    if parts == 1:
-        return [(total,)]
-    result = []
-    for first in range(total + 1):
-        for rest in enumerate_compositions(total - first, parts - 1):
-            result.append((first,) + rest)
-    return result
-
-
-def composition_rank_by_steps(counts) -> int:
-    """Lexicographic rank of a count vector, one binomial per unit of count.
-
-    Each entry ``c`` adds the vectors that share the prefix and hold
-    ``0..c-1`` there, one binomial per value: the reference route for
-    ``prob.composition_rank``, linear in the total.
-    """
-    rank = 0
-    remaining = sum(counts)
-    parts = len(counts)
-    for i, c in enumerate(counts[:-1]):
-        slots = parts - i - 1
-        for v in range(c):
-            rank += comb(remaining - v + slots - 1, slots - 1)
-        remaining -= c
-    return rank
 
 
 def cover_times(stream, n_cells: int, k: int) -> list[int]:

@@ -990,6 +990,31 @@ def test_broken_config_json_is_rejected(tmp_path, capsys):
     assert read_error(capsys)["error"] == "config"
 
 
+# file kind -> how to make it at a path.  Each once crashed with a traceback.
+UNDECODABLE_FILES = {
+    "not-utf8": lambda path: path.write_bytes(b"\xff\xfe{"),
+    "directory": lambda path: path.mkdir(),
+    "nested-too-deep": lambda path: path.write_text("[" * 100_000),
+}
+# route -> the command line that reads the file at PATH
+UNDECODABLE_ROUTES = {
+    "config": ["gen-painting", "--config", "PATH"],
+    "manifest": ["reproduce", "--manifest", "PATH"],
+    "input": ["gen-painting", "--spec", "PATH", "--out", "out.json"],
+}
+
+
+@pytest.mark.parametrize("make", UNDECODABLE_FILES.values(), ids=UNDECODABLE_FILES)
+@pytest.mark.parametrize("route", UNDECODABLE_ROUTES)
+def test_undecodable_file_is_a_config_error(tmp_path, monkeypatch, capsys, route, make):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "f.json"
+    make(path)
+    argv = [str(path) if a == "PATH" else a for a in UNDECODABLE_ROUTES[route]]
+    assert_config_error(main(argv), capsys)
+    assert not (tmp_path / "out.json").exists()
+
+
 # --- config fuzz ------------------------------------------------------------
 
 # Values of the wrong kind for any key.  Floats stay small because an integral
@@ -1202,6 +1227,21 @@ def test_reproduce_rejects_manifest_params_the_command_does_not_take(
     manifest_path = str(painting) + ".manifest.json"
     manifest = load_json(manifest_path)
     manifest["params"]["out"] = out
+    dump_json(manifest, manifest_path)
+    capsys.readouterr()
+    assert_config_error(main(["reproduce", "--manifest", manifest_path]), capsys)
+
+
+@pytest.mark.parametrize("field", ["params", "inputs", "outputs"])
+def test_reproduce_refuses_a_manifest_field_that_is_not_an_object(
+    tmp_path, spec_file, capsys, field
+):
+    # --config refuses params given as a list of pairs; so must a manifest.
+    painting = tmp_path / "p.json"
+    assert main(["gen-painting", "--spec", spec_file, "--out", str(painting)]) == 0
+    manifest_path = str(painting) + ".manifest.json"
+    manifest = load_json(manifest_path)
+    manifest[field] = [list(pair) for pair in manifest[field].items()]
     dump_json(manifest, manifest_path)
     capsys.readouterr()
     assert_config_error(main(["reproduce", "--manifest", manifest_path]), capsys)

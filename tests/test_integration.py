@@ -90,10 +90,10 @@ def test_hidden_form_from_painting_carries_structure_over(reference_painting):
     }
 
 
-def test_complexification_space_guardrail(reference_painting):
-    with pytest.raises(ValueError):
-        hidden_form_from_painting(reference_painting, s_prime=599)
-    roomy = hidden_form_from_painting(reference_painting, s_prime=1000, seed=1)
+def test_complexification_space_guardrail(reference_form):
+    with pytest.raises(ValueError, match="at least 10 x"):
+        HiddenForm(10, 10, 599, reference_form.cells)
+    roomy = HiddenForm(10, 10, 1000, reference_form.cells)
     assert roomy.s_prime == 1000
 
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import sys
+import types
 from pathlib import Path
 
 import factlaw
@@ -20,6 +21,16 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(factlaw, name)]
     assert missing == []
+
+
+def test_every_public_name_bound_in_the_package_is_exported():
+    # An import left behind after its __all__ entry goes would still resolve.
+    bound = {
+        name
+        for name, value in vars(factlaw).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound == set(factlaw.__all__) - {"__version__"}
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):

@@ -19,8 +19,6 @@ from factlaw import (
     Universe,
     UniverseMismatch,
     compare_law,
-    composition_rank,
-    count_statistical_structures,
     factual_space_from_painting,
     generate_algebra,
     probabilise_painting,
@@ -216,8 +214,6 @@ def test_frequency_table_from_draws():
     assert table.n_draws == 5
     assert table.counts == {1: 3, 2: 1, 3: 1}
     assert table.relative_frequency(1) == Fraction(3, 5)
-    assert table.structure_index == composition_rank((3, 1, 1))
-    assert 0 <= table.structure_index < count_statistical_structures(5, 3)
     with pytest.raises(ForeignElement):
         FrequencyTable.from_draws([1, 9], u)
     with pytest.raises(ValueError):
@@ -241,7 +237,6 @@ def test_random_draws_have_consistent_tables(n, q, seed):
     draws = [rng.randint(1, q) for _ in range(n)]
     table = FrequencyTable.from_draws(draws, u)
     assert sum(table.counts.values()) == n
-    assert 0 <= table.structure_index < count_statistical_structures(n, q)
 
 
 # --- paintings as phenomena -------------------------------------------------

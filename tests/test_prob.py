@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -13,8 +12,6 @@ from factlaw import (
     RandomPhenomenon,
     Universe,
     UnknownLabel,
-    composition_rank,
-    count_statistical_structures,
     event_probability,
     find_N0,
     generate_algebra,
@@ -26,8 +23,6 @@ from oracles import (
     binomial_window_probability_naive,
     closure_by_fixpoint,
     closure_by_lattice,
-    composition_rank_by_steps,
-    enumerate_compositions,
     measure_report_by_fractions,
 )
 
@@ -384,44 +379,3 @@ def test_find_n0_validates_delta(fair_coin):
         find_N0(fair_coin, 1, Fraction(1, 2), Fraction(1, 10), 0, 10, seed=0)
     with pytest.raises(ValueError):
         find_N0(fair_coin, 1, Fraction(1, 2), Fraction(1, 10), 1, 10, seed=0)
-
-
-# --- statistical structures -------------------------------------------------
-
-
-def test_structure_counts_small_cases():
-    assert count_statistical_structures(2, 2) == 3
-    assert count_statistical_structures(0, 5) == 1
-    assert count_statistical_structures(5, 3) == 21
-    with pytest.raises(ValueError):
-        count_statistical_structures(-1, 2)
-    with pytest.raises(ValueError):
-        count_statistical_structures(3, 0)
-
-
-def test_structure_count_matches_enumeration_exhaustively():
-    for n in range(0, 9):
-        for q in range(1, 5):
-            assert count_statistical_structures(n, q) == len(
-                enumerate_compositions(n, q)
-            )
-
-
-def test_composition_rank_is_the_lexicographic_index():
-    for n in range(0, 7):
-        for q in range(1, 5):
-            ordered = sorted(enumerate_compositions(n, q))
-            for i, counts in enumerate(ordered):
-                assert composition_rank(counts) == i
-
-
-def test_composition_rank_matches_the_stepwise_sum_on_large_totals():
-    rng = random.Random(17)
-    vectors = [(60_000, 30_000, 10_000), (0, 100_000), (100_000, 0, 0, 0)]
-    for _ in range(40):
-        total = rng.randint(0, rng.choice((10, 1_000, 100_000)))
-        cuts = sorted(rng.randint(0, total) for _ in range(rng.randint(0, 5)))
-        bounds = [0, *cuts, total]
-        vectors.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
-    for counts in vectors:
-        assert composition_rank(counts) == composition_rank_by_steps(counts)
