@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from factlaw import (
     solve_by_location,
 )
 from factlaw.integration import _Replicas
-from factlaw.painting import E, N
+from factlaw.painting import E, N, describe_tile
 from factlaw.puzzle import _edges_of, _solve_scanline
 
 from conftest import (
@@ -390,6 +391,35 @@ def test_pool_draw_order_is_seeded_and_exhaustible(reference_painting):
     assert len(first) == 0
     with pytest.raises(IndexError):
         first.draw()
+
+
+@pytest.mark.parametrize(
+    "replicas, seed, digest",
+    [
+        (1, 0, "79ad5d6d6cec8525"),
+        (1, 5, "9a9f697723659fff"),
+        (3, 0, "857e09a33e4043e1"),
+        (3, 5, "2aa33fc5f7a5a342"),
+        (16, 0, "b34ce0c9ecd6c4c0"),
+        (16, 5, "b5d039d6d8d6c9c9"),
+    ],
+)
+@pytest.mark.parametrize(
+    "mode, view", [("location", "location"), ("border", "colour_form")]
+)
+def test_pool_order_is_pinned(reference_painting, mode, view, replicas, seed, digest):
+    # Captured while every replica described each tile afresh; the shuffle
+    # sees the same sequence however the descriptions are made.
+    fragments = FragmentPool.from_painting(
+        reference_painting, mode, replicas=replicas, seed=seed
+    ).fragments
+    ids = " ".join(fragment.entity_id for fragment in fragments)
+    assert hashlib.sha256(ids.encode()).hexdigest()[:16] == digest
+    coords = {tile.colour_form_id: tile.coords for tile in reference_painting.tiles}
+    for fragment in fragments:
+        assert fragment == describe_tile(
+            reference_painting, coords[fragment.entity_id], view
+        )
 
 
 def test_pool_len_counts_down(reference_painting):
