@@ -679,6 +679,9 @@ def reproduce(manifest_path: str) -> int:
         if not os.path.exists(path):
             _emit_error("runtime", MissingInput(f"input not found: {path}"))
             return 1
+        if not os.path.isfile(path):
+            _emit_error("config", ConfigError(f"input {path} is not a file"))
+            return 2
         actual = sha256_of_file(path)
         line = f"input {path}: {'ok' if actual == digest else 'CHANGED'}"
         print(line)

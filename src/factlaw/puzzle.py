@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Sequence
 
 from .painting import (
     ASPECT_EDGES,
@@ -147,7 +148,8 @@ class FragmentPool:
 
     Fragments are shuffled once by ``seed``; :meth:`draw` hands them out
     without replacement.  For pools built from a painting the fragment count
-    starts at ``replicas * width * height``.
+    starts at ``replicas * width * height``: :meth:`from_painting` describes
+    each tile once and every replica shares that frozen description.
     """
 
     fragments: list[Description]
@@ -167,12 +169,10 @@ class FragmentPool:
         cls, painting: Painting, mode: str, replicas: int = 1, seed: int = 0
     ) -> "FragmentPool":
         selector = {"location": "location", "border": "colour_form"}[mode]
-        fragments = [
-            describe_tile(painting, tile.coords, selector)
-            for _ in range(replicas)
-            for tile in painting.tiles
+        described = [
+            describe_tile(painting, tile.coords, selector) for tile in painting.tiles
         ]
-        return cls(fragments, replica_count=replicas, seed=seed)
+        return cls(described * replicas, replica_count=replicas, seed=seed)
 
     def __len__(self) -> int:
         return len(self.fragments) - self._cursor
@@ -190,9 +190,12 @@ class FragmentPool:
         return remaining
 
 
+_edge_points = itemgetter(*ASPECT_EDGES)
+
+
 def _edges_of(fragment: Description) -> tuple[str, str, str, str]:
     try:
-        return tuple(fragment.points[a] for a in ASPECT_EDGES)  # type: ignore[return-value]
+        return _edge_points(fragment.points)
     except KeyError:
         raise ValueError("fragment carries no edge signatures") from None
 
@@ -268,7 +271,12 @@ def _solve_scanline(
     edges are the boundary mark exactly on the right column and top row.
     Pieces with equal edge tuples are interchangeable, so one per tuple is
     tried; with unique signatures no cell has a second, so trials equal
-    pieces.  Backtracking crosses board boundaries, so an exhausted stack
+    pieces.  The search numbers the distinct edge tuples (kinds) in the
+    order they are first drawn and files each kind once, under its W and S
+    edges and whether its E and N edges are boundary marks.  A cell keeps
+    the shared list of candidate kinds for its position and a cursor into
+    it, so resuming a cell after a backtrack tries the kinds after its last
+    choice.  Backtracking crosses board boundaries, so an exhausted stack
     proves that no assembly exists.  Raises :class:`UnsolvablePool` with
     "no consistent assembly found" when none exists, and with "trial budget
     N exhausted" when ``trial_budget`` runs out first; the default, 100 000
@@ -287,47 +295,54 @@ def _solve_scanline(
     if cells != len(draws):
         raise UnsolvablePool(_NO_ASSEMBLY)
 
-    # Draw indices of the pieces sharing each edge tuple, in draw order.
+    # Draw indices of the pieces sharing each edge tuple, in draw order; the
+    # search knows each distinct tuple by its index here, its kind.
     groups: dict[tuple, list[int]] = {}
     for index, edges in enumerate(sigs):
         groups.setdefault(edges, []).append(index)
-    by_west_south: dict[tuple[str, str], list[tuple]] = {}
-    for edges in groups:
-        by_west_south.setdefault((edges[W], edges[S]), []).append(edges)
-    stock = {edges: len(group) for edges, group in groups.items()}
-    chosen: list[tuple] = []  # the edge tuple set on each filled cell
+    stock = [len(group) for group in groups.values()]
+    east = [edges[E] for edges in groups]
+    north = [edges[N] for edges in groups]
+    candidates: dict[tuple[str, str, bool, bool], list[int]] = {}
+    for kind, edges in enumerate(groups):
+        key = (edges[W], edges[S], edges[E] == BOUNDARY, edges[N] == BOUNDARY)
+        candidates.setdefault(key, []).append(kind)
 
-    def options(cell: int) -> Iterator[tuple]:
-        x, y = cell % width, cell // width % height
-        west = chosen[cell - 1][E] if x else BOUNDARY
-        south = chosen[cell - width][N] if y else BOUNDARY
-        right, top = x == width - 1, y == height - 1
-        return (
-            edges for edges in by_west_south.get((west, south), ())
-            if (edges[E] == BOUNDARY) == right and (edges[N] == BOUNDARY) == top
-        )
-
-    stack = [options(0)]
+    chosen: list[int] = []  # the kind set on each filled cell
+    tried: list[Sequence[int]] = []  # each filled cell's candidates ...
+    cursors: list[int] = []  # ... and the index of its chosen one
+    options = candidates.get((BOUNDARY, BOUNDARY, width == 1, height == 1), ())
+    at = 0
     trials = 0
-    while len(chosen) < cells:
-        edges = next((e for e in stack[-1] if stock[e]), None)
-        if edges is None:
-            stack.pop()
-            if not stack:
+    while True:
+        while at < len(options) and not stock[options[at]]:
+            at += 1
+        if at == len(options):
+            if not chosen:
                 raise UnsolvablePool(_NO_ASSEMBLY)
             stock[chosen.pop()] += 1
+            options, at = tried.pop(), cursors.pop() + 1
             continue
         trials += 1
         if trials > budget:
             raise UnsolvablePool(f"trial budget {budget} exhausted")
-        stock[edges] -= 1
-        chosen.append(edges)
-        if len(chosen) < cells:
-            stack.append(options(len(chosen)))
+        kind = options[at]
+        stock[kind] -= 1
+        chosen.append(kind)
+        cell = len(chosen)
+        if cell == cells:
+            break
+        tried.append(options)
+        cursors.append(at)
+        x, y = cell % width, cell // width % height
+        west = east[kind] if x else BOUNDARY
+        south = north[chosen[cell - width]] if y else BOUNDARY
+        options = candidates.get((west, south, x == width - 1, y == height - 1), ())
+        at = 0
 
     # Hand out interchangeable pieces in draw order; a board closes with
     # the last-drawn of its pieces.
-    supply = {edges: iter(group) for edges, group in groups.items()}
+    supply = [iter(group) for group in groups.values()]
     area = width * height
     finished = []
     for first in range(0, cells, area):

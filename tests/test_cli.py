@@ -1160,6 +1160,17 @@ def test_reproduce_missing_manifest(tmp_path, capsys):
     assert read_error(capsys)["error"] == "runtime"
 
 
+def test_reproduce_refuses_an_input_that_is_not_a_file(tmp_path, spec_file, capsys):
+    out = tmp_path / "p.json"
+    assert main(["gen-painting", "--spec", spec_file, "--out", str(out)]) == 0
+    manifest_path = str(out) + ".manifest.json"
+    manifest = load_json(manifest_path)
+    manifest["inputs"] = {str(tmp_path): "0" * 64}
+    dump_json(manifest, manifest_path)
+    capsys.readouterr()
+    assert_config_error(main(["reproduce", "--manifest", manifest_path]), capsys)
+
+
 UNKNOWN_COMMAND_MANIFEST = json.dumps({
     "command": "nope", "params": {}, "config_hash": "", "seeds": [],
     "artifact_version": "0", "inputs": {}, "outputs": {}, "wall_clock_s": 0,
