@@ -77,6 +77,8 @@ class ComplexifiedEvent:
     ``label_r`` is the basin label the realization reached;
     ``complexification_r_prime`` is the globally registered index that keeps
     same-label events apart; ``edge_sigs`` carry the co-bordity structure.
+    An event is hashed once, at construction, to the value a dataclass hash
+    of its three fields gives, so dict and set order stay as they were.
     """
 
     label_r: int
@@ -90,6 +92,12 @@ class ComplexifiedEvent:
         object.__setattr__(self, "edge_sigs", sigs)
         if self.label_r < 1 or self.complexification_r_prime < 1:
             raise ValueError("labels and complexification indices start at 1")
+        object.__setattr__(
+            self, "_hash", hash((self.label_r, self.complexification_r_prime, sigs))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

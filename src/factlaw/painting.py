@@ -15,11 +15,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .seeding import derive_seed
 from .serialize import read_int, sha256_of_doc
-from .views import Description, UnknownAspect
+from .views import Description, UnknownAspect, int_coords
 
 BOUNDARY = "B"
 
@@ -36,9 +37,13 @@ ASPECT_EDGES = ("edge_n", "edge_e", "edge_s", "edge_w")
 
 EDGE_KEYS = ("n", "e", "s", "w")
 
+_ASPECT_N, _ASPECT_E, _ASPECT_S, _ASPECT_W = ASPECT_EDGES
+
 GENERATOR_ID = "tile-extraction"
 
 T = TypeVar("T")
+
+_VACANT = object()  # an empty slot in place_row_major
 
 
 class InfeasibleSpec(ValueError):
@@ -59,11 +64,17 @@ class Tile:
     edge_sigs: tuple[str, str, str, str]  # N, E, S, W
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        sigs = tuple(self.edge_sigs)
+        # What every loader passes, an int pair and a tuple of sides, is kept
+        # as it is, so each tile skips two frozen-attribute writes.
+        coords = int_coords(self.coords)
+        if coords is not self.coords:
+            object.__setattr__(self, "coords", coords)
+        sigs = self.edge_sigs
+        if type(sigs) is not tuple:
+            sigs = tuple(sigs)
+            object.__setattr__(self, "edge_sigs", sigs)
         if len(sigs) != 4:
             raise ValueError("edge_sigs must have exactly four entries (N, E, S, W)")
-        object.__setattr__(self, "edge_sigs", sigs)
         if self.approx_colour < 1:
             raise ValueError("approx_colour labels start at 1")
         if not isinstance(self.colour_form_id, str) or not self.colour_form_id:
@@ -138,17 +149,31 @@ def place_row_major(
 
     The result puts the item at ``(x, y)`` on index
     ``(y - 1) * width + (x - 1)``, the layout of every grid in this package.
-    Raises ``ValueError`` unless the coordinates cover the width x height
-    grid exactly once; ``what`` names the items in the message.
+    One pass drops each item straight onto its index, whatever order the
+    pairs come in.  Raises ``ValueError`` unless the coordinates cover the
+    width x height grid exactly once: "expected N <what>, got M" when the
+    count is wrong, else "<what> do not cover each grid cell exactly once"
+    for a pair off the grid or on a cell already taken.
     """
-    ordered = sorted(placed, key=lambda pair: (pair[0][1], pair[0][0]))
     cells = width * height
-    if len(ordered) != cells:
-        raise ValueError(f"expected {cells} {what}, got {len(ordered)}")
-    expected = [(x, y) for y in range(1, height + 1) for x in range(1, width + 1)]
-    if [coords for coords, _ in ordered] != expected:
+    slots: list[Any] = [_VACANT] * cells
+    count = 0
+    covered = True
+    for coords, item in placed:
+        count += 1
+        if len(coords) == 2:
+            x, y = coords
+            if 0 < x <= width and 0 < y <= height:
+                index = (y - 1) * width + x - 1
+                if slots[index] is _VACANT:
+                    slots[index] = item
+                    continue
+        covered = False
+    if count != cells:
+        raise ValueError(f"expected {cells} {what}, got {count}")
+    if not covered:
         raise ValueError(f"{what} do not cover each grid cell exactly once")
-    return tuple(item for _, item in ordered)
+    return tuple(slots)
 
 
 def fits(edges: Sequence[str], neighbours: Sequence[Sequence[str] | None]) -> bool:
@@ -317,14 +342,27 @@ def describe_tile(
     ``location`` keeps the grid coordinates and nothing else; ``colour_form``
     keeps the colour-form id and edge signatures with coordinates stripped.
     """
-    tile = painting.tile_at(coords)
+    return tile_description(painting.tile_at(coords), view_selector)
+
+
+def tile_description(tile: Tile, view_selector: str) -> Description:
+    """:func:`describe_tile` for a tile already in hand, such as each of
+    ``painting.tiles`` in turn."""
     if view_selector == "location":
         return Description(GENERATOR_ID, tile.colour_form_id, {}, tile.coords)
     if view_selector == "colour_form":
-        points = {ASPECT_COLOUR_FORM: tile.colour_form_id}
-        for aspect_id, sig in zip(ASPECT_EDGES, tile.edge_sigs):
-            points[aspect_id] = sig
-        return Description(GENERATOR_ID, tile.colour_form_id, points)
+        # A dict display is about twice as fast as building the points
+        # from ASPECT_EDGES in a loop or with dict(zip(...)).
+        form = tile.colour_form_id
+        north, east, south, west = tile.edge_sigs
+        points = {
+            ASPECT_COLOUR_FORM: form,
+            _ASPECT_N: north,
+            _ASPECT_E: east,
+            _ASPECT_S: south,
+            _ASPECT_W: west,
+        }
+        return Description(GENERATOR_ID, form, points)
     raise UnknownAspect(view_selector)
 
 
@@ -336,10 +374,13 @@ def edges_to_doc(edge_sigs: tuple[str, str, str, str]) -> dict[str, str]:
     return dict(zip(EDGE_KEYS, edge_sigs))
 
 
+_edge_sides = itemgetter(*EDGE_KEYS)
+
+
 def edges_from_doc(doc: Mapping[str, str]) -> tuple[str, str, str, str]:
     """Inverse of :func:`edges_to_doc`; a missing side raises ``KeyError``,
     and a signature that is not a string ``ValueError``."""
-    edges = tuple(doc[key] for key in EDGE_KEYS)
+    edges = _edge_sides(doc)
     for edge in edges:
         if not isinstance(edge, str):
             raise ValueError(f"edge signatures must be strings, got {edge!r}")
@@ -365,7 +406,7 @@ def painting_to_doc(painting: Painting) -> dict[str, Any]:
 
 
 def painting_from_doc(doc: Mapping[str, Any]) -> Painting:
-    tiles = tuple(
+    tiles = [
         Tile(
             (read_int(entry["x"], "tile x"), read_int(entry["y"], "tile y")),
             entry["form"],
@@ -373,12 +414,12 @@ def painting_from_doc(doc: Mapping[str, Any]) -> Painting:
             edges_from_doc(entry["edges"]),
         )
         for entry in doc["tiles"]
-    )
+    ]
     return Painting(
         read_int(doc["width"], "width"),
         read_int(doc["height"], "height"),
         read_int(doc["q"], "q"),
-        tiles,
+        tuple(tiles),
     )
 
 

@@ -26,8 +26,8 @@ from .painting import (
     S,
     W,
     Painting,
-    describe_tile,
     fits,
+    tile_description,
 )
 from .seeding import derive_seed
 from .views import Description
@@ -64,20 +64,23 @@ class Piece:
 
 @dataclass(frozen=True)
 class Board:
-    """A finished or frozen arrangement of pieces on integer grid cells."""
+    """A finished or frozen arrangement of pieces on integer grid cells.
+
+    The board copies ``cells`` and computes its bounding box ``bbox``, as
+    (min x, max x, min y, max y), once; ``width``, ``height``,
+    :meth:`canonical`, :meth:`is_full_rectangle` and ``to_doc`` read it.
+    """
 
     cells: dict[tuple[int, int], Piece]
+    bbox: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", dict(self.cells))
-        if not self.cells:
+        cells = dict(self.cells)
+        if not cells:
             raise ValueError("a board holds at least one piece")
-
-    @property
-    def bbox(self) -> tuple[int, int, int, int]:
-        xs = [x for x, _ in self.cells]
-        ys = [y for _, y in self.cells]
-        return min(xs), max(xs), min(ys), max(ys)
+        object.__setattr__(self, "cells", cells)
+        xs, ys = zip(*cells)
+        object.__setattr__(self, "bbox", (min(xs), max(xs), min(ys), max(ys)))
 
     @property
     def width(self) -> int:
@@ -168,10 +171,11 @@ class FragmentPool:
     def from_painting(
         cls, painting: Painting, mode: str, replicas: int = 1, seed: int = 0
     ) -> "FragmentPool":
+        """Describe each of ``painting.tiles`` in turn through the mode's view
+        (``location`` for the location game, ``colour_form`` for the border
+        game) and pool ``replicas`` copies of that list, shuffled by ``seed``."""
         selector = {"location": "location", "border": "colour_form"}[mode]
-        described = [
-            describe_tile(painting, tile.coords, selector) for tile in painting.tiles
-        ]
+        described = [tile_description(tile, selector) for tile in painting.tiles]
         return cls(described * replicas, replica_count=replicas, seed=seed)
 
     def __len__(self) -> int:
@@ -213,9 +217,7 @@ def solve_by_location(pool: FragmentPool) -> AssemblyReport:
     if pool.replica_count != 1:
         raise ValueError("the location game is a single-replica game")
     cells: dict[tuple[int, int], Piece] = {}
-    count = 0
-    while len(pool):
-        fragment = pool.draw()
+    for fragment in pool.draw_all():
         coords = fragment.grid_coords
         if coords is None:
             raise ValueError("fragment carries no coordinates")
@@ -223,7 +225,7 @@ def solve_by_location(pool: FragmentPool) -> AssemblyReport:
         if pos in cells:
             raise DuplicateCoordinates(pos)
         cells[pos] = Piece(fragment, None)
-        count += 1
+    count = len(cells)
     board = Board(cells).canonical()
     complete = board.is_full_rectangle()
     return AssemblyReport(
@@ -344,16 +346,14 @@ def _solve_scanline(
     # the last-drawn of its pieces.
     supply = [iter(group) for group in groups.values()]
     area = width * height
+    positions = [(i % width + 1, i // width + 1) for i in range(area)]
     finished = []
     for first in range(0, cells, area):
-        placed = {
-            (i % width + 1, i // width + 1): next(supply[chosen[first + i]])
-            for i in range(area)
-        }
-        board = Board({
-            pos: Piece(draws[index], sigs[index]) for pos, index in placed.items()
-        })
-        finished.append((board, max(placed.values()) + 1))
+        placed = [next(supply[kind]) for kind in chosen[first:first + area]]
+        board = Board(dict(zip(
+            positions, [Piece(draws[index], sigs[index]) for index in placed]
+        )))
+        finished.append((board, max(placed) + 1))
     finished.sort(key=lambda entry: entry[1])
     return AssemblyReport(
         placements=cells,

@@ -32,6 +32,8 @@ def read_int(value: Any, what: str) -> int:
     Booleans, fractional or non-finite floats and anything else raise
     ``ValueError``, so ``2.5`` or ``true`` is never read as ``2`` or ``1``.
     """
+    if type(value) is int:  # what JSON gives for an integer; the common case
+        return value
     if isinstance(value, bool) or (
         isinstance(value, float) and not value.is_integer()
     ):

@@ -16,7 +16,7 @@ its own does not establish mutual existence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 
 class NoMutualExistence(Exception):
@@ -102,6 +102,22 @@ class View:
         return any(a.aspect_id == aspect_id for a in self.aspects)
 
 
+def int_coords(coords: Iterable[Any]) -> tuple[int, ...]:
+    """Grid coordinates as a tuple of ints.
+
+    An (x, y) pair of ints, the coordinates of every tile, comes back as the
+    same object; anything else is converted element by element with ``int``.
+    """
+    if (
+        type(coords) is tuple
+        and len(coords) == 2
+        and type(coords[0]) is int
+        and type(coords[1]) is int
+    ):
+        return coords
+    return tuple(map(int, coords))
+
+
 @dataclass(frozen=True)
 class Description:
     """The outcome of examining one entity of one generator through a view.
@@ -121,7 +137,9 @@ class Description:
             raise ValueError("generator_id and entity_id must be non-empty")
         object.__setattr__(self, "points", dict(self.points))
         if self.grid_coords is not None:
-            object.__setattr__(self, "grid_coords", tuple(int(c) for c in self.grid_coords))
+            coords = int_coords(self.grid_coords)
+            if coords is not self.grid_coords:
+                object.__setattr__(self, "grid_coords", coords)
 
 
 def apply_view(view: View, entity: Description) -> Description:

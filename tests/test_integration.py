@@ -72,6 +72,13 @@ def test_event_validation_and_fungibility():
     assert blank_event(2, 7) == blank_event(2, 7)
     assert hash(blank_event(2, 7)) == hash(blank_event(2, 7))
     assert blank_event(2, 7) != blank_event(2, 8)
+    # The hash is the one a dataclass hash of the three fields gives, so
+    # every dict and set of events keeps its order.
+    event = ComplexifiedEvent(3, 9, ["n", "e", B, B])
+    assert hash(event) == hash((3, 9, ("n", "e", B, B)))
+    assert [f.name for f in dataclasses.fields(event)] == [
+        "label_r", "complexification_r_prime", "edge_sigs"
+    ]
 
 
 def test_hidden_form_from_painting_carries_structure_over(reference_painting):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from factlaw import (
     painting_to_doc,
 )
 from factlaw.painting import interior_signature_multiset, painting_digest
+from factlaw.serialize import dump_json, load_json, read_int
 
 from conftest import REFERENCE_SPEC
 
@@ -152,6 +154,59 @@ def test_json_round_trip_and_digest():
     assert len(doc["tiles"]) == 100
     assert painting_from_doc(doc) == p
     assert painting_digest(painting_from_doc(doc)) == painting_digest(p)
+
+
+def test_painting_file_loads_the_same_in_any_tile_order(tmp_path):
+    p = generate_painting(REFERENCE_SPEC)
+    doc = painting_to_doc(p)
+    shuffled = doc["tiles"][:]
+    random.Random(3).shuffle(shuffled)
+    for order in (doc["tiles"][::-1], shuffled):
+        path = tmp_path / "painting.json"
+        dump_json(dict(doc, tiles=order), path)
+        loaded = painting_from_doc(load_json(path))
+        assert loaded == p
+        assert painting_to_doc(loaded) == doc
+
+
+def test_painting_load_refuses_a_tile_set_that_misses_the_grid():
+    doc = painting_to_doc(generate_painting(REFERENCE_SPEC))
+    tiles = doc["tiles"]
+    cover = "^tiles do not cover each grid cell exactly once$"
+    bad = {
+        "duplicate": ([tiles[0], dict(tiles[1], x=tiles[0]["x"])] + tiles[2:], cover),
+        "missing": (tiles[:-1], "^expected 100 tiles, got 99$"),
+        "extra": (tiles + [dict(tiles[0], x=11)], "^expected 100 tiles, got 101$"),
+        "off the grid east": ([dict(tiles[0], x=11)] + tiles[1:], cover),
+        "off the grid south": ([dict(tiles[0], y=0)] + tiles[1:], cover),
+    }
+    for name, (order, message) in bad.items():
+        with pytest.raises(ValueError, match=message):
+            painting_from_doc(dict(doc, tiles=order))
+    p = generate_painting(REFERENCE_SPEC)
+    t = p.tiles[0]
+    deep = Tile((*t.coords, 1), t.colour_form_id, t.approx_colour, t.edge_sigs)
+    with pytest.raises(ValueError, match=cover):
+        Painting(10, 10, 3, (deep,) + p.tiles[1:])
+
+
+def test_tile_converts_coordinates_and_sides():
+    t = Tile([1.0, True], "cf", 1, ["a", "b", "c", "d"])
+    assert t.coords == (1, 1) and type(t.coords) is tuple
+    assert [type(c) for c in t.coords] == [int, int]
+    assert t.edge_sigs == ("a", "b", "c", "d") and type(t.edge_sigs) is tuple
+    assert Tile((2, 3, 4.0), "cf", 1, "nesw").coords == (2, 3, 4)
+    with pytest.raises(ValueError, match="exactly four entries"):
+        Tile((1, 1), "cf", 1, ("a", "b", "c"))
+
+
+def test_read_int_keeps_its_verdicts():
+    assert read_int(12, "n") == 12 and read_int("12", "n") == 12
+    assert read_int(12.0, "n") == 12 and type(read_int(12.0, "n")) is int
+    for value in (True, False, 2.5, float("nan"), float("inf"), "2.5", None, [1]):
+        message = re.escape(f"n must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_int(value, "n")
 
 
 @settings(max_examples=30, deadline=None)

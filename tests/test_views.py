@@ -72,6 +72,11 @@ def test_description_is_immutable_and_defensive():
         Description("", "e", {})
 
 
+def test_description_converts_grid_coordinates_to_ints():
+    assert Description("g", "e", {}, [2.0, True]).grid_coords == (2, 1)
+    assert Description("g", "e", {}, (1, 2, 3.0)).grid_coords == (1, 2, 3)
+
+
 def test_apply_view_filters_out_location():
     # A rich tile description seen through the label-only view keeps the
     # label and loses the coordinates.
