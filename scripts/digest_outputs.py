@@ -4,16 +4,25 @@
 
 Run from any directory with any supported interpreter; it needs only the
 standard library and the ``src`` tree beside this script.  It writes a
-painting spec and a hidden form into a fresh temporary directory, then runs
-``gen-painting``, ``play-puzzle`` (location, border, and border with three
-replicas), ``play-prob-game``, ``integrate`` and ``end-to-end`` there at fixed
-seeds, each as ``python -m factlaw`` with relative paths, so no manifest
-carries the directory.  It hashes every file the runs leave, each manifest
-without its ``wall_clock_s``, and prints the one sum.  Outputs are meant to
-be byte-identical for fixed seeds on every interpreter, so the sum must equal
-``EXPECTED``; otherwise the script lists each file's digest on stderr and
-exits 1.  A change that alters an output on purpose updates ``EXPECTED`` and
-says why.
+painting spec, a hidden form, a probability space and two ``lln`` config
+files into a fresh temporary directory, then runs every command there at
+fixed seeds: ``gen-painting``, ``play-puzzle`` (location, border, and border
+with three replicas), ``play-prob-game``, ``validate-space``, ``lln`` in both
+operations (``meta-probability`` from ``weights`` and ``find-n0`` from the
+painting, each through ``--config``), ``integrate`` and ``end-to-end``.  Each
+is ``python -m factlaw`` with relative paths, so no manifest carries the
+directory.  It then runs ``reproduce`` on every manifest the runs wrote and
+exits 1 unless each prints ``reproduce: pass``.  It hashes every file in the
+directory, each manifest without its ``wall_clock_s``, and prints the one
+sum.  Outputs are meant to be byte-identical for fixed seeds on every
+interpreter, so the sum must equal ``EXPECTED``; otherwise the script lists
+each file's digest on stderr and exits 1.  A change that alters an output on
+purpose updates ``EXPECTED`` and says why.
+
+``EXPECTED`` was ``1f223988...868bda`` while the script covered only the
+first seven runs.  Adding ``validate-space`` and the two ``lln`` runs added
+their inputs, documents and manifests to the sum, so it was pinned again;
+the files of the first seven runs did not change.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-EXPECTED = "1f2239884f600ca943d3e58db807f7094e09180163db9bf530f420d976868bda"
+EXPECTED = "08dc90757b3f5b9b230cba1be5cd6d0cb620d0681679bdf14584b3ce3e588385"
 
 SPEC = {
     "width": 12,
@@ -41,6 +50,23 @@ SPEC = {
 FORM_SPEC = dict(
     SPEC, width=8, height=8, label_counts={"1": 40, "2": 16, "3": 8}, seed=5
 )
+SPACE = {
+    "universe": ["a", "b", "c"],
+    "law": {"a": "1/2", "b": "1/3", "c": "1/6"},
+    "algebra_generators": [["a"], ["b", "c"]],
+}
+LLN_CONFIGS = {
+    "lln_weights.config.json": {
+        "operation": "meta-probability", "weights": [3, 2, 1], "label": 1,
+        "epsilon": "1/10", "n_draws": 30, "repetitions": 50, "seed": 11,
+        "out": "lln_weights.json",
+    },
+    "lln_painting.config.json": {
+        "operation": "find-n0", "painting": "painting.json", "label": 2,
+        "epsilon": "1/10", "delta": "1/10", "repetitions": 50, "seed": 12,
+        "out": "lln_painting.json",
+    },
+}
 
 RUNS = (
     ["gen-painting", "--spec", "spec.json", "--out", "painting.json"],
@@ -52,6 +78,9 @@ RUNS = (
      "--replicas", "3", "--seed", "4", "--report", "replicas.json"],
     ["play-prob-game", "--painting", "painting.json", "--draws", "2000",
      "--seed", "5", "--out", "frequencies.csv"],
+    ["validate-space", "--space", "space.json", "--out", "space_report.json"],
+    ["lln", "--config", "lln_weights.config.json"],
+    ["lln", "--config", "lln_painting.config.json"],
     ["integrate", "--form", "form.json", "--seed", "1", "--out", "integrate.json"],
     ["end-to-end", "--form", "form.json", "--draws", "2000", "--seed", "9",
      "--tolerance", "1/10", "--out", "end_to_end.json"],
@@ -59,7 +88,8 @@ RUNS = (
 
 
 def write_inputs(workdir: Path) -> None:
-    """The spec and the hidden form the runs read; no command writes a form."""
+    """The files the runs read that no command writes: the painting spec,
+    the hidden form, the space and the ``lln`` configs."""
     sys.path.insert(0, str(SRC))
     from factlaw.integration import generate_hidden_form
     from factlaw.painting import PaintingSpec
@@ -68,6 +98,9 @@ def write_inputs(workdir: Path) -> None:
     dump_json(SPEC, workdir / "spec.json")
     form = generate_hidden_form(PaintingSpec.from_doc(FORM_SPEC))
     dump_json(form.to_doc(), workdir / "form.json")
+    dump_json(SPACE, workdir / "space.json")
+    for name, params in LLN_CONFIGS.items():
+        dump_json({"command": "lln", "params": params}, workdir / name)
 
 
 def file_bytes(path: Path) -> bytes:
@@ -78,19 +111,38 @@ def file_bytes(path: Path) -> bytes:
     return json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
+def run_factlaw(argv: list[str], workdir: Path) -> str | None:
+    """Run ``python -m factlaw argv`` in ``workdir``; its stdout, or None
+    after reporting a nonzero exit on stderr."""
+    done = subprocess.run(
+        [sys.executable, "-m", "factlaw", *argv],
+        cwd=workdir, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        command = " ".join(argv)
+        sys.stderr.write(f"{command}: exit {done.returncode}\n{done.stderr}")
+        return None
+    return done.stdout
+
+
 def main() -> int:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     with tempfile.TemporaryDirectory(prefix="factlaw-digest-") as tmp:
         workdir = Path(tmp)
         write_inputs(workdir)
         for argv in RUNS:
-            done = subprocess.run(
-                [sys.executable, "-m", "factlaw", *argv],
-                cwd=workdir, env=env, capture_output=True, text=True,
-            )
-            if done.returncode != 0:
-                command = " ".join(argv)
-                sys.stderr.write(f"{command}: exit {done.returncode}\n{done.stderr}")
+            if run_factlaw(argv, workdir) is None:
+                return 1
+        manifests = sorted(workdir.glob("*.manifest.json"))
+        if len(manifests) != len(RUNS):
+            sys.stderr.write(f"{len(RUNS)} runs wrote {len(manifests)} manifests\n")
+            return 1
+        for manifest in manifests:
+            stdout = run_factlaw(["reproduce", "--manifest", manifest.name], workdir)
+            if stdout is None:
+                return 1
+            if not stdout.endswith("reproduce: pass\n"):
+                sys.stderr.write(f"reproduce {manifest.name}:\n{stdout}")
                 return 1
         total = hashlib.sha256()
         lines = []

@@ -27,12 +27,10 @@ from .painting import (
     BOUNDARY,
     GENERATOR_ID,
     InfeasibleSpec,
-    OutOfGrid,
     Painting,
     PaintingSpec,
     Tile,
     UNIQUE_EDGES,
-    describe_tile,
     generate_painting,
     label_histogram,
     painting_from_doc,
@@ -112,12 +110,10 @@ __all__ = [
     "BOUNDARY",
     "GENERATOR_ID",
     "InfeasibleSpec",
-    "OutOfGrid",
     "Painting",
     "PaintingSpec",
     "Tile",
     "UNIQUE_EDGES",
-    "describe_tile",
     "generate_painting",
     "label_histogram",
     "painting_from_doc",

@@ -474,19 +474,13 @@ def _integration_config(params: Mapping[str, Any]) -> IntegrationConfig:
     )
 
 
-def _load_form(path: str) -> tuple[HiddenForm, dict[str, str]]:
-    """Load a hidden form; one that fails :func:`check_integrable` is a
-    config error naming the file."""
+def _cmd_integrate(params: Mapping[str, Any]):
+    path = params["form"]
     form, inputs = _load_input(path, "hidden form", HiddenForm.from_doc)
     try:
         check_integrable(form)
     except AmbiguousStream as exc:
         raise ConfigError(f"hidden form {path}: {exc}") from None
-    return form, inputs
-
-
-def _cmd_integrate(params: Mapping[str, Any]):
-    form, inputs = _load_form(params["form"])
     seed = params["seed"]
     config = _integration_config(params)
     result = run_integration(complexified_phenomenon(form, seed), config)
@@ -498,10 +492,16 @@ def _cmd_end_to_end(params: Mapping[str, Any]):
     tolerance = params.get("tolerance")
     if tolerance is not None and tolerance < 0:
         raise ConfigError("tolerance must not be negative")
-    form, inputs = _load_form(params["form"])
+    path = params["form"]
+    form, inputs = _load_input(path, "hidden form", HiddenForm.from_doc)
     seed = params["seed"]
     config = _integration_config(params)
-    report = end_to_end_check(form, params["draws"], seed, config)
+    try:
+        # end_to_end_check refuses a form that fails check_integrable before
+        # it runs; a form that passes cannot make the run ambiguous.
+        report = end_to_end_check(form, params["draws"], seed, config)
+    except AmbiguousStream as exc:
+        raise ConfigError(f"hidden form {path}: {exc}") from None
     doc = report.to_doc()
     status = 0
     if tolerance is not None:

@@ -150,9 +150,6 @@ class HiddenForm:
             seen.add(r_prime)
         check_edge_coherence(self.width, self.height, [c.edge_sigs for c in cells])
 
-    def cell_at(self, x: int, y: int) -> ComplexifiedEvent:
-        return self.cells[(y - 1) * self.width + (x - 1)]
-
     @property
     def label_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}

@@ -50,10 +50,6 @@ class InfeasibleSpec(ValueError):
     """The requested painting cannot exist (bad counts or degenerate grid)."""
 
 
-class OutOfGrid(KeyError):
-    """Coordinates fall outside the painting grid."""
-
-
 @dataclass(frozen=True)
 class Tile:
     """One square of the painting."""
@@ -257,12 +253,6 @@ class Painting:
             raise ValueError("colour_form_ids must be distinct")
         check_edge_coherence(self.width, self.height, [t.edge_sigs for t in tiles])
 
-    def tile_at(self, coords: tuple[int, int]) -> Tile:
-        x, y = coords
-        if not (1 <= x <= self.width and 1 <= y <= self.height):
-            raise OutOfGrid(coords)
-        return self.tiles[(y - 1) * self.width + (x - 1)]
-
 
 def generate_painting(spec: PaintingSpec) -> Painting:
     """Deterministically generate a painting satisfying ``spec``.
@@ -334,20 +324,13 @@ def interior_signature_multiset(
 # --- views and descriptions -------------------------------------------------
 
 
-def describe_tile(
-    painting: Painting, coords: tuple[int, int], view_selector: str
-) -> Description:
-    """Describe the tile at ``coords`` through one of the two puzzle views.
+def tile_description(tile: Tile, view_selector: str) -> Description:
+    """Describe ``tile`` through one of the two puzzle views.
 
     ``location`` keeps the grid coordinates and nothing else; ``colour_form``
     keeps the colour-form id and edge signatures with coordinates stripped.
+    Any other selector raises :class:`~factlaw.views.UnknownAspect`.
     """
-    return tile_description(painting.tile_at(coords), view_selector)
-
-
-def tile_description(tile: Tile, view_selector: str) -> Description:
-    """:func:`describe_tile` for a tile already in hand, such as each of
-    ``painting.tiles`` in turn."""
     if view_selector == "location":
         return Description(GENERATOR_ID, tile.colour_form_id, {}, tile.coords)
     if view_selector == "colour_form":

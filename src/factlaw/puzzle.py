@@ -1,14 +1,14 @@
 """The three reconstruction games: by location, by borders, multi-replica.
 
-Fragments are drawn one at a time from a shuffled pool and placed on boards.
-In the location game every fragment carries its coordinates, so placement is
-certain.  In the border game coordinates are filtered out and only edge
-signatures guide assembly: one scan-line search rebuilds the whole pool
-cell by cell, backtracking where signatures repeat.  With several replicas
-of the painting mixed into one pool, boards close only near the end of the
-stream.  The painting module's seam rule (:func:`factlaw.painting.fits`)
-decides whether neighbouring pieces agree, here and in the
-semantic-integration module.
+A pool holds the fragments shuffled once, and each game reads them in that
+order and places them on boards.  In the location game every fragment
+carries its coordinates, so placement is certain.  In the border game
+coordinates are filtered out and only edge signatures guide assembly: one
+scan-line search rebuilds the whole pool cell by cell, backtracking where
+signatures repeat.  With several replicas of the painting mixed into one
+pool, boards close only near the end of the stream.  The painting module's
+seam rule (:func:`factlaw.painting.fits`) decides whether neighbouring
+pieces agree, here and in the semantic-integration module.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class Board:
 
     The board copies ``cells`` and computes its bounding box ``bbox``, as
     (min x, max x, min y, max y), once; ``width``, ``height``,
-    :meth:`canonical`, :meth:`is_full_rectangle` and ``to_doc`` read it.
+    :meth:`is_full_rectangle` and ``to_doc`` read it.
     """
 
     cells: dict[tuple[int, int], Piece]
@@ -94,13 +94,6 @@ class Board:
 
     def is_full_rectangle(self) -> bool:
         return len(self.cells) == self.width * self.height
-
-    def canonical(self) -> "Board":
-        """Translate so the minimum occupied cell sits at (1, 1)."""
-        x0, _, y0, _ = self.bbox
-        if (x0, y0) == (1, 1):
-            return self
-        return Board({(x - x0 + 1, y - y0 + 1): p for (x, y), p in self.cells.items()})
 
     def validate_edges(self) -> None:
         """Full post-hoc scan: every adjacent pair shares equal signatures."""
@@ -145,27 +138,23 @@ class AssemblyReport:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class FragmentPool:
-    """The ballot box for the no-replacement games.
+    """The ballot box for the no-replacement games: an immutable tuple of
+    fragments, shuffled once by ``seed``.
 
-    Fragments are shuffled once by ``seed``; :meth:`draw` hands them out
-    without replacement.  For pools built from a painting the fragment count
-    starts at ``replicas * width * height``: :meth:`from_painting` describes
-    each tile once and every replica shares that frozen description.
+    Each game reads ``fragments`` in that shuffled order.  For pools built
+    from a painting :meth:`from_painting` describes each tile once and every
+    replica shares that frozen description.
     """
 
-    fragments: list[Description]
-    replica_count: int = 1
+    fragments: tuple[Description, ...]
     seed: int = 0
-    _cursor: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
-        if self.replica_count < 1:
-            raise ValueError("replica_count must be at least 1")
         order = list(self.fragments)
         random.Random(derive_seed(self.seed, "draw-order")).shuffle(order)
-        self.fragments = order
+        object.__setattr__(self, "fragments", tuple(order))
 
     @classmethod
     def from_painting(
@@ -176,22 +165,10 @@ class FragmentPool:
         game) and pool ``replicas`` copies of that list, shuffled by ``seed``."""
         selector = {"location": "location", "border": "colour_form"}[mode]
         described = [tile_description(tile, selector) for tile in painting.tiles]
-        return cls(described * replicas, replica_count=replicas, seed=seed)
+        return cls(described * replicas, seed=seed)
 
     def __len__(self) -> int:
-        return len(self.fragments) - self._cursor
-
-    def draw(self) -> Description:
-        if self._cursor >= len(self.fragments):
-            raise IndexError("pool is empty")
-        fragment = self.fragments[self._cursor]
-        self._cursor += 1
-        return fragment
-
-    def draw_all(self) -> list[Description]:
-        remaining = self.fragments[self._cursor:]
-        self._cursor = len(self.fragments)
-        return remaining
+        return len(self.fragments)
 
 
 _edge_points = itemgetter(*ASPECT_EDGES)
@@ -210,14 +187,13 @@ def _edges_of(fragment: Description) -> tuple[str, str, str, str]:
 def solve_by_location(pool: FragmentPool) -> AssemblyReport:
     """Place located fragments with certainty: one slot per fragment.
 
-    Every fragment lands directly on its coordinates, so placements equal
-    trials and no search happens.  Two fragments claiming one cell mean the
-    pool is corrupt (:class:`DuplicateCoordinates`).
+    The fragments are read in the pool's shuffled order, and each lands
+    directly on its own coordinates, so placements equal trials and no
+    search happens.  Two fragments claiming one cell, as in a pool of two
+    replicas, mean the pool is corrupt (:class:`DuplicateCoordinates`).
     """
-    if pool.replica_count != 1:
-        raise ValueError("the location game is a single-replica game")
     cells: dict[tuple[int, int], Piece] = {}
-    for fragment in pool.draw_all():
+    for fragment in pool.fragments:
         coords = fragment.grid_coords
         if coords is None:
             raise ValueError("fragment carries no coordinates")
@@ -226,7 +202,7 @@ def solve_by_location(pool: FragmentPool) -> AssemblyReport:
             raise DuplicateCoordinates(pos)
         cells[pos] = Piece(fragment, None)
     count = len(cells)
-    board = Board(cells).canonical()
+    board = Board(cells)
     complete = board.is_full_rectangle()
     return AssemblyReport(
         placements=count,
@@ -248,7 +224,7 @@ def solve_by_borders(
     Raises :class:`UnsolvablePool` when no assembly exists or the trial
     budget runs out.
     """
-    draws = pool.draw_all()
+    draws = pool.fragments
     if not draws:
         raise ValueError("empty pool")
     for fragment in draws:

@@ -86,8 +86,7 @@ def test_hidden_form_from_painting_carries_structure_over(reference_painting):
     assert (form.width, form.height) == (10, 10)
     assert form.label_counts == label_histogram(reference_painting)
     assert form.s_prime == 600  # ten times the largest label count
-    for tile in reference_painting.tiles:
-        cell = form.cell_at(*tile.coords)
+    for tile, cell in zip(reference_painting.tiles, form.cells):
         assert cell.label_r == tile.approx_colour
         assert cell.edge_sigs == tile.edge_sigs
     assert form.normalized_histogram() == {

@@ -8,17 +8,19 @@ from factlaw import (
     AMBIGUOUS_EDGES,
     BOUNDARY,
     InfeasibleSpec,
-    OutOfGrid,
     Painting,
     PaintingSpec,
     Tile,
-    describe_tile,
     generate_painting,
     label_histogram,
     painting_from_doc,
     painting_to_doc,
 )
-from factlaw.painting import interior_signature_multiset, painting_digest
+from factlaw.painting import (
+    interior_signature_multiset,
+    painting_digest,
+    tile_description,
+)
 from factlaw.serialize import dump_json, load_json, read_int
 
 from conftest import REFERENCE_SPEC
@@ -78,6 +80,7 @@ def test_uniform_2x2_painting():
 
 def test_edge_coherence_and_boundary_markers():
     p = generate_painting(REFERENCE_SPEC)
+    tiles = {t.coords: t for t in p.tiles}
     for t in p.tiles:
         x, y = t.coords
         n, e, s, w = t.edge_sigs
@@ -86,9 +89,9 @@ def test_edge_coherence_and_boundary_markers():
         assert (s == BOUNDARY) == (y == 1)
         assert (w == BOUNDARY) == (x == 1)
         if x < p.width:
-            assert e == p.tile_at((x + 1, y)).edge_sigs[3]
+            assert e == tiles[x + 1, y].edge_sigs[3]
         if y < p.height:
-            assert n == p.tile_at((x, y + 1)).edge_sigs[2]
+            assert n == tiles[x, y + 1].edge_sigs[2]
 
 
 def test_unique_mode_signatures_pair_exactly_once():
@@ -108,31 +111,29 @@ def test_ambiguous_mode_repeats_signatures():
     assert max(multiset.values()) > 2
 
 
-def test_describe_tile_location_view():
-    p = generate_painting(REFERENCE_SPEC)
-    d = describe_tile(p, (1, 1), "location")
-    assert d.grid_coords == (1, 1)
+def test_tile_description_location_view():
+    tile = generate_painting(REFERENCE_SPEC).tiles[0]
+    d = tile_description(tile, "location")
+    assert d.grid_coords == tile.coords == (1, 1)
+    assert d.entity_id == tile.colour_form_id
     assert d.points == {}
 
 
-def test_describe_tile_colour_form_view():
+def test_tile_description_colour_form_view():
     p = generate_painting(REFERENCE_SPEC)
-    d = describe_tile(p, (2, 5), "colour_form")
-    tile = p.tile_at((2, 5))
+    tile = p.tiles[(5 - 1) * p.width + (2 - 1)]
+    assert tile.coords == (2, 5)
+    d = tile_description(tile, "colour_form")
     assert d.points["colour_form"] == tile.colour_form_id
     assert d.grid_coords is None
     assert "approx_colour" not in d.points
     assert tuple(d.points[a] for a in ("edge_n", "edge_e", "edge_s", "edge_w")) == tile.edge_sigs
 
 
-def test_describe_tile_errors():
-    p = generate_painting(REFERENCE_SPEC)
-    with pytest.raises(OutOfGrid):
-        describe_tile(p, (0, 5), "location")
-    with pytest.raises(OutOfGrid):
-        describe_tile(p, (11, 1), "location")
+def test_tile_description_rejects_an_unknown_view():
+    tile = generate_painting(REFERENCE_SPEC).tiles[0]
     with pytest.raises(KeyError):
-        describe_tile(p, (1, 1), "weight")
+        tile_description(tile, "weight")
 
 
 def test_painting_constructor_rejects_broken_grids():

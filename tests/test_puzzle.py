@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +25,8 @@ from factlaw import (
     solve_by_location,
 )
 from factlaw.integration import _Replicas
-from factlaw.painting import E, N, describe_tile
-from factlaw.puzzle import _edges_of, _solve_scanline
+from factlaw.painting import E, N, check_edge_coherence, tile_description
+from factlaw.puzzle import _edges_of
 
 from conftest import (
     REFERENCE_SPEC,
@@ -75,23 +76,24 @@ def test_location_game_smallest_painting():
 def test_location_game_duplicate_coordinates_is_corruption(reference_painting):
     fragments = FragmentPool.from_painting(
         reference_painting, "location", seed=1
-    ).draw_all()
+    ).fragments
     clash = dataclasses.replace(fragments[0], grid_coords=fragments[1].grid_coords)
-    pool = FragmentPool([clash] + fragments[1:], seed=2)
+    pool = FragmentPool((clash,) + fragments[1:], seed=2)
     with pytest.raises(DuplicateCoordinates):
         solve_by_location(pool)
 
 
 def test_location_game_is_single_replica_only(reference_painting):
+    # A second replica puts a second fragment on every cell.
     pool = FragmentPool.from_painting(reference_painting, "location", replicas=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DuplicateCoordinates):
         solve_by_location(pool)
 
 
 def test_location_game_incomplete_grid_is_not_certified(reference_painting):
     fragments = FragmentPool.from_painting(
         reference_painting, "location", seed=9
-    ).draw_all()
+    ).fragments
     report = solve_by_location(FragmentPool(fragments[:-1]))
     assert report.placements == 99
     assert report.completed_replicas == 0
@@ -157,7 +159,7 @@ def test_multi_replica_assembly_completes_every_copy(reference_painting):
     ],
     ids=("seed0", "seed1", "seed2"),
 )
-def test_greedy_interleaving_is_pinned(reference_painting, seed, order):
+def test_replica_interleaving_is_pinned(reference_painting, seed, order):
     # The draw indices at which intermingled replicas close: the cover
     # times of the draws (see the hypothesis test below).
     pool = FragmentPool.from_painting(
@@ -259,19 +261,19 @@ def test_clash_verdicts_name_the_draw(spec, seed, replicas, tamper, args):
     # Pools in which a greedy assembler fed in draw order met a clash at a
     # piece's matched slot or along a merge seam, and named the draw that
     # revealed it.  The border game proves that no assembly of them exists.
-    fragments = FragmentPool.from_painting(
+    fragments = list(FragmentPool.from_painting(
         generate_painting(spec), "border", replicas=replicas, seed=seed
-    ).draw_all()
+    ).fragments)
     tamper(fragments, *args)
-    pool = FragmentPool(fragments, replica_count=replicas, seed=seed)
+    pool = FragmentPool(fragments, seed=seed)
     with pytest.raises(UnsolvablePool, match="no consistent assembly found"):
         solve_by_borders(pool)
 
 
 def test_tampered_signature_is_detected(reference_painting):
-    fragments = FragmentPool.from_painting(
-        reference_painting, "border", seed=4
-    ).draw_all()
+    fragments = list(
+        FragmentPool.from_painting(reference_painting, "border", seed=4).fragments
+    )
     victim_index = next(
         i for i, f in enumerate(fragments) if f.points["edge_n"] != "B"
     )
@@ -289,10 +291,10 @@ def test_foreign_piece_from_another_painting_is_detected():
     # proves no assembly exists.
     host = generate_painting(PaintingSpec(2, 2, 1, {1: 4}, seed=1))
     other = generate_painting(PaintingSpec(2, 2, 1, {1: 4}, seed=2))
-    fragments = FragmentPool.from_painting(host, "border", seed=6).draw_all()
-    stranger = FragmentPool.from_painting(other, "border", seed=6).draw_all()[0]
+    fragments = FragmentPool.from_painting(host, "border", seed=6).fragments
+    stranger = FragmentPool.from_painting(other, "border", seed=6).fragments[0]
     with pytest.raises(UnsolvablePool):
-        solve_by_borders(FragmentPool(fragments + [stranger]))
+        solve_by_borders(FragmentPool(fragments + (stranger,)))
 
 
 def test_pool_mixing_two_paintings_is_rebuilt():
@@ -306,9 +308,9 @@ def test_pool_mixing_two_paintings_is_rebuilt():
     fragments = [
         fragment
         for painting in (first, second)
-        for fragment in FragmentPool.from_painting(painting, "border").draw_all()
+        for fragment in FragmentPool.from_painting(painting, "border").fragments
     ]
-    report = solve_by_borders(FragmentPool(fragments, replica_count=2, seed=0))
+    report = solve_by_borders(FragmentPool(fragments, seed=0))
     assert report.completion_order == ((0, 17), (1, 18))
     for board in report.boards:
         board.validate_edges()
@@ -384,13 +386,16 @@ def test_ambiguous_pool_exhausts_a_tiny_trial_budget():
 # --- pools, boards, reports -------------------------------------------------
 
 
-def test_pool_draw_order_is_seeded_and_exhaustible(reference_painting):
+def test_pool_order_is_seeded_and_immutable(reference_painting):
     first = FragmentPool.from_painting(reference_painting, "border", seed=17)
     second = FragmentPool.from_painting(reference_painting, "border", seed=17)
-    assert first.draw_all() == second.draw_all()
-    assert len(first) == 0
-    with pytest.raises(IndexError):
-        first.draw()
+    assert first.fragments == second.fragments
+    assert len(first) == len(first.fragments) == 100
+    # Solving reads the pool without using it up.
+    solve_by_borders(first)
+    assert first.fragments == second.fragments
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.fragments = ()
 
 
 @pytest.mark.parametrize(
@@ -415,31 +420,9 @@ def test_pool_order_is_pinned(reference_painting, mode, view, replicas, seed, di
     ).fragments
     ids = " ".join(fragment.entity_id for fragment in fragments)
     assert hashlib.sha256(ids.encode()).hexdigest()[:16] == digest
-    coords = {tile.colour_form_id: tile.coords for tile in reference_painting.tiles}
+    tiles = {tile.colour_form_id: tile for tile in reference_painting.tiles}
     for fragment in fragments:
-        assert fragment == describe_tile(
-            reference_painting, coords[fragment.entity_id], view
-        )
-
-
-def test_pool_len_counts_down(reference_painting):
-    pool = FragmentPool.from_painting(reference_painting, "border", seed=17)
-    assert len(pool) == 100
-    pool.draw()
-    assert len(pool) == 99
-
-
-def test_pool_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        FragmentPool([], replica_count=0)
-
-
-def test_board_canonical_translation():
-    piece = Piece("only", None)
-    board = Board({(4, -2): piece, (5, -2): piece})
-    moved = board.canonical()
-    assert set(moved.cells) == {(1, 1), (2, 1)}
-    assert moved.canonical() is moved
+        assert fragment == tile_description(tiles[fragment.entity_id], view)
 
 
 def test_board_validate_edges_catches_mismatch():
@@ -511,13 +494,22 @@ def swap_side_between_pieces(fragments, i, rng):
     swap_side(fragments, i, rng.randrange(len(fragments)), rng.randrange(4))
 
 
-def verdict(solve):
-    """The number of boards rebuilt, or "refused"."""
-    try:
-        report = solve()
-    except UnsolvablePool:
-        return "refused"
-    return len(report.boards)
+def assert_boards_hold_the_pool(report, pool):
+    """Every board is a full, seam-coherent grid, and together the boards
+    hold exactly the pool's pieces."""
+    held = Counter()
+    for board in report.boards:
+        assert board.is_full_rectangle()
+        board.validate_edges()
+        check_edge_coherence(board.width, board.height, [
+            board.cells[x, y].edges
+            for y in range(1, board.height + 1)
+            for x in range(1, board.width + 1)
+        ])
+        for piece in board.cells.values():
+            assert piece.edges == _edges_of(piece.payload)
+            held[piece.payload.entity_id, piece.edges] += 1
+    assert held == Counter((f.entity_id, _edges_of(f)) for f in pool.fragments)
 
 
 @settings(max_examples=40, deadline=None)
@@ -527,11 +519,11 @@ def verdict(solve):
         ["none", quarter_turn, swap_two_sides, swap_side_between_pieces, "mix"]
     ),
 )
-def test_greedy_and_scanline_verdicts_agree(data, tampering):
+def test_border_game_verdicts_hold_on_tampered_and_mixed_pools(data, tampering):
     # Tampering permutes signatures, so every pool still counts as unique.
-    # The border game must give the exhaustive search's verdict, also on a
-    # pool mixing a second painting in, where greedy assembly in draw order
-    # can clash although boards exist.
+    # An untampered pool, also one mixing a second painting in, is rebuilt
+    # into one board per replica; any pool the search solves is rebuilt
+    # from exactly its own pieces into full, coherent boards.
     spec = random_unique_spec(data)
     replicas = data.draw(st.integers(2 if tampering == "mix" else 1, 3), label="R")
     seed = data.draw(st.integers(0, 2**31), label="pool seed")
@@ -540,16 +532,21 @@ def test_greedy_and_scanline_verdicts_agree(data, tampering):
         other = generate_painting(dataclasses.replace(spec, seed=spec.seed + 1))
         fragments = FragmentPool.from_painting(
             painting, "border", replicas=replicas - 1
-        ).draw_all() + FragmentPool.from_painting(other, "border").draw_all()
+        ).fragments + FragmentPool.from_painting(other, "border").fragments
     else:
         fragments = FragmentPool.from_painting(
             painting, "border", replicas=replicas
-        ).draw_all()
+        ).fragments
     if callable(tampering):
+        fragments = list(fragments)
         rng = random.Random(seed)
         tampering(fragments, rng.randrange(len(fragments)), rng)
-    pool = FragmentPool(fragments, replica_count=replicas, seed=seed)
-    draws = list(pool.fragments)
-    sigs = [_edges_of(fragment) for fragment in draws]
-    searched = verdict(lambda: _solve_scanline(draws, sigs, None))
-    assert verdict(lambda: solve_by_borders(pool)) == searched
+    pool = FragmentPool(fragments, seed=seed)
+    try:
+        report = solve_by_borders(pool)
+    except UnsolvablePool:
+        assert callable(tampering)
+        return
+    if not callable(tampering):
+        assert len(report.boards) == report.completed_replicas == replicas
+    assert_boards_hold_the_pool(report, pool)
