@@ -1,6 +1,9 @@
 """Every narrative demo runs to the end against the library in ``src``,
-with warnings turned into errors as in the tests."""
+with warnings turned into errors as in the tests, and prints exactly the
+pinned text: each demo's stdout has one sha256 on every supported
+interpreter."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +13,23 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+STDOUT_SHA256 = {
+    "01_views_and_descriptions.py":
+        "69619a31020c487e926e22fbd87d4a8610cd590d38c7baa418e5c3cfc1d4a687",
+    "02_painting_and_puzzles.py":
+        "4d8b259b49f6a9716dc2c4cc34d15559e53d2ade8d1cabc8d25c4ca9d8e5e763",
+    "03_probability_game.py":
+        "7d6ec8c851e2a23e37eaba1e48d7af8d98ad4fdaa75cc9fbbda73b66ec35ff4d",
+    "04_meta_probability.py":
+        "d492d1923bb03ec9502b0be63234ccec6409969446663957cac8d7d64ec17f8c",
+    "05_semantic_integration.py":
+        "6ef856c806e1385afe14250afa9aeb5c5067178c865052527111c115b4a5afcf",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(STDOUT_SHA256) == [demo.name for demo in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -24,3 +44,5 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == STDOUT_SHA256[demo.name], proc.stdout
