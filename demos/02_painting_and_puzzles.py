@@ -15,6 +15,7 @@ from factlaw import (
     solve_by_borders,
     solve_by_location,
 )
+from factlaw.painting import row_major_positions
 
 spec = PaintingSpec(
     width=10, height=10, q=3, label_counts={1: 60, 2: 30, 3: 10}, seed=7
@@ -36,7 +37,9 @@ print(f"  placements={report.placements}, trials={report.trials} "
 pool = FragmentPool.from_painting(painting, "border", seed=2)
 report = solve_by_borders(pool)
 (board,) = report.boards
-source = {t.coords: t.colour_form_id for t in painting.tiles}
+# A tile's place is its row-major index in painting.tiles.
+positions = row_major_positions(painting.width, painting.height)
+source = {pos: t.colour_form_id for pos, t in zip(positions, painting.tiles)}
 rebuilt = {pos: piece.payload.points["colour_form"]
            for pos, piece in board.cells.items()}
 print("Border game (coordinates stripped, unique interior edges):")

@@ -30,6 +30,7 @@ from .painting import (
     Painting,
     PaintingSpec,
     check_edge_coherence,
+    check_grid_size,
     edges_from_doc,
     edges_to_doc,
     fits,
@@ -37,6 +38,7 @@ from .painting import (
     interior_signature_multiset,
     label_histogram,
     place_row_major,
+    row_major_positions,
 )
 from .phenomenon import (
     DivergenceReport,
@@ -120,14 +122,8 @@ class HiddenForm:
     cells: tuple[ComplexifiedEvent, ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(self.cells)
-        object.__setattr__(self, "cells", cells)
-        if self.width < 1 or self.height < 1:
-            raise ValueError("grid extents must be positive")
-        if len(cells) != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} cells, got {len(cells)}"
-            )
+        cells = self.cells
+        check_grid_size(self.width, self.height, len(cells), "cells")
         labels = sorted({c.label_r for c in cells})
         if labels != list(range(1, len(labels) + 1)):
             raise ValueError("labels must be exactly 1..s with every value present")
@@ -162,19 +158,20 @@ class HiddenForm:
         return Measure.from_counts(dict(sorted(self.label_counts.items()))).atom_probs
 
     def to_doc(self) -> dict[str, Any]:
+        positions = row_major_positions(self.width, self.height)
         return {
             "width": self.width,
             "height": self.height,
             "s_prime": self.s_prime,
             "cells": [
                 {
-                    "x": i % self.width + 1,
-                    "y": i // self.width + 1,
+                    "x": x,
+                    "y": y,
                     "label": c.label_r,
                     "rp": c.complexification_r_prime,
                     "edges": edges_to_doc(c.edge_sigs),
                 }
-                for i, c in enumerate(self.cells)
+                for (x, y), c in zip(positions, self.cells)
             ],
         }
 

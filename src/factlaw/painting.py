@@ -20,7 +20,7 @@ from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .seeding import derive_seed
 from .serialize import read_int, sha256_of_doc
-from .views import Description, UnknownAspect, int_coords
+from .views import Description, UnknownAspect
 
 BOUNDARY = "B"
 
@@ -52,19 +52,13 @@ class InfeasibleSpec(ValueError):
 
 @dataclass(frozen=True)
 class Tile:
-    """One square of the painting."""
+    """One square of the painting; its index in :attr:`Painting.tiles` places it."""
 
-    coords: tuple[int, int]
     colour_form_id: str
     approx_colour: int
     edge_sigs: tuple[str, str, str, str]  # N, E, S, W
 
     def __post_init__(self) -> None:
-        # What every loader passes, an int pair and a tuple of sides, is kept
-        # as it is, so each tile skips two frozen-attribute writes.
-        coords = int_coords(self.coords)
-        if coords is not self.coords:
-            object.__setattr__(self, "coords", coords)
         sigs = self.edge_sigs
         if type(sigs) is not tuple:
             sigs = tuple(sigs)
@@ -79,7 +73,7 @@ class Tile:
 
 @dataclass(frozen=True)
 class PaintingSpec:
-    """Recipe for generating a painting."""
+    """Recipe for generating a painting; its integers are read with ``read_int``."""
 
     width: int
     height: int
@@ -89,7 +83,14 @@ class PaintingSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        counts = {int(k): int(v) for k, v in self.label_counts.items()}
+        for name in ("width", "height", "q", "seed"):
+            object.__setattr__(self, name, read_int(getattr(self, name), name))
+        counts = {
+            read_int(k, "label_counts key"): read_int(v, f"label_counts[{k}]")
+            for k, v in self.label_counts.items()
+        }
+        if len(counts) != len(self.label_counts):
+            raise ValueError("label_counts keys repeat once read as integers")
         object.__setattr__(self, "label_counts", counts)
         cells = self.width * self.height
         if self.width < 1 or self.height < 1:
@@ -125,17 +126,9 @@ class PaintingSpec:
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "PaintingSpec":
-        return cls(
-            width=read_int(doc["width"], "width"),
-            height=read_int(doc["height"], "height"),
-            q=read_int(doc["q"], "q"),
-            label_counts={
-                read_int(k, "label_counts key"): read_int(v, f"label_counts[{k}]")
-                for k, v in doc["label_counts"].items()
-            },
-            uniqueness_mode=doc.get("uniqueness_mode", UNIQUE_EDGES),
-            seed=read_int(doc.get("seed", 0), "seed"),
-        )
+        mode, seed = doc.get("uniqueness_mode", UNIQUE_EDGES), doc.get("seed", 0)
+        width, height, q = doc["width"], doc["height"], doc["q"]
+        return cls(width, height, q, doc["label_counts"], mode, seed)
 
 
 def place_row_major(
@@ -147,9 +140,9 @@ def place_row_major(
     ``(y - 1) * width + (x - 1)``, the layout of every grid in this package.
     One pass drops each item straight onto its index, whatever order the
     pairs come in.  Raises ``ValueError`` unless the coordinates cover the
-    width x height grid exactly once: "expected N <what>, got M" when the
-    count is wrong, else "<what> do not cover each grid cell exactly once"
-    for a pair off the grid or on a cell already taken.
+    width x height grid exactly once: as :func:`check_grid_size` does when
+    the extents or the count are wrong, else "<what> do not cover each grid
+    cell exactly once" for a pair off the grid or on a cell already taken.
     """
     cells = width * height
     slots: list[Any] = [_VACANT] * cells
@@ -165,11 +158,25 @@ def place_row_major(
                     slots[index] = item
                     continue
         covered = False
-    if count != cells:
-        raise ValueError(f"expected {cells} {what}, got {count}")
+    check_grid_size(width, height, count, what)
     if not covered:
         raise ValueError(f"{what} do not cover each grid cell exactly once")
     return tuple(slots)
+
+
+def row_major_positions(width: int, height: int) -> list[tuple[int, int]]:
+    """The ``(x, y)`` of each index of a width x height grid, in the layout
+    of :func:`place_row_major`: index ``i`` lies at
+    ``(i % width + 1, i // width + 1)``."""
+    return [(x, y) for y in range(1, height + 1) for x in range(1, width + 1)]
+
+
+def check_grid_size(width: int, height: int, count: int, what: str) -> None:
+    """Refuse non-positive extents, or a ``count`` that does not fill the grid."""
+    if width < 1 or height < 1:
+        raise ValueError("grid extents must be positive")
+    if count != width * height:
+        raise ValueError(f"expected {width * height} {what}, got {count}")
 
 
 def fits(edges: Sequence[str], neighbours: Sequence[Sequence[str] | None]) -> bool:
@@ -227,8 +234,8 @@ def check_edge_coherence(
 class Painting:
     """An integrated grid of tiles; immutable once constructed.
 
-    ``tiles`` is stored row-major from the bottom-left origin (1, 1):
-    index ``(y - 1) * width + (x - 1)``.
+    ``tiles`` is stored row-major from the bottom-left origin (1, 1), like
+    :attr:`HiddenForm.cells`; a tile's index is the only record of its place.
     """
 
     width: int
@@ -237,10 +244,8 @@ class Painting:
     tiles: tuple[Tile, ...]
 
     def __post_init__(self) -> None:
-        tiles = place_row_major(
-            self.width, self.height, ((t.coords, t) for t in self.tiles), "tiles"
-        )
-        object.__setattr__(self, "tiles", tiles)
+        tiles = self.tiles
+        check_grid_size(self.width, self.height, len(tiles), "tiles")
         if not self.palette_q < len(tiles):
             raise ValueError("palette must be strictly smaller than the grid")
         labels = {t.approx_colour for t in tiles}
@@ -266,7 +271,7 @@ def generate_painting(spec: PaintingSpec) -> Painting:
     w, h, q = spec.width, spec.height, spec.q
     rng = random.Random(derive_seed(spec.seed, "painting"))
 
-    cells = [(x, y) for y in range(1, h + 1) for x in range(1, w + 1)]
+    cells = row_major_positions(w, h)
     labels = [j for j in range(1, q + 1) for _ in range(spec.label_counts[j])]
     rng.shuffle(labels)
     form_ids = [f"cf_{i:04d}" for i in range(len(cells))]
@@ -297,7 +302,7 @@ def generate_painting(spec: PaintingSpec) -> Painting:
         e = sig_of[(x, y), (x + 1, y)] if x < w else BOUNDARY
         s = sig_of[(x, y - 1), (x, y)] if y > 1 else BOUNDARY
         west = sig_of[(x - 1, y), (x, y)] if x > 1 else BOUNDARY
-        tiles.append(Tile((x, y), form_ids[i], labels[i], (n, e, s, west)))
+        tiles.append(Tile(form_ids[i], labels[i], (n, e, s, west)))
     return Painting(w, h, q, tuple(tiles))
 
 
@@ -324,15 +329,18 @@ def interior_signature_multiset(
 # --- views and descriptions -------------------------------------------------
 
 
-def tile_description(tile: Tile, view_selector: str) -> Description:
-    """Describe ``tile`` through one of the two puzzle views.
+def tile_description(
+    tile: Tile, coords: tuple[int, int], view_selector: str
+) -> Description:
+    """Describe ``tile``, which lies at ``coords``, through one of the two
+    puzzle views.
 
     ``location`` keeps the grid coordinates and nothing else; ``colour_form``
     keeps the colour-form id and edge signatures with coordinates stripped.
     Any other selector raises :class:`~factlaw.views.UnknownAspect`.
     """
     if view_selector == "location":
-        return Description(GENERATOR_ID, tile.colour_form_id, {}, tile.coords)
+        return Description(GENERATOR_ID, tile.colour_form_id, {}, coords)
     if view_selector == "colour_form":
         # A dict display is about twice as fast as building the points
         # from ASPECT_EDGES in a loop or with dict(zip(...)).
@@ -371,39 +379,40 @@ def edges_from_doc(doc: Mapping[str, str]) -> tuple[str, str, str, str]:
 
 
 def painting_to_doc(painting: Painting) -> dict[str, Any]:
+    positions = row_major_positions(painting.width, painting.height)
     return {
         "width": painting.width,
         "height": painting.height,
         "q": painting.palette_q,
         "tiles": [
             {
-                "x": t.coords[0],
-                "y": t.coords[1],
+                "x": x,
+                "y": y,
                 "label": t.approx_colour,
                 "form": t.colour_form_id,
                 "edges": edges_to_doc(t.edge_sigs),
             }
-            for t in painting.tiles
+            for (x, y), t in zip(positions, painting.tiles)
         ],
     }
 
 
 def painting_from_doc(doc: Mapping[str, Any]) -> Painting:
-    tiles = [
-        Tile(
+    width = read_int(doc["width"], "width")
+    height = read_int(doc["height"], "height")
+    placed = (
+        (
             (read_int(entry["x"], "tile x"), read_int(entry["y"], "tile y")),
-            entry["form"],
-            read_int(entry["label"], "tile label"),
-            edges_from_doc(entry["edges"]),
+            Tile(
+                entry["form"],
+                read_int(entry["label"], "tile label"),
+                edges_from_doc(entry["edges"]),
+            ),
         )
         for entry in doc["tiles"]
-    ]
-    return Painting(
-        read_int(doc["width"], "width"),
-        read_int(doc["height"], "height"),
-        read_int(doc["q"], "q"),
-        tuple(tiles),
     )
+    tiles = place_row_major(width, height, placed, "tiles")
+    return Painting(width, height, read_int(doc["q"], "q"), tiles)
 
 
 def painting_digest(painting: Painting) -> str:

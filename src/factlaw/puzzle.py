@@ -27,6 +27,7 @@ from .painting import (
     W,
     Painting,
     fits,
+    row_major_positions,
     tile_description,
 )
 from .seeding import derive_seed
@@ -160,11 +161,15 @@ class FragmentPool:
     def from_painting(
         cls, painting: Painting, mode: str, replicas: int = 1, seed: int = 0
     ) -> "FragmentPool":
-        """Describe each of ``painting.tiles`` in turn through the mode's view
-        (``location`` for the location game, ``colour_form`` for the border
-        game) and pool ``replicas`` copies of that list, shuffled by ``seed``."""
+        """Describe each of ``painting.tiles`` at its row-major position
+        through the mode's view (``location`` for the location game,
+        ``colour_form`` for the border game) and pool ``replicas`` copies."""
         selector = {"location": "location", "border": "colour_form"}[mode]
-        described = [tile_description(tile, selector) for tile in painting.tiles]
+        positions = row_major_positions(painting.width, painting.height)
+        described = [
+            tile_description(tile, coords, selector)
+            for tile, coords in zip(painting.tiles, positions)
+        ]
         return cls(described * replicas, seed=seed)
 
     def __len__(self) -> int:
@@ -194,10 +199,9 @@ def solve_by_location(pool: FragmentPool) -> AssemblyReport:
     """
     cells: dict[tuple[int, int], Piece] = {}
     for fragment in pool.fragments:
-        coords = fragment.grid_coords
-        if coords is None:
+        pos = fragment.grid_coords
+        if pos is None:
             raise ValueError("fragment carries no coordinates")
-        pos = (coords[0], coords[1])
         if pos in cells:
             raise DuplicateCoordinates(pos)
         cells[pos] = Piece(fragment, None)
@@ -286,6 +290,8 @@ def _solve_scanline(
         key = (edges[W], edges[S], edges[E] == BOUNDARY, edges[N] == BOUNDARY)
         candidates.setdefault(key, []).append(kind)
 
+    area = width * height
+    positions = row_major_positions(width, height)
     chosen: list[int] = []  # the kind set on each filled cell
     tried: list[Sequence[int]] = []  # each filled cell's candidates ...
     cursors: list[int] = []  # ... and the index of its chosen one
@@ -312,17 +318,15 @@ def _solve_scanline(
             break
         tried.append(options)
         cursors.append(at)
-        x, y = cell % width, cell // width % height
-        west = east[kind] if x else BOUNDARY
-        south = north[chosen[cell - width]] if y else BOUNDARY
-        options = candidates.get((west, south, x == width - 1, y == height - 1), ())
+        x, y = positions[cell % area]
+        west = east[kind] if x > 1 else BOUNDARY
+        south = north[chosen[cell - width]] if y > 1 else BOUNDARY
+        options = candidates.get((west, south, x == width, y == height), ())
         at = 0
 
     # Hand out interchangeable pieces in draw order; a board closes with
     # the last-drawn of its pieces.
     supply = [iter(group) for group in groups.values()]
-    area = width * height
-    positions = [(i % width + 1, i // width + 1) for i in range(area)]
     finished = []
     for first in range(0, cells, area):
         placed = [next(supply[kind]) for kind in chosen[first:first + area]]

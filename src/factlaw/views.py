@@ -2,9 +2,10 @@
 
 A *view* is a finite semantic filter: a bundle of aspects, each carrying a
 finite set of admissible values, optionally completed by a grid frame that
-locates entities in space.  A *description* is what an examination through a
-view yields for one entity produced by one generator: a point cloud mapping
-aspect ids to value ids, plus grid coordinates when a frame is present.
+locates entities in the plane.  A *description* is what an examination
+through a view yields for one entity produced by one generator: a point
+cloud mapping aspect ids to value ids, plus grid coordinates, an (x, y) pair
+of ints, when a frame is present.  Nothing else is accepted as coordinates.
 
 Views are blind to everything they do not contain.  Applying a view to an
 entity keeps exactly those aspect/value pairs the view can express; if the
@@ -61,12 +62,12 @@ class AspectView:
 class View:
     """A finite bundle of aspects, optionally with a spatial grid frame.
 
-    ``grid_dims`` (2 or 3 positive extents) is the grid frame; ``None``
-    means the view has none.
+    ``grid_dims``, a (width, height) pair of positive ints, is the grid
+    frame; ``None`` means the view has none.
     """
 
     aspects: tuple[AspectView, ...]
-    grid_dims: tuple[int, ...] | None = None
+    grid_dims: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         # Aspects form a set; store them sorted by id so equal views compare
@@ -78,11 +79,9 @@ class View:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate aspect ids in view")
         object.__setattr__(self, "aspects", aspects)
-        if self.grid_dims is not None:
-            dims = tuple(self.grid_dims)
-            if len(dims) not in (2, 3) or any(d < 1 for d in dims):
-                raise ValueError(f"bad grid_dims {dims!r}")
-            object.__setattr__(self, "grid_dims", dims)
+        dims = self.grid_dims
+        if dims is not None and not (_is_int_pair(dims) and min(dims) >= 1):
+            raise ValueError(f"grid_dims must be a pair of positive ints, got {dims!r}")
 
     @property
     def has_grid_frame(self) -> bool:
@@ -102,20 +101,11 @@ class View:
         return any(a.aspect_id == aspect_id for a in self.aspects)
 
 
-def int_coords(coords: Iterable[Any]) -> tuple[int, ...]:
-    """Grid coordinates as a tuple of ints.
-
-    An (x, y) pair of ints, the coordinates of every tile, comes back as the
-    same object; anything else is converted element by element with ``int``.
-    """
-    if (
-        type(coords) is tuple
-        and len(coords) == 2
-        and type(coords[0]) is int
-        and type(coords[1]) is int
-    ):
-        return coords
-    return tuple(map(int, coords))
+def _is_int_pair(value: Any) -> bool:
+    """Whether ``value`` is a tuple of exactly two ints (booleans are not)."""
+    return type(value) is tuple and len(value) == 2 and (
+        type(value[0]) is type(value[1]) is int
+    )
 
 
 @dataclass(frozen=True)
@@ -123,23 +113,22 @@ class Description:
     """The outcome of examining one entity of one generator through a view.
 
     ``points`` maps aspect ids to the value each aspect yielded; aspects the
-    entity did not answer are simply absent.  ``grid_coords`` is set only
-    when the producing view carried a grid frame.
+    entity did not answer are simply absent.  ``grid_coords``, an (x, y)
+    pair of ints, is set only when the producing view carried a grid frame.
     """
 
     generator_id: str
     entity_id: str
     points: Mapping[str, str]
-    grid_coords: tuple[int, ...] | None = None
+    grid_coords: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if not self.generator_id or not self.entity_id:
             raise ValueError("generator_id and entity_id must be non-empty")
         object.__setattr__(self, "points", dict(self.points))
-        if self.grid_coords is not None:
-            coords = int_coords(self.grid_coords)
-            if coords is not self.grid_coords:
-                object.__setattr__(self, "grid_coords", coords)
+        coords = self.grid_coords
+        if coords is not None and not _is_int_pair(coords):
+            raise ValueError(f"grid_coords must be a pair of ints, got {coords!r}")
 
 
 def apply_view(view: View, entity: Description) -> Description:

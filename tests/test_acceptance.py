@@ -29,6 +29,7 @@ from factlaw import (
     integrate,
     label_histogram,
     meta_probability,
+    painting_to_doc,
     probabilise_painting,
     run_frequency_experiment,
     solve_by_borders,
@@ -121,7 +122,10 @@ def test_2_border_game_fidelity(conclude):
             painting, "border", seed=rng.getrandbits(32)
         )
         (board,) = solve_by_borders(pool).boards
-        source_grid = {t.coords: t.colour_form_id for t in painting.tiles}
+        source_grid = {
+            (entry["x"], entry["y"]): entry["form"]
+            for entry in painting_to_doc(painting)["tiles"]
+        }
         recovered_grid = {
             pos: piece.payload.points["colour_form"]
             for pos, piece in board.cells.items()

@@ -19,6 +19,8 @@ from factlaw import (
 from factlaw.painting import (
     interior_signature_multiset,
     painting_digest,
+    place_row_major,
+    row_major_positions,
     tile_description,
 )
 from factlaw.serialize import dump_json, load_json, read_int
@@ -72,6 +74,26 @@ def test_infeasible_specs_rejected():
         PaintingSpec(2, 2, 1, {1: 4}, uniqueness_mode="nonsense")
 
 
+def test_spec_refuses_non_integers():
+    # Each of these once read as an integer by truncation.
+    for args in (
+        (2, 2, 1, {1: 4.7}),
+        (2, 2, 1, {1.9: 4}),
+        (2, 2, 1, {True: 4}),
+        (2.5, 2, 1, {1: 5}),
+        (2, 2.5, 1, {1: 5}),
+        (2, 2, 1.5, {1: 4}),
+        (2, 2, 1, {1: 4}, "unique-interior-edges", 2.5),
+        (2, 2, 1, {1: 4}, "unique-interior-edges", True),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PaintingSpec(*args)
+    with pytest.raises(ValueError, match="keys repeat"):
+        PaintingSpec(2, 2, 1, {1: 2, "1": 2})
+    spec = PaintingSpec(2, 2, 1, {"1": 4.0})
+    assert spec.label_counts == {1: 4} and type(spec.label_counts[1]) is int
+
+
 def test_uniform_2x2_painting():
     p = generate_painting(PaintingSpec(2, 2, 1, {1: 4}, seed=3))
     assert label_histogram(p) == {1: 4}
@@ -80,9 +102,9 @@ def test_uniform_2x2_painting():
 
 def test_edge_coherence_and_boundary_markers():
     p = generate_painting(REFERENCE_SPEC)
-    tiles = {t.coords: t for t in p.tiles}
-    for t in p.tiles:
-        x, y = t.coords
+    entries = painting_to_doc(p)["tiles"]
+    tiles = {(entry["x"], entry["y"]): t for entry, t in zip(entries, p.tiles)}
+    for (x, y), t in tiles.items():
         n, e, s, w = t.edge_sigs
         assert (n == BOUNDARY) == (y == p.height)
         assert (e == BOUNDARY) == (x == p.width)
@@ -113,8 +135,8 @@ def test_ambiguous_mode_repeats_signatures():
 
 def test_tile_description_location_view():
     tile = generate_painting(REFERENCE_SPEC).tiles[0]
-    d = tile_description(tile, "location")
-    assert d.grid_coords == tile.coords == (1, 1)
+    d = tile_description(tile, (1, 1), "location")
+    assert d.grid_coords == (1, 1)
     assert d.entity_id == tile.colour_form_id
     assert d.points == {}
 
@@ -122,8 +144,7 @@ def test_tile_description_location_view():
 def test_tile_description_colour_form_view():
     p = generate_painting(REFERENCE_SPEC)
     tile = p.tiles[(5 - 1) * p.width + (2 - 1)]
-    assert tile.coords == (2, 5)
-    d = tile_description(tile, "colour_form")
+    d = tile_description(tile, (2, 5), "colour_form")
     assert d.points["colour_form"] == tile.colour_form_id
     assert d.grid_coords is None
     assert "approx_colour" not in d.points
@@ -133,7 +154,7 @@ def test_tile_description_colour_form_view():
 def test_tile_description_rejects_an_unknown_view():
     tile = generate_painting(REFERENCE_SPEC).tiles[0]
     with pytest.raises(KeyError):
-        tile_description(tile, "weight")
+        tile_description(tile, (1, 1), "weight")
 
 
 def test_painting_constructor_rejects_broken_grids():
@@ -143,9 +164,18 @@ def test_painting_constructor_rejects_broken_grids():
         Painting(2, 2, 1, tuple(tiles[:-1]))  # missing a cell
     twisted = tiles[:]
     t = twisted[0]
-    twisted[0] = Tile(t.coords, t.colour_form_id, t.approx_colour, ("X", "X", "X", "X"))
+    twisted[0] = Tile(t.colour_form_id, t.approx_colour, ("X", "X", "X", "X"))
     with pytest.raises(ValueError):
         Painting(2, 2, 1, tuple(twisted))  # boundary/coherence violation
+    with pytest.raises(ValueError, match="^grid extents must be positive$"):
+        Painting(-2, -2, 1, tuple(tiles))  # four cells, but no grid
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (1, 5), (5, 1), (4, 3)])
+def test_row_major_positions_invert_place_row_major(width, height):
+    cells = width * height
+    placed = zip(row_major_positions(width, height), range(cells))
+    assert place_row_major(width, height, placed, "cells") == tuple(range(cells))
 
 
 def test_json_round_trip_and_digest():
@@ -185,20 +215,16 @@ def test_painting_load_refuses_a_tile_set_that_misses_the_grid():
         with pytest.raises(ValueError, match=message):
             painting_from_doc(dict(doc, tiles=order))
     p = generate_painting(REFERENCE_SPEC)
-    t = p.tiles[0]
-    deep = Tile((*t.coords, 1), t.colour_form_id, t.approx_colour, t.edge_sigs)
-    with pytest.raises(ValueError, match=cover):
-        Painting(10, 10, 3, (deep,) + p.tiles[1:])
+    with pytest.raises(ValueError, match="^expected 100 tiles, got 99$"):
+        Painting(10, 10, 3, p.tiles[1:])
 
 
-def test_tile_converts_coordinates_and_sides():
-    t = Tile([1.0, True], "cf", 1, ["a", "b", "c", "d"])
-    assert t.coords == (1, 1) and type(t.coords) is tuple
-    assert [type(c) for c in t.coords] == [int, int]
+def test_tile_keeps_its_sides_as_a_tuple():
+    t = Tile("cf", 1, ["a", "b", "c", "d"])
     assert t.edge_sigs == ("a", "b", "c", "d") and type(t.edge_sigs) is tuple
-    assert Tile((2, 3, 4.0), "cf", 1, "nesw").coords == (2, 3, 4)
+    assert Tile("cf", 1, "nesw").edge_sigs == ("n", "e", "s", "w")
     with pytest.raises(ValueError, match="exactly four entries"):
-        Tile((1, 1), "cf", 1, ("a", "b", "c"))
+        Tile("cf", 1, ("a", "b", "c"))
 
 
 def test_read_int_keeps_its_verdicts():

@@ -25,7 +25,13 @@ from factlaw import (
     solve_by_location,
 )
 from factlaw.integration import _Replicas
-from factlaw.painting import E, N, check_edge_coherence, tile_description
+from factlaw.painting import (
+    E,
+    N,
+    check_edge_coherence,
+    painting_to_doc,
+    tile_description,
+)
 from factlaw.puzzle import _edges_of
 
 from conftest import (
@@ -37,7 +43,11 @@ from oracles import cover_times
 
 
 def source_form_grid(painting):
-    return {tile.coords: tile.colour_form_id for tile in painting.tiles}
+    """Each cell's colour-form id, at the position the painting's file gives it."""
+    return {
+        (entry["x"], entry["y"]): entry["form"]
+        for entry in painting_to_doc(painting)["tiles"]
+    }
 
 
 def board_form_grid(board):
@@ -421,8 +431,13 @@ def test_pool_order_is_pinned(reference_painting, mode, view, replicas, seed, di
     ids = " ".join(fragment.entity_id for fragment in fragments)
     assert hashlib.sha256(ids.encode()).hexdigest()[:16] == digest
     tiles = {tile.colour_form_id: tile for tile in reference_painting.tiles}
+    where = {
+        entry["form"]: (entry["x"], entry["y"])
+        for entry in painting_to_doc(reference_painting)["tiles"]
+    }
     for fragment in fragments:
-        assert fragment == tile_description(tiles[fragment.entity_id], view)
+        form = fragment.entity_id
+        assert fragment == tile_description(tiles[form], where[form], view)
 
 
 def test_board_validate_edges_catches_mismatch():

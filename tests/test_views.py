@@ -51,10 +51,8 @@ def test_view_invariants():
     a = AspectView("colour", ("red",))
     with pytest.raises(ValueError):
         View((a, a))
-    with pytest.raises(ValueError):
-        View((a,), grid_dims=(3,))  # 1-d frame
-    v = View((a,), grid_dims=(4, 5, 6))
-    assert v.grid_dims == (4, 5, 6)
+    v = View((a,), grid_dims=(4, 5))
+    assert v.grid_dims == (4, 5)
     assert v.has_grid_frame and not View((a,)).has_grid_frame
     assert "colour" in v and "weight" not in v
     with pytest.raises(UnknownAspect):
@@ -72,9 +70,16 @@ def test_description_is_immutable_and_defensive():
         Description("", "e", {})
 
 
-def test_description_converts_grid_coordinates_to_ints():
-    assert Description("g", "e", {}, [2.0, True]).grid_coords == (2, 1)
-    assert Description("g", "e", {}, (1, 2, 3.0)).grid_coords == (1, 2, 3)
+def test_frames_and_coordinates_are_int_pairs_or_refused():
+    a = AspectView("colour", ("red",))
+    for dims in ((3,), (4, 5, 6), [4, 5], (4.0, 5), (True, 2), (0, 5), (4, -1)):
+        with pytest.raises(ValueError, match="grid_dims must be"):
+            View((a,), grid_dims=dims)
+    coords = (2, 5)
+    assert Description("g", "e", {}, coords).grid_coords is coords
+    for coords in ((2.9, True), (2.7, 1), (2.0, 1), [2, 5], (1, 2, 3), (2,)):
+        with pytest.raises(ValueError, match="grid_coords must be"):
+            Description("g", "e", {}, coords)
 
 
 def test_apply_view_filters_out_location():
