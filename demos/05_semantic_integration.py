@@ -3,10 +3,11 @@
 Forward direction: a hidden form (a painting whose tiles also carry
 complexification indices) is sampled cell by cell, and each draw emits a
 complexified event -- label, index, edge signatures, no coordinates.
-Inverse direction: each distinct event joins a replica of the form, laid
-out by matching edge signatures, and later copies are counted; once three
-replicas complete and agree, per-label counting yields the law as exact
-rationals.  No frequencies are involved;
+Inverse direction: each distinct event joins the events whose edge
+signatures match its own, and later copies are counted; once no side waits
+for a partner, the scan-line search lays the replica out as one board, and
+once three replicas complete and agree, per-label counting yields the law
+as exact rationals.  No frequencies are involved;
 an independent frequency run then corroborates the recovered law.
 """
 

@@ -31,6 +31,7 @@ from .painting import (
     PaintingSpec,
     Tile,
     UNIQUE_EDGES,
+    UnsolvablePool,
     generate_painting,
     label_histogram,
     painting_from_doc,
@@ -43,7 +44,6 @@ from .puzzle import (
     FragmentPool,
     InconsistentSignatures,
     Piece,
-    UnsolvablePool,
     solve_by_borders,
     solve_by_location,
 )
@@ -86,7 +86,6 @@ from .integration import (
     expected_cover_time,
     generate_hidden_form,
     hidden_form_from_painting,
-    form_digest,
     integrate,
     label_projection,
 )
@@ -163,7 +162,6 @@ __all__ = [
     "complexified_phenomenon",
     "end_to_end_check",
     "expected_cover_time",
-    "form_digest",
     "generate_hidden_form",
     "hidden_form_from_painting",
     "integrate",

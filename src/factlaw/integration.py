@@ -8,12 +8,15 @@ own grid seen through that complexified view: its cells are the
 :class:`ComplexifiedEvent` values, row-major like the painting's tiles, and
 the stream emits them as they are.  :func:`integrate`, waiting for ``k``
 replicas, joins each distinct complexified event once, on its first copy,
-into a group: a nascent replica, laid out cell by cell as signatures
-match.  Later copies are only counted, and a group's ``j``-th replica
-closes once its events fill their rectangle and each has been drawn ``j``
-times.  Once enough replicas complete, per-label counting on a completed
-replica yields the law exactly, as rationals, with no appeal to limits:
-the time ordering of the stream leaves no trace in the result.
+to the component of every event whose signature matches one of its own: a
+nascent replica, kept as a set of events, with no positions.  Later copies
+are only counted.  When no side of a component waits for a partner, the
+scan-line search the border game uses lays its events out once, and they
+must tile exactly one board; its ``j``-th replica closes once each of its
+events has been drawn ``j`` times.  Once enough replicas complete,
+per-label counting on a completed replica yields the law exactly, as
+rationals, with no appeal to limits: the time ordering of the stream leaves
+no trace in the result.
 """
 
 from __future__ import annotations
@@ -29,16 +32,17 @@ from .painting import (
     OPPOSITE,
     Painting,
     PaintingSpec,
+    UnsolvablePool,
     check_edge_coherence,
     check_grid_size,
     edges_from_doc,
     edges_to_doc,
-    fits,
     generate_painting,
     interior_signature_multiset,
     label_histogram,
     place_row_major,
     row_major_positions,
+    scanline_layout,
 )
 from .phenomenon import (
     DivergenceReport,
@@ -49,7 +53,7 @@ from .phenomenon import (
 )
 from .prob import Measure, Universe
 from .seeding import derive_seed
-from .serialize import read_int, sha256_of_doc
+from .serialize import read_int
 
 
 class BudgetExhausted(RuntimeError):
@@ -63,8 +67,8 @@ class InconsistentReplicas(RuntimeError):
 class AmbiguousStream(RuntimeError):
     """Edges repeat: a form carries an interior signature on more than two
     sides, a new event showed a side and signature that an earlier event
-    already showed, or an event, or a cell a bridge moved, clashed with a
-    neighbour.
+    already showed, or the events of a replica that an event closed do not
+    tile exactly one board.
 
     Refusing the stream is the true verdict: on an ambiguous form, a smaller
     rectangle can tile from the events seen so far before every cell has
@@ -194,10 +198,6 @@ class HiddenForm:
         return cls(width, height, read_int(doc["s_prime"], "s_prime"), cells)
 
 
-def form_digest(form: HiddenForm) -> str:
-    return sha256_of_doc(form.to_doc())[:12]
-
-
 def hidden_form_from_painting(painting: Painting, seed: int = 0) -> HiddenForm:
     """Assign complexification indices to a painting's tiles.
 
@@ -313,66 +313,48 @@ class IntegrationResult:
         }
 
 
-# A cell (x, y) of a group is the int ``x * _X + y``: its N/S neighbours are
-# one apart, its E/W neighbours ``_X`` apart, and a translation is one int
-# added to every cell.  A group is connected and holds the cell 0 of its
-# frame, so ``|y|`` stays below its size, far below ``_X // 2``.
-_X = 1 << 32
-_STEPS = (1, _X, -1, -_X)  # N, E, S, W
-
-
-def _fills_box(cells: Mapping[int, Any]) -> bool:
-    xs, ys = zip(*(divmod(pos + _X // 2, _X) for pos in cells))
-    return (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1) == len(cells)
-
-
-class _Group:
-    """A nascent replica: the distinct events joined so far through
-    matching signatures, each once, on its cell.
-
-    ``open`` counts the non-boundary sides of its events that face an empty
-    cell; ``drawn[j]`` counts its events drawn more than ``j`` times, for
-    ``j < k``; ``closed`` counts its replicas closed so far.
-    """
-
-    __slots__ = ("cells", "open", "drawn", "closed")
-
-    def __init__(self, event: ComplexifiedEvent, k: int):
-        self.cells = {0: event}
-        self.open = sum(sig != BOUNDARY for sig in event.edge_sigs)
-        self.drawn = [1] + [0] * (k - 1)
-        self.closed = 0
-
-
 class _Replicas:
-    """The groups of one stream, waiting for ``k`` replicas to close.
+    """The components of one stream, waiting for ``k`` replicas to close.
 
     ``shown`` maps each non-boundary ``(side, signature)`` pair to the
-    number and the event that first showed it; ``where`` maps each distinct
-    event to its group and cell; ``completed`` logs ``(group, event
-    number)`` for every replica closed, in event order.
+    number and the event that first showed it.  Each distinct event gets an
+    id, its index in ``parent``, on its first copy; ``parent`` is a
+    union-find forest over the ids.  A root keeps its component's
+    ``members``, its ``open`` count of non-boundary sides whose partner has
+    not arrived, and ``drawn[j]``, the count of its members drawn more than
+    ``j`` times, for ``j < k``.  ``completed`` logs ``(root, event number)``
+    for every replica closed, in event order.
     """
 
     def __init__(self, k: int):
         self.k = k
         self.copies: dict[ComplexifiedEvent, int] = {}
         self.shown: dict[tuple[int, str], tuple[int, ComplexifiedEvent]] = {}
-        self.where: dict[ComplexifiedEvent, tuple[_Group, int]] = {}
-        self.completed: list[tuple[_Group, int]] = []
+        self.ids: dict[ComplexifiedEvent, int] = {}
+        self.parent: list[int] = []
+        self.members: list[list[ComplexifiedEvent]] = []
+        self.open: list[int] = []
+        self.drawn: list[list[int]] = []
+        self.completed: list[tuple[int, int]] = []
 
     def add(self, event: ComplexifiedEvent, number: int) -> None:
         """Count the ``number``-th event of the stream: a new event joins
-        the geometry, one of its first ``k`` copies raises its group's
-        counts, and a later copy does nothing."""
+        its partners, one of its first ``k`` copies raises its component's
+        counts, and a later copy does nothing.
+
+        A component with no open side never grows again, since a new
+        partner would repeat a shown pair, so its replica ``j`` closes when
+        ``drawn[j]`` reaches its size, after replica ``j - 1`` has."""
         copies = self.copies.get(event, 0)
         if copies == self.k:
             return
         self.copies[event] = copies + 1
         if copies:
-            group = self.where[event][0]
-            group.drawn[copies] += 1
-            if group.closed == copies and group.drawn[copies] == len(group.cells):
-                self._close(group, number)
+            root = self.find(self.ids[event])
+            drawn = self.drawn[root]
+            drawn[copies] += 1
+            if not self.open[root] and drawn[copies] == len(self.members[root]):
+                self.completed.append((root, number))
             return
         for side, sig in enumerate(event.edge_sigs):
             if sig == BOUNDARY:
@@ -386,77 +368,75 @@ class _Replicas:
                 )
         self._join(event, number)
 
+    def find(self, i: int) -> int:
+        """The root of id ``i``, halving the path on the way."""
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
     def _join(self, event: ComplexifiedEvent, number: int) -> None:
-        """Give a new event a group of its own, then bridge it, side by side
-        in N, E, S, W order, to the group of each partner, the event that
-        shows its signature on the facing side.  The first bridge sets its
-        cell.  A partner in its own group, or the event itself, bridges
-        nothing."""
-        self.where[event] = (_Group(event, self.k), 0)
-        clash = "piece does not fit its matched slot"
+        """Give a new event an id and a component of its own, then unite
+        it with the component of each partner, the event that shows its
+        signature on the facing side.  A component left with no open side
+        closes its first replica once the scan-line search lays its members
+        out as exactly one full board; otherwise the event raises
+        :class:`AmbiguousStream`."""
+        root = len(self.parent)
+        self.ids[event] = root
+        self.parent.append(root)
+        self.members.append([event])
+        self.open.append(4 - event.edge_sigs.count(BOUNDARY))
+        self.drawn.append([1] + [0] * (self.k - 1))
         for d, sig in enumerate(event.edge_sigs):
             if sig == BOUNDARY:
                 continue
-            # With no partner, the event stands in: its own group.
-            _, partner = self.shown.get((OPPOSITE[d], sig), (0, event))
-            group, pos = self.where[event]
-            other, at = self.where[partner]
-            if other is not group:
-                self._merge(group, other, pos + _STEPS[d] - at, number, clash)
-                clash = "merge seam mismatch"
-        group = self.where[event][0]
-        if not group.open and _fills_box(group.cells):
-            self._close(group, number)
+            _, partner = self.shown.get((OPPOSITE[d], sig), (0, None))
+            if partner is not None:
+                # A pair shuts two sides; an event that is its own partner
+                # meets this pair once from each side.
+                root = self._unite(root, self.find(self.ids[partner]))
+                self.open[root] -= 1 if partner is event else 2
+        if self.open[root]:
+            return
+        members = self.members[root]
+        try:
+            width, height, _, _ = scanline_layout([e.edge_sigs for e in members])
+        except UnsolvablePool:
+            width = height = 0
+        if width * height != len(members):
+            raise AmbiguousStream(
+                f"event {number}: closes a replica that tiles no single board;"
+                " integration needs unique edge signatures"
+            )
+        self.completed.append((root, number))
 
-    def _merge(
-        self, group: _Group, other: _Group, shift: int, number: int, clash: str
-    ) -> None:
-        """Move the smaller of two groups into the larger (``other`` on a
-        tie); ``shift`` takes a cell of ``other`` into ``group``'s frame.
-        A moved cell that breaks the seam rule with a neighbour raises
-        :class:`AmbiguousStream` (``clash``) before any state changes.
-
-        A moved cell that lands on a taken cell breaks it too.  Unless both
-        groups are single events, which a bridge sets side by side, the
-        larger group is connected with two cells or more, so the taken cell
-        has a neighbour there, and only the taken cell's event shows that
-        neighbour the signature across their seam."""
-        if len(other.cells) > len(group.cells):
-            group, other, shift = other, group, -shift
-        have = group.cells
-        moved = {}
-        seams = 0
-        for pos, event in other.cells.items():
-            pos += shift
-            around = [have.get(pos + step) for step in _STEPS]
-            if not fits(
-                event.edge_sigs, [None if e is None else e.edge_sigs for e in around]
-            ):
-                raise AmbiguousStream(
-                    f"event {number}: {clash}; integration needs unique edge"
-                    " signatures"
-                )
-            seams += 4 - around.count(None)
-            moved[pos] = event
-        have.update(moved)
-        for pos, event in moved.items():
-            self.where[event] = (group, pos)
-        group.open += other.open - 2 * seams
-        group.drawn = [a + b for a, b in zip(group.drawn, other.drawn)]
-
-    def _close(self, group: _Group, number: int) -> None:
-        group.closed += 1
-        self.completed.append((group, number))
+    def _unite(self, a: int, b: int) -> int:
+        """Hang the smaller of two roots under the larger and sum their
+        counts there; returns the root left."""
+        if a == b:
+            return a
+        members = self.members
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        self.parent[b] = a
+        members[a] += members[b]
+        members[b].clear()
+        self.open[a] += self.open[b]
+        self.drawn[a] = [x + y for x, y in zip(self.drawn[a], self.drawn[b])]
+        return a
 
 
-def _counts(group: _Group) -> tuple[int, dict[tuple[int, int], int], dict[int, int]]:
+def _counts(
+    members: list[ComplexifiedEvent],
+) -> tuple[int, dict[tuple[int, int], int], dict[int, int]]:
     pair_counts: dict[tuple[int, int], int] = {}
     label_counts: dict[int, int] = {}
-    for event in group.cells.values():
+    for event in members:
         pair = (event.label_r, event.complexification_r_prime)
         pair_counts[pair] = pair_counts.get(pair, 0) + 1
         label_counts[event.label_r] = label_counts.get(event.label_r, 0) + 1
-    return len(group.cells), pair_counts, label_counts
+    return len(members), pair_counts, label_counts
 
 
 def check_integrable(form: HiddenForm) -> None:
@@ -479,18 +459,18 @@ def integrate(
     """Join the stream's events into replicas until enough close; count out
     the law.
 
-    Each distinct event joins the geometry once, on its first copy: it
-    takes the cell its first matching signature names, next to the event
-    that shows that signature on the facing side, and bridges into one
-    group every group whose events match its other signatures.  Later
-    copies are only counted.  With ``k = config.confirmation_replicas``,
-    replica ``j`` of a group closes at the event by which its events fill
-    their bounding box, no non-boundary side faces an empty cell, and every
-    one of its events has been drawn ``j`` times.  A new event that shows a
+    Each distinct event joins once, on its first copy: a union-find over
+    the distinct events puts it in one component with every event that
+    shows one of its signatures on the facing side.  Later copies are only
+    counted.  With ``k = config.confirmation_replicas``, replica ``j`` of a
+    component closes at the event by which no non-boundary side of its
+    events waits for a partner and every one of its events has been drawn
+    ``j`` times.  At its first closure the scan-line search
+    (:func:`factlaw.painting.scanline_layout`) lays the component out once;
+    unless its events tile exactly one full board, :class:`AmbiguousStream`
+    names the closing event.  It also names a new event that shows a
     non-boundary signature on the side where an earlier distinct event
-    showed it, or that contradicts a neighbour (its own or, along a
-    bridge, a moved one's), raises :class:`AmbiguousStream` naming the
-    event.  Consumes events until ``k`` replicas are complete (raising
+    showed it.  Consumes events until ``k`` replicas are complete (raising
     :class:`BudgetExhausted` if ``max_events`` arrives first).  Both
     ``max_events`` and ``events_consumed`` count every drawn event.  The
     first completed replica supplies the counts; the remaining confirmation
@@ -498,7 +478,7 @@ def integrate(
     result is exact: no frequencies, no limits, just counting on the
     reconstructed form.
 
-    On a form whose cells emit distinct events, the one group closes its
+    On a form whose cells emit distinct events, the one component closes its
     ``j``-th replica at the first event by which every cell has been drawn
     ``j`` times: events consumed follow the ``k``-th cover time of the
     cells ("double Dixie cup" waiting time, Newman & Shepp 1960), whose
@@ -537,9 +517,9 @@ def integrate(
             " replicas complete"
         )
     finished = replicas.completed
-    n_total, pair_counts, label_counts = _counts(finished[0][0])
-    for group, _ in finished[1:]:
-        if _counts(group) != (n_total, pair_counts, label_counts):
+    n_total, pair_counts, label_counts = _counts(replicas.members[finished[0][0]])
+    for root, _ in finished[1:]:
+        if _counts(replicas.members[root]) != (n_total, pair_counts, label_counts):
             raise InconsistentReplicas(
                 "confirmation replicas disagree on counts"
             )

@@ -3,10 +3,11 @@
 A painting is a width x height grid of square tiles.  Each tile carries an
 opaque colour-form id, an approximate-colour label j in 1..q, and four edge
 signatures (N, E, S, W).  Interior signatures match pairwise across shared
-edges, by the seam rule :func:`fits` that the puzzle and integration modules
-share; the grid perimeter carries the literal boundary marker.  The painting
-is the ground truth that the puzzle, probability and integration games
-afterwards see only through restricted views.
+edges, by the seam rule :func:`fits`; the grid perimeter carries the literal
+boundary marker.  The painting is the ground truth that the puzzle,
+probability and integration games afterwards see only through restricted
+views.  Both directions rebuild a grid from its pieces' edge tuples with one
+routine, the scan-line search :func:`scanline_layout`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .seeding import derive_seed
-from .serialize import read_int, sha256_of_doc
+from .serialize import read_int
 from .views import Description, UnknownAspect
 
 BOUNDARY = "B"
@@ -48,6 +49,16 @@ _VACANT = object()  # an empty slot in place_row_major
 
 class InfeasibleSpec(ValueError):
     """The requested painting cannot exist (bad counts or degenerate grid)."""
+
+
+class UnsolvablePool(Exception):
+    """No layout of the pieces exists, or the named trial budget ran out.
+
+    The border game's one verdict on a pool it cannot rebuild.
+    """
+
+
+_NO_ASSEMBLY = "no consistent assembly found"
 
 
 @dataclass(frozen=True)
@@ -172,7 +183,11 @@ def row_major_positions(width: int, height: int) -> list[tuple[int, int]]:
 
 
 def check_grid_size(width: int, height: int, count: int, what: str) -> None:
-    """Refuse non-positive extents, or a ``count`` that does not fill the grid."""
+    """Refuse extents that are not positive ints (a bool is not one), or a
+    ``count`` that does not fill the grid."""
+    for extent in (width, height):
+        if not isinstance(extent, int) or isinstance(extent, bool):
+            raise ValueError(f"grid extents must be ints, got {extent!r}")
     if width < 1 or height < 1:
         raise ValueError("grid extents must be positive")
     if count != width * height:
@@ -188,6 +203,100 @@ def fits(edges: Sequence[str], neighbours: Sequence[Sequence[str] | None]) -> bo
             if mine != other[OPPOSITE[d]] or mine == BOUNDARY:
                 return False
     return True
+
+
+def scanline_layout(
+    sigs: Sequence[tuple[str, str, str, str]], trial_budget: int | None = None
+) -> tuple[int, int, list[int], int]:
+    """Lay pieces out on full boards from their (N, E, S, W) edge tuples
+    alone: fill every cell of every board in raster order, backtracking on
+    one stack.
+
+    The boundary marks fix the layout: each board has one piece with
+    boundary S and W edges, ``width`` pieces with a boundary S edge and
+    ``height`` with a boundary W edge.  Cells are filled row by row from
+    the bottom-left corner, board after board.  A cell takes a piece whose
+    W and S edges equal its left and lower neighbours' E and N edges (the
+    boundary mark on the left column and bottom row), and whose E and N
+    edges are the boundary mark exactly on the right column and top row.
+    Pieces with equal edge tuples are interchangeable, so one per tuple is
+    tried; with unique signatures no cell has a second, so trials equal
+    pieces.  The search numbers the distinct edge tuples (kinds) in the
+    order they first appear and files each kind once, under its W and S
+    edges and whether its E and N edges are boundary marks.  A cell keeps
+    the shared list of candidate kinds for its position and a cursor into
+    it, so resuming a cell after a backtrack tries the kinds after its last
+    choice.  Backtracking crosses board boundaries, so an exhausted stack
+    proves that no layout exists.  Raises :class:`UnsolvablePool` with
+    "no consistent assembly found" when none exists, and with "trial budget
+    N exhausted" when ``trial_budget`` runs out first; the default, 100 000
+    plus the number of pieces, suffices whenever no backtracking is needed.
+
+    Returns ``(width, height, placed, trials)``: ``placed`` holds the index
+    into ``sigs`` of the piece on each cell, board after board, each board
+    in the order of :func:`row_major_positions`; ``trials`` counts the
+    pieces tried.  Interchangeable pieces go out in index order.
+    """
+    budget = trial_budget if trial_budget is not None else 100_000 + len(sigs)
+    boards = sum(e[S] == BOUNDARY and e[W] == BOUNDARY for e in sigs)
+    bottom = sum(e[S] == BOUNDARY for e in sigs)
+    left = sum(e[W] == BOUNDARY for e in sigs)
+    if not boards or bottom % boards or left % boards:
+        raise UnsolvablePool(_NO_ASSEMBLY)
+    width, height = bottom // boards, left // boards
+    cells = boards * width * height
+    if cells != len(sigs):
+        raise UnsolvablePool(_NO_ASSEMBLY)
+
+    # Indices of the pieces sharing each edge tuple, in index order; the
+    # search knows each distinct tuple by its index here, its kind.
+    groups: dict[tuple, list[int]] = {}
+    for index, edges in enumerate(sigs):
+        groups.setdefault(edges, []).append(index)
+    stock = [len(group) for group in groups.values()]
+    east = [edges[E] for edges in groups]
+    north = [edges[N] for edges in groups]
+    candidates: dict[tuple[str, str, bool, bool], list[int]] = {}
+    for kind, edges in enumerate(groups):
+        key = (edges[W], edges[S], edges[E] == BOUNDARY, edges[N] == BOUNDARY)
+        candidates.setdefault(key, []).append(kind)
+
+    area = width * height
+    positions = row_major_positions(width, height)
+    chosen: list[int] = []  # the kind set on each filled cell
+    tried: list[Sequence[int]] = []  # each filled cell's candidates ...
+    cursors: list[int] = []  # ... and the index of its chosen one
+    options = candidates.get((BOUNDARY, BOUNDARY, width == 1, height == 1), ())
+    at = 0
+    trials = 0
+    while True:
+        while at < len(options) and not stock[options[at]]:
+            at += 1
+        if at == len(options):
+            if not chosen:
+                raise UnsolvablePool(_NO_ASSEMBLY)
+            stock[chosen.pop()] += 1
+            options, at = tried.pop(), cursors.pop() + 1
+            continue
+        trials += 1
+        if trials > budget:
+            raise UnsolvablePool(f"trial budget {budget} exhausted")
+        kind = options[at]
+        stock[kind] -= 1
+        chosen.append(kind)
+        cell = len(chosen)
+        if cell == cells:
+            break
+        tried.append(options)
+        cursors.append(at)
+        x, y = positions[cell % area]
+        west = east[kind] if x > 1 else BOUNDARY
+        south = north[chosen[cell - width]] if y > 1 else BOUNDARY
+        options = candidates.get((west, south, x == width, y == height), ())
+        at = 0
+
+    supply = [iter(group) for group in groups.values()]
+    return width, height, [next(supply[kind]) for kind in chosen], trials
 
 
 def check_edge_coherence(
@@ -413,8 +522,3 @@ def painting_from_doc(doc: Mapping[str, Any]) -> Painting:
     )
     tiles = place_row_major(width, height, placed, "tiles")
     return Painting(width, height, read_int(doc["q"], "q"), tiles)
-
-
-def painting_digest(painting: Painting) -> str:
-    """A short, stable digest of the painting's canonical document."""
-    return sha256_of_doc(painting_to_doc(painting))[:12]

@@ -6,9 +6,10 @@ carries its coordinates, so placement is certain.  In the border game
 coordinates are filtered out and only edge signatures guide assembly: one
 scan-line search rebuilds the whole pool cell by cell, backtracking where
 signatures repeat.  With several replicas of the painting mixed into one
-pool, boards close only near the end of the stream.  The painting module's
-seam rule (:func:`factlaw.painting.fits`) decides whether neighbouring
-pieces agree, here and in the semantic-integration module.
+pool, boards close only near the end of the stream.  The search is the
+painting module's :func:`factlaw.painting.scanline_layout`, which semantic
+integration shares, and its seam rule (:func:`factlaw.painting.fits`)
+checks a finished board.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ from typing import Any, Sequence
 
 from .painting import (
     ASPECT_EDGES,
-    BOUNDARY,
-    E,
-    N,
-    S,
-    W,
     Painting,
     fits,
     row_major_positions,
+    scanline_layout,
     tile_description,
 )
 from .seeding import derive_seed
@@ -38,16 +35,6 @@ _DELTAS = ((0, 1), (1, 0), (0, -1), (-1, 0))  # N, E, S, W
 
 class DuplicateCoordinates(Exception):
     """Two located fragments claim the same cell — corrupted pool."""
-
-
-class UnsolvablePool(Exception):
-    """No assembly of the pool exists, or the named trial budget ran out.
-
-    The border game's one verdict on a pool it cannot rebuild.
-    """
-
-
-_NO_ASSEMBLY = "no consistent assembly found"
 
 
 class InconsistentSignatures(Exception):
@@ -225,8 +212,8 @@ def solve_by_borders(
     Every pool goes to the scan-line search (:func:`_solve_scanline`),
     bounded by ``trial_budget``.  A pool is solved whenever its pieces tile
     full, seam-consistent boards, even boards of different paintings.
-    Raises :class:`UnsolvablePool` when no assembly exists or the trial
-    budget runs out.
+    Raises :class:`~factlaw.painting.UnsolvablePool` when no assembly
+    exists or the trial budget runs out.
     """
     draws = pool.fragments
     if not draws:
@@ -242,101 +229,28 @@ def _solve_scanline(
     sigs: Sequence[tuple[str, str, str, str]],
     trial_budget: int | None,
 ) -> AssemblyReport:
-    """Fill every cell of every board in raster order, backtracking on one stack.
+    """Rebuild the boards of ``draws``, whose edge tuples are ``sigs``, with
+    :func:`factlaw.painting.scanline_layout`, which raises
+    :class:`~factlaw.painting.UnsolvablePool` when it cannot.
 
-    The boundary marks fix the layout: each board has one piece with
-    boundary S and W edges, ``width`` pieces with a boundary S edge and
-    ``height`` with a boundary W edge.  Cells are filled row by row from
-    the bottom-left corner, board after board.  A cell takes a piece whose
-    W and S edges equal its left and lower neighbours' E and N edges (the
-    boundary mark on the left column and bottom row), and whose E and N
-    edges are the boundary mark exactly on the right column and top row.
-    Pieces with equal edge tuples are interchangeable, so one per tuple is
-    tried; with unique signatures no cell has a second, so trials equal
-    pieces.  The search numbers the distinct edge tuples (kinds) in the
-    order they are first drawn and files each kind once, under its W and S
-    edges and whether its E and N edges are boundary marks.  A cell keeps
-    the shared list of candidate kinds for its position and a cursor into
-    it, so resuming a cell after a backtrack tries the kinds after its last
-    choice.  Backtracking crosses board boundaries, so an exhausted stack
-    proves that no assembly exists.  Raises :class:`UnsolvablePool` with
-    "no consistent assembly found" when none exists, and with "trial budget
-    N exhausted" when ``trial_budget`` runs out first; the default, 100 000
-    plus the number of pieces, suffices whenever no backtracking is needed.
-    Identical pieces go out in draw order, so on replicas of one painting
-    board ``j`` closes at the ``j``-th cover time of the draws.
+    Identical pieces go out in draw order and a board closes with the
+    last-drawn of its pieces, so on replicas of one painting board ``j``
+    closes at the ``j``-th cover time of the draws.  Boards are listed in
+    the order they close.
     """
-    budget = trial_budget if trial_budget is not None else 100_000 + len(draws)
-    boards = sum(e[S] == BOUNDARY and e[W] == BOUNDARY for e in sigs)
-    bottom = sum(e[S] == BOUNDARY for e in sigs)
-    left = sum(e[W] == BOUNDARY for e in sigs)
-    if not boards or bottom % boards or left % boards:
-        raise UnsolvablePool(_NO_ASSEMBLY)
-    width, height = bottom // boards, left // boards
-    cells = boards * width * height
-    if cells != len(draws):
-        raise UnsolvablePool(_NO_ASSEMBLY)
-
-    # Draw indices of the pieces sharing each edge tuple, in draw order; the
-    # search knows each distinct tuple by its index here, its kind.
-    groups: dict[tuple, list[int]] = {}
-    for index, edges in enumerate(sigs):
-        groups.setdefault(edges, []).append(index)
-    stock = [len(group) for group in groups.values()]
-    east = [edges[E] for edges in groups]
-    north = [edges[N] for edges in groups]
-    candidates: dict[tuple[str, str, bool, bool], list[int]] = {}
-    for kind, edges in enumerate(groups):
-        key = (edges[W], edges[S], edges[E] == BOUNDARY, edges[N] == BOUNDARY)
-        candidates.setdefault(key, []).append(kind)
-
-    area = width * height
+    width, height, placed, trials = scanline_layout(sigs, trial_budget)
     positions = row_major_positions(width, height)
-    chosen: list[int] = []  # the kind set on each filled cell
-    tried: list[Sequence[int]] = []  # each filled cell's candidates ...
-    cursors: list[int] = []  # ... and the index of its chosen one
-    options = candidates.get((BOUNDARY, BOUNDARY, width == 1, height == 1), ())
-    at = 0
-    trials = 0
-    while True:
-        while at < len(options) and not stock[options[at]]:
-            at += 1
-        if at == len(options):
-            if not chosen:
-                raise UnsolvablePool(_NO_ASSEMBLY)
-            stock[chosen.pop()] += 1
-            options, at = tried.pop(), cursors.pop() + 1
-            continue
-        trials += 1
-        if trials > budget:
-            raise UnsolvablePool(f"trial budget {budget} exhausted")
-        kind = options[at]
-        stock[kind] -= 1
-        chosen.append(kind)
-        cell = len(chosen)
-        if cell == cells:
-            break
-        tried.append(options)
-        cursors.append(at)
-        x, y = positions[cell % area]
-        west = east[kind] if x > 1 else BOUNDARY
-        south = north[chosen[cell - width]] if y > 1 else BOUNDARY
-        options = candidates.get((west, south, x == width, y == height), ())
-        at = 0
-
-    # Hand out interchangeable pieces in draw order; a board closes with
-    # the last-drawn of its pieces.
-    supply = [iter(group) for group in groups.values()]
+    area = width * height
     finished = []
-    for first in range(0, cells, area):
-        placed = [next(supply[kind]) for kind in chosen[first:first + area]]
+    for first in range(0, len(placed), area):
+        board_placed = placed[first:first + area]
         board = Board(dict(zip(
-            positions, [Piece(draws[index], sigs[index]) for index in placed]
+            positions, [Piece(draws[index], sigs[index]) for index in board_placed]
         )))
-        finished.append((board, max(placed) + 1))
+        finished.append((board, max(board_placed) + 1))
     finished.sort(key=lambda entry: entry[1])
     return AssemblyReport(
-        placements=cells,
+        placements=len(placed),
         trials=trials,
         completed_replicas=len(finished),
         completion_order=tuple(

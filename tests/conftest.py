@@ -7,7 +7,7 @@ from factlaw import (
     Universe,
     generate_painting,
 )
-from factlaw.integration import _STEPS, generate_hidden_form
+from factlaw.integration import generate_hidden_form
 from factlaw.painting import OPPOSITE
 
 # The 10x10 three-label painting with a 60/30/10 split that most scenario
@@ -37,23 +37,24 @@ def fair_coin():
 
 
 def assert_open_counts_are_recounted(replicas):
-    # White box: each group's open count equals a recount of the sides
-    # that face an empty cell of that group.
-    groups = {id(group): group for group, _ in replicas.where.values()}
-    for group in groups.values():
+    # White box: each root's open count equals a recount of its members'
+    # non-boundary sides whose partner has not arrived.
+    for root, members in enumerate(replicas.members):
+        if replicas.find(root) != root:
+            continue
         recount = sum(
-            sig != BOUNDARY and pos + _STEPS[d] not in group.cells
-            for pos, event in group.cells.items()
+            sig != BOUNDARY and (OPPOSITE[d], sig) not in replicas.shown
+            for event in members
             for d, sig in enumerate(event.edge_sigs)
         )
-        assert group.open == recount
+        assert replicas.open[root] == recount
 
 
 def assert_no_partner_pair_spans_groups(replicas):
     # White box: every partner pair, two events showing one signature on
-    # facing sides, lies in one group, so no bridge was left undone.
-    for event, (group, _) in replicas.where.items():
+    # facing sides, lies under one root, so no union was left undone.
+    for event, i in replicas.ids.items():
         for d, sig in enumerate(event.edge_sigs):
             shown = replicas.shown.get((OPPOSITE[d], sig))
             if sig != BOUNDARY and shown is not None:
-                assert replicas.where[shown[1]][0] is group
+                assert replicas.find(replicas.ids[shown[1]]) == replicas.find(i)

@@ -23,7 +23,6 @@ from factlaw import (
     end_to_end_check,
     expected_cover_time,
     factual_space_from_painting,
-    form_digest,
     generate_hidden_form,
     generate_painting,
     hidden_form_from_painting,
@@ -134,7 +133,7 @@ def test_hidden_form_rejects_label_gaps_and_bad_coverage():
 def test_hidden_form_doc_round_trip(reference_form):
     doc = reference_form.to_doc()
     assert HiddenForm.from_doc(doc) == reference_form
-    assert form_digest(HiddenForm.from_doc(doc)) == form_digest(reference_form)
+    assert HiddenForm.from_doc(doc).to_doc() == doc
 
 
 def test_hidden_form_from_doc_places_cells_by_coordinates(reference_form):
@@ -299,36 +298,65 @@ def test_single_replica_skips_confirmation():
 
 
 def test_ambiguous_stream_is_rejected():
-    # Build a hook shape whose last event matches an open slot by one edge
-    # but clashes with a second neighbour of that slot.
+    # Build a hook shape whose fifth event matches an open slot by one edge
+    # but clashes with a second neighbour of that slot; the sixth shuts the
+    # last open sides, and the component tiles no board.
     events = [
         ComplexifiedEvent(1, 1, (B, "x", B, B)),          # (0,0)
         ComplexifiedEvent(1, 2, ("q", "y", B, "x")),      # (1,0)
         ComplexifiedEvent(1, 3, ("z", B, B, "y")),        # (2,0)
         ComplexifiedEvent(1, 4, (B, B, "z", "x2")),       # (2,1)
         ComplexifiedEvent(1, 5, (B, "x2", "w", B)),       # clashes at (1,1)
+        ComplexifiedEvent(1, 6, ("w", B, "q", B)),
     ]
+    one = IntegrationConfig(confirmation_replicas=1)
+    with pytest.raises(BudgetExhausted):
+        integrate(iter(events[:5]), one)
     with pytest.raises(AmbiguousStream) as caught:
-        integrate(iter(events), IntegrationConfig(confirmation_replicas=1))
+        integrate(iter(events), one)
     assert str(caught.value) == (
-        "event 5: piece does not fit its matched slot;"
+        "event 6: closes a replica that tiles no single board;"
         " integration needs unique edge signatures"
     )
 
 
 def test_merge_seam_clash_is_rejected():
-    # Event 4 matches event 3 on its E side and event 1 on its S side; the
-    # bridge puts event 2 under event 3, whose S signature it does not show.
+    # Event 4 matches event 3 on its E side and event 1 on its S side, which
+    # puts event 2 under event 3, whose S signature it does not show; event
+    # 5 shuts the last open sides, and the component tiles no board.
     events = [
         ComplexifiedEvent(1, 1, ("v0", "h0", B, B)),
         ComplexifiedEvent(1, 2, ("v1", B, B, "h0")),
         ComplexifiedEvent(1, 3, (B, B, "v9", "h1")),
         ComplexifiedEvent(1, 4, (B, "h1", "v0", B)),
+        ComplexifiedEvent(1, 5, ("v9", B, "v1", B)),
+    ]
+    one = IntegrationConfig(confirmation_replicas=1)
+    with pytest.raises(BudgetExhausted):
+        integrate(iter(events[:4]), one)
+    with pytest.raises(AmbiguousStream) as caught:
+        integrate(iter(events), one)
+    assert str(caught.value) == (
+        "event 5: closes a replica that tiles no single board;"
+        " integration needs unique edge signatures"
+    )
+
+
+def test_closed_partner_cycle_that_no_grid_holds_is_refused():
+    # The first two events match each other on both their N and S sides,
+    # like a two-cell torus: once both arrive no side is open, yet no grid
+    # holds them.  Read on, the third cell alone would close a 1x1 board
+    # and report the law {2: 1}.
+    events = [
+        ComplexifiedEvent(1, 1, ("s1", B, "s0", B)),
+        ComplexifiedEvent(1, 2, ("s0", B, "s1", B)),
+        ComplexifiedEvent(2, 1, BLANK),
     ]
     with pytest.raises(AmbiguousStream) as caught:
         integrate(iter(events), IntegrationConfig(confirmation_replicas=1))
     assert str(caught.value) == (
-        "event 4: merge seam mismatch; integration needs unique edge signatures"
+        "event 2: closes a replica that tiles no single board;"
+        " integration needs unique edge signatures"
     )
 
 
@@ -350,10 +378,19 @@ def test_stream_that_repeats_a_signature_is_refused():
     # The other 100 streams close a 2-cell board from the end cells before
     # the middle one is drawn: no stream check can see that cell.
     assert (refused, wrong) == (200, 100)
+    # The middle cell matches itself across its E and W sides: drawn
+    # first, it closes a one-cell torus; drawn after an end cell, it
+    # repeats that cell's pair.
     with pytest.raises(AmbiguousStream) as caught:
         integrate(complexified_phenomenon(form, 0), one)
     assert str(caught.value) == (
-        "event 3: E signature a001 was first shown by event 1;"
+        "event 1: closes a replica that tiles no single board;"
+        " integration needs unique edge signatures"
+    )
+    with pytest.raises(AmbiguousStream) as caught:
+        integrate(complexified_phenomenon(form, 4), one)
+    assert str(caught.value) == (
+        "event 2: E signature a001 was first shown by event 1;"
         " integration needs unique edge signatures"
     )
 
@@ -561,14 +598,18 @@ def assert_groups_are_consistent(replicas):
 
 def swapped_stream(form, seed):
     # Cells 44 and 45 trade their N signatures: no pair repeats, but the
-    # two cells bridge groups at the wrong places until a seam clashes.
+    # two cells join the wrong partners, and the component that closes
+    # tiles no board.
     swap = swap_side(form.cells, 44, 45, 0)
     return (swap.get(event, event) for event in complexified_phenomenon(form, seed))
 
 
 @pytest.mark.parametrize(
     "stream, clash",
-    [(complexified_phenomenon, None), (swapped_stream, "event 94: merge seam mismatch")],
+    [
+        (complexified_phenomenon, None),
+        (swapped_stream, "event 629: closes a replica that tiles no single board"),
+    ],
     ids=("unique", "swapped"),
 )
 def test_groups_stay_consistent_after_every_event(reference_form, stream, clash):

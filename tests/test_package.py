@@ -108,3 +108,26 @@ def test_no_module_imports_a_private_name_of_another():
                     if alias.name.startswith("_") and alias.name != "__version__"
                 ]
     assert private == []
+
+
+def test_the_shared_layout_sits_below_both_games():
+    # The scan-line both games call lives in painting, so painting imports
+    # neither game and integration does not import the border game.
+    forbidden = {"painting": {"puzzle", "integration"}, "integration": {"puzzle"}}
+    found = []
+    for name, banned in forbidden.items():
+        path = ROOT / "src" / "factlaw" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+                if node.module in (None, "factlaw"):  # from . import puzzle
+                    modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            for module in modules:
+                last = module.removeprefix("factlaw.")
+                if last.partition(".")[0] in banned:
+                    found.append(f"{name}.py:{node.lineno}: {module}")
+    assert found == []

@@ -7,18 +7,19 @@ from hypothesis import given, settings, strategies as st
 from factlaw import (
     AMBIGUOUS_EDGES,
     BOUNDARY,
+    HiddenForm,
     InfeasibleSpec,
     Painting,
     PaintingSpec,
     Tile,
     generate_painting,
+    hidden_form_from_painting,
     label_histogram,
     painting_from_doc,
     painting_to_doc,
 )
 from factlaw.painting import (
     interior_signature_multiset,
-    painting_digest,
     place_row_major,
     row_major_positions,
     tile_description,
@@ -171,6 +172,23 @@ def test_painting_constructor_rejects_broken_grids():
         Painting(-2, -2, 1, tuple(tiles))  # four cells, but no grid
 
 
+@pytest.mark.parametrize("extent", [2.0, True], ids=("float", "bool"))
+@pytest.mark.parametrize("grid", [Painting, HiddenForm])
+def test_grids_refuse_extents_that_are_not_ints(grid, extent):
+    # The extent equals the true width (2.0 == 2, True == 1); only its type
+    # is wrong, and the grid says so instead of failing later.
+    width = int(extent)
+    painting = generate_painting(PaintingSpec(width, 2, 1, {1: 2 * width}, seed=3))
+    if grid is Painting:
+        fields = (painting.palette_q, painting.tiles)
+    else:
+        form = hidden_form_from_painting(painting)
+        fields = (form.s_prime, form.cells)
+    grid(width, 2, *fields)
+    with pytest.raises(ValueError, match="^grid extents must be ints, got "):
+        grid(extent, 2, *fields)
+
+
 @pytest.mark.parametrize("width, height", [(1, 1), (1, 5), (5, 1), (4, 3)])
 def test_row_major_positions_invert_place_row_major(width, height):
     cells = width * height
@@ -184,7 +202,7 @@ def test_json_round_trip_and_digest():
     assert doc["width"] == 10 and doc["q"] == 3
     assert len(doc["tiles"]) == 100
     assert painting_from_doc(doc) == p
-    assert painting_digest(painting_from_doc(doc)) == painting_digest(p)
+    assert painting_to_doc(painting_from_doc(doc)) == doc
 
 
 def test_painting_file_loads_the_same_in_any_tile_order(tmp_path):
