@@ -9,7 +9,6 @@ repeating frequency experiments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Protocol
@@ -56,14 +55,28 @@ class Universe:
         return element in self.elements
 
 
+def _blocks(full: frozenset, family: Iterable[frozenset]) -> set[frozenset]:
+    """The blocks of ``family`` inside ``full``: the block of an element x
+    is ``full`` intersected with every member that holds x."""
+    block = dict.fromkeys(full, full)
+    for member in family:
+        for x in member:
+            block[x] &= member
+    return set(block.values())
+
+
 @dataclass(frozen=True)
 class EventAlgebra:
     """A family of events over a universe, closed under union and intersection.
 
-    The family always contains the full universe and the empty event.
-    Closure (and membership of every event in the powerset) is validated at
-    construction, once per unordered pair; universes here are small, so the
-    quadratic check is cheap.
+    The family always contains the full universe and the empty event, and
+    every event must lie inside the universe.  Closure is validated at
+    construction by the family's blocks, the smallest event around each
+    element: a finite family holding the empty event and the universe is
+    closed under union and intersection exactly when it is every union of
+    its blocks (Birkhoff, "Rings of sets", 1937).  So the check is that
+    ``event | block`` is an event for every event and block: E·|U| unions
+    for E events, not the E² pairs.
     """
 
     universe: Universe
@@ -78,11 +91,8 @@ class EventAlgebra:
         for event in events:
             if not event <= full:
                 raise ValueError(f"event {sorted(event, key=repr)} leaves the universe")
-        ordered = list(events)
-        for i, a in enumerate(ordered):
-            for b in ordered[i:]:
-                if a | b not in events or a & b not in events:
-                    raise ValueError("algebra is not closed under union/intersection")
+        if any(e | b not in events for b in _blocks(full, events) for e in events):
+            raise ValueError("algebra is not closed under union/intersection")
 
     def __len__(self) -> int:
         return len(self.events)
@@ -100,31 +110,26 @@ def generate_algebra(
     """Close ``generators`` under union and intersection over ``universe``.
 
     The result always contains the full universe and the empty event.
-    Complement closure is opt-in: with ``include_complements`` the closure
-    also absorbs set differences from the full universe.
+    Complement closure is opt-in: with ``include_complements`` each
+    generator's complement joins the generators, and the union/intersection
+    closure of the two is the Boolean algebra the generators span.  The
+    closure is every union of the generators' blocks (see
+    :class:`EventAlgebra`), built by folding in one block at a time.
     """
     full = frozenset(universe.elements)
-    events: set[frozenset] = {full, frozenset()}
+    family: list[frozenset] = []
     for gen in generators:
         event = frozenset(gen)
         if not event <= full:
             raise ForeignElement(
                 f"generator {sorted(event, key=repr)} leaves the universe"
             )
-        events.add(event)
-    # Semi-naive closure: pairs of events known before a round were combined
-    # in an earlier round, so each round only pairs its new events with all.
-    fresh = set(events)
-    while fresh:
-        known = list(events)
-        found: set[frozenset] = set()
-        for a in fresh:
-            found.update(a | b for b in known)
-            found.update(a & b for b in known)
-            if include_complements:
-                found.add(full - a)
-        fresh = found - events
-        events |= fresh
+        family.append(event)
+    if include_complements:
+        family += [full - event for event in family]
+    events: set[frozenset] = {frozenset()}
+    for block in _blocks(full, family):
+        events |= {event | block for event in events}
     return EventAlgebra(universe, frozenset(events))
 
 
@@ -234,11 +239,13 @@ def validate_measure(measure: Measure, algebra: EventAlgebra) -> ValidationRepor
     atom has strictly positive weight; with zero-weight atoms present it is
     recorded as skipped (passed, with a note) rather than guessed at.
 
-    The pair checks count in integers: every atom weight is put over the
-    atoms' common denominator, one pass of E·|U| integer sums gives each of
-    the E events its numerator, and each of the E² ordered pairs is then
-    two dictionary lookups and integer compares.  A failing pair's detail
-    names the last failing pair in event order.
+    Atom weights add, so ``p(A|B) = p(A) + p(B) - p(A&B)``.  Subadditivity
+    then fails for a pair exactly when ``p(A&B) < 0``, which needs a
+    negative atom: only then are the E² ordered pairs scanned, to name the
+    last failing pair in event order.  With every atom positive,
+    ``p(A&B) = 0`` exactly on disjoint pairs, so equality-iff-disjoint
+    holds without a scan, and a measure with no negative atom visits no
+    event.
     """
     checks: list[CheckResult] = []
 
@@ -282,51 +289,20 @@ def validate_measure(measure: Measure, algebra: EventAlgebra) -> ValidationRepor
         )
         return ValidationReport(tuple(checks))
 
-    all_positive = all(p > 0 for p in measure.atom_probs.values())
-    den = math.lcm(*(p.denominator for p in measure.atom_probs.values()))
-    # Events become bit masks over the universe and carry integer numerators.
-    bit = {label: 1 << i for i, label in enumerate(algebra.universe)}
-    events = sorted(algebra.events, key=lambda e: (len(e), sorted(e, key=repr)))
-    masks = [sum(bit[label] for label in event) for event in events]
-    num = {
-        label: p.numerator * (den // p.denominator)
-        for label, p in measure.atom_probs.items()
-    }
-    weight = {
-        mask: sum(num[label] for label in event)
-        for mask, event in zip(masks, events)
-    }
-    sub_pair = iff_pair = None
-    for a in masks:
-        wa = weight[a]
-        for b in masks:
-            union = weight[a | b]
-            both = wa + weight[b]
-            if union > both:
-                sub_pair = a, b
-            if all_positive and (union == both) == bool(a & b):
-                iff_pair = a, b
-
-    event_of = dict(zip(masks, events))
-
-    def named(pair: tuple[int, int]) -> str:
-        a, b = (sorted(event_of[mask], key=repr) for mask in pair)
-        return f"A={a} B={b}"
-
-    sub_detail = iff_detail = ""
-    if sub_pair is not None:
-        a, b = sub_pair
-        sub_detail = (
-            f"p(A|B)={Fraction(weight[a | b], den)}"
-            f" > {Fraction(weight[a] + weight[b], den)} for {named(sub_pair)}"
-        )
-    if iff_pair is not None:
-        iff_detail = f"equality/disjointness mismatch for {named(iff_pair)}"
-    checks.append(CheckResult("subadditivity", sub_pair is None, sub_detail))
-    if all_positive:
-        checks.append(
-            CheckResult("equality_iff_disjoint", iff_pair is None, iff_detail)
-        )
+    sub_detail = ""
+    if any(p < 0 for p in measure.atom_probs.values()):
+        events = sorted(algebra.events, key=lambda e: (len(e), sorted(e, key=repr)))
+        weight = {event: event_probability(measure, event) for event in events}
+        failing = [(a, b) for a in events for b in events if weight[a & b] < 0]
+        if failing:
+            a, b = failing[-1]
+            sub_detail = (
+                f"p(A|B)={weight[a | b]} > {weight[a] + weight[b]}"
+                f" for A={sorted(a, key=repr)} B={sorted(b, key=repr)}"
+            )
+    checks.append(CheckResult("subadditivity", not sub_detail, sub_detail))
+    if all(p > 0 for p in measure.atom_probs.values()):
+        checks.append(CheckResult("equality_iff_disjoint", True))
     else:
         checks.append(
             CheckResult(

@@ -2,7 +2,8 @@
 
 Everything here is computed by a different route than the implementation
 under test: exact binomial tail sums for frequency-window probabilities, a
-closed-form lattice construction for union/intersection closures, Fraction
+closed-form lattice construction for union/intersection closures, a
+pair-by-pair closure check for families of events, Fraction
 sums for every event pair of a measure, the closed-form chi-square quantile
 for two degrees of freedom, a plain per-event counter for the cover times
 that bound integration, a first-step Markov chain for their mean, and the
@@ -115,6 +116,17 @@ def closure_by_fixpoint(
         if not additions:
             return frozenset(family)
         family |= additions
+
+
+def closed_by_pairs(events: frozenset[frozenset]) -> bool:
+    """Whether a family is closed under union and intersection, checking
+    ``a | b`` and ``a & b`` for every unordered pair of its members."""
+    ordered = list(events)
+    return all(
+        a | b in events and a & b in events
+        for i, a in enumerate(ordered)
+        for b in ordered[i:]
+    )
 
 
 def measure_report_by_fractions(

@@ -1,7 +1,8 @@
 """Every narrative demo runs to the end against the library in ``src``,
 with warnings turned into errors as in the tests, and prints exactly the
 pinned text: each demo's stdout has one sha256 on every supported
-interpreter."""
+interpreter.  ``scripts/digest_outputs.py`` holds the CLI's documents and
+manifests to their one pinned sum in the same way."""
 
 import hashlib
 import os
@@ -46,3 +47,13 @@ def test_demo_runs(demo):
     assert proc.stdout.strip()
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
     assert digest == STDOUT_SHA256[demo.name], proc.stdout
+
+
+def test_cli_outputs_match_their_pinned_digest():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "digest_outputs.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

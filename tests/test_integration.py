@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from factlaw import (
     AMBIGUOUS_EDGES,
@@ -538,6 +538,8 @@ def swap_side_between_cells(cells, rng):
         [half_turn, swap_two_sides, swap_side_between_cells, "interleave", "stray"]
     ),
 )
+# A stray event that shares its (label, index) pair with a form event.
+@example(4, 3, 93965, 1, "stray")
 def test_every_law_is_certified_by_the_scanline_search(
     width, height, seed, k, tampering
 ):
@@ -561,11 +563,11 @@ def test_every_law_is_certified_by_the_scanline_search(
         result = integrate(iter(events), IntegrationConfig(confirmation_replicas=k))
     except (AmbiguousStream, BudgetExhausted, InconsistentReplicas):
         return
-    counted = [
-        event
-        for event in dict.fromkeys(events[: result.events_consumed])
-        if (event.label_r, event.complexification_r_prime) in result.per_pair_counts
-    ]
+    # The counted events are the members of the component that closed first.
+    replicas = _Replicas(k)
+    for number, event in enumerate(events[: result.events_consumed], 1):
+        replicas.add(event, number)
+    counted = replicas.members[replicas.completed[0][0]]
     report = _solve_scanline(counted, [event.edge_sigs for event in counted], None)
     assert report.completed_replicas == 1
     assert len(counted) == result.n_phi_total

@@ -21,6 +21,7 @@ from factlaw import (
 from oracles import (
     binomial_window_probability,
     binomial_window_probability_naive,
+    closed_by_pairs,
     closure_by_fixpoint,
     closure_by_lattice,
     measure_report_by_fractions,
@@ -140,6 +141,25 @@ def test_complement_closure_matches_fixpoint_oracle(data):
     ]
     alg = generate_algebra(Universe(elements), gens, include_complements=True)
     assert alg.events == closure_by_fixpoint(elements, gens, include_complements=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_closure_verdict_matches_the_pairwise_oracle(data):
+    # Any family over a universe of at most four elements that holds the
+    # empty event and the universe: accepted exactly when it is closed.
+    size = data.draw(st.integers(1, 4), label="universe size")
+    elements = tuple(range(1, size + 1))
+    subsets = st.frozensets(st.sampled_from(elements))
+    family = data.draw(st.frozensets(subsets), label="family")
+    family |= {frozenset(), frozenset(elements)}
+    try:
+        EventAlgebra(Universe(elements), family)
+    except ValueError as exc:
+        assert str(exc) == "algebra is not closed under union/intersection"
+        assert not closed_by_pairs(family)
+    else:
+        assert closed_by_pairs(family)
 
 
 # --- measures ---------------------------------------------------------------
