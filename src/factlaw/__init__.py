@@ -51,24 +51,23 @@ from .prob import (
     EventAlgebra,
     ForeignElement,
     Measure,
-    NotReached,
     Universe,
-    UnknownLabel,
     ValidationReport,
     event_probability,
-    find_N0,
     generate_algebra,
-    meta_probability,
     validate_measure,
 )
 from .phenomenon import (
     DivergenceReport,
     FactualSpace,
     FrequencyTable,
+    NotReached,
     RandomPhenomenon,
     UniverseMismatch,
     compare_law,
     factual_space_from_painting,
+    find_N0,
+    meta_probability,
     probabilise_painting,
     run_frequency_experiment,
 )
@@ -131,23 +130,22 @@ __all__ = [
     "EventAlgebra",
     "ForeignElement",
     "Measure",
-    "NotReached",
     "Universe",
-    "UnknownLabel",
     "ValidationReport",
     "event_probability",
-    "find_N0",
     "generate_algebra",
-    "meta_probability",
     "validate_measure",
     # phenomenon
     "DivergenceReport",
     "FactualSpace",
     "FrequencyTable",
+    "NotReached",
     "RandomPhenomenon",
     "UniverseMismatch",
     "compare_law",
     "factual_space_from_painting",
+    "find_N0",
+    "meta_probability",
     "probabilise_painting",
     "run_frequency_experiment",
     # integration

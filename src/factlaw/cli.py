@@ -53,15 +53,15 @@ from .phenomenon import (
     RandomPhenomenon,
     compare_law,
     factual_space_from_painting,
+    find_N0,
+    meta_probability,
     probabilise_painting,
     run_frequency_experiment,
 )
 from .prob import (
     Measure,
     Universe,
-    find_N0,
     generate_algebra,
-    meta_probability,
     validate_measure,
 )
 from .puzzle import FragmentPool, solve_by_borders, solve_by_location

@@ -57,7 +57,9 @@ from .serialize import read_int
 
 
 class BudgetExhausted(RuntimeError):
-    """max_events was consumed before enough replicas completed."""
+    """max_events was consumed, or the stream ended, before enough replicas
+    completed.  So ends a tampered stream whose component never closes (see
+    :func:`integrate`); the CLI refuses the form of such a stream first."""
 
 
 class InconsistentReplicas(RuntimeError):
@@ -96,11 +98,12 @@ class ComplexifiedEvent:
         if len(sigs) != 4:
             raise ValueError("edge_sigs must have exactly four entries (N, E, S, W)")
         object.__setattr__(self, "edge_sigs", sigs)
-        if self.label_r < 1 or self.complexification_r_prime < 1:
+        label, index = self.label_r, self.complexification_r_prime
+        if type(label) is not int or type(index) is not int:
+            raise ValueError("labels and complexification indices must be ints")
+        if label < 1 or index < 1:
             raise ValueError("labels and complexification indices start at 1")
-        object.__setattr__(
-            self, "_hash", hash((self.label_r, self.complexification_r_prime, sigs))
-        )
+        object.__setattr__(self, "_hash", hash((label, index, sigs)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -128,6 +131,8 @@ class HiddenForm:
     def __post_init__(self) -> None:
         cells = self.cells
         check_grid_size(self.width, self.height, len(cells), "cells")
+        if type(self.s_prime) is not int:
+            raise ValueError(f"s_prime must be an int, got {self.s_prime!r}")
         labels = sorted({c.label_r for c in cells})
         if labels != list(range(1, len(labels) + 1)):
             raise ValueError("labels must be exactly 1..s with every value present")
@@ -261,6 +266,8 @@ class IntegrationConfig:
     confirmation_replicas: int = 3
 
     def __post_init__(self) -> None:
+        if not (type(self.max_events) is type(self.confirmation_replicas) is int):
+            raise ValueError("max_events and confirmation_replicas must be ints")
         if self.confirmation_replicas < 1:
             raise ValueError("need at least one confirmation replica")
         if self.max_events < 1:
@@ -470,8 +477,12 @@ def integrate(
     unless its events tile exactly one full board, :class:`AmbiguousStream`
     names the closing event.  It also names a new event that shows a
     non-boundary signature on the side where an earlier distinct event
-    showed it.  Consumes events until ``k`` replicas are complete (raising
-    :class:`BudgetExhausted` if ``max_events`` arrives first).  Both
+    showed it.  Consumes events until ``k`` replicas are complete, raising
+    :class:`BudgetExhausted` if ``max_events`` (default 1,000,000) or the
+    stream's end comes first: so ends a tampered stream whose component
+    never closes, for example one with two sides of a cell swapped.  The CLI
+    never sees one: :func:`check_integrable` and :class:`HiddenForm`'s
+    coherence check refuse its form first.  Both
     ``max_events`` and ``events_consumed`` count every drawn event.  The
     first completed replica supplies the counts; the remaining confirmation
     replicas must agree exactly, else :class:`InconsistentReplicas`.  The

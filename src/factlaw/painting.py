@@ -3,11 +3,12 @@
 A painting is a width x height grid of square tiles.  Each tile carries an
 opaque colour-form id, an approximate-colour label j in 1..q, and four edge
 signatures (N, E, S, W).  Interior signatures match pairwise across shared
-edges, by the seam rule :func:`fits`; the grid perimeter carries the literal
-boundary marker.  The painting is the ground truth that the puzzle,
-probability and integration games afterwards see only through restricted
-views.  Both directions rebuild a grid from its pieces' edge tuples with one
-routine, the scan-line search :func:`scanline_layout`.
+edges, and the grid perimeter carries the literal boundary marker: the seam
+rule, which :func:`check_edge_coherence` checks on a full grid.  The
+painting is the ground truth that the puzzle, probability and integration
+games afterwards see only through restricted views.  Both directions
+rebuild a grid from its pieces' edge tuples with one routine, the scan-line
+search :func:`scanline_layout`.
 """
 
 from __future__ import annotations
@@ -72,10 +73,15 @@ class Tile:
     def __post_init__(self) -> None:
         sigs = self.edge_sigs
         if type(sigs) is not tuple:
-            sigs = tuple(sigs)
+            try:
+                sigs = tuple(sigs)
+            except TypeError:
+                raise ValueError("edge_sigs must be a sequence") from None
             object.__setattr__(self, "edge_sigs", sigs)
         if len(sigs) != 4:
             raise ValueError("edge_sigs must have exactly four entries (N, E, S, W)")
+        if type(self.approx_colour) is not int:
+            raise ValueError(f"tile labels must be ints, got {self.approx_colour!r}")
         if self.approx_colour < 1:
             raise ValueError("approx_colour labels start at 1")
         if not isinstance(self.colour_form_id, str) or not self.colour_form_id:
@@ -194,17 +200,6 @@ def check_grid_size(width: int, height: int, count: int, what: str) -> None:
         raise ValueError(f"expected {width * height} {what}, got {count}")
 
 
-def fits(edges: Sequence[str], neighbours: Sequence[Sequence[str] | None]) -> bool:
-    """The seam rule: each present neighbour's edges, in N, E, S, W order,
-    show ``edges`` the same non-boundary signature across their shared side."""
-    for d, other in enumerate(neighbours):
-        if other is not None:
-            mine = edges[d]
-            if mine != other[OPPOSITE[d]] or mine == BOUNDARY:
-                return False
-    return True
-
-
 def scanline_layout(
     sigs: Sequence[tuple[str, str, str, str]], trial_budget: int | None = None
 ) -> tuple[int, int, list[int], int]:
@@ -302,15 +297,13 @@ def scanline_layout(
 def check_edge_coherence(
     width: int, height: int, edges: Sequence[tuple[str, str, str, str]]
 ) -> None:
-    """Verify pairwise interior matches and boundary markers on a full grid.
+    """Verify pairwise interior matches and boundary markers on a full grid:
+    the package's one seam rule.
 
     ``edges`` holds the (N, E, S, W) signatures of every cell in row-major
-    order.  Shared by paintings and hidden forms, which carry the same grid
-    shape.  Raises ``ValueError`` on the first violation.
+    order.  Shared by paintings, hidden forms and finished boards, which
+    carry the same grid shape.  Raises ``ValueError`` on the first violation.
     """
-    # This is :func:`fits` plus the perimeter rule, written out: it runs on
-    # every painting and form load, and at 64x64 it takes less than half the
-    # time of a loop through ``fits``.
     for y in range(1, height + 1):
         for x in range(1, width + 1):
             i = (y - 1) * width + (x - 1)
@@ -355,6 +348,8 @@ class Painting:
     def __post_init__(self) -> None:
         tiles = self.tiles
         check_grid_size(self.width, self.height, len(tiles), "tiles")
+        if type(self.palette_q) is not int:
+            raise ValueError(f"palette_q must be an int, got {self.palette_q!r}")
         if not self.palette_q < len(tiles):
             raise ValueError("palette must be strictly smaller than the grid")
         labels = {t.approx_colour for t in tiles}

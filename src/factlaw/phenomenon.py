@@ -7,6 +7,11 @@ produce frequency tables whose relative frequencies approach the exact
 per-label ratios of the painting; those ratios, packaged with an event
 algebra, form the painting's factual probability space.
 
+The law-of-large-numbers experiments, :func:`meta_probability` and
+:func:`find_N0`, repeat frequency experiments on a phenomenon.  Their
+results, estimates of meta-probabilities, are floats; laws and tallies
+stay exact.
+
 A sampler's draws are a fixed function of its weights and seed.  Draw i
 takes the i-th ``random()`` value x of ``random.Random(seed)`` and emits
 the label whose running weight sum first exceeds ``fl(x * total)``, the
@@ -39,11 +44,16 @@ from .prob import (
     generate_algebra,
     validate_measure,
 )
+from .seeding import derive_seed
 from .serialize import fraction_to_str, read_int
 
 
 class UniverseMismatch(Exception):
     """A frequency table and a law disagree about the label set."""
+
+
+class NotReached(RuntimeError):
+    """The doubling search hit its cap before meeting the target confidence."""
 
 
 def _cut(running: int, total: int, scale: float) -> float:
@@ -184,6 +194,103 @@ def run_frequency_experiment(
     return FrequencyTable.from_draws(phenomenon.sample(n_draws), phenomenon.universe)
 
 
+# --- long-run frequency experiments -----------------------------------------
+
+
+def _window_success(
+    phenomenon: RandomPhenomenon,
+    label: Any,
+    target: Fraction,
+    epsilon: Fraction,
+    n_draws: int,
+    seed: int,
+) -> bool:
+    """One repetition: does the relative frequency land within the window?"""
+    count = phenomenon.sample(n_draws, seed=seed).count(label)
+    return abs(Fraction(count, n_draws) - target) <= epsilon
+
+
+def meta_probability(
+    phenomenon: RandomPhenomenon,
+    label: Any,
+    target: Fraction | float | str,
+    epsilon: Fraction | float | str,
+    n_draws: int,
+    repetitions: int,
+    seed: int,
+) -> float:
+    """Estimate how often an N-draw relative frequency hugs its target.
+
+    Runs ``repetitions`` independent frequency experiments of ``n_draws``
+    draws each and returns the proportion whose relative frequency of
+    ``label`` lies within ``epsilon`` of ``target``.  Each repetition r uses
+    the child seed ``derive_seed(seed, r)``, so each repetition is a fixed
+    function of ``seed`` and ``r`` alone.  A ``label`` outside the universe
+    raises :class:`~factlaw.prob.ForeignElement`.
+    """
+    if label not in phenomenon.universe:
+        raise ForeignElement(label)
+    if n_draws < 1 or repetitions < 1:
+        raise ValueError("n_draws and repetitions must be positive")
+    target_f = Fraction(target)
+    epsilon_f = Fraction(epsilon)
+    if epsilon_f <= 0:
+        raise ValueError("epsilon must be positive")
+    hits = sum(
+        1
+        for r in range(repetitions)
+        if _window_success(
+            phenomenon, label, target_f, epsilon_f, n_draws, derive_seed(seed, r)
+        )
+    )
+    return hits / repetitions
+
+
+def find_N0(
+    phenomenon: RandomPhenomenon,
+    label: Any,
+    target: Fraction | float | str,
+    epsilon: Fraction | float | str,
+    delta: float,
+    repetitions: int,
+    seed: int,
+    *,
+    start: int = 16,
+    cap: int = 2**20,
+) -> int:
+    """Smallest tested draw count whose window meta-probability reaches 1 - delta.
+
+    Doubles ``n_draws`` starting from ``start``; every rung of the ladder
+    gets its own derived seed.  Raises :class:`NotReached` (carrying the cap
+    and the last estimate) if the cap is exceeded.
+    """
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie strictly between 0 and 1")
+    if start < 1 or cap < start:
+        raise ValueError("need 1 <= start <= cap")
+    n_draws = start
+    step = 0
+    last = 0.0
+    while n_draws <= cap:
+        last = meta_probability(
+            phenomenon,
+            label,
+            target,
+            epsilon,
+            n_draws,
+            repetitions,
+            derive_seed(seed, f"rung{step}"),
+        )
+        if last >= 1 - delta:
+            return n_draws
+        n_draws *= 2
+        step += 1
+    raise NotReached(
+        f"no draw count up to {cap} reached confidence {1 - delta}"
+        f" (last estimate {last})"
+    )
+
+
 @dataclass(frozen=True)
 class FactualSpace:
     """A concrete probability space read off an integrated object by counting."""
@@ -199,20 +306,15 @@ class FactualSpace:
             raise ValueError(f"law fails measure validation: {failed}")
 
 
-def factual_space_from_painting(
-    painting: Painting,
-    algebra_generators=None,
-) -> FactualSpace:
+def factual_space_from_painting(painting: Painting) -> FactualSpace:
     """The painting's factual probability space: law = tile counts / total.
 
-    The algebra is generated from ``algebra_generators`` (default: all
-    singleton label events) by union/intersection closure.
+    The algebra is generated from the singleton label events by
+    union/intersection closure.
     """
     histogram = label_histogram(painting)
     universe = Universe(tuple(histogram))
-    if algebra_generators is None:
-        algebra_generators = [{j} for j in universe.elements]
-    algebra = generate_algebra(universe, algebra_generators)
+    algebra = generate_algebra(universe, [{j} for j in universe.elements])
     return FactualSpace(universe, algebra, Measure.from_counts(histogram))
 
 

@@ -2,33 +2,24 @@
 
 Everything here is finite and exact: universes are finite tuples of labels,
 event algebras are explicit families of subsets validated for closure, and
-measures assign :class:`fractions.Fraction` weights to atoms.  Floats only
-appear at the very edge, as estimates of meta-probabilities obtained by
-repeating frequency experiments.
+measures assign :class:`fractions.Fraction` weights to atoms.  Nothing here
+draws at random; the experiments that do live beside their sampler, in
+:mod:`factlaw.phenomenon`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Protocol
+from typing import Hashable, Iterable, Mapping
 
-from .seeding import derive_seed
 from .serialize import fraction_to_str
 
 Label = Hashable
 
 
 class ForeignElement(KeyError):
-    """An event mentions an element outside the measure's universe."""
-
-
-class UnknownLabel(KeyError):
-    """A label was requested that the sampler's universe does not contain."""
-
-
-class NotReached(RuntimeError):
-    """The doubling search hit its cap before meeting the target confidence."""
+    """An event, a draw or a label names an element outside the universe."""
 
 
 @dataclass(frozen=True)
@@ -312,108 +303,3 @@ def validate_measure(measure: Measure, algebra: EventAlgebra) -> ValidationRepor
             )
         )
     return ValidationReport(tuple(checks))
-
-
-# --- long-run frequency machinery ------------------------------------------
-
-
-class LabelSampler(Protocol):
-    """What the frequency experiments need from a random phenomenon."""
-
-    @property
-    def universe(self) -> Universe: ...
-
-    def sample(self, n: int, seed: int | None = None) -> list: ...
-
-
-def _window_success(
-    sampler: LabelSampler,
-    label: Label,
-    target: Fraction,
-    epsilon: Fraction,
-    n_draws: int,
-    seed: int,
-) -> bool:
-    """One repetition: does the relative frequency land within the window?"""
-    count = sampler.sample(n_draws, seed=seed).count(label)
-    return abs(Fraction(count, n_draws) - target) <= epsilon
-
-
-def meta_probability(
-    sampler: LabelSampler,
-    label: Label,
-    target: Fraction | float | str,
-    epsilon: Fraction | float | str,
-    n_draws: int,
-    repetitions: int,
-    seed: int,
-) -> float:
-    """Estimate how often an N-draw relative frequency hugs its target.
-
-    Runs ``repetitions`` independent frequency experiments of ``n_draws``
-    draws each and returns the proportion whose relative frequency of
-    ``label`` lies within ``epsilon`` of ``target``.  Each repetition r uses
-    the child seed ``derive_seed(seed, r)``, so each repetition is a fixed
-    function of ``seed`` and ``r`` alone.
-    """
-    if label not in sampler.universe:
-        raise UnknownLabel(label)
-    if n_draws < 1 or repetitions < 1:
-        raise ValueError("n_draws and repetitions must be positive")
-    target_f = Fraction(target)
-    epsilon_f = Fraction(epsilon)
-    if epsilon_f <= 0:
-        raise ValueError("epsilon must be positive")
-    hits = sum(
-        1
-        for r in range(repetitions)
-        if _window_success(
-            sampler, label, target_f, epsilon_f, n_draws, derive_seed(seed, r)
-        )
-    )
-    return hits / repetitions
-
-
-def find_N0(
-    sampler: LabelSampler,
-    label: Label,
-    target: Fraction | float | str,
-    epsilon: Fraction | float | str,
-    delta: float,
-    repetitions: int,
-    seed: int,
-    *,
-    start: int = 16,
-    cap: int = 2**20,
-) -> int:
-    """Smallest tested draw count whose window meta-probability reaches 1 - delta.
-
-    Doubles ``n_draws`` starting from ``start``; every rung of the ladder
-    gets its own derived seed.  Raises :class:`NotReached` (carrying the cap
-    and the last estimate) if the cap is exceeded.
-    """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie strictly between 0 and 1")
-    if start < 1 or cap < start:
-        raise ValueError("need 1 <= start <= cap")
-    n_draws = start
-    step = 0
-    last = 0.0
-    while n_draws <= cap:
-        last = meta_probability(
-            sampler,
-            label,
-            target,
-            epsilon,
-            n_draws,
-            repetitions,
-            derive_seed(seed, f"rung{step}"),
-        )
-        if last >= 1 - delta:
-            return n_draws
-        n_draws *= 2
-        step += 1
-    raise NotReached(
-        f"no draw count up to {cap} reached confidence {1 - delta}"
-        f" (last estimate {last})"
-    )

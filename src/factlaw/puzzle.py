@@ -8,8 +8,8 @@ scan-line search rebuilds the whole pool cell by cell, backtracking where
 signatures repeat.  With several replicas of the painting mixed into one
 pool, boards close only near the end of the stream.  The search is the
 painting module's :func:`factlaw.painting.scanline_layout`, which semantic
-integration shares, and its seam rule (:func:`factlaw.painting.fits`)
-checks a finished board.
+integration shares, and the seam rule that checks a painting
+(:func:`factlaw.painting.check_edge_coherence`) checks a finished board.
 """
 
 from __future__ import annotations
@@ -22,15 +22,14 @@ from typing import Any, Sequence
 from .painting import (
     ASPECT_EDGES,
     Painting,
-    fits,
+    check_edge_coherence,
+    check_grid_size,
     row_major_positions,
     scanline_layout,
     tile_description,
 )
 from .seeding import derive_seed
 from .views import Description
-
-_DELTAS = ((0, 1), (1, 0), (0, -1), (-1, 0))  # N, E, S, W
 
 
 class DuplicateCoordinates(Exception):
@@ -39,7 +38,7 @@ class DuplicateCoordinates(Exception):
 
 class InconsistentSignatures(Exception):
     """Signatures contradict: :meth:`Board.validate_edges` found a board
-    with a mismatched seam."""
+    that breaks the seam rule, has a hole or mixes edged and edge-less pieces."""
 
 
 @dataclass(frozen=True)
@@ -84,13 +83,24 @@ class Board:
         return len(self.cells) == self.width * self.height
 
     def validate_edges(self) -> None:
-        """Full post-hoc scan: every adjacent pair shares equal signatures."""
-        for (x, y), piece in self.cells.items():
-            if piece.edges is None:
-                continue
-            around = [self.cells.get((x + dx, y + dy)) for dx, dy in _DELTAS]
-            if not fits(piece.edges, [None if p is None else p.edges for p in around]):
-                raise InconsistentSignatures(f"seam mismatch at {(x, y)}")
+        """Check the board as one full grid, row-major from its bounding
+        box's corner, by the seam rule
+        (:func:`factlaw.painting.check_edge_coherence`); a failed check, a
+        hole or a mix of pieces with and without edges raises
+        :class:`InconsistentSignatures`.  Edge-less pieces, as the location
+        game places them, carry nothing to check."""
+        cells = sorted(self.cells.items(), key=lambda cell: cell[0][::-1])  # by (y, x)
+        edges = [piece.edges for _, piece in cells]
+        if edges.count(None) == len(edges):
+            return
+        if None in edges:
+            raise InconsistentSignatures("pieces with and without edges")
+        try:
+            check_grid_size(self.width, self.height, len(edges), "pieces")
+            check_edge_coherence(self.width, self.height, edges)
+        except ValueError as exc:
+            raise InconsistentSignatures(str(exc)) from None
+
 
 @dataclass(frozen=True)
 class AssemblyReport:

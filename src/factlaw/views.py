@@ -153,23 +153,19 @@ def apply_view(view: View, entity: Description) -> Description:
     return Description(entity.generator_id, entity.entity_id, kept, coords)
 
 
-def restrict_view(
-    view: View, keep: Iterable[str], *, keep_grid_frame: bool = False
-) -> View:
+def restrict_view(view: View, keep: Iterable[str]) -> View:
     """Return the sub-view of ``view`` retaining exactly the aspects in ``keep``.
 
-    Aspect order is inherited from ``view``.  The grid frame is dropped
-    unless ``keep_grid_frame`` is set (and ``view`` actually has one).
+    Aspect order is inherited from ``view``, and the grid frame is dropped.
     Raises :class:`EmptyKeepSet` for an empty keep set and
     :class:`UnknownAspect` for ids the view does not contain.
     """
     keep_set = set(keep)
     if not keep_set:
         raise EmptyKeepSet("view restriction must keep at least one aspect")
-    known = set(view.aspect_ids)
-    missing = keep_set - known
+    missing = keep_set - set(view.aspect_ids)
     if missing:
         raise UnknownAspect(sorted(missing)[0])
     aspects = tuple(a for a in view.aspects if a.aspect_id in keep_set)
-    return View(aspects, grid_dims=view.grid_dims if keep_grid_frame else None)
+    return View(aspects)
 

@@ -67,6 +67,8 @@ def test_event_validation_and_fungibility():
         ComplexifiedEvent(0, 1, BLANK)
     with pytest.raises(ValueError):
         ComplexifiedEvent(1, 0, BLANK)
+    with pytest.raises(ValueError, match="must be ints"):
+        ComplexifiedEvent("1", 1, BLANK)
     # Replica copies of the same cell are indistinguishable values.
     assert blank_event(2, 7) == blank_event(2, 7)
     assert hash(blank_event(2, 7)) == hash(blank_event(2, 7))
@@ -414,6 +416,10 @@ def test_integration_config_validation():
         IntegrationConfig(confirmation_replicas=0)
     with pytest.raises(ValueError):
         IntegrationConfig(max_events=0)
+    with pytest.raises(ValueError, match="must be ints"):
+        IntegrationConfig(confirmation_replicas=2.5)
+    with pytest.raises(ValueError, match="must be ints"):
+        IntegrationConfig(max_events=10.5)
 
 
 def test_integration_result_invariants():

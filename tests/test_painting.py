@@ -176,7 +176,8 @@ def test_painting_constructor_rejects_broken_grids():
 @pytest.mark.parametrize("grid", [Painting, HiddenForm])
 def test_grids_refuse_extents_that_are_not_ints(grid, extent):
     # The extent equals the true width (2.0 == 2, True == 1); only its type
-    # is wrong, and the grid says so instead of failing later.
+    # is wrong, and the grid says so instead of failing later.  The palette
+    # size and the index space are held to ints the same way.
     width = int(extent)
     painting = generate_painting(PaintingSpec(width, 2, 1, {1: 2 * width}, seed=3))
     if grid is Painting:
@@ -187,6 +188,10 @@ def test_grids_refuse_extents_that_are_not_ints(grid, extent):
     grid(width, 2, *fields)
     with pytest.raises(ValueError, match="^grid extents must be ints, got "):
         grid(extent, 2, *fields)
+    size, cells = fields
+    for wrong in (str(size), float(size), size + 0.5):
+        with pytest.raises(ValueError, match=" must be an int, got "):
+            grid(width, 2, wrong, cells)
 
 
 @pytest.mark.parametrize("width, height", [(1, 1), (1, 5), (5, 1), (4, 3)])
@@ -243,6 +248,10 @@ def test_tile_keeps_its_sides_as_a_tuple():
     assert Tile("cf", 1, "nesw").edge_sigs == ("n", "e", "s", "w")
     with pytest.raises(ValueError, match="exactly four entries"):
         Tile("cf", 1, ("a", "b", "c"))
+    with pytest.raises(ValueError, match="must be a sequence"):
+        Tile("cf", 1, None)
+    with pytest.raises(ValueError, match="must be ints"):
+        Tile("cf", "2", ("a", "b", "c", "d"))
 
 
 def test_read_int_keeps_its_verdicts():

@@ -272,13 +272,6 @@ def test_factual_space_from_painting(reference_painting):
     assert ph.underlying_law().atom_probs == space.law.atom_probs
 
 
-def test_factual_space_with_custom_generators(reference_painting):
-    space = factual_space_from_painting(reference_painting, [{1, 2}])
-    assert space.algebra.events == frozenset(
-        {frozenset(), frozenset({1, 2}), frozenset({1, 2, 3})}
-    )
-
-
 def test_factual_space_rejects_invalid_law():
     universe = Universe((1, 2))
     algebra = generate_algebra(universe, [{1}])

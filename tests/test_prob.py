@@ -11,7 +11,6 @@ from factlaw import (
     NotReached,
     RandomPhenomenon,
     Universe,
-    UnknownLabel,
     event_probability,
     find_N0,
     generate_algebra,
@@ -351,7 +350,7 @@ def test_meta_probability_and_find_n0_are_pinned(scale):
 
 
 def test_meta_probability_validates_inputs(fair_coin):
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(ForeignElement):
         meta_probability(fair_coin, 9, Fraction(1, 2), Fraction(1, 50), 10, 5, seed=0)
     with pytest.raises(ValueError):
         meta_probability(fair_coin, 1, Fraction(1, 2), 0, 10, 5, seed=0)

@@ -446,6 +446,20 @@ def test_board_validate_edges_catches_mismatch():
     board = Board({(1, 1): left, (2, 1): right})
     with pytest.raises(InconsistentSignatures):
         board.validate_edges()
+    # A lone piece must carry the boundary mark on every side.
+    with pytest.raises(InconsistentSignatures, match="bad north boundary marker"):
+        Board({(1, 1): Piece("p", ("x", "B", "B", "B"))}).validate_edges()
+    # Every seam that is there matches, but the board has a hole.
+    cells = {(1, 1): ("a", "b", "B", "B"), (2, 1): ("c", "B", "B", "b"),
+             (1, 2): ("B", "d", "a", "B")}
+    with pytest.raises(InconsistentSignatures, match="expected 4 pieces, got 3"):
+        Board({xy: Piece(xy, edges) for xy, edges in cells.items()}).validate_edges()
+    with pytest.raises(InconsistentSignatures, match="with and without edges"):
+        Board({(1, 1): Piece("l", ("B", "x", "B", "B")),
+               (2, 1): Piece("r", None)}).validate_edges()
+    # Edge-less pieces, as the location game places them, carry nothing
+    # to check, holes and all.
+    Board({(1, 1): Piece("l"), (3, 1): Piece("r")}).validate_edges()
 
 
 def test_assembly_report_invariants():

@@ -133,11 +133,6 @@ def test_restrict_view_identity_and_errors():
 
 def test_restrict_view_grid_frame_handling():
     assert restrict_view(TILE_VIEW, {"approx_colour"}).has_grid_frame is False
-    kept = restrict_view(TILE_VIEW, {"approx_colour"}, keep_grid_frame=True)
-    assert kept.has_grid_frame and kept.grid_dims == (10, 10)
-    # asking to keep a frame the view does not have is a quiet no-op
-    frameless = make_view(("a", ["1"]))
-    assert restrict_view(frameless, {"a"}, keep_grid_frame=True) == frameless
 
 
 # --- property tests ---------------------------------------------------------
