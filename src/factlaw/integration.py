@@ -94,7 +94,10 @@ class ComplexifiedEvent:
     edge_sigs: tuple[str, str, str, str]
 
     def __post_init__(self) -> None:
-        sigs = tuple(self.edge_sigs)
+        try:
+            sigs = tuple(self.edge_sigs)
+        except TypeError:
+            sigs = ()
         if len(sigs) != 4:
             raise ValueError("edge_sigs must have exactly four entries (N, E, S, W)")
         object.__setattr__(self, "edge_sigs", sigs)

@@ -102,6 +102,10 @@ class PaintingSpec:
     def __post_init__(self) -> None:
         for name in ("width", "height", "q", "seed"):
             object.__setattr__(self, name, read_int(getattr(self, name), name))
+        if not isinstance(self.label_counts, Mapping):
+            raise ValueError(
+                f"label_counts must be a mapping, got {self.label_counts!r}"
+            )
         counts = {
             read_int(k, "label_counts key"): read_int(v, f"label_counts[{k}]")
             for k, v in self.label_counts.items()

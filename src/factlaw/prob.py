@@ -227,8 +227,9 @@ def validate_measure(measure: Measure, algebra: EventAlgebra) -> ValidationRepor
     subadditivity ``p(A or B) <= p(A) + p(B)`` for every ordered pair of
     events, and the sharper rule that equality holds exactly for disjoint
     pairs.  The equality-iff-disjoint check is decidable only when every
-    atom has strictly positive weight; with zero-weight atoms present it is
-    recorded as skipped (passed, with a note) rather than guessed at.
+    atom has strictly positive weight; with zero- or negative-weight atoms
+    present it is recorded as skipped (passed, with a note naming negative
+    atoms if there are any, else zero ones) rather than guessed at.
 
     Atom weights add, so ``p(A|B) = p(A) + p(B) - p(A&B)``.  Subadditivity
     then fails for a pair exactly when ``p(A&B) < 0``, which needs a
@@ -295,11 +296,13 @@ def validate_measure(measure: Measure, algebra: EventAlgebra) -> ValidationRepor
     if all(p > 0 for p in measure.atom_probs.values()):
         checks.append(CheckResult("equality_iff_disjoint", True))
     else:
+        negative = any(p < 0 for p in measure.atom_probs.values())
+        cause = "negative" if negative else "zero"
         checks.append(
             CheckResult(
                 "equality_iff_disjoint",
                 True,
-                "skipped: zero-weight atoms make the criterion undecidable",
+                f"skipped: {cause}-weight atoms make the criterion undecidable",
             )
         )
     return ValidationReport(tuple(checks))

@@ -1,23 +1,25 @@
 """The three reconstruction games: by location, by borders, multi-replica.
 
 A pool holds the fragments shuffled once, and each game reads them in that
-order and places them on boards.  In the location game every fragment
-carries its coordinates, so placement is certain.  In the border game
-coordinates are filtered out and only edge signatures guide assembly: one
-scan-line search rebuilds the whole pool cell by cell, backtracking where
-signatures repeat.  With several replicas of the painting mixed into one
-pool, boards close only near the end of the stream.  The search is the
-painting module's :func:`factlaw.painting.scanline_layout`, which semantic
-integration shares, and the seam rule that checks a painting
+order and places them on boards.  A board is a full grid of pieces stored
+row-major from (1, 1), like :attr:`factlaw.painting.Painting.tiles`.  In
+the location game every fragment carries its coordinates, so placement is
+certain.  In the border game coordinates are filtered out and only edge
+signatures guide assembly: one scan-line search rebuilds the whole pool
+cell by cell, backtracking where signatures repeat.  With several replicas
+of the painting mixed into one pool, boards close only near the end of the
+stream.  The search is the painting module's
+:func:`factlaw.painting.scanline_layout`, which semantic integration
+shares, and the seam rule that checks a painting
 (:func:`factlaw.painting.check_edge_coherence`) checks a finished board.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Sequence
+from typing import Any
 
 from .painting import (
     ASPECT_EDGES,
@@ -38,7 +40,7 @@ class DuplicateCoordinates(Exception):
 
 class InconsistentSignatures(Exception):
     """Signatures contradict: :meth:`Board.validate_edges` found a board
-    that breaks the seam rule, has a hole or mixes edged and edge-less pieces."""
+    that breaks the seam rule or mixes edged and edge-less pieces."""
 
 
 @dataclass(frozen=True)
@@ -51,52 +53,34 @@ class Piece:
 
 @dataclass(frozen=True)
 class Board:
-    """A finished or frozen arrangement of pieces on integer grid cells.
+    """A finished board: ``pieces`` fill a ``width`` x ``height`` grid
+    row-major from (1, 1), like :attr:`factlaw.painting.Painting.tiles`, so
+    the piece at ``(x, y)`` is ``pieces[(y - 1) * width + (x - 1)]``."""
 
-    The board copies ``cells`` and computes its bounding box ``bbox``, as
-    (min x, max x, min y, max y), once; ``width``, ``height``,
-    :meth:`is_full_rectangle` and ``to_doc`` read it.
-    """
-
-    cells: dict[tuple[int, int], Piece]
-    bbox: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    width: int
+    height: int
+    pieces: tuple[Piece, ...]
 
     def __post_init__(self) -> None:
-        cells = dict(self.cells)
-        if not cells:
-            raise ValueError("a board holds at least one piece")
-        object.__setattr__(self, "cells", cells)
-        xs, ys = zip(*cells)
-        object.__setattr__(self, "bbox", (min(xs), max(xs), min(ys), max(ys)))
+        check_grid_size(self.width, self.height, len(self.pieces), "pieces")
 
     @property
-    def width(self) -> int:
-        x0, x1, _, _ = self.bbox
-        return x1 - x0 + 1
-
-    @property
-    def height(self) -> int:
-        _, _, y0, y1 = self.bbox
-        return y1 - y0 + 1
-
-    def is_full_rectangle(self) -> bool:
-        return len(self.cells) == self.width * self.height
+    def cells(self) -> dict[tuple[int, int], Piece]:
+        """A fresh ``(x, y) -> piece`` map of the board."""
+        return dict(zip(row_major_positions(self.width, self.height), self.pieces))
 
     def validate_edges(self) -> None:
-        """Check the board as one full grid, row-major from its bounding
-        box's corner, by the seam rule
-        (:func:`factlaw.painting.check_edge_coherence`); a failed check, a
-        hole or a mix of pieces with and without edges raises
+        """Check the board by the seam rule
+        (:func:`factlaw.painting.check_edge_coherence`); a failed check or a
+        mix of pieces with and without edges raises
         :class:`InconsistentSignatures`.  Edge-less pieces, as the location
         game places them, carry nothing to check."""
-        cells = sorted(self.cells.items(), key=lambda cell: cell[0][::-1])  # by (y, x)
-        edges = [piece.edges for _, piece in cells]
+        edges = [piece.edges for piece in self.pieces]
         if edges.count(None) == len(edges):
             return
         if None in edges:
             raise InconsistentSignatures("pieces with and without edges")
         try:
-            check_grid_size(self.width, self.height, len(edges), "pieces")
             check_edge_coherence(self.width, self.height, edges)
         except ValueError as exc:
             raise InconsistentSignatures(str(exc)) from None
@@ -130,7 +114,7 @@ class AssemblyReport:
             "completed_replicas": self.completed_replicas,
             "completion_order": [list(entry) for entry in self.completion_order],
             "board_sizes": [
-                {"width": b.width, "height": b.height, "pieces": len(b.cells)}
+                {"width": b.width, "height": b.height, "pieces": len(b.pieces)}
                 for b in self.boards
             ],
         }
@@ -191,7 +175,9 @@ def solve_by_location(pool: FragmentPool) -> AssemblyReport:
 
     The fragments are read in the pool's shuffled order, and each lands
     directly on its own coordinates, so placements equal trials and no
-    search happens.  Two fragments claiming one cell, as in a pool of two
+    search happens.  Fragments that cover every cell from (1, 1) to their
+    largest x and y complete one board; any others complete none and leave
+    no board.  Two fragments claiming one cell, as in a pool of two
     replicas, mean the pool is corrupt (:class:`DuplicateCoordinates`).
     """
     cells: dict[tuple[int, int], Piece] = {}
@@ -203,15 +189,17 @@ def solve_by_location(pool: FragmentPool) -> AssemblyReport:
             raise DuplicateCoordinates(pos)
         cells[pos] = Piece(fragment, None)
     count = len(cells)
-    board = Board(cells)
-    complete = board.is_full_rectangle()
-    return AssemblyReport(
-        placements=count,
-        trials=count,
-        completed_replicas=1 if complete else 0,
-        completion_order=((0, count),) if complete else (),
-        boards=(board,),
-    )
+    if not count:
+        raise ValueError("empty pool")
+    width = max(x for x, _ in cells)
+    height = max(y for _, y in cells)
+    # Only a width x height area can be full; testing it first keeps far-off
+    # coordinates from spanning a huge grid.
+    positions = row_major_positions(width, height) if width * height == count else []
+    if not positions or any(pos not in cells for pos in positions):
+        return AssemblyReport(count, count, 0, (), ())
+    board = Board(width, height, tuple(cells[pos] for pos in positions))
+    return AssemblyReport(count, count, 1, ((0, count),), (board,))
 
 
 def solve_by_borders(
@@ -219,11 +207,17 @@ def solve_by_borders(
 ) -> AssemblyReport:
     """Assemble fragments by edge-signature attraction alone.
 
-    Every pool goes to the scan-line search (:func:`_solve_scanline`),
-    bounded by ``trial_budget``.  A pool is solved whenever its pieces tile
-    full, seam-consistent boards, even boards of different paintings.
-    Raises :class:`~factlaw.painting.UnsolvablePool` when no assembly
-    exists or the trial budget runs out.
+    Every pool goes to the scan-line search
+    (:func:`factlaw.painting.scanline_layout`), bounded by
+    ``trial_budget``.  A pool is solved whenever its pieces tile full,
+    seam-consistent boards, even boards of different paintings.  Raises
+    :class:`~factlaw.painting.UnsolvablePool` when no assembly exists or the
+    trial budget runs out.
+
+    Identical pieces go out in draw order and a board closes with the
+    last-drawn of its pieces, so on replicas of one painting board ``j``
+    closes at the ``j``-th cover time of the draws.  Boards are listed in
+    the order they close.
     """
     draws = pool.fragments
     if not draws:
@@ -231,40 +225,21 @@ def solve_by_borders(
     for fragment in draws:
         if fragment.grid_coords is not None:
             raise ValueError("border-game fragments must not carry coordinates")
-    return _solve_scanline(draws, [_edges_of(f) for f in draws], trial_budget)
-
-
-def _solve_scanline(
-    draws: Sequence[Description],
-    sigs: Sequence[tuple[str, str, str, str]],
-    trial_budget: int | None,
-) -> AssemblyReport:
-    """Rebuild the boards of ``draws``, whose edge tuples are ``sigs``, with
-    :func:`factlaw.painting.scanline_layout`, which raises
-    :class:`~factlaw.painting.UnsolvablePool` when it cannot.
-
-    Identical pieces go out in draw order and a board closes with the
-    last-drawn of its pieces, so on replicas of one painting board ``j``
-    closes at the ``j``-th cover time of the draws.  Boards are listed in
-    the order they close.
-    """
+    sigs = [_edges_of(fragment) for fragment in draws]
     width, height, placed, trials = scanline_layout(sigs, trial_budget)
-    positions = row_major_positions(width, height)
     area = width * height
     finished = []
     for first in range(0, len(placed), area):
         board_placed = placed[first:first + area]
-        board = Board(dict(zip(
-            positions, [Piece(draws[index], sigs[index]) for index in board_placed]
-        )))
-        finished.append((board, max(board_placed) + 1))
-    finished.sort(key=lambda entry: entry[1])
+        pieces = tuple(Piece(draws[index], sigs[index]) for index in board_placed)
+        finished.append((max(board_placed) + 1, Board(width, height, pieces)))
+    finished.sort(key=itemgetter(0))
     return AssemblyReport(
         placements=len(placed),
         trials=trials,
         completed_replicas=len(finished),
         completion_order=tuple(
-            (index, draw_index) for index, (_, draw_index) in enumerate(finished)
+            (index, draw_index) for index, (draw_index, _) in enumerate(finished)
         ),
-        boards=tuple(board for board, _ in finished),
+        boards=tuple(board for _, board in finished),
     )

@@ -40,9 +40,14 @@ class AspectView:
     values: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.aspect_id:
-            raise ValueError("aspect_id must be non-empty")
-        values = tuple(self.values)
+        if not isinstance(self.aspect_id, str) or not self.aspect_id:
+            raise ValueError(
+                f"aspect_id must be a non-empty str, got {self.aspect_id!r}"
+            )
+        try:
+            values = tuple(self.values)
+        except TypeError:
+            values = ()
         if not values:
             raise ValueError(f"aspect {self.aspect_id!r} needs at least one value")
         if len(set(values)) != len(values):
@@ -72,9 +77,15 @@ class View:
     def __post_init__(self) -> None:
         # Aspects form a set; store them sorted by id so equal views compare
         # equal regardless of construction order.
-        aspects = tuple(sorted(self.aspects, key=lambda a: a.aspect_id))
+        try:
+            aspects = tuple(self.aspects)
+        except TypeError:
+            aspects = ()
         if not aspects:
             raise ValueError("a view needs at least one aspect")
+        if not all(isinstance(a, AspectView) for a in aspects):
+            raise ValueError(f"a view's aspects must be AspectViews, got {aspects!r}")
+        aspects = tuple(sorted(aspects, key=lambda a: a.aspect_id))
         ids = [a.aspect_id for a in aspects]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate aspect ids in view")
@@ -125,7 +136,10 @@ class Description:
     def __post_init__(self) -> None:
         if not self.generator_id or not self.entity_id:
             raise ValueError("generator_id and entity_id must be non-empty")
-        object.__setattr__(self, "points", dict(self.points))
+        try:
+            object.__setattr__(self, "points", dict(self.points))
+        except (TypeError, ValueError):
+            raise ValueError(f"points must be a mapping, got {self.points!r}") from None
         coords = self.grid_coords
         if coords is not None and not _is_int_pair(coords):
             raise ValueError(f"grid_coords must be a pair of ints, got {coords!r}")

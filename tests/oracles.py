@@ -171,7 +171,10 @@ def measure_report_by_fractions(
                     iff = (False, f"equality/disjointness mismatch for {names}")
         checks.append(("subadditivity",) + sub)
         if not all_positive:
-            iff = (True, "skipped: zero-weight atoms make the criterion undecidable")
+            cause = "negative" if any(v < 0 for v in probs.values()) else "zero"
+            iff = (
+                True, f"skipped: {cause}-weight atoms make the criterion undecidable"
+            )
         checks.append(("equality_iff_disjoint",) + iff)
     return {
         "passed": all(passed for _, passed, _ in checks),

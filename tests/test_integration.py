@@ -32,7 +32,7 @@ from factlaw import (
     run_frequency_experiment,
 )
 from factlaw.integration import _Replicas
-from factlaw.puzzle import _solve_scanline
+from factlaw.painting import scanline_layout
 from oracles import (
     chi_square_quantile_df2,
     chi_square_statistic,
@@ -574,8 +574,8 @@ def test_every_law_is_certified_by_the_scanline_search(
     for number, event in enumerate(events[: result.events_consumed], 1):
         replicas.add(event, number)
     counted = replicas.members[replicas.completed[0][0]]
-    report = _solve_scanline(counted, [event.edge_sigs for event in counted], None)
-    assert report.completed_replicas == 1
+    width, height, _, _ = scanline_layout([event.edge_sigs for event in counted])
+    assert width * height == len(counted)
     assert len(counted) == result.n_phi_total
 
 

@@ -4,10 +4,13 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import factlaw
 import factlaw.cli as cli
 import factlaw.integration as integration
 import factlaw.painting as painting
+from factlaw import AspectView, ComplexifiedEvent, Description, PaintingSpec, View
 from factlaw.integration import HiddenForm
 from factlaw.phenomenon import RandomPhenomenon
 from factlaw.puzzle import FragmentPool
@@ -131,3 +134,45 @@ def test_the_shared_layout_sits_below_both_games():
                 if last.partition(".")[0] in banned:
                     found.append(f"{name}.py:{node.lineno}: {module}")
     assert found == []
+
+
+def test_a_test_imports_private_names_only_from_its_own_module():
+    # tests/test_<m>.py may reach into factlaw.<m> white-box; a private name
+    # of any other module is that module's own business.
+    private = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        own = "factlaw." + path.stem.removeprefix("test_")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module != own:
+                private += [
+                    f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and alias.name != "__version__"
+                ]
+    assert private == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ComplexifiedEvent(1, 1, None),
+        lambda: ComplexifiedEvent(1, 1, 5),
+        lambda: AspectView("a", None),
+        lambda: AspectView(1, ("x",)),
+        lambda: Description("g", "e", None),
+        lambda: View(None),
+        lambda: View((1,)),
+        lambda: PaintingSpec(2, 2, 1, None),
+        lambda: PaintingSpec(2, 2, 1, [1, 4]),
+    ],
+    ids=(
+        "event-sigs-none", "event-sigs-int", "aspect-values-none", "aspect-id-int",
+        "description-points-none", "view-none", "view-of-ints",
+        "spec-counts-none", "spec-counts-list",
+    ),
+)
+def test_wrong_kind_constructor_arguments_raise_value_error(build):
+    # Any malformed argument is a ValueError, never a TypeError or an
+    # AttributeError from deep inside the constructor, and never accepted.
+    with pytest.raises(ValueError):
+        build()

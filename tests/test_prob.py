@@ -232,11 +232,16 @@ def test_additivity_on_disjoint_events_is_exact():
 
 
 def test_equality_iff_disjoint_skipped_with_zero_atoms():
-    with_zero = Measure({"a": Fraction(1), "b": Fraction(0)})
     alg = generate_algebra(Universe(("a", "b")), [{"a"}, {"b"}])
-    report = validate_measure(with_zero, alg)
-    assert report.passed  # the iff check is marked skipped, not failed
-    assert "skipped" in report.check("equality_iff_disjoint").detail
+    for atoms, cause in [
+        ({"a": Fraction(1), "b": Fraction(0)}, "zero"),
+        ({"a": Fraction(3, 2), "b": Fraction(-1, 2)}, "negative"),
+    ]:
+        iff = validate_measure(Measure(atoms), alg).check("equality_iff_disjoint")
+        assert iff.passed  # the iff check is marked skipped, not failed
+        assert iff.detail == (
+            f"skipped: {cause}-weight atoms make the criterion undecidable"
+        )
 
 
 def test_validate_measure_flags_universe_mismatch():
