@@ -22,10 +22,7 @@ from .views import (
 )
 from .painting import (
     AMBIGUOUS_EDGES,
-    ASPECT_COLOUR_FORM,
-    ASPECT_EDGES,
     BOUNDARY,
-    GENERATOR_ID,
     InfeasibleSpec,
     Painting,
     PaintingSpec,
@@ -38,6 +35,9 @@ from .painting import (
     painting_to_doc,
 )
 from .puzzle import (
+    ASPECT_COLOUR_FORM,
+    ASPECT_EDGES,
+    GENERATOR_ID,
     AssemblyReport,
     Board,
     DuplicateCoordinates,

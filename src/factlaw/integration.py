@@ -34,7 +34,8 @@ from .painting import (
     PaintingSpec,
     UnsolvablePool,
     check_edge_coherence,
-    check_grid_size,
+    check_grid,
+    edge_tuple,
     edges_from_doc,
     edges_to_doc,
     generate_painting,
@@ -94,13 +95,9 @@ class ComplexifiedEvent:
     edge_sigs: tuple[str, str, str, str]
 
     def __post_init__(self) -> None:
-        try:
-            sigs = tuple(self.edge_sigs)
-        except TypeError:
-            sigs = ()
-        if len(sigs) != 4:
-            raise ValueError("edge_sigs must have exactly four entries (N, E, S, W)")
-        object.__setattr__(self, "edge_sigs", sigs)
+        sigs = edge_tuple(self.edge_sigs)
+        if sigs is not self.edge_sigs:  # a frozen field write costs ~100 ns
+            object.__setattr__(self, "edge_sigs", sigs)
         label, index = self.label_r, self.complexification_r_prime
         if type(label) is not int or type(index) is not int:
             raise ValueError("labels and complexification indices must be ints")
@@ -133,7 +130,7 @@ class HiddenForm:
 
     def __post_init__(self) -> None:
         cells = self.cells
-        check_grid_size(self.width, self.height, len(cells), "cells")
+        check_grid(self.width, self.height, cells, ComplexifiedEvent, "cells")
         if type(self.s_prime) is not int:
             raise ValueError(f"s_prime must be an int, got {self.s_prime!r}")
         labels = sorted({c.label_r for c in cells})

@@ -6,9 +6,10 @@ signatures (N, E, S, W).  Interior signatures match pairwise across shared
 edges, and the grid perimeter carries the literal boundary marker: the seam
 rule, which :func:`check_edge_coherence` checks on a full grid.  The
 painting is the ground truth that the puzzle, probability and integration
-games afterwards see only through restricted views.  Both directions
-rebuild a grid from its pieces' edge tuples with one routine, the scan-line
-search :func:`scanline_layout`.
+games afterwards see only through restricted views, which each game
+applies itself.  This module holds the painting, the grid rules, the
+scan-line search :func:`scanline_layout` with which both directions rebuild
+a grid from its pieces' edge tuples, and the JSON codec.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .seeding import derive_seed
 from .serialize import read_int
-from .views import Description, UnknownAspect
 
 BOUNDARY = "B"
 
@@ -34,14 +34,7 @@ OPPOSITE = (S, W, N, E)
 UNIQUE_EDGES = "unique-interior-edges"
 AMBIGUOUS_EDGES = "ambiguous-allowed"
 
-ASPECT_COLOUR_FORM = "colour_form"
-ASPECT_EDGES = ("edge_n", "edge_e", "edge_s", "edge_w")
-
 EDGE_KEYS = ("n", "e", "s", "w")
-
-_ASPECT_N, _ASPECT_E, _ASPECT_S, _ASPECT_W = ASPECT_EDGES
-
-GENERATOR_ID = "tile-extraction"
 
 T = TypeVar("T")
 
@@ -71,15 +64,9 @@ class Tile:
     edge_sigs: tuple[str, str, str, str]  # N, E, S, W
 
     def __post_init__(self) -> None:
-        sigs = self.edge_sigs
-        if type(sigs) is not tuple:
-            try:
-                sigs = tuple(sigs)
-            except TypeError:
-                raise ValueError("edge_sigs must be a sequence") from None
+        sigs = edge_tuple(self.edge_sigs)
+        if sigs is not self.edge_sigs:  # a frozen field write costs ~100 ns
             object.__setattr__(self, "edge_sigs", sigs)
-        if len(sigs) != 4:
-            raise ValueError("edge_sigs must have exactly four entries (N, E, S, W)")
         if type(self.approx_colour) is not int:
             raise ValueError(f"tile labels must be ints, got {self.approx_colour!r}")
         if self.approx_colour < 1:
@@ -152,6 +139,24 @@ class PaintingSpec:
         return cls(width, height, q, doc["label_counts"], mode, seed)
 
 
+def edge_tuple(sigs: Iterable[str]) -> tuple[str, str, str, str]:
+    """``sigs`` as the (N, E, S, W) tuple of four strings that tiles, events
+    and pieces keep; anything else raises ``ValueError``."""
+    if type(sigs) is not tuple:
+        try:
+            sigs = tuple(sigs)
+        except TypeError:
+            raise ValueError("edge_sigs must be a sequence") from None
+    if len(sigs) != 4:
+        raise ValueError("edge_sigs must have exactly four entries (N, E, S, W)")
+    try:
+        "".join(sigs)  # refuses a non-str in one C loop, quicker than isinstance
+    except TypeError:
+        sig = next(sig for sig in sigs if not isinstance(sig, str))
+        raise ValueError(f"edge signatures must be strings, got {sig!r}") from None
+    return sigs  # type: ignore[return-value]
+
+
 def place_row_major(
     width: int, height: int, placed: Iterable[tuple[tuple[int, int], T]], what: str
 ) -> tuple[T, ...]:
@@ -190,6 +195,16 @@ def row_major_positions(width: int, height: int) -> list[tuple[int, int]]:
     of :func:`place_row_major`: index ``i`` lies at
     ``(i % width + 1, i // width + 1)``."""
     return [(x, y) for y in range(1, height + 1) for x in range(1, width + 1)]
+
+
+def check_grid(
+    width: int, height: int, cells: Sequence[T], kind: type[T], what: str
+) -> None:
+    """Refuse ``cells`` unless it is a sequence of ``kind`` that fills the
+    grid, as :func:`check_grid_size` checks."""
+    if not isinstance(cells, Sequence) or not all(isinstance(c, kind) for c in cells):
+        raise ValueError(f"{what} must be a sequence of {kind.__name__}s")
+    check_grid_size(width, height, len(cells), what)
 
 
 def check_grid_size(width: int, height: int, count: int, what: str) -> None:
@@ -351,7 +366,7 @@ class Painting:
 
     def __post_init__(self) -> None:
         tiles = self.tiles
-        check_grid_size(self.width, self.height, len(tiles), "tiles")
+        check_grid(self.width, self.height, tiles, Tile, "tiles")
         if type(self.palette_q) is not int:
             raise ValueError(f"palette_q must be an int, got {self.palette_q!r}")
         if not self.palette_q < len(tiles):
@@ -434,37 +449,6 @@ def interior_signature_multiset(
     return counts
 
 
-# --- views and descriptions -------------------------------------------------
-
-
-def tile_description(
-    tile: Tile, coords: tuple[int, int], view_selector: str
-) -> Description:
-    """Describe ``tile``, which lies at ``coords``, through one of the two
-    puzzle views.
-
-    ``location`` keeps the grid coordinates and nothing else; ``colour_form``
-    keeps the colour-form id and edge signatures with coordinates stripped.
-    Any other selector raises :class:`~factlaw.views.UnknownAspect`.
-    """
-    if view_selector == "location":
-        return Description(GENERATOR_ID, tile.colour_form_id, {}, coords)
-    if view_selector == "colour_form":
-        # A dict display is about twice as fast as building the points
-        # from ASPECT_EDGES in a loop or with dict(zip(...)).
-        form = tile.colour_form_id
-        north, east, south, west = tile.edge_sigs
-        points = {
-            ASPECT_COLOUR_FORM: form,
-            _ASPECT_N: north,
-            _ASPECT_E: east,
-            _ASPECT_S: south,
-            _ASPECT_W: west,
-        }
-        return Description(GENERATOR_ID, form, points)
-    raise UnknownAspect(view_selector)
-
-
 # --- JSON round trip --------------------------------------------------------
 
 
@@ -477,13 +461,9 @@ _edge_sides = itemgetter(*EDGE_KEYS)
 
 
 def edges_from_doc(doc: Mapping[str, str]) -> tuple[str, str, str, str]:
-    """Inverse of :func:`edges_to_doc`; a missing side raises ``KeyError``,
-    and a signature that is not a string ``ValueError``."""
-    edges = _edge_sides(doc)
-    for edge in edges:
-        if not isinstance(edge, str):
-            raise ValueError(f"edge signatures must be strings, got {edge!r}")
-    return edges  # type: ignore[return-value]
+    """Inverse of :func:`edges_to_doc`; a missing side raises ``KeyError``.
+    The tile or cell built from the edges checks them by :func:`edge_tuple`."""
+    return _edge_sides(doc)
 
 
 def painting_to_doc(painting: Painting) -> dict[str, Any]:

@@ -50,14 +50,11 @@ class AspectView:
             values = ()
         if not values:
             raise ValueError(f"aspect {self.aspect_id!r} needs at least one value")
+        if not all(isinstance(value, str) for value in values):
+            raise ValueError(f"aspect {self.aspect_id!r} values must be strs")
         if len(set(values)) != len(values):
             raise ValueError(f"aspect {self.aspect_id!r} has duplicate values")
         object.__setattr__(self, "values", values)
-
-    @property
-    def width(self) -> int:
-        """Number of admissible values on this axis."""
-        return len(self.values)
 
     def admits(self, value: str) -> bool:
         return value in self.values
@@ -134,8 +131,11 @@ class Description:
     grid_coords: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if not self.generator_id or not self.entity_id:
-            raise ValueError("generator_id and entity_id must be non-empty")
+        generator, entity = self.generator_id, self.entity_id
+        if not (isinstance(generator, str) and generator) or not (
+            isinstance(entity, str) and entity
+        ):
+            raise ValueError("generator_id and entity_id must be non-empty strs")
         try:
             object.__setattr__(self, "points", dict(self.points))
         except (TypeError, ValueError):

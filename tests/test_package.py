@@ -10,13 +10,23 @@ import factlaw
 import factlaw.cli as cli
 import factlaw.integration as integration
 import factlaw.painting as painting
-from factlaw import AspectView, ComplexifiedEvent, Description, PaintingSpec, View
+from factlaw import (
+    AspectView,
+    ComplexifiedEvent,
+    Description,
+    Painting,
+    PaintingSpec,
+    Tile,
+    View,
+    generate_painting,
+)
 from factlaw.integration import HiddenForm
 from factlaw.phenomenon import RandomPhenomenon
-from factlaw.puzzle import FragmentPool
+from factlaw.puzzle import Board, FragmentPool, Piece
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+SMALL_PAINTING = generate_painting(PaintingSpec(2, 1, 1, {1: 2}))
 
 
 def test_every_export_resolves_once():
@@ -115,8 +125,12 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_the_shared_layout_sits_below_both_games():
     # The scan-line both games call lives in painting, so painting imports
-    # neither game and integration does not import the border game.
-    forbidden = {"painting": {"puzzle", "integration"}, "integration": {"puzzle"}}
+    # neither game and integration does not import the border game.  Each
+    # game applies its own view, so painting does not import views either.
+    forbidden = {
+        "painting": {"puzzle", "integration", "views"},
+        "integration": {"puzzle"},
+    }
     found = []
     for name, banned in forbidden.items():
         path = ROOT / "src" / "factlaw" / f"{name}.py"
@@ -164,11 +178,32 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         lambda: View((1,)),
         lambda: PaintingSpec(2, 2, 1, None),
         lambda: PaintingSpec(2, 2, 1, [1, 4]),
+        lambda: FragmentPool.from_painting(SMALL_PAINTING, "weird"),
+        lambda: FragmentPool.from_painting(SMALL_PAINTING, "border", replicas=2.5),
+        lambda: FragmentPool.from_painting(SMALL_PAINTING, "border", replicas=0),
+        lambda: FragmentPool.from_painting(SMALL_PAINTING, "border", replicas=-1),
+        lambda: FragmentPool.from_painting(SMALL_PAINTING, "border", replicas=True),
+        lambda: Piece("p", ("a",)),
+        lambda: Board(1, 1, None),
+        lambda: Board(1, 1, (None,)).validate_edges(),
+        lambda: Description(1, 2, {}),
+        lambda: AspectView("a", (1, 2)),
+        lambda: Painting(2, 1, 1, None),
+        lambda: Painting(2, 1, 1, (1, 2)),
+        lambda: HiddenForm(2, 1, 20, None),
+        lambda: HiddenForm(2, 1, 20, (1, 2)),
+        lambda: Tile("cf", 1, (1, 2, 3, 4)),
     ],
     ids=(
         "event-sigs-none", "event-sigs-int", "aspect-values-none", "aspect-id-int",
         "description-points-none", "view-none", "view-of-ints",
         "spec-counts-none", "spec-counts-list",
+        "pool-mode-weird", "pool-replicas-half", "pool-replicas-zero",
+        "pool-replicas-negative", "pool-replicas-true",
+        "piece-edges-one", "board-pieces-none", "board-pieces-of-none",
+        "description-ids-int", "aspect-values-int",
+        "painting-tiles-none", "painting-tiles-of-ints",
+        "form-cells-none", "form-cells-of-ints", "tile-sigs-int",
     ),
 )
 def test_wrong_kind_constructor_arguments_raise_value_error(build):

@@ -22,7 +22,6 @@ from factlaw.painting import (
     interior_signature_multiset,
     place_row_major,
     row_major_positions,
-    tile_description,
 )
 from factlaw.serialize import dump_json, load_json, read_int
 
@@ -132,30 +131,6 @@ def test_ambiguous_mode_repeats_signatures():
     p = generate_painting(spec)
     multiset = interior_signature_multiset(t.edge_sigs for t in p.tiles)
     assert max(multiset.values()) > 2
-
-
-def test_tile_description_location_view():
-    tile = generate_painting(REFERENCE_SPEC).tiles[0]
-    d = tile_description(tile, (1, 1), "location")
-    assert d.grid_coords == (1, 1)
-    assert d.entity_id == tile.colour_form_id
-    assert d.points == {}
-
-
-def test_tile_description_colour_form_view():
-    p = generate_painting(REFERENCE_SPEC)
-    tile = p.tiles[(5 - 1) * p.width + (2 - 1)]
-    d = tile_description(tile, (2, 5), "colour_form")
-    assert d.points["colour_form"] == tile.colour_form_id
-    assert d.grid_coords is None
-    assert "approx_colour" not in d.points
-    assert tuple(d.points[a] for a in ("edge_n", "edge_e", "edge_s", "edge_w")) == tile.edge_sigs
-
-
-def test_tile_description_rejects_an_unknown_view():
-    tile = generate_painting(REFERENCE_SPEC).tiles[0]
-    with pytest.raises(KeyError):
-        tile_description(tile, (1, 1), "weight")
 
 
 def test_painting_constructor_rejects_broken_grids():

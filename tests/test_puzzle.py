@@ -10,6 +10,7 @@ from factlaw import (
     AMBIGUOUS_EDGES,
     ASPECT_COLOUR_FORM,
     ASPECT_EDGES,
+    GENERATOR_ID,
     AssemblyReport,
     Board,
     Description,
@@ -25,9 +26,9 @@ from factlaw import (
 )
 from factlaw.painting import (
     E,
+    EDGE_KEYS,
     N,
     painting_to_doc,
-    tile_description,
 )
 from factlaw.puzzle import _edges_of
 
@@ -384,6 +385,17 @@ def test_pool_order_is_seeded_and_immutable(reference_painting):
         first.fragments = ()
 
 
+def file_fragment(entry, view):
+    """The fragment a painting file's tile entry yields through ``view``."""
+    form = entry["form"]
+    if view == "location":
+        return Description(GENERATOR_ID, form, {}, (entry["x"], entry["y"]))
+    edges = [entry["edges"][key] for key in EDGE_KEYS]
+    return Description(
+        GENERATOR_ID, form, {ASPECT_COLOUR_FORM: form, **dict(zip(ASPECT_EDGES, edges))}
+    )
+
+
 @pytest.mark.parametrize(
     "replicas, seed, digest",
     [
@@ -406,14 +418,42 @@ def test_pool_order_is_pinned(reference_painting, mode, view, replicas, seed, di
     ).fragments
     ids = " ".join(fragment.entity_id for fragment in fragments)
     assert hashlib.sha256(ids.encode()).hexdigest()[:16] == digest
-    tiles = {tile.colour_form_id: tile for tile in reference_painting.tiles}
-    where = {
-        entry["form"]: (entry["x"], entry["y"])
+    expected = {
+        entry["form"]: file_fragment(entry, view)
         for entry in painting_to_doc(reference_painting)["tiles"]
     }
     for fragment in fragments:
-        form = fragment.entity_id
-        assert fragment == tile_description(tiles[form], where[form], view)
+        assert fragment == expected[fragment.entity_id]
+
+
+def fragments_by_form(painting, mode):
+    pool = FragmentPool.from_painting(painting, mode)
+    return {fragment.entity_id: fragment for fragment in pool.fragments}
+
+
+def test_location_fragment_carries_its_coordinates_alone(reference_painting):
+    tile = reference_painting.tiles[0]
+    fragment = fragments_by_form(reference_painting, "location")[tile.colour_form_id]
+    assert fragment.grid_coords == (1, 1)
+    assert fragment.entity_id == tile.colour_form_id
+    assert fragment.points == {}
+
+
+def test_border_fragment_carries_form_and_edges_without_coordinates(
+    reference_painting,
+):
+    tile = reference_painting.tiles[(5 - 1) * reference_painting.width + (2 - 1)]
+    fragment = fragments_by_form(reference_painting, "border")[tile.colour_form_id]
+    assert fragment.points["colour_form"] == tile.colour_form_id
+    assert fragment.grid_coords is None
+    assert "approx_colour" not in fragment.points
+    edges = ("edge_n", "edge_e", "edge_s", "edge_w")
+    assert tuple(fragment.points[aspect] for aspect in edges) == tile.edge_sigs
+
+
+def test_from_painting_rejects_an_unknown_mode(reference_painting):
+    with pytest.raises(ValueError, match="mode"):
+        FragmentPool.from_painting(reference_painting, "weight")
 
 
 def test_board_validate_edges_catches_mismatch():

@@ -35,7 +35,7 @@ TILE_ENTITY = Description(
 
 def test_aspect_view_invariants():
     a = AspectView("colour", ("red", "blue"))
-    assert a.width == 2
+    assert a.values == ("red", "blue")
     assert a.admits("red") and not a.admits("green")
     with pytest.raises(ValueError):
         AspectView("colour", ())
