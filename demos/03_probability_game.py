@@ -39,7 +39,7 @@ for n in (100, 1_000, 10_000, 100_000):
 
 print("\nThe factual probability space behind the phenomenon:")
 space = factual_space_from_painting(painting)
-print(f"  events in the algebra: {len(space.algebra.events)}")
+print(f"  events in the algebra: {len(space.algebra)}")
 print(f"  P(label 1 or 2)      : {event_probability(space.law, {1, 2})}")
 report = validate_measure(space.law, space.algebra)
 for check in report.checks:

@@ -372,7 +372,7 @@ def _cmd_validate_space(params: Mapping[str, Any]):
     )
     report = validate_measure(measure, algebra)
     doc = report.to_doc()
-    doc["events"] = len(algebra)
+    doc["events"] = algebra.count()
     outputs = _write_doc(doc, params.get("out"))
     status = 0 if report.passed else 1
     return status, outputs, inputs, ()

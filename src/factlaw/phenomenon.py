@@ -45,7 +45,7 @@ from .prob import (
     validate_measure,
 )
 from .seeding import derive_seed
-from .serialize import fraction_to_str, read_int
+from .serialize import fraction_to_str, read_collection, read_int
 
 
 class UniverseMismatch(Exception):
@@ -90,7 +90,7 @@ class RandomPhenomenon:
     _cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        weights = tuple(read_int(w, "weight") for w in self.weights)
+        weights = tuple(read_int(w, "weight") for w in read_collection(tuple, self.weights))
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(self.universe):
             raise ValueError("need exactly one weight per universe element")
@@ -140,7 +140,7 @@ class FrequencyTable:
     counts: Mapping[Any, int]
 
     def __post_init__(self) -> None:
-        counts = dict(self.counts)
+        counts = read_collection(dict, self.counts)
         object.__setattr__(self, "counts", counts)
         if any(c < 0 for c in counts.values()):
             raise ValueError("counts must be non-negative")
@@ -309,8 +309,8 @@ class FactualSpace:
 def factual_space_from_painting(painting: Painting) -> FactualSpace:
     """The painting's factual probability space: law = tile counts / total.
 
-    The algebra is generated from the singleton label events by
-    union/intersection closure.
+    The algebra is the union/intersection closure of the singleton label
+    events: q blocks, whose 2^q events are counted, never listed.
     """
     histogram = label_histogram(painting)
     universe = Universe(tuple(histogram))

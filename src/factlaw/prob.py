@@ -1,7 +1,7 @@
 """Finite probability spaces with exact rational arithmetic.
 
 Everything here is finite and exact: universes are finite tuples of labels,
-event algebras are explicit families of subsets validated for closure, and
+event algebras are held as their blocks, never as a listed family, and
 measures assign :class:`fractions.Fraction` weights to atoms.  Nothing here
 draws at random; the experiments that do live beside their sampler, in
 :mod:`factlaw.phenomenon`.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
-from .serialize import fraction_to_str
+from .serialize import fraction_to_str, read_collection
 
 Label = Hashable
 
@@ -29,7 +29,7 @@ class Universe:
     elements: tuple[Label, ...]
 
     def __post_init__(self) -> None:
-        elements = tuple(self.elements)
+        elements = read_collection(tuple, self.elements)
         if not elements:
             raise ValueError("universe must be non-empty")
         if len(set(elements)) != len(elements):
@@ -60,68 +60,75 @@ def _blocks(full: frozenset, family: Iterable[frozenset]) -> set[frozenset]:
 class EventAlgebra:
     """A family of events over a universe, closed under union and intersection.
 
-    The family always contains the full universe and the empty event, and
-    every event must lie inside the universe.  Closure is validated at
-    construction by the family's blocks, the smallest event around each
-    element: a finite family holding the empty event and the universe is
-    closed under union and intersection exactly when it is every union of
-    its blocks (Birkhoff, "Rings of sets", 1937).  So the check is that
-    ``event | block`` is an event for every event and block: E·|U| unions
-    for E events, not the E² pairs.
+    Such a family is every union of its blocks, the smallest event around
+    each element (Birkhoff, "Rings of sets", 1937), so only the blocks are
+    stored.  ``event in algebra`` tests that the event is the union of the
+    blocks inside it; :meth:`count` counts the events, :attr:`events` lists
+    them.  Blocks that are not their own family's blocks raise ``ValueError``.
     """
 
     universe: Universe
-    events: frozenset[frozenset]
+    blocks: frozenset[frozenset]
 
     def __post_init__(self) -> None:
-        events = frozenset(frozenset(e) for e in self.events)
-        object.__setattr__(self, "events", events)
-        full = frozenset(self.universe.elements)
-        if full not in events or frozenset() not in events:
-            raise ValueError("algebra must contain the universe and the empty event")
-        for event in events:
-            if not event <= full:
-                raise ValueError(f"event {sorted(event, key=repr)} leaves the universe")
-        if any(e | b not in events for b in _blocks(full, events) for e in events):
-            raise ValueError("algebra is not closed under union/intersection")
+        try:
+            blocks = frozenset(map(frozenset, self.blocks))
+            own = _blocks(frozenset(self.universe.elements), blocks) == blocks
+        except (AttributeError, TypeError, KeyError):  # no Universe, no sets, a foreign element
+            own = False
+        if not own:
+            raise ValueError("blocks must be the blocks of their own family over a Universe")
+        object.__setattr__(self, "blocks", blocks)
+
+    def count(self) -> int:
+        """The number of distinct unions of the blocks: each misses the largest
+        block left or holds it and every block inside it (memo and stack, no recursion)."""
+        order = sorted(self.blocks, key=len, reverse=True)
+        smallest = {x: i for i, block in enumerate(order) for x in block}  # smaller ones last
+        inside = [sum(1 << j for j in {smallest[x] for x in block}) for block in order]
+        every = (1 << len(order)) - 1
+        memo, stack = {0: 1}, [every]
+        while stack:
+            left = stack[-1]
+            top = (left & -left).bit_length() - 1  # the largest block left
+            miss, hold = left & ~(1 << top), left & ~inside[top]
+            todo = [k for k in {miss, hold} if k not in memo]
+            stack += todo
+            if not todo:
+                memo[stack.pop()] = memo[miss] + memo[hold]
+        return memo[every]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self.count()
 
     def __contains__(self, event: object) -> bool:
-        return frozenset(event) in self.events  # type: ignore[arg-type]
+        event = frozenset(event)  # type: ignore[arg-type]
+        return event == frozenset().union(*(b for b in self.blocks if b <= event))
+
+    @property
+    def events(self) -> frozenset[frozenset]:
+        """Every event, listed: :meth:`count` of them."""
+        events = {frozenset()}
+        for block in self.blocks:
+            events |= {event | block for event in events}
+        return frozenset(events)
 
 
 def generate_algebra(
-    universe: Universe,
-    generators: Iterable[Iterable[Label]] = (),
-    *,
-    include_complements: bool = False,
+    universe: Universe, generators: Iterable[Iterable[Label]] = ()
 ) -> EventAlgebra:
     """Close ``generators`` under union and intersection over ``universe``.
 
-    The result always contains the full universe and the empty event.
-    Complement closure is opt-in: with ``include_complements`` each
-    generator's complement joins the generators, and the union/intersection
-    closure of the two is the Boolean algebra the generators span.  The
-    closure is every union of the generators' blocks (see
-    :class:`EventAlgebra`), built by folding in one block at a time.
+    The result always contains the full universe and the empty event.  Pass
+    each generator's complement too for the Boolean algebra they span.  Only
+    the generators' blocks are built (see :class:`EventAlgebra`).
     """
     full = frozenset(universe.elements)
-    family: list[frozenset] = []
-    for gen in generators:
-        event = frozenset(gen)
+    family = [frozenset(gen) for gen in generators]
+    for event in family:
         if not event <= full:
-            raise ForeignElement(
-                f"generator {sorted(event, key=repr)} leaves the universe"
-            )
-        family.append(event)
-    if include_complements:
-        family += [full - event for event in family]
-    events: set[frozenset] = {frozenset()}
-    for block in _blocks(full, family):
-        events |= {event | block for event in events}
-    return EventAlgebra(universe, frozenset(events))
+            raise ForeignElement(f"generator {sorted(event, key=repr)} leaves the universe")
+    return EventAlgebra(universe, _blocks(full, family))
 
 
 @dataclass(frozen=True)
@@ -137,7 +144,7 @@ class Measure:
     atom_probs: Mapping[Label, Fraction]
 
     def __post_init__(self) -> None:
-        coerced = {k: Fraction(v) for k, v in self.atom_probs.items()}
+        coerced = {k: Fraction(v) for k, v in read_collection(dict, self.atom_probs).items()}
         if not coerced:
             raise ValueError("measure needs at least one atom")
         object.__setattr__(self, "atom_probs", coerced)
@@ -233,8 +240,9 @@ def validate_measure(measure: Measure, algebra: EventAlgebra) -> ValidationRepor
 
     Atom weights add, so ``p(A|B) = p(A) + p(B) - p(A&B)``.  Subadditivity
     then fails for a pair exactly when ``p(A&B) < 0``, which needs a
-    negative atom: only then are the E² ordered pairs scanned, to name the
-    last failing pair in event order.  With every atom positive,
+    negative atom.  ``A&B`` is an event, so the last failing pair in event
+    order is the universe and the last negative event: only then are the
+    events listed, and scanned once.  With every atom positive,
     ``p(A&B) = 0`` exactly on disjoint pairs, so equality-iff-disjoint
     holds without a scan, and a measure with no negative atom visits no
     event.
@@ -283,14 +291,12 @@ def validate_measure(measure: Measure, algebra: EventAlgebra) -> ValidationRepor
 
     sub_detail = ""
     if any(p < 0 for p in measure.atom_probs.values()):
-        events = sorted(algebra.events, key=lambda e: (len(e), sorted(e, key=repr)))
-        weight = {event: event_probability(measure, event) for event in events}
-        failing = [(a, b) for a in events for b in events if weight[a & b] < 0]
-        if failing:
-            a, b = failing[-1]
+        negative = [e for e in algebra.events if event_probability(measure, e) < 0]
+        if negative:
+            b = max(negative, key=lambda e: (len(e), sorted(e, key=repr)))
             sub_detail = (
-                f"p(A|B)={weight[a | b]} > {weight[a] + weight[b]}"
-                f" for A={sorted(a, key=repr)} B={sorted(b, key=repr)}"
+                f"p(A|B)={total} > {total + event_probability(measure, b)}"
+                f" for A={sorted(algebra.universe, key=repr)} B={sorted(b, key=repr)}"
             )
     checks.append(CheckResult("subadditivity", not sub_detail, sub_detail))
     if all(p > 0 for p in measure.atom_probs.values()):

@@ -32,6 +32,7 @@ from .painting import (
     scanline_layout,
 )
 from .seeding import derive_seed
+from .serialize import read_collection
 from .views import Description
 
 # The fragment format: the generator every fragment names, and the aspects
@@ -147,7 +148,7 @@ class FragmentPool:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        order = list(self.fragments)
+        order = read_collection(list, self.fragments)
         random.Random(derive_seed(self.seed, "draw-order")).shuffle(order)
         object.__setattr__(self, "fragments", tuple(order))
 

@@ -44,6 +44,14 @@ def read_int(value: Any, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def read_collection(kind: type, value: Any) -> Any:
+    """``kind(value)`` for a collection type; ``None`` or a number raises ``ValueError``."""
+    try:
+        return kind(value)
+    except TypeError:
+        raise ValueError(f"{value!r} does not convert to a {kind.__name__}") from None
+
+
 def read_number(value: Any, what: str) -> int | Fraction:
     """An exact number: an int, a finite float, or a "num/den" or decimal string.
 

@@ -277,6 +277,26 @@ def test_validate_space_passes_and_prints_to_stdout(tmp_path, capsys):
         assert doc["events"] == 8
 
 
+def test_algebras_far_past_a_machine_word_are_counted_not_listed(tmp_path, capsys):
+    # An algebra is held as its blocks.  A q = 24 painting's label algebra
+    # and the default singleton algebras on 24, 100 and 1,200 atoms hold
+    # 2^n events; none is listed, 2^100 is past what len() returns, and
+    # 1,200 blocks are more than a recursive count could take.
+    counts = dict.fromkeys(range(1, 25), 2)
+    counts[1] += 16
+    painting = generate_painting(PaintingSpec(8, 8, 24, counts, seed=3))
+    path = tmp_path / "painting.json"
+    dump_json(painting_to_doc(painting), str(path))
+    argv = ["play-prob-game", "--painting", str(path), "--draws", "1000"]
+    assert main(argv + ["--seed", "5", "--out", str(tmp_path / "freq.csv")]) == 0
+    space = tmp_path / "space.json"
+    for n in (24, 100, 1200):
+        law = {str(e): f"1/{n}" for e in range(n)}
+        dump_json({"universe": list(range(n)), "law": law}, str(space))
+        assert main(["validate-space", "--space", str(space)]) == 0
+        assert json.loads(capsys.readouterr().out)["events"] == 2**n
+
+
 def test_validate_space_fails_on_short_norm(tmp_path):
     space = tmp_path / "space.json"
     dump_json(

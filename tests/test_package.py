@@ -14,9 +14,13 @@ from factlaw import (
     AspectView,
     ComplexifiedEvent,
     Description,
+    EventAlgebra,
+    FrequencyTable,
+    Measure,
     Painting,
     PaintingSpec,
     Tile,
+    Universe,
     View,
     generate_painting,
 )
@@ -193,6 +197,12 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         lambda: HiddenForm(2, 1, 20, None),
         lambda: HiddenForm(2, 1, 20, (1, 2)),
         lambda: Tile("cf", 1, (1, 2, 3, 4)),
+        lambda: Measure(None),
+        lambda: Universe(None),
+        lambda: RandomPhenomenon(None, None, None),
+        lambda: FrequencyTable(None, None),
+        lambda: EventAlgebra(None, None),
+        lambda: FragmentPool(None),
     ],
     ids=(
         "event-sigs-none", "event-sigs-int", "aspect-values-none", "aspect-id-int",
@@ -204,6 +214,8 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         "description-ids-int", "aspect-values-int",
         "painting-tiles-none", "painting-tiles-of-ints",
         "form-cells-none", "form-cells-of-ints", "tile-sigs-int",
+        "measure-none", "universe-none", "phenomenon-none", "table-none",
+        "algebra-none", "pool-none",
     ),
 )
 def test_wrong_kind_constructor_arguments_raise_value_error(build):

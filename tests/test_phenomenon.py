@@ -267,7 +267,7 @@ def test_factual_space_from_painting(reference_painting):
     space = factual_space_from_painting(reference_painting)
     assert space.universe.elements == (1, 2, 3)
     assert space.law[1] == Fraction(3, 5)
-    assert len(space.algebra.events) == 8
+    assert len(space.algebra) == 8 and len(space.algebra.events) == 8
     ph = probabilise_painting(reference_painting)
     assert ph.underlying_law().atom_probs == space.law.atom_probs
 

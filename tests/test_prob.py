@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -83,32 +84,25 @@ def test_algebra_rejects_foreign_generators_and_validates_closure():
     u = Universe((1, 2))
     with pytest.raises(ForeignElement):
         generate_algebra(u, [{3}])
+    # A chain is closed even without complements: its blocks {1} and {1, 2}
+    # are nested, so it counts 3 events, not 2^2.
+    chain = frozenset({frozenset(), frozenset({1}), frozenset({1, 2})})
+    alg = generate_algebra(u, chain)
+    assert len(alg) == alg.count() == 3 and alg.events == chain
+    assert EventAlgebra(u, alg.blocks) == alg
+    # The chain itself is no family of blocks: the empty event is no block.
     with pytest.raises(ValueError):
-        EventAlgebra(u, frozenset({frozenset({1, 2})}))  # missing empty event
-    # A chain is closed even without complements:
-    EventAlgebra(u, frozenset({frozenset(), frozenset({1}), frozenset({1, 2})}))
-    # A family violating union closure:
-    u3 = Universe((1, 2, 3))
-    with pytest.raises(ValueError):
-        EventAlgebra(
-            u3,
-            frozenset(
-                {
-                    frozenset(),
-                    frozenset({1}),
-                    frozenset({2}),
-                    frozenset({1, 2, 3}),
-                }
-            ),
-        )
+        EventAlgebra(u, chain)
+    with pytest.raises(ValueError):  # a block leaving the universe
+        EventAlgebra(u, {frozenset({1, 3}), frozenset({1, 2})})
 
 
 def test_complement_closure_is_opt_in():
     u = Universe((1, 2, 3))
     plain = generate_algebra(u, [{1}])
-    assert frozenset({2, 3}) not in plain.events
-    with_comp = generate_algebra(u, [{1}], include_complements=True)
-    assert frozenset({2, 3}) in with_comp.events
+    assert {2, 3} not in plain and len(plain) == 3
+    with_comp = generate_algebra(u, [{1}, {2, 3}])
+    assert {2, 3} in with_comp and len(with_comp) == 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,10 +117,21 @@ def test_closure_matches_both_oracles(data):
         for i in range(n_gens)
     ]
     alg = generate_algebra(u, gens)
-    assert alg.events == closure_by_lattice(elements, gens)
+    oracle = closure_by_lattice(elements, gens)
+    assert alg.events == oracle
     assert alg.events == closure_by_fixpoint(elements, gens)
+    assert_counts_and_holds(alg, elements, oracle)
     # Fixed point: re-closing with the algebra's own events changes nothing.
     assert generate_algebra(u, list(alg.events)).events == alg.events
+
+
+def assert_counts_and_holds(alg, elements, oracle):
+    # The count and the membership test agree with the listed oracle closure
+    # on every subset of the universe.
+    assert len(alg) == len(oracle)
+    for size in range(len(elements) + 1):
+        for subset in map(frozenset, itertools.combinations(elements, size)):
+            assert (subset in alg) == (subset in oracle)
 
 
 @settings(max_examples=25, deadline=None)
@@ -138,27 +143,26 @@ def test_complement_closure_matches_fixpoint_oracle(data):
         frozenset(data.draw(st.sets(st.sampled_from(elements)), label=f"gen{i}"))
         for i in range(data.draw(st.integers(0, 2), label="gen count"))
     ]
-    alg = generate_algebra(Universe(elements), gens, include_complements=True)
-    assert alg.events == closure_by_fixpoint(elements, gens, include_complements=True)
+    full = frozenset(elements)
+    alg = generate_algebra(Universe(elements), gens + [full - g for g in gens])
+    oracle = closure_by_fixpoint(elements, gens, include_complements=True)
+    assert alg.events == oracle
+    assert_counts_and_holds(alg, elements, oracle)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_closure_verdict_matches_the_pairwise_oracle(data):
     # Any family over a universe of at most four elements that holds the
-    # empty event and the universe: accepted exactly when it is closed.
+    # empty event and the universe: its closure adds nothing exactly when
+    # it is closed.
     size = data.draw(st.integers(1, 4), label="universe size")
     elements = tuple(range(1, size + 1))
     subsets = st.frozensets(st.sampled_from(elements))
     family = data.draw(st.frozensets(subsets), label="family")
     family |= {frozenset(), frozenset(elements)}
-    try:
-        EventAlgebra(Universe(elements), family)
-    except ValueError as exc:
-        assert str(exc) == "algebra is not closed under union/intersection"
-        assert not closed_by_pairs(family)
-    else:
-        assert closed_by_pairs(family)
+    closed = len(generate_algebra(Universe(elements), family)) == len(family)
+    assert closed == closed_by_pairs(family)
 
 
 # --- measures ---------------------------------------------------------------
