@@ -21,18 +21,32 @@ at least ``cut_j``, the least float with ``running_j <= fl(cut_j * total)``.
 Each cut is found once, by stepping from ``running_j / total`` to its
 neighbouring floats until the comparison flips; Python compares an int with
 a float exactly, so the cuts reproduce the per-draw rule with no rounding
-slack, and a draw costs one bisection over the cuts.
+slack.
+
+The draws are not made one ``random()`` at a time.  ``sample`` reads the
+words in bulk, one ``getrandbits(64 * k)`` per chunk of k <= 4,096 draws,
+and settles each draw by byte tables built once beside the cuts.  The top
+byte of x picks its label from a 256-entry row, unless a cut lies strictly
+inside that byte's interval; then the next byte picks from that interval's
+own 256-entry row; and only where a cut lies inside the 16-bit interval
+too is x rebuilt from its eight bytes and bisected over the cuts.  This
+rests on two facts of CPython's ``random``: ``random()`` is
+``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53`` for its next two 32-bit
+words w0 and w1, and ``getrandbits(64 * k)`` holds the same 2k words in
+the same order, least significant first.  The tests compare ``sample``
+with the ``random()`` loop of ``tests/oracles.py::reference_draws``, and
+CI runs them under Python 3.10 to 3.13, so a change to either fact fails
+there.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat, starmap
 from typing import Any, Mapping, Sequence
 
 from .painting import Painting, label_histogram
@@ -71,6 +85,31 @@ def _cut(running: int, total: int, scale: float) -> float:
     return c
 
 
+_CHUNK = 4096  # draws per getrandbits call: 32 KiB of words, so peak memory stays flat
+_EXACT = object()  # a table entry whose interval holds a cut strictly inside
+
+
+def _row(labels: Sequence, cuts: Sequence[float], base: int, scale: int) -> tuple:
+    """The labels of the 256 intervals ``[(base + i) / scale, (base + i + 1) / scale)``.
+
+    An interval with no cut strictly inside it gets the one label every x
+    in it draws; an interval that holds a cut gets :data:`_EXACT`.  The row
+    walks only the cuts inside its span, whose scaled values ``cut * scale``
+    are exact, since ``scale`` is a power of two.
+    """
+    row: list = []
+    j = bisect_right(cuts, base / scale)
+    for k in range(j, bisect_left(cuts, (base + 256) / scale)):
+        t = cuts[k] * scale
+        i = int(t) - base
+        row += [labels[j]] * (i - len(row))
+        if t != int(t) and len(row) == i:
+            row.append(_EXACT)
+        j = k + 1
+    row += [labels[j]] * (256 - len(row))
+    return tuple(row)
+
+
 @dataclass(frozen=True)
 class RandomPhenomenon:
     """A reproducible sampling procedure paired with its outcome universe.
@@ -88,6 +127,11 @@ class RandomPhenomenon:
     weights: tuple[int, ...]
     seed: int = 0
     _cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # sample()'s byte tables: a label or _EXACT per top byte, a second row
+    # per top byte that holds a cut (else None), and 1 marking those bytes.
+    _top: tuple = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
+    _marks: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weights = tuple(read_int(w, "weight") for w in read_collection(tuple, self.weights))
@@ -109,7 +153,15 @@ class RandomPhenomenon:
         for w in weights:
             running += w
             cuts.append(_cut(running, total, scale))
+        labels = self.universe.elements
+        top = _row(labels, cuts, 0, 256)
         object.__setattr__(self, "_cuts", tuple(cuts))
+        object.__setattr__(self, "_top", top)
+        object.__setattr__(self, "_rows", tuple(
+            _row(labels, cuts, 256 * b, 65536) if label is _EXACT else None
+            for b, label in enumerate(top)
+        ))
+        object.__setattr__(self, "_marks", bytes(label is _EXACT for label in top))
 
     def sample(self, n: int, seed: int | None = None) -> list:
         """``n`` draws; an explicit ``seed`` overrides the stored one.
@@ -117,15 +169,38 @@ class RandomPhenomenon:
         Draw i is ``labels[bisect_right(cuts, x)]`` for the i-th
         ``random()`` value x, which equals the per-draw rule
         ``labels[bisect_right(running_sums, x * total)]`` exactly (see the
-        module docstring): one ``random()`` per draw, the same stream.
+        module docstring).  The words are read in bulk, one
+        ``getrandbits`` call per chunk of at most 4,096 draws, in the order
+        ``random()`` reads them, and each draw is settled by the byte
+        tables: its top byte; where that byte's interval holds a cut, its
+        next byte; where that one holds a cut too, its float, rebuilt from
+        its eight bytes by ``random()``'s 53-bit formula.  The tests hold
+        this to the ``random()`` loop under Python 3.10 to 3.13.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
         rng = random.Random(self.seed if seed is None else seed)
         labels, cuts = self.universe.elements, self._cuts
-        return [
-            labels[bisect_right(cuts, x)] for x in starmap(rng.random, repeat((), n))
-        ]
+        top, rows, marks = self._top, self._rows, self._marks
+        draws: list = []
+        for done in range(0, n, _CHUNK):
+            k = min(_CHUNK, n - done)
+            # Draw i's words w0, w1 are bytes 8i..8i+3 and 8i+4..8i+7.
+            words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+            tops, nexts = words[3::8], words[2::8]
+            chunk = [top[b] for b in tops]
+            find = tops.translate(marks).find
+            i = find(1)
+            while i >= 0:
+                label = rows[tops[i]][nexts[i]]
+                if label is _EXACT:
+                    v = int.from_bytes(words[8 * i : 8 * i + 8], "little")
+                    x = ((v & 0xFFFFFFFF) >> 5 << 26 | v >> 38) / 2**53
+                    label = labels[bisect_right(cuts, x)]
+                chunk[i] = label
+                i = find(1, i + 1)
+            draws += chunk
+        return draws
 
     def underlying_law(self) -> Measure:
         """The exact distribution the sampler realizes (not an estimate)."""

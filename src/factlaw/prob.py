@@ -9,6 +9,7 @@ draws at random; the experiments that do live beside their sampler, in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
@@ -56,6 +57,25 @@ def _blocks(full: frozenset, family: Iterable[frozenset]) -> set[frozenset]:
     return set(block.values())
 
 
+def _count_unions(blocks: list[frozenset]) -> int:
+    """The number of distinct unions of ``blocks``: each misses the largest
+    block left or holds it and every block inside it (memo and stack, no recursion)."""
+    order = sorted(blocks, key=len, reverse=True)
+    smallest = {x: i for i, block in enumerate(order) for x in block}  # smaller ones last
+    inside = [sum(1 << j for j in {smallest[x] for x in block}) for block in order]
+    every = (1 << len(order)) - 1
+    memo, stack = {0: 1}, [every]
+    while stack:
+        left = stack[-1]
+        top = (left & -left).bit_length() - 1  # the largest block left
+        miss, hold = left & ~(1 << top), left & ~inside[top]
+        todo = [k for k in {miss, hold} if k not in memo]
+        stack += todo
+        if not todo:
+            memo[stack.pop()] = memo[miss] + memo[hold]
+    return memo[every]
+
+
 @dataclass(frozen=True)
 class EventAlgebra:
     """A family of events over a universe, closed under union and intersection.
@@ -81,22 +101,27 @@ class EventAlgebra:
         object.__setattr__(self, "blocks", blocks)
 
     def count(self) -> int:
-        """The number of distinct unions of the blocks: each misses the largest
-        block left or holds it and every block inside it (memo and stack, no recursion)."""
-        order = sorted(self.blocks, key=len, reverse=True)
-        smallest = {x: i for i, block in enumerate(order) for x in block}  # smaller ones last
-        inside = [sum(1 << j for j in {smallest[x] for x in block}) for block in order]
-        every = (1 << len(order)) - 1
-        memo, stack = {0: 1}, [every]
-        while stack:
-            left = stack[-1]
-            top = (left & -left).bit_length() - 1  # the largest block left
-            miss, hold = left & ~(1 << top), left & ~inside[top]
-            todo = [k for k in {miss, hold} if k not in memo]
-            stack += todo
-            if not todo:
-                memo[stack.pop()] = memo[miss] + memo[hold]
-        return memo[every]
+        """The number of distinct unions of the blocks.
+
+        Blocks that share no element are unrelated, so the blocks split into
+        the components linked by overlap, and the count is the product of
+        the components' counts (see :func:`_count_unions`).
+        """
+        root = {x: x for x in self.universe.elements}
+
+        def find(x: Label) -> Label:
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            return x
+
+        for block in self.blocks:
+            first, *rest = map(find, block)
+            for r in rest:
+                root[r] = first
+        components: dict[Label, list[frozenset]] = {}
+        for block in self.blocks:
+            components.setdefault(find(next(iter(block))), []).append(block)
+        return math.prod(map(_count_unions, components.values()))
 
     def __len__(self) -> int:
         return self.count()

@@ -104,14 +104,22 @@ def test_sample_draws_are_pinned():
     )
 
 
+CHUNK_EDGES = (4_095, 4_096, 4_097, 3 * 4_096 + 5)  # draws are read 4,096 at a time
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    st.lists(
-        st.one_of(st.just(0), st.integers(1, 9), st.integers(0, 2**80)),
-        min_size=1,
-        max_size=6,
+    st.one_of(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, 9), st.integers(0, 2**80)),
+            min_size=1,
+            max_size=6,
+        ),
+        # Many labels put cuts in most top-byte buckets and some next-byte
+        # ones, so both the second row and the exact float settle draws.
+        st.lists(st.integers(0, 1_000), min_size=1, max_size=300),
     ).filter(lambda w: sum(w) > 0),
-    st.integers(0, 300),
+    st.one_of(st.integers(0, 300), st.sampled_from(CHUNK_EDGES)),
     st.integers(0, 2**32),
 )
 def test_sample_equals_the_per_draw_rule(weights, n, seed):
@@ -150,13 +158,25 @@ def test_sample_matches_the_per_draw_rule_at_every_cut(monkeypatch, total):
     xs, running = [], 0
     for w in weights:
         running += w
-        cut = least_float_reaching(running, total)
-        near = (math.nextafter(cut, -math.inf), cut, math.nextafter(cut, math.inf))
-        xs += [x for x in near if 0 <= x < 1]
+        # random() returns m / 2**53 for an int m, so the only values it can
+        # return near a cut are m = ceil(cut * 2**53) and its two neighbours.
+        m = math.ceil(least_float_reaching(running, total) * 2**53)
+        xs += [k / 2**53 for k in (m - 1, m, m + 1) if 0 <= k < 2**53]
 
-    class Scripted:  # a random.Random whose random() yields xs in order
+    def words_of(x):
+        # The two Mersenne Twister words random() reads for x: the top 27
+        # and the next 26 bits of its 53, over junk bits it drops.
+        m = int(x * 2**53)
+        return (m >> 26) << 5 | 0b10101 | ((m & (2**26 - 1)) << 6 | 0b110011) << 32
+
+    class Scripted:  # a random.Random that yields xs, by random() or by getrandbits()
         def __init__(self, seed=None):
             self.random = iter(xs).__next__
+            self.xs = iter(xs)
+
+        def getrandbits(self, k):
+            words = [words_of(next(self.xs)) for _ in range(k // 64)]
+            return sum(w << 64 * i for i, w in enumerate(words))
 
     monkeypatch.setattr(random, "Random", Scripted)
     draws = RandomPhenomenon("weighted-draw", Universe(labels), weights).sample(len(xs))

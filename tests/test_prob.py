@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,18 @@ def test_complement_closure_is_opt_in():
     assert {2, 3} not in plain and len(plain) == 3
     with_comp = generate_algebra(u, [{1}, {2, 3}])
     assert {2, 3} in with_comp and len(with_comp) == 4
+
+
+def test_disjoint_nested_families_are_counted_one_family_at_a_time():
+    # 40 pairs {2i} inside {2i, 2i+1}: each pair gives 3 choices, so 3^40
+    # events.  Counted as one walk over all 80 blocks this takes about 2^40
+    # steps; counted per family of overlapping blocks it is instant.
+    k = 40
+    gens = [g for i in range(k) for g in ({2 * i}, {2 * i, 2 * i + 1})]
+    alg = generate_algebra(Universe(tuple(range(2 * k))), gens)
+    start = time.perf_counter()
+    assert alg.count() == 3**k
+    assert time.perf_counter() - start < 1
 
 
 @settings(max_examples=60, deadline=None)
