@@ -1,65 +1,52 @@
-"""Views as finite filters: what a description keeps, drops, and never sees.
+"""What each game keeps of one tile: its view is its fragment format.
 
-A view is a finite grid of qualification: a set of aspects, each with a
-finite value set, optionally anchored to grid coordinates.  Applying a view
-to an entity keeps exactly the aspect values the view can admit; everything
-else -- unknown aspects, out-of-range values, coordinates for frame-less
-views -- simply does not exist for that view.
+A game never sees the painting itself, only what its view keeps of each
+tile.  The location game keeps a tile's place and nothing else, the border
+game keeps its colour form and its four edge signatures but not its place,
+and the probability game keeps only the approximate-colour label of a tile
+drawn at random.  Everything else a tile carries does not exist for that
+game.
 """
 
 from factlaw import (
-    AspectView,
-    Description,
-    NoMutualExistence,
-    View,
-    apply_view,
-    restrict_view,
+    FragmentPool,
+    PaintingSpec,
+    generate_painting,
+    probabilise_painting,
 )
 
-full_entity = Description(
-    generator_id="tile-extraction",
-    entity_id="cf_0001",
-    points={
-        "colour_form": "cf_0001",
-        "approx_colour": "colour_2",
-        "edge_n": "s00012",
-        "temperature": "warm",  # an aspect none of our views will know
-    },
-    grid_coords=(4, 7),
-)
+painting = generate_painting(PaintingSpec(3, 2, 2, {1: 4, 2: 2}, seed=3))
+tile = painting.tiles[0]  # the tile at (1, 1)
+print("One tile of a 3x2 painting, as the painting holds it:")
+print(f"  colour form : {tile.colour_form_id}")
+print(f"  label       : {tile.approx_colour}")
+print(f"  edges       : {tile.edge_sigs}  (N, E, S, W)")
+print("  place       : (1, 1)\n")
 
-rich_view = View(
-    aspects=(
-        AspectView("colour_form", ("cf_0001", "cf_0002")),
-        AspectView("approx_colour", ("colour_1", "colour_2")),
-        AspectView("edge_n", ("s00012", "s00013")),
-    ),
-    grid_dims=(10, 10),
-)
 
-print("A richly qualified view keeps what it can admit and the grid frame:")
-seen = apply_view(rich_view, full_entity)
-print(f"  points kept : {sorted(seen.points)}")
-print(f"  coords kept : {seen.grid_coords}")
-print("  'temperature' is gone -- the view has no such aspect.\n")
+def fragment_of(mode):
+    """The fragment the ``mode`` game's pool holds for ``tile``."""
+    pool = FragmentPool.from_painting(painting, mode)
+    (fragment,) = [f for f in pool.fragments if f.entity_id == tile.colour_form_id]
+    return fragment
 
-label_only = restrict_view(rich_view, keep=("approx_colour",))
-print("Restricting to the label aspect (and dropping the grid frame):")
-shadow = apply_view(label_only, full_entity)
-print(f"  points kept : {shadow.points}")
-print(f"  coords kept : {shadow.grid_coords}")
-print("  This is the simplification step of the probability game.\n")
 
-print("A view blind to everything an entity carries sees nothing at all:")
-alien = Description("tile-extraction", "x", {"smell": "sweet"}, None)
-try:
-    apply_view(label_only, alien)
-except NoMutualExistence as exc:
-    print(f"  NoMutualExistence: {exc}\n")
+located = fragment_of("location")
+print("The location game keeps its place alone:")
+print(f"  points      : {located.points}")
+print(f"  coords      : {located.grid_coords}")
+print("  Placement is certain; nothing else is needed.\n")
 
-print("Value filtering is as real as aspect filtering:")
-narrow = View((AspectView("approx_colour", ("colour_1",)),))
-try:
-    apply_view(narrow, full_entity)  # entity holds colour_2, not colour_1
-except NoMutualExistence as exc:
-    print(f"  NoMutualExistence: {exc}")
+bordered = fragment_of("border")
+print("The border game keeps its colour form and edges, not its place:")
+for aspect, value in bordered.points.items():
+    print(f"  {aspect:<12}: {value}")
+print(f"  coords      : {bordered.grid_coords}")
+print("  Equal signatures across a seam must rebuild the place.\n")
+
+phenomenon = probabilise_painting(painting, seed=1)
+print("The probability game keeps a drawn tile's bare label:")
+print(f"  universe    : {phenomenon.universe.elements}")
+print(f"  weights     : {phenomenon.weights}")
+print(f"  10 draws    : {phenomenon.sample(10)}")
+print("  No form, no edges, no place: only the law of the labels survives.")

@@ -10,16 +10,6 @@ deterministic, and exact where the mathematics is exact.
 
 __version__ = "0.1.0"
 
-from .views import (
-    AspectView,
-    Description,
-    EmptyKeepSet,
-    NoMutualExistence,
-    UnknownAspect,
-    View,
-    apply_view,
-    restrict_view,
-)
 from .painting import (
     AMBIGUOUS_EDGES,
     BOUNDARY,
@@ -40,6 +30,7 @@ from .puzzle import (
     GENERATOR_ID,
     AssemblyReport,
     Board,
+    Description,
     DuplicateCoordinates,
     FragmentPool,
     InconsistentSignatures,
@@ -92,21 +83,9 @@ from .seeding import derive_seed
 
 __all__ = [
     "__version__",
-    # views
-    "AspectView",
-    "Description",
-    "EmptyKeepSet",
-    "NoMutualExistence",
-    "UnknownAspect",
-    "View",
-    "apply_view",
-    "restrict_view",
     # painting
     "AMBIGUOUS_EDGES",
-    "ASPECT_COLOUR_FORM",
-    "ASPECT_EDGES",
     "BOUNDARY",
-    "GENERATOR_ID",
     "InfeasibleSpec",
     "Painting",
     "PaintingSpec",
@@ -117,8 +96,12 @@ __all__ = [
     "painting_from_doc",
     "painting_to_doc",
     # puzzle
+    "ASPECT_COLOUR_FORM",
+    "ASPECT_EDGES",
+    "GENERATOR_ID",
     "AssemblyReport",
     "Board",
+    "Description",
     "DuplicateCoordinates",
     "FragmentPool",
     "InconsistentSignatures",

@@ -167,15 +167,14 @@ def place_row_major(
     One pass drops each item straight onto its index, whatever order the
     pairs come in.  Raises ``ValueError`` unless the coordinates cover the
     width x height grid exactly once: as :func:`check_grid_size` does when
-    the extents or the count are wrong, else "<what> do not cover each grid
-    cell exactly once" for a pair off the grid or on a cell already taken.
+    the extents or the count are wrong, which is checked before the grid is
+    allocated, else "<what> do not cover each grid cell exactly once" for a
+    pair off the grid or on a cell already taken.
     """
-    cells = width * height
-    slots: list[Any] = [_VACANT] * cells
-    count = 0
-    covered = True
+    placed = list(placed)
+    check_grid_size(width, height, len(placed), what)
+    slots: list[Any] = [_VACANT] * len(placed)
     for coords, item in placed:
-        count += 1
         if len(coords) == 2:
             x, y = coords
             if 0 < x <= width and 0 < y <= height:
@@ -183,9 +182,6 @@ def place_row_major(
                 if slots[index] is _VACANT:
                     slots[index] = item
                     continue
-        covered = False
-    check_grid_size(width, height, count, what)
-    if not covered:
         raise ValueError(f"{what} do not cover each grid cell exactly once")
     return tuple(slots)
 

@@ -134,6 +134,8 @@ class RandomPhenomenon:
     _marks: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.universe, Universe):
+            raise ValueError(f"universe must be a Universe, got {self.universe!r}")
         weights = tuple(read_int(w, "weight") for w in read_collection(tuple, self.weights))
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(self.universe):
@@ -217,8 +219,8 @@ class FrequencyTable:
     def __post_init__(self) -> None:
         counts = read_collection(dict, self.counts)
         object.__setattr__(self, "counts", counts)
-        if any(c < 0 for c in counts.values()):
-            raise ValueError("counts must be non-negative")
+        if any(type(c) is not int or c < 0 for c in counts.values()):
+            raise ValueError("counts must be non-negative ints")
         if sum(counts.values()) != self.n_draws:
             raise ValueError("counts must sum to n_draws")
 

@@ -33,7 +33,7 @@ class Universe:
         elements = read_collection(tuple, self.elements)
         if not elements:
             raise ValueError("universe must be non-empty")
-        if len(set(elements)) != len(elements):
+        if len(read_collection(set, elements)) != len(elements):
             raise ValueError("universe has duplicate elements")
         object.__setattr__(self, "elements", elements)
 
@@ -169,7 +169,10 @@ class Measure:
     atom_probs: Mapping[Label, Fraction]
 
     def __post_init__(self) -> None:
-        coerced = {k: Fraction(v) for k, v in read_collection(dict, self.atom_probs).items()}
+        coerced = {
+            k: read_collection(Fraction, v)
+            for k, v in read_collection(dict, self.atom_probs).items()
+        }
         if not coerced:
             raise ValueError("measure needs at least one atom")
         object.__setattr__(self, "atom_probs", coerced)
@@ -180,11 +183,11 @@ class Measure:
 
         The package's one count-to-law rule: every law read off counts goes
         through it.  Atoms keep the order of ``counts``, and a zero count
-        stays as a 0-weight atom.  Raises ``ValueError`` on a negative count
-        or a zero total.
+        stays as a 0-weight atom.  Raises ``ValueError`` on a count that is
+        not an int (a bool is not one), a negative count or a zero total.
         """
-        if any(n < 0 for n in counts.values()):
-            raise ValueError("counts must be non-negative")
+        if any(type(n) is not int or n < 0 for n in counts.values()):
+            raise ValueError("counts must be non-negative ints")
         total = sum(counts.values())
         if total == 0:
             raise ValueError("counts must have a positive total")

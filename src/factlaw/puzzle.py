@@ -1,7 +1,8 @@
 """The three reconstruction games: by location, by borders, multi-replica.
 
-A fragment is a painting's tile seen through one game's view, and
-:meth:`FragmentPool.from_painting` is the one place a tile becomes one.  A
+A fragment is a painting's tile seen through one game's view, a
+:class:`Description`, and :meth:`FragmentPool.from_painting` is the one
+place a tile becomes one: each game's view is its fragment format.  A
 pool holds the fragments shuffled once, and each game reads them in that
 order and places them on boards.  A board is a full grid of pieces stored
 row-major from (1, 1), like :attr:`factlaw.painting.Painting.tiles`.  In
@@ -21,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any
+from typing import Any, Mapping
 
 from .painting import (
     Painting,
@@ -32,14 +33,56 @@ from .painting import (
     scanline_layout,
 )
 from .seeding import derive_seed
-from .serialize import read_collection
-from .views import Description
+from .serialize import read_collection, read_int
 
 # The fragment format: the generator every fragment names, and the aspects
 # the border game's view keeps (the colour form and the N, E, S, W edges).
 GENERATOR_ID = "tile-extraction"
 ASPECT_COLOUR_FORM = "colour_form"
 ASPECT_EDGES = ("edge_n", "edge_e", "edge_s", "edge_w")
+
+
+def _is_int_pair(value: Any) -> bool:
+    """Whether ``value`` is a tuple of exactly two ints (booleans are not)."""
+    return type(value) is tuple and len(value) == 2 and (
+        type(value[0]) is type(value[1]) is int
+    )
+
+
+@dataclass(frozen=True)
+class Description:
+    """A fragment: one tile as one game's view keeps it.
+
+    ``generator_id`` is :data:`GENERATOR_ID` and ``entity_id`` the tile's
+    colour-form id.  A location fragment keeps the tile's place alone: empty
+    ``points`` and ``grid_coords``, an (x, y) pair of ints.  A border
+    fragment keeps no coordinates (``grid_coords`` is ``None``); its
+    ``points`` map :data:`ASPECT_COLOUR_FORM` to the colour-form id and each
+    of :data:`ASPECT_EDGES` to the tile's N, E, S or W edge signature.  The
+    probability game keeps less still, the bare label, which
+    :func:`factlaw.phenomenon.probabilise_painting` draws.  ``points`` is
+    copied into a fresh dict, and coordinates that are not an int pair are
+    refused.
+    """
+
+    generator_id: str
+    entity_id: str
+    points: Mapping[str, str]
+    grid_coords: tuple[int, int] | None = None
+
+    def __post_init__(self) -> None:
+        generator, entity = self.generator_id, self.entity_id
+        if not (isinstance(generator, str) and generator) or not (
+            isinstance(entity, str) and entity
+        ):
+            raise ValueError("generator_id and entity_id must be non-empty strs")
+        try:
+            object.__setattr__(self, "points", dict(self.points))
+        except (TypeError, ValueError):
+            raise ValueError(f"points must be a mapping, got {self.points!r}") from None
+        coords = self.grid_coords
+        if coords is not None and not _is_int_pair(coords):
+            raise ValueError(f"grid_coords must be a pair of ints, got {coords!r}")
 
 
 class DuplicateCoordinates(Exception):
@@ -137,7 +180,9 @@ class AssemblyReport:
 @dataclass(frozen=True)
 class FragmentPool:
     """The ballot box for the no-replacement games: an immutable tuple of
-    fragments, shuffled once by ``seed``.
+    fragments, shuffled once by ``seed``.  A fragment that is not a
+    :class:`Description`, or a seed that is not an integer, raises
+    ``ValueError``.
 
     Each game reads ``fragments`` in that shuffled order.  For pools built
     from a painting :meth:`from_painting` describes each tile once and every
@@ -149,8 +194,12 @@ class FragmentPool:
 
     def __post_init__(self) -> None:
         order = read_collection(list, self.fragments)
-        random.Random(derive_seed(self.seed, "draw-order")).shuffle(order)
+        if not all(isinstance(fragment, Description) for fragment in order):
+            raise ValueError("a pool holds Descriptions only")
+        seed = read_int(self.seed, "pool seed")
+        random.Random(derive_seed(seed, "draw-order")).shuffle(order)
         object.__setattr__(self, "fragments", tuple(order))
+        object.__setattr__(self, "seed", seed)
 
     @classmethod
     def from_painting(

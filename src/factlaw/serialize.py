@@ -45,7 +45,9 @@ def read_int(value: Any, what: str) -> int:
 
 
 def read_collection(kind: type, value: Any) -> Any:
-    """``kind(value)`` for a collection type; ``None`` or a number raises ``ValueError``."""
+    """``kind(value)``, with the ``TypeError`` of a value of the wrong kind
+    (``None``, a number for a collection, an unhashable member for a set)
+    raised as ``ValueError``."""
     try:
         return kind(value)
     except TypeError:

@@ -741,6 +741,13 @@ MALFORMED_INPUTS = {
     "width-only": '{"width": 4}',
     "wrong-types": '{"width": 2, "height": 2, "q": 1, "s_prime": 1,'
     ' "label_counts": [4], "tiles": [7], "cells": [7]}',
+    # A painting and a form of one cell each that claim 2**40 x 2**40: the
+    # count is refused before a grid of that size is allocated.
+    "huge-grid": '{"width": 1099511627776, "height": 1099511627776, "q": 1,'
+    ' "s_prime": 10, "tiles": [{"x": 1, "y": 1, "label": 1, "form": "cf",'
+    ' "edges": {"n": "B", "e": "B", "s": "B", "w": "B"}}],'
+    ' "cells": [{"x": 1, "y": 1, "label": 1, "rp": 1,'
+    ' "edges": {"n": "B", "e": "B", "s": "B", "w": "B"}}]}',
 }
 # command -> (the parameter naming its input file, the other parameters)
 INPUT_RUNS = {

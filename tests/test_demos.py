@@ -17,7 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 STDOUT_SHA256 = {
     "01_views_and_descriptions.py":
-        "69619a31020c487e926e22fbd87d4a8610cd590d38c7baa418e5c3cfc1d4a687",
+        "652cafb80036a35f0d9c1acb50b0cb076df7c0e4781b29590fcf707854c3140b",
     "02_painting_and_puzzles.py":
         "4d8b259b49f6a9716dc2c4cc34d15559e53d2ade8d1cabc8d25c4ca9d8e5e763",
     "03_probability_game.py":

@@ -11,7 +11,6 @@ import factlaw.cli as cli
 import factlaw.integration as integration
 import factlaw.painting as painting
 from factlaw import (
-    AspectView,
     ComplexifiedEvent,
     Description,
     EventAlgebra,
@@ -21,7 +20,6 @@ from factlaw import (
     PaintingSpec,
     Tile,
     Universe,
-    View,
     generate_painting,
 )
 from factlaw.integration import HiddenForm
@@ -129,10 +127,9 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_the_shared_layout_sits_below_both_games():
     # The scan-line both games call lives in painting, so painting imports
-    # neither game and integration does not import the border game.  Each
-    # game applies its own view, so painting does not import views either.
+    # neither game and integration does not import the border game.
     forbidden = {
-        "painting": {"puzzle", "integration", "views"},
+        "painting": {"puzzle", "integration"},
         "integration": {"puzzle"},
     }
     found = []
@@ -175,11 +172,7 @@ def test_a_test_imports_private_names_only_from_its_own_module():
     [
         lambda: ComplexifiedEvent(1, 1, None),
         lambda: ComplexifiedEvent(1, 1, 5),
-        lambda: AspectView("a", None),
-        lambda: AspectView(1, ("x",)),
         lambda: Description("g", "e", None),
-        lambda: View(None),
-        lambda: View((1,)),
         lambda: PaintingSpec(2, 2, 1, None),
         lambda: PaintingSpec(2, 2, 1, [1, 4]),
         lambda: FragmentPool.from_painting(SMALL_PAINTING, "weird"),
@@ -191,7 +184,6 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         lambda: Board(1, 1, None),
         lambda: Board(1, 1, (None,)).validate_edges(),
         lambda: Description(1, 2, {}),
-        lambda: AspectView("a", (1, 2)),
         lambda: Painting(2, 1, 1, None),
         lambda: Painting(2, 1, 1, (1, 2)),
         lambda: HiddenForm(2, 1, 20, None),
@@ -203,19 +195,28 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         lambda: FrequencyTable(None, None),
         lambda: EventAlgebra(None, None),
         lambda: FragmentPool(None),
+        lambda: FragmentPool([1, 2]),
+        lambda: FragmentPool([], seed="x"),
+        lambda: FragmentPool([], seed=None),
+        lambda: Measure({"a": None}),
+        lambda: Measure.from_counts({"a": "1"}),
+        lambda: Universe(([1],)),
+        lambda: RandomPhenomenon("p", None, (1,)),
+        lambda: FrequencyTable(1, {1: "1"}),
     ],
     ids=(
-        "event-sigs-none", "event-sigs-int", "aspect-values-none", "aspect-id-int",
-        "description-points-none", "view-none", "view-of-ints",
+        "event-sigs-none", "event-sigs-int", "description-points-none",
         "spec-counts-none", "spec-counts-list",
         "pool-mode-weird", "pool-replicas-half", "pool-replicas-zero",
         "pool-replicas-negative", "pool-replicas-true",
         "piece-edges-one", "board-pieces-none", "board-pieces-of-none",
-        "description-ids-int", "aspect-values-int",
+        "description-ids-int",
         "painting-tiles-none", "painting-tiles-of-ints",
         "form-cells-none", "form-cells-of-ints", "tile-sigs-int",
         "measure-none", "universe-none", "phenomenon-none", "table-none",
-        "algebra-none", "pool-none",
+        "algebra-none", "pool-none", "pool-of-ints", "pool-seed-str",
+        "pool-seed-none", "measure-weight-none", "counts-str", "universe-unhashable",
+        "phenomenon-universe-none", "table-count-str",
     ),
 )
 def test_wrong_kind_constructor_arguments_raise_value_error(build):

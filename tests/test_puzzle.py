@@ -451,6 +451,25 @@ def test_border_fragment_carries_form_and_edges_without_coordinates(
     assert tuple(fragment.points[aspect] for aspect in edges) == tile.edge_sigs
 
 
+def test_description_is_immutable_and_defensive():
+    points = {"colour": "red"}
+    d = Description("g", "e", points)
+    points["colour"] = "blue"
+    assert d.points == {"colour": "red"}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.entity_id = "other"
+    with pytest.raises(ValueError):
+        Description("", "e", {})
+
+
+def test_coordinates_are_int_pairs_or_refused():
+    coords = (2, 5)
+    assert Description("g", "e", {}, coords).grid_coords is coords
+    for coords in ((2.9, True), (2.7, 1), (2.0, 1), [2, 5], (1, 2, 3), (2,)):
+        with pytest.raises(ValueError, match="grid_coords must be"):
+            Description("g", "e", {}, coords)
+
+
 def test_from_painting_rejects_an_unknown_mode(reference_painting):
     with pytest.raises(ValueError, match="mode"):
         FragmentPool.from_painting(reference_painting, "weight")
