@@ -47,10 +47,11 @@ def read_int(value: Any, what: str) -> int:
 def read_collection(kind: type, value: Any) -> Any:
     """``kind(value)``, with the ``TypeError`` of a value of the wrong kind
     (``None``, a number for a collection, an unhashable member for a set)
+    and the ``OverflowError`` of an infinite float for a ``Fraction``
     raised as ``ValueError``."""
     try:
         return kind(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         raise ValueError(f"{value!r} does not convert to a {kind.__name__}") from None
 
 

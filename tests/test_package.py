@@ -199,6 +199,7 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         lambda: FragmentPool([], seed="x"),
         lambda: FragmentPool([], seed=None),
         lambda: Measure({"a": None}),
+        lambda: Measure({"a": float("inf")}),
         lambda: Measure.from_counts({"a": "1"}),
         lambda: Universe(([1],)),
         lambda: RandomPhenomenon("p", None, (1,)),
@@ -215,8 +216,8 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         "form-cells-none", "form-cells-of-ints", "tile-sigs-int",
         "measure-none", "universe-none", "phenomenon-none", "table-none",
         "algebra-none", "pool-none", "pool-of-ints", "pool-seed-str",
-        "pool-seed-none", "measure-weight-none", "counts-str", "universe-unhashable",
-        "phenomenon-universe-none", "table-count-str",
+        "pool-seed-none", "measure-weight-none", "measure-weight-inf", "counts-str",
+        "universe-unhashable", "phenomenon-universe-none", "table-count-str",
     ),
 )
 def test_wrong_kind_constructor_arguments_raise_value_error(build):

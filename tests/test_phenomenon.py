@@ -3,6 +3,7 @@ import math
 import random
 import struct
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,24 @@ def test_sampler_rejects_bad_parameters():
         coin().sample(-1)
 
 
+@pytest.mark.parametrize("n", [2.5, "2.5", "x", None, True, -1], ids=repr)
+def test_draw_counts_are_read_by_the_integer_rule(n):
+    ph = coin((1, 2), seed=4)
+    with pytest.raises(ValueError):
+        ph.sample(n)
+    with pytest.raises(ValueError):
+        ph.tally(n)
+    with pytest.raises(ValueError):
+        run_frequency_experiment(ph, n)
+
+
+def test_draw_counts_accept_integral_floats_and_numeric_strings():
+    ph = coin((1, 2), seed=4)
+    assert ph.sample("3") == ph.sample(3.0) == ph.sample(3)
+    assert ph.tally("3") == ph.tally(3)
+    assert run_frequency_experiment(ph, 3.0).n_draws == 3
+
+
 @pytest.mark.parametrize(
     "weights",
     [(2.5, 1), (True, 1), (1, float("inf")), ("x", 1), (10**400, 1), (2**1023, 2**1023)],
@@ -128,6 +147,44 @@ def test_sample_equals_the_per_draw_rule(weights, n, seed):
     assert ph.sample(n) == reference_draws(labels, weights, n, seed)
 
 
+def tallied(labels, draws) -> dict:
+    counts = Counter(draws)
+    return {label: counts[label] for label in labels}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, 9), st.integers(0, 2**80)),
+            min_size=1,
+            max_size=6,
+        ),
+        # Many labels leave many runs, or many top bytes that hold a cut, so
+        # both ways of counting are taken.
+        st.lists(st.integers(0, 1_000), min_size=1, max_size=300),
+    ).filter(lambda w: sum(w) > 0),
+    st.sampled_from((0, 1) + CHUNK_EDGES),
+    st.integers(0, 2**32),
+)
+def test_tally_counts_the_per_draw_rule(weights, n, seed):
+    labels = tuple(range(len(weights)))
+    ph = RandomPhenomenon("weighted-draw", Universe(labels), tuple(weights), seed)
+    counts = ph.tally(n)
+    assert list(counts) == list(labels)
+    assert counts == tallied(labels, reference_draws(labels, weights, n, seed))
+
+
+@pytest.mark.parametrize("weights", [(5,), (1,) * 256], ids=["q=1", "q=256"])
+def test_tally_when_no_top_byte_holds_a_cut(weights):
+    # One label owns every top byte; or 256 labels of even weight own one
+    # top byte each, so no byte value is left to mark a cut.
+    labels = tuple(range(len(weights)))
+    ph = RandomPhenomenon("weighted-draw", Universe(labels), weights, seed=9)
+    for n in (0, 1, 4_097):
+        assert ph.tally(n) == tallied(labels, reference_draws(labels, weights, n, 9))
+
+
 def least_float_reaching(running: int, total: int) -> float:
     """The least float x >= 0 with ``running <= x * total``, by bisection
     over the bit patterns of the floats in [0, 2], which sort like their values.
@@ -179,9 +236,11 @@ def test_sample_matches_the_per_draw_rule_at_every_cut(monkeypatch, total):
             return sum(w << 64 * i for i, w in enumerate(words))
 
     monkeypatch.setattr(random, "Random", Scripted)
-    draws = RandomPhenomenon("weighted-draw", Universe(labels), weights).sample(len(xs))
+    ph = RandomPhenomenon("weighted-draw", Universe(labels), weights)
+    draws = ph.sample(len(xs))
     assert draws == reference_draws(labels, weights, len(xs), seed=0)
     assert set(draws) == {"b", "d", "e"}
+    assert ph.tally(len(xs)) == tallied(labels, draws)
 
 
 @settings(max_examples=10, deadline=None)
@@ -209,6 +268,15 @@ def test_frequency_experiment_counts_match_history():
     draws = ph.sample(60)
     for label in (1, 2):
         assert table.counts[label] == draws.count(label)
+
+
+@pytest.mark.parametrize("weights", [(3, 1), (1,) * 300], ids=["q=2", "q=300"])
+def test_frequency_experiment_tallies_the_sampled_draws(weights):
+    ph = coin(weights, seed=17)
+    for n in (0, 5, 12_293):
+        assert run_frequency_experiment(ph, n) == FrequencyTable.from_draws(
+            ph.sample(n), ph.universe
+        )
 
 
 def test_empty_experiment_has_zero_frequencies():
