@@ -17,11 +17,17 @@ events has been drawn ``j`` times.  Once enough replicas complete,
 per-label counting on a completed replica yields the law exactly, as
 rationals, with no appeal to limits: the time ordering of the stream leaves
 no trace in the result.
+
+The stream reads its random words in bulk, 1,024 per ``getrandbits`` call,
+as :class:`~factlaw.phenomenon.RandomPhenomenon` does, and emits the events
+a ``randrange`` loop would.  The integrator files the signatures events
+show in one dict per side, so the per-event lookups build no keys.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -233,16 +239,38 @@ def generate_hidden_form(spec: PaintingSpec) -> HiddenForm:
 # --- the phenomenon side ----------------------------------------------------
 
 
+_WORDS = 1024  # 32-bit words per getrandbits call
+_UNPACK_WORDS = struct.Struct(f"<{_WORDS}I").unpack
+
+
 def complexified_phenomenon(form: HiddenForm, seed: int = 0) -> Iterator[ComplexifiedEvent]:
     """Endless stream: pick a uniformly random cell and emit its stored event.
 
     Replica copies of a cell are the same frozen value, so the stream hands
-    out the form's own events; no coordinates travel with them.
+    out the form's own events; no coordinates travel with them.  The
+    events are those of a loop of ``cells[rng.randrange(len(cells))]`` on
+    ``rng = random.Random(seed)``, but the words are read in bulk: one
+    ``getrandbits(32 * 1024)`` per chunk, unpacked little-endian into 1,024
+    32-bit words.  Each word ``w`` picks the cell
+    ``w >> (32 - n.bit_length())`` of ``n`` cells, and a value ``>= n`` is
+    skipped.  The CPython facts that make this exactly the ``randrange``
+    loop for ``n < 2**32`` are in :mod:`factlaw.phenomenon`'s docstring.
+    ``seed`` is read by :func:`~factlaw.serialize.read_int` at the call,
+    before the first draw.
     """
+    return _cell_stream(form.cells, read_int(seed, "seed"))
+
+
+def _cell_stream(cells: tuple, seed: int) -> Iterator[ComplexifiedEvent]:
     rng = random.Random(seed)
-    cells = form.cells
+    n = len(cells)
+    shift = 32 - n.bit_length()
     while True:
-        yield cells[rng.randrange(len(cells))]
+        chunk = rng.getrandbits(32 * _WORDS).to_bytes(4 * _WORDS, "little")
+        for word in _UNPACK_WORDS(chunk):
+            i = word >> shift
+            if i < n:
+                yield cells[i]
 
 
 def label_projection(form: HiddenForm, seed: int = 0) -> RandomPhenomenon:
@@ -323,10 +351,11 @@ class IntegrationResult:
 class _Replicas:
     """The components of one stream, waiting for ``k`` replicas to close.
 
-    ``shown`` maps each non-boundary ``(side, signature)`` pair to the
-    number and the event that first showed it.  Each distinct event gets an
-    id, its index in ``parent``, on its first copy; ``parent`` is a
-    union-find forest over the ids.  A root keeps its component's
+    ``shown`` holds one dict per side, N, E, S, W, that maps each
+    non-boundary signature shown on that side to the number and the event
+    that first showed it, so no lookup builds a ``(side, signature)`` key.
+    Each distinct event gets an id, its index in ``parent``, on its first
+    copy; ``parent`` is a union-find forest over the ids.  A root keeps its component's
     ``members``, its ``open`` count of non-boundary sides whose partner has
     not arrived, and ``drawn[j]``, the count of its members drawn more than
     ``j`` times, for ``j < k``.  ``completed`` logs ``(root, event number)``
@@ -336,7 +365,9 @@ class _Replicas:
     def __init__(self, k: int):
         self.k = k
         self.copies: dict[ComplexifiedEvent, int] = {}
-        self.shown: dict[tuple[int, str], tuple[int, ComplexifiedEvent]] = {}
+        self.shown: tuple[dict[str, tuple[int, ComplexifiedEvent]], ...] = (
+            {}, {}, {}, {}
+        )
         self.ids: dict[ComplexifiedEvent, int] = {}
         self.parent: list[int] = []
         self.members: list[list[ComplexifiedEvent]] = []
@@ -363,10 +394,10 @@ class _Replicas:
             if not self.open[root] and drawn[copies] == len(self.members[root]):
                 self.completed.append((root, number))
             return
-        for side, sig in enumerate(event.edge_sigs):
+        for side, (sig, shown) in enumerate(zip(event.edge_sigs, self.shown)):
             if sig == BOUNDARY:
                 continue
-            first, _ = self.shown.setdefault((side, sig), (number, event))
+            first, _ = shown.setdefault(sig, (number, event))
             if first != number:
                 raise AmbiguousStream(
                     f"event {number}: {'NESW'[side]} signature {sig}"
@@ -395,10 +426,11 @@ class _Replicas:
         self.members.append([event])
         self.open.append(4 - event.edge_sigs.count(BOUNDARY))
         self.drawn.append([1] + [0] * (self.k - 1))
+        shown = self.shown
         for d, sig in enumerate(event.edge_sigs):
             if sig == BOUNDARY:
                 continue
-            _, partner = self.shown.get((OPPOSITE[d], sig), (0, None))
+            _, partner = shown[OPPOSITE[d]].get(sig, (0, None))
             if partner is not None:
                 # A pair shuts two sides; an event that is its own partner
                 # meets this pair once from each side.
@@ -528,8 +560,10 @@ def integrate(
             " replicas complete"
         )
     finished = replicas.completed
-    n_total, pair_counts, label_counts = _counts(replicas.members[finished[0][0]])
-    for root, _ in finished[1:]:
+    # A closed component never grows, so each root is counted once.
+    first, *others = dict.fromkeys(root for root, _ in finished)
+    n_total, pair_counts, label_counts = _counts(replicas.members[first])
+    for root in others:
         if _counts(replicas.members[root]) != (n_total, pair_counts, label_counts):
             raise InconsistentReplicas(
                 "confirmation replicas disagree on counts"

@@ -36,7 +36,11 @@ words w0 and w1, and ``getrandbits(64 * k)`` holds the same 2k words in
 the same order, least significant first.  The tests compare ``sample``
 with the ``random()`` loop of ``tests/oracles.py::reference_draws``, and
 CI runs them under Python 3.10 to 3.13, so a change to either fact fails
-there.
+there.  :func:`factlaw.integration.complexified_phenomenon` reads its
+words the same way and rests on the second fact and a third: for
+``n < 2**32``, ``randrange(n)`` takes one 32-bit word w per try and
+returns the first ``w >> (32 - n.bit_length())`` below n; its tests
+compare it with ``tests/oracles.py::reference_stream``.
 
 ``tally`` counts the same draws per label and lists none; frequency
 experiments use it.  A run is the span of whole top bytes that give one
@@ -127,8 +131,9 @@ class RandomPhenomenon:
     integer ``weights`` (one per universe element, in universe order), via a
     deterministic stream derived from ``seed``.  Each weight is read by
     :func:`~factlaw.serialize.read_int`, and the total must convert to a
-    finite float, since the draw rule scales by it.  Instances are plain
-    frozen values.
+    finite float, since the draw rule scales by it.  ``seed`` is read by
+    ``read_int`` too, so no sampler draws from OS entropy.  Instances are
+    plain frozen values.
     """
 
     procedure_id: str
@@ -148,6 +153,7 @@ class RandomPhenomenon:
     def __post_init__(self) -> None:
         if not isinstance(self.universe, Universe):
             raise ValueError(f"universe must be a Universe, got {self.universe!r}")
+        object.__setattr__(self, "seed", read_int(self.seed, "seed"))
         weights = tuple(read_int(w, "weight") for w in read_collection(tuple, self.weights))
         object.__setattr__(self, "weights", weights)
         if len(weights) != len(self.universe):
@@ -201,8 +207,8 @@ class RandomPhenomenon:
         tables: its top byte; where that byte's interval holds a cut, its
         next byte; where that one holds a cut too, its float, rebuilt from
         its eight bytes by ``random()``'s 53-bit formula.  The tests hold
-        this to the ``random()`` loop under Python 3.10 to 3.13.  ``n`` is
-        read by :func:`~factlaw.serialize.read_int`.
+        this to the ``random()`` loop under Python 3.10 to 3.13.  ``n`` and
+        an explicit ``seed`` are read by :func:`~factlaw.serialize.read_int`.
         """
         draws: list = []
         for chunk in self._label_chunks(n, seed):
@@ -217,8 +223,8 @@ class RandomPhenomenon:
         bytes that hold a cut, each chunk is counted by one ``bytes.count``
         per run, about 0.6 ns per run per draw, and only the draws whose top
         byte holds a cut are settled one by one; otherwise :meth:`sample`'s
-        chunks are counted (see the module docstring).  ``n`` is read by
-        :func:`~factlaw.serialize.read_int`.
+        chunks are counted (see the module docstring).  ``n`` and an
+        explicit ``seed`` are read by :func:`~factlaw.serialize.read_int`.
         """
         per_label: Counter = Counter()
         if self._count_runs:
@@ -253,7 +259,7 @@ class RandomPhenomenon:
         n = read_int(n, "n")
         if n < 0:
             raise ValueError("n must be >= 0")
-        rng = random.Random(self.seed if seed is None else seed)
+        rng = random.Random(self.seed if seed is None else read_int(seed, "seed"))
         for done in range(0, n, _CHUNK):
             k = min(_CHUNK, n - done)
             words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
@@ -300,6 +306,8 @@ class FrequencyTable:
     counts: Mapping[Any, int]
 
     def __post_init__(self) -> None:
+        if type(self.n_draws) is not int:
+            raise ValueError(f"n_draws must be an int, got {self.n_draws!r}")
         counts = read_collection(dict, self.counts)
         object.__setattr__(self, "counts", counts)
         if any(type(c) is not int or c < 0 for c in counts.values()):

@@ -43,7 +43,7 @@ def assert_open_counts_are_recounted(replicas):
         if replicas.find(root) != root:
             continue
         recount = sum(
-            sig != BOUNDARY and (OPPOSITE[d], sig) not in replicas.shown
+            sig != BOUNDARY and sig not in replicas.shown[OPPOSITE[d]]
             for event in members
             for d, sig in enumerate(event.edge_sigs)
         )
@@ -55,6 +55,6 @@ def assert_no_partner_pair_spans_groups(replicas):
     # facing sides, lies under one root, so no union was left undone.
     for event, i in replicas.ids.items():
         for d, sig in enumerate(event.edge_sigs):
-            shown = replicas.shown.get((OPPOSITE[d], sig))
+            shown = replicas.shown[OPPOSITE[d]].get(sig)
             if sig != BOUNDARY and shown is not None:
                 assert replicas.find(replicas.ids[shown[1]]) == replicas.find(i)

@@ -6,8 +6,9 @@ closed-form lattice construction for union/intersection closures, a
 pair-by-pair closure check for families of events, Fraction
 sums for every event pair of a measure, the closed-form chi-square quantile
 for two degrees of freedom, a plain per-event counter for the cover times
-that bound integration, a first-step Markov chain for their mean, and the
-per-draw scale-and-bisect rule that label sampling must reproduce.
+that bound integration, a first-step Markov chain for their mean, the
+per-draw scale-and-bisect rule that label sampling must reproduce, and the
+per-event ``randrange`` loop that the complexified stream must reproduce.
 Keeping these in the test tree (and dumb on purpose) is what makes the
 dual-route checks meaningful.
 """
@@ -252,6 +253,14 @@ def reference_draws(labels, weights, n: int, seed: int) -> list:
         cum.append(total)
     rnd = rng.random
     return [labels[bisect_right(cum, rnd() * total)] for _ in repeat(None, n)]
+
+
+def reference_stream(cells, seed: int, n: int) -> list:
+    """The first ``n`` events of a uniform cell stream: one
+    ``randrange(len(cells))`` of ``random.Random(seed)`` per event.
+    """
+    rng = random.Random(seed)
+    return [cells[rng.randrange(len(cells))] for _ in repeat(None, n)]
 
 
 def powerset(iterable):

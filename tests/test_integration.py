@@ -38,6 +38,7 @@ from oracles import (
     chi_square_statistic,
     cover_time_by_chain,
     cover_times,
+    reference_stream,
 )
 
 from conftest import (
@@ -164,6 +165,25 @@ def test_stream_is_deterministic_and_emits_form_events(reference_form):
     second = list(itertools.islice(complexified_phenomenon(reference_form, 8), 200))
     assert first == second
     assert set(first) <= set(reference_form.cells)
+
+
+@pytest.mark.parametrize(
+    "n_cells", [1, 2, 3, 4, 5, 255, 256, 257, 576, 1023, 1024, 1025]
+)
+def test_stream_draws_what_randrange_draws(n_cells):
+    # The stream reads 1,024 words per getrandbits call and skips the
+    # words whose top bits point past the last cell; a randrange loop must
+    # see the same cells.  3,000 events cross at least two chunk boundaries
+    # at every size here, since at most 1,024 words of a chunk are kept.
+    if n_cells == 1:
+        form = TRIVIAL_FORM
+    else:
+        spec = PaintingSpec(n_cells, 1, 1, {1: n_cells}, seed=n_cells)
+        form = generate_hidden_form(spec)
+    for seed in (0, 1, 29, 2**40 + 3):
+        stream = complexified_phenomenon(form, seed)
+        expected = reference_stream(form.cells, seed, 3_000)
+        assert list(itertools.islice(stream, 3_000)) == expected
 
 
 def test_label_projection_matches_form_counts(reference_form):

@@ -29,6 +29,7 @@ from factlaw.puzzle import Board, FragmentPool, Piece
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 SMALL_PAINTING = generate_painting(PaintingSpec(2, 1, 1, {1: 2}))
+SMALL_FORM = integration.hidden_form_from_painting(SMALL_PAINTING)
 
 
 def test_every_export_resolves_once():
@@ -204,6 +205,16 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         lambda: Universe(([1],)),
         lambda: RandomPhenomenon("p", None, (1,)),
         lambda: FrequencyTable(1, {1: "1"}),
+        lambda: FrequencyTable(3.0, {1: 3}),
+        lambda: FrequencyTable(True, {1: 1}),
+        lambda: RandomPhenomenon("p", Universe((1, 2)), (1, 1), seed=None),
+        lambda: RandomPhenomenon("p", Universe((1, 2)), (1, 1), seed=2.5),
+        lambda: RandomPhenomenon("p", Universe((1, 2)), (1, 1), seed="abc"),
+        lambda: RandomPhenomenon("p", Universe((1, 2)), (1, 1)).sample(3, seed=2.5),
+        lambda: RandomPhenomenon("p", Universe((1, 2)), (1, 1)).tally(3, seed="abc"),
+        lambda: integration.complexified_phenomenon(SMALL_FORM, None),
+        lambda: integration.complexified_phenomenon(SMALL_FORM, 2.5),
+        lambda: integration.complexified_phenomenon(SMALL_FORM, "abc"),
     ],
     ids=(
         "event-sigs-none", "event-sigs-int", "description-points-none",
@@ -218,6 +229,9 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         "algebra-none", "pool-none", "pool-of-ints", "pool-seed-str",
         "pool-seed-none", "measure-weight-none", "measure-weight-inf", "counts-str",
         "universe-unhashable", "phenomenon-universe-none", "table-count-str",
+        "table-draws-float", "table-draws-true", "phenomenon-seed-none",
+        "phenomenon-seed-half", "phenomenon-seed-str", "sample-seed-half",
+        "tally-seed-str", "stream-seed-none", "stream-seed-half", "stream-seed-str",
     ),
 )
 def test_wrong_kind_constructor_arguments_raise_value_error(build):
