@@ -6,17 +6,19 @@ is *complexified* — enriched with a globally registered complexification
 index and four edge signatures.  The :class:`HiddenForm` is the painting's
 own grid seen through that complexified view: its cells are the
 :class:`ComplexifiedEvent` values, row-major like the painting's tiles, and
-the stream emits them as they are.  :func:`integrate`, waiting for ``k``
-replicas, joins each distinct complexified event once, on its first copy,
-to the component of every event whose signature matches one of its own: a
-nascent replica, kept as a set of events, with no positions.  Later copies
-are only counted.  When no side of a component waits for a partner, the
-scan-line search the border game uses lays its events out once, and they
-must tile exactly one board; its ``j``-th replica closes once each of its
-events has been drawn ``j`` times.  Once enough replicas complete,
-per-label counting on a completed replica yields the law exactly, as
-rationals, with no appeal to limits: the time ordering of the stream leaves
-no trace in the result.
+the stream emits them as they are.  Its file is a painting's with other
+columns: ``s_prime``, then ``labels``, ``rp`` and ``edges``, written and
+read by the painting module's one grid codec.  :func:`integrate`, waiting
+for ``k`` replicas, joins each distinct complexified event once, on its
+first copy, to the component of every event whose signature matches one of
+its own: a nascent replica, kept as a set of events, with no positions.
+Later copies are only counted.  When no side of a component waits for a
+partner, the scan-line search the border game uses lays its events out
+once, and they must tile exactly one board; its ``j``-th replica closes
+once each of its events has been drawn ``j`` times.  Once enough replicas
+complete, per-label counting on a completed replica yields the law exactly,
+as rationals, with no appeal to limits: the time ordering of the stream
+leaves no trace in the result.
 
 The stream reads its random words in bulk, 1,024 per ``getrandbits`` call,
 as :class:`~factlaw.phenomenon.RandomPhenomenon` does, and emits the events
@@ -42,13 +44,11 @@ from .painting import (
     check_edge_coherence,
     check_grid,
     edge_tuple,
-    edges_from_doc,
-    edges_to_doc,
     generate_painting,
+    grid_from_doc,
+    grid_to_doc,
     interior_signature_multiset,
     label_histogram,
-    place_row_major,
-    row_major_positions,
     scanline_layout,
 )
 from .phenomenon import (
@@ -173,40 +173,28 @@ class HiddenForm:
         return Measure.from_counts(dict(sorted(self.label_counts.items()))).atom_probs
 
     def to_doc(self) -> dict[str, Any]:
-        positions = row_major_positions(self.width, self.height)
-        return {
-            "width": self.width,
-            "height": self.height,
-            "s_prime": self.s_prime,
-            "cells": [
-                {
-                    "x": x,
-                    "y": y,
-                    "label": c.label_r,
-                    "rp": c.complexification_r_prime,
-                    "edges": edges_to_doc(c.edge_sigs),
-                }
-                for (x, y), c in zip(positions, self.cells)
-            ],
-        }
+        """The grid file of the form: ``labels``, ``rp`` and ``edges``
+        columns after ``s_prime``, as :func:`~factlaw.painting.grid_to_doc`
+        writes them."""
+        size = ("s_prime", self.s_prime)
+        return grid_to_doc(self.width, self.height, size, self.cells, _FORM_COLUMNS)
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "HiddenForm":
-        width = read_int(doc["width"], "width")
-        height = read_int(doc["height"], "height")
-        placed = (
-            (
-                (read_int(e["x"], "cell x"), read_int(e["y"], "cell y")),
-                ComplexifiedEvent(
-                    read_int(e["label"], "cell label"),
-                    read_int(e["rp"], "cell rp"),
-                    edges_from_doc(e["edges"]),
-                ),
-            )
-            for e in doc["cells"]
+        """Inverse of :meth:`to_doc`, by :func:`~factlaw.painting.grid_from_doc`."""
+        width, height, s_prime, cells = grid_from_doc(
+            doc, "s_prime", _FORM_COLUMNS, _event_from_doc
         )
-        cells = place_row_major(width, height, placed, "cells")
-        return cls(width, height, read_int(doc["s_prime"], "s_prime"), cells)
+        return cls(width, height, s_prime, cells)
+
+
+_FORM_COLUMNS = {"labels": "label_r", "rp": "complexification_r_prime"}
+
+
+def _event_from_doc(label: Any, rp: Any, edges: list) -> ComplexifiedEvent:
+    return ComplexifiedEvent(
+        read_int(label, "cell label"), read_int(rp, "cell rp"), edges
+    )
 
 
 def hidden_form_from_painting(painting: Painting, seed: int = 0) -> HiddenForm:

@@ -9,7 +9,10 @@ painting is the ground truth that the puzzle, probability and integration
 games afterwards see only through restricted views, which each game
 applies itself.  This module holds the painting, the grid rules, the
 scan-line search :func:`scanline_layout` with which both directions rebuild
-a grid from its pieces' edge tuples, and the JSON codec.
+a grid from its pieces' edge tuples, and the one file format of grids:
+:func:`grid_to_doc` writes a painting or a hidden form as columns, one list
+per cell field in row-major order from (1, 1) with no coordinates, and
+:func:`grid_from_doc` reads it back.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
-from typing import Any, Iterable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .seeding import derive_seed
 from .serialize import read_int
@@ -34,11 +36,7 @@ OPPOSITE = (S, W, N, E)
 UNIQUE_EDGES = "unique-interior-edges"
 AMBIGUOUS_EDGES = "ambiguous-allowed"
 
-EDGE_KEYS = ("n", "e", "s", "w")
-
 T = TypeVar("T")
-
-_VACANT = object()  # an empty slot in place_row_major
 
 
 class InfeasibleSpec(ValueError):
@@ -157,39 +155,10 @@ def edge_tuple(sigs: Iterable[str]) -> tuple[str, str, str, str]:
     return sigs  # type: ignore[return-value]
 
 
-def place_row_major(
-    width: int, height: int, placed: Iterable[tuple[tuple[int, int], T]], what: str
-) -> tuple[T, ...]:
-    """Order ``(coords, item)`` pairs row-major from the bottom-left (1, 1).
-
-    The result puts the item at ``(x, y)`` on index
-    ``(y - 1) * width + (x - 1)``, the layout of every grid in this package.
-    One pass drops each item straight onto its index, whatever order the
-    pairs come in.  Raises ``ValueError`` unless the coordinates cover the
-    width x height grid exactly once: as :func:`check_grid_size` does when
-    the extents or the count are wrong, which is checked before the grid is
-    allocated, else "<what> do not cover each grid cell exactly once" for a
-    pair off the grid or on a cell already taken.
-    """
-    placed = list(placed)
-    check_grid_size(width, height, len(placed), what)
-    slots: list[Any] = [_VACANT] * len(placed)
-    for coords, item in placed:
-        if len(coords) == 2:
-            x, y = coords
-            if 0 < x <= width and 0 < y <= height:
-                index = (y - 1) * width + x - 1
-                if slots[index] is _VACANT:
-                    slots[index] = item
-                    continue
-        raise ValueError(f"{what} do not cover each grid cell exactly once")
-    return tuple(slots)
-
-
 def row_major_positions(width: int, height: int) -> list[tuple[int, int]]:
-    """The ``(x, y)`` of each index of a width x height grid, in the layout
-    of :func:`place_row_major`: index ``i`` lies at
-    ``(i % width + 1, i // width + 1)``."""
+    """The ``(x, y)`` of each index of a width x height grid, row-major from
+    the bottom-left (1, 1), the layout of every grid in this package: index
+    ``i`` lies at ``(i % width + 1, i // width + 1)``."""
     return [(x, y) for y in range(1, height + 1) for x in range(1, width + 1)]
 
 
@@ -446,54 +415,87 @@ def interior_signature_multiset(
 
 
 # --- JSON round trip --------------------------------------------------------
+#
+# Paintings and hidden forms share one file format, read and written here:
+# ``width``, ``height``, one integer size field (``q`` or ``s_prime``), then
+# one column per cell field and last ``edges``, each cell's [N, E, S, W]
+# list.  Every column is a list in row-major order from (1, 1), so a cell's
+# index is its place.
 
 
-def edges_to_doc(edge_sigs: tuple[str, str, str, str]) -> dict[str, str]:
-    """The file form of a cell's (N, E, S, W) signatures."""
-    return dict(zip(EDGE_KEYS, edge_sigs))
+def grid_to_doc(
+    width: int,
+    height: int,
+    size: tuple[str, int],
+    cells: Sequence[Any],
+    columns: Mapping[str, str],
+) -> dict[str, Any]:
+    """The file form of a grid: ``size`` is the size field's key and value,
+    and ``columns`` maps each column's key to the cell attribute it lists;
+    the ``edges`` column lists each cell's ``edge_sigs``."""
+    size_key, size_value = size
+    doc: dict[str, Any] = {"width": width, "height": height, size_key: size_value}
+    for key, attribute in columns.items():
+        doc[key] = [getattr(cell, attribute) for cell in cells]
+    doc["edges"] = [list(cell.edge_sigs) for cell in cells]
+    return doc
 
 
-_edge_sides = itemgetter(*EDGE_KEYS)
+def grid_from_doc(
+    doc: Mapping[str, Any],
+    size_key: str,
+    columns: Mapping[str, str],
+    cell: Callable[..., T],
+) -> tuple[int, int, int, tuple[T, ...]]:
+    """Read a grid file that :func:`grid_to_doc` wrote with ``columns``;
+    return ``(width, height, size, cells)``.  Each cell is
+    ``cell(*entries, edges)``: its entry in each of ``columns``, in order,
+    then its edge list.
+
+    Raises ``ValueError`` unless every column, ``edges`` too, is a list
+    whose length :func:`check_grid_size` accepts, which is checked before
+    any cell is built, and each ``edges`` entry is a list of four.  A file
+    with a ``tiles`` or ``cells`` key is in the old row format, one object
+    per cell with its ``x`` and ``y``, and is refused as such.
+    """
+    for key in ("tiles", "cells"):
+        if key in doc:
+            raise ValueError(
+                f"a {key!r} list is the old row format of grid files;"
+                " grids are now stored as columns, one list per cell field"
+            )
+    width = read_int(doc["width"], "width")
+    height = read_int(doc["height"], "height")
+    size = read_int(doc[size_key], size_key)
+    keys = (*columns, "edges")
+    lists = [doc[key] for key in keys]
+    for key, column in zip(keys, lists):
+        if type(column) is not list:
+            raise ValueError(f"{key} must be a list, got {type(column).__name__}")
+        check_grid_size(width, height, len(column), key)
+    for edges in lists[-1]:
+        if type(edges) is not list or len(edges) != 4:
+            raise ValueError(
+                f"each edges entry must be a list of four signatures"
+                f" [N, E, S, W], got {edges!r}"
+            )
+    return width, height, size, tuple(map(cell, *lists))
 
 
-def edges_from_doc(doc: Mapping[str, str]) -> tuple[str, str, str, str]:
-    """Inverse of :func:`edges_to_doc`; a missing side raises ``KeyError``.
-    The tile or cell built from the edges checks them by :func:`edge_tuple`."""
-    return _edge_sides(doc)
+_PAINTING_COLUMNS = {"forms": "colour_form_id", "labels": "approx_colour"}
 
 
 def painting_to_doc(painting: Painting) -> dict[str, Any]:
-    positions = row_major_positions(painting.width, painting.height)
-    return {
-        "width": painting.width,
-        "height": painting.height,
-        "q": painting.palette_q,
-        "tiles": [
-            {
-                "x": x,
-                "y": y,
-                "label": t.approx_colour,
-                "form": t.colour_form_id,
-                "edges": edges_to_doc(t.edge_sigs),
-            }
-            for (x, y), t in zip(positions, painting.tiles)
-        ],
-    }
+    size = ("q", painting.palette_q)
+    return grid_to_doc(
+        painting.width, painting.height, size, painting.tiles, _PAINTING_COLUMNS
+    )
+
+
+def _tile_from_doc(form: Any, label: Any, edges: list) -> Tile:
+    return Tile(form, read_int(label, "tile label"), edges)
 
 
 def painting_from_doc(doc: Mapping[str, Any]) -> Painting:
-    width = read_int(doc["width"], "width")
-    height = read_int(doc["height"], "height")
-    placed = (
-        (
-            (read_int(entry["x"], "tile x"), read_int(entry["y"], "tile y")),
-            Tile(
-                entry["form"],
-                read_int(entry["label"], "tile label"),
-                edges_from_doc(entry["edges"]),
-            ),
-        )
-        for entry in doc["tiles"]
-    )
-    tiles = place_row_major(width, height, placed, "tiles")
-    return Painting(width, height, read_int(doc["q"], "q"), tiles)
+    width, height, q, tiles = grid_from_doc(doc, "q", _PAINTING_COLUMNS, _tile_from_doc)
+    return Painting(width, height, q, tiles)

@@ -315,20 +315,6 @@ class FrequencyTable:
         if sum(counts.values()) != self.n_draws:
             raise ValueError("counts must sum to n_draws")
 
-    @classmethod
-    def from_draws(cls, draws: Sequence, universe: Universe) -> "FrequencyTable":
-        """Tally ``draws`` over ``universe``, zero-filled in universe order.
-
-        Raises :class:`~factlaw.prob.ForeignElement` naming the first draw
-        outside the universe.
-        """
-        counts = dict.fromkeys(universe, 0)
-        for label, count in Counter(draws).items():  # first-seen order
-            if label not in counts:
-                raise ForeignElement(label)
-            counts[label] = count
-        return cls(len(draws), counts)
-
     def relative_frequency(self, label) -> Fraction:
         if label not in self.counts:
             raise UniverseMismatch(f"label {label!r} not tracked by this table")
@@ -398,9 +384,13 @@ def meta_probability(
     draws each and returns the proportion whose relative frequency of
     ``label`` lies within ``epsilon`` of ``target``.  Each repetition r uses
     the child seed ``derive_seed(seed, r)``, so each repetition is a fixed
-    function of ``seed`` and ``r`` alone.  A ``label`` outside the universe
-    raises :class:`~factlaw.prob.ForeignElement`.
+    function of ``seed`` and ``r`` alone.  ``n_draws``, ``repetitions`` and
+    ``seed`` are read by :func:`~factlaw.serialize.read_int`.  A ``label``
+    outside the universe raises :class:`~factlaw.prob.ForeignElement`.
     """
+    n_draws = read_int(n_draws, "n_draws")
+    repetitions = read_int(repetitions, "repetitions")
+    seed = read_int(seed, "seed")
     if label not in phenomenon.universe:
         raise ForeignElement(label)
     if n_draws < 1 or repetitions < 1:
@@ -434,9 +424,15 @@ def find_N0(
     """Smallest tested draw count whose window meta-probability reaches 1 - delta.
 
     Doubles ``n_draws`` starting from ``start``; every rung of the ladder
-    gets its own derived seed.  Raises :class:`NotReached` (carrying the cap
-    and the last estimate) if the cap is exceeded.
+    gets its own derived seed.  ``repetitions``, ``seed``, ``start`` and
+    ``cap`` are read by :func:`~factlaw.serialize.read_int`.  Raises
+    :class:`NotReached` (carrying the cap and the last estimate) if the cap
+    is exceeded.
     """
+    repetitions = read_int(repetitions, "repetitions")
+    seed = read_int(seed, "seed")
+    start = read_int(start, "start")
+    cap = read_int(cap, "cap")
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
     if start < 1 or cap < start:

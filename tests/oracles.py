@@ -7,8 +7,9 @@ pair-by-pair closure check for families of events, Fraction
 sums for every event pair of a measure, the closed-form chi-square quantile
 for two degrees of freedom, a plain per-event counter for the cover times
 that bound integration, a first-step Markov chain for their mean, the
-per-draw scale-and-bisect rule that label sampling must reproduce, and the
-per-event ``randrange`` loop that the complexified stream must reproduce.
+per-draw scale-and-bisect rule that label sampling must reproduce, the
+per-event ``randrange`` loop that the complexified stream must reproduce,
+and a per-draw tally that frequency experiments must agree with.
 Keeping these in the test tree (and dumb on purpose) is what makes the
 dual-route checks meaningful.
 """
@@ -20,6 +21,8 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from math import ceil, comb, floor, log
+
+from factlaw import ForeignElement, FrequencyTable
 
 
 def binomial_window_probability(
@@ -261,6 +264,19 @@ def reference_stream(cells, seed: int, n: int) -> list:
     """
     rng = random.Random(seed)
     return [cells[rng.randrange(len(cells))] for _ in repeat(None, n)]
+
+
+def frequency_table_from_draws(draws, universe) -> FrequencyTable:
+    """Tally ``draws`` over ``universe`` one draw at a time, zero-filled in
+    universe order; the first draw outside the universe raises
+    :class:`~factlaw.prob.ForeignElement` naming it.
+    """
+    counts = dict.fromkeys(universe, 0)
+    for label in draws:
+        if label not in counts:
+            raise ForeignElement(label)
+        counts[label] += 1
+    return FrequencyTable(len(draws), counts)
 
 
 def powerset(iterable):

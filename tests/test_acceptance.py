@@ -36,6 +36,7 @@ from factlaw import (
     solve_by_location,
     validate_measure,
 )
+from factlaw.painting import row_major_positions
 from oracles import (
     binomial_window_probability,
     closure_by_fixpoint,
@@ -122,10 +123,9 @@ def test_2_border_game_fidelity(conclude):
             painting, "border", seed=rng.getrandbits(32)
         )
         (board,) = solve_by_borders(pool).boards
-        source_grid = {
-            (entry["x"], entry["y"]): entry["form"]
-            for entry in painting_to_doc(painting)["tiles"]
-        }
+        doc = painting_to_doc(painting)
+        positions = row_major_positions(doc["width"], doc["height"])
+        source_grid = dict(zip(positions, doc["forms"]))
         recovered_grid = {
             pos: piece.payload.points["colour_form"]
             for pos, piece in board.cells.items()

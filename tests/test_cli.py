@@ -20,7 +20,7 @@ from factlaw import (
     painting_to_doc,
 )
 from factlaw.cli import _COMMANDS, main, run
-from factlaw.integration import generate_hidden_form
+from factlaw.integration import HiddenForm, generate_hidden_form
 from factlaw.serialize import (
     dump_json,
     fraction_to_str,
@@ -590,13 +590,13 @@ def test_form_without_exact_grid_cover_is_a_config_error(
     tmp_path, capsys, reference_form, fault
 ):
     doc = reference_form.to_doc()
-    cells = doc["cells"]
-    if fault == "repeated":
-        cells[1] = dict(cells[1], x=cells[0]["x"])
-    elif fault == "missing":
-        del cells[-1]
-    else:
-        doc = {"width": 0, "height": 0, "s_prime": 10, "cells": []}
+    if fault == "empty":
+        doc = dict(doc, width=0, height=0, labels=[], rp=[], edges=[])
+    for key in ("labels", "rp", "edges"):
+        if fault == "repeated":  # the first cell again, after the last
+            doc[key].append(doc[key][0])
+        elif fault == "missing":
+            del doc[key][-1]
     form = tmp_path / "form.json"
     dump_json(doc, str(form))
     argv = ["integrate", "--form", str(form), "--seed", "1", "--out", str(tmp_path / "o.json")]
@@ -611,7 +611,7 @@ def test_form_label_too_large_for_a_range_is_a_config_error(
     tmp_path, capsys, reference_form, argv
 ):
     doc = reference_form.to_doc()
-    doc["cells"][0]["label"] = 10**30
+    doc["labels"][0] = 10**30
     form = tmp_path / "form.json"
     dump_json(doc, str(form))
     out = tmp_path / "o.json"
@@ -625,7 +625,7 @@ def test_tile_form_id_that_is_not_a_nonempty_string_is_a_config_error(
     tmp_path, capsys, painting_file, form_id
 ):
     doc = load_json(painting_file)
-    doc["tiles"][0]["form"] = form_id
+    doc["forms"][0] = form_id
     painting = tmp_path / "bad-painting.json"
     dump_json(doc, str(painting))
     report = tmp_path / "o.json"
@@ -734,20 +734,58 @@ def test_out_of_range_counts_are_config_errors(
     assert not out.exists()
 
 
+# A 2 x 1 grid that is both a valid painting and a valid hidden form; each
+# fault in MALFORMED_INPUTS below that starts from it breaks one thing.
+STRIP = {
+    "width": 2, "height": 1, "q": 1, "s_prime": 20,
+    "forms": ["cf_a", "cf_b"], "labels": [1, 1], "rp": [1, 2],
+    "edges": [["B", "s", "B", "B"], ["B", "B", "B", "s"]],
+}
+
+
+def strip_with(**changes):
+    return json.dumps(dict(STRIP, **changes))
+
+
+def strip_in_rows():
+    """The strip in the old row format: one object per cell with its x and y."""
+    cells = [{"x": i + 1, "y": 1, "label": 1, "edges": dict(zip("nesw", edges))}
+             for i, edges in enumerate(STRIP["edges"])]
+    head = {key: STRIP[key] for key in ("width", "height", "q", "s_prime")}
+    return json.dumps(dict(
+        head,
+        tiles=[dict(cell, form=form) for cell, form in zip(cells, STRIP["forms"])],
+        cells=[dict(cell, rp=rp) for cell, rp in zip(cells, STRIP["rp"])],
+    ))
+
+
+def test_the_strip_is_a_valid_painting_and_form():
+    # So each fault in MALFORMED_INPUTS that starts from it is the only one.
+    doc = json.loads(strip_with())
+    assert painting_from_doc(doc).tiles[1].edge_sigs == ("B", "B", "B", "s")
+    assert HiddenForm.from_doc(doc).label_counts == {1: 2}
+
+
 MALFORMED_INPUTS = {
     "not-json": "{nope",
     "list": "[1, 2]",
     "tiles-only": '{"tiles": []}',
     "width-only": '{"width": 4}',
-    "wrong-types": '{"width": 2, "height": 2, "q": 1, "s_prime": 1,'
-    ' "label_counts": [4], "tiles": [7], "cells": [7]}',
+    "wrong-types": strip_with(width=2, height=2, s_prime=1, label_counts=[4],
+                              forms=7, labels=7, rp=7, edges=7),
     # A painting and a form of one cell each that claim 2**40 x 2**40: the
     # count is refused before a grid of that size is allocated.
-    "huge-grid": '{"width": 1099511627776, "height": 1099511627776, "q": 1,'
-    ' "s_prime": 10, "tiles": [{"x": 1, "y": 1, "label": 1, "form": "cf",'
-    ' "edges": {"n": "B", "e": "B", "s": "B", "w": "B"}}],'
-    ' "cells": [{"x": 1, "y": 1, "label": 1, "rp": 1,'
-    ' "edges": {"n": "B", "e": "B", "s": "B", "w": "B"}}]}',
+    "huge-grid": strip_with(width=2**40, height=2**40, forms=["cf"], labels=[1],
+                            rp=[1], edges=[["B", "B", "B", "B"]]),
+    "row-format": strip_in_rows(),
+    "short-column": strip_with(labels=[1]),
+    # Read entry by entry, the string's characters would make two labels 1.
+    "column-not-a-list": strip_with(labels="11"),
+    # edge_tuple alone would read the object's keys, and the string's
+    # characters, as four signatures.
+    "edges-object": strip_with(edges=[{"B": 1, "s": 2, "t": 3, "u": 4},
+                                      ["B", "B", "B", "s"]]),
+    "edges-string": strip_with(edges=["BsBB", ["B", "B", "B", "s"]]),
 }
 # command -> (the parameter naming its input file, the other parameters)
 INPUT_RUNS = {
@@ -782,29 +820,30 @@ INTEGER_FIELD_RUNS = {
     "painting": ("play-puzzle", {"mode": "location", "seed": 1, "report": "out.json"}),
     "form": ("integrate", {"seed": 1, "out": "out.json"}),
 }
-# (file, list of entries or None for the document itself, field) -> the kinds
-# tried: True where the field holds 1, n + 0.5 where it holds n, and JSON's
-# Infinity.  Each of them once read as a valid integer, or crashed.
+# (file, field or column) -> the kinds tried: True where the field or a
+# column entry holds 1, n + 0.5 where it holds n, and JSON's Infinity.  Each
+# of them once read as a valid integer, or crashed.
 WRONG_KIND_FIELDS = {
-    ("spec", None, "width"): ("half", "infinity"),
-    ("spec", None, "seed"): ("half", "infinity"),
-    ("painting", "tiles", "x"): ("true", "half", "infinity"),
-    ("painting", "tiles", "label"): ("true", "half", "infinity"),
-    ("form", None, "s_prime"): ("half", "infinity"),
-    ("form", "cells", "rp"): ("true", "half", "infinity"),
+    ("spec", "width"): ("half", "infinity"),
+    ("spec", "seed"): ("half", "infinity"),
+    ("painting", "q"): ("half", "infinity"),
+    ("painting", "labels"): ("true", "half", "infinity"),
+    ("form", "s_prime"): ("half", "infinity"),
+    ("form", "labels"): ("true", "half", "infinity"),
+    ("form", "rp"): ("true", "half", "infinity"),
 }
 
 
 @pytest.mark.parametrize(
-    "file, entries, field, kind",
+    "file, field, kind",
     [
-        pytest.param(file, entries, field, kind, id=f"{file}-{field}-{kind}")
-        for (file, entries, field), kinds in WRONG_KIND_FIELDS.items()
+        pytest.param(file, field, kind, id=f"{file}-{field}-{kind}")
+        for (file, field), kinds in WRONG_KIND_FIELDS.items()
         for kind in kinds
     ],
 )
 def test_integer_field_of_the_wrong_kind_is_a_config_error(
-    tmp_path, monkeypatch, capsys, file, entries, field, kind
+    tmp_path, monkeypatch, capsys, file, field, kind
 ):
     monkeypatch.chdir(tmp_path)
     doc = {
@@ -812,11 +851,13 @@ def test_integer_field_of_the_wrong_kind_is_a_config_error(
         "painting": painting_to_doc(generate_painting(TINY_SPEC)),
         "form": generate_hidden_form(TINY_SPEC).to_doc(),
     }[file]
-    # In a list, change the first entry whose field holds 1.
-    entry = doc if entries is None else next(e for e in doc[entries] if e[field] == 1)
-    n = entry[field]
+    # In a column, change the first entry that holds 1.
+    entries, at = doc, field
+    if isinstance(doc[field], list):
+        entries, at = doc[field], doc[field].index(1)
+    n = entries[at]
     assert kind != "true" or n == 1
-    entry[field] = {"true": True, "half": n + 0.5, "infinity": float("inf")}[kind]
+    entries[at] = {"true": True, "half": n + 0.5, "infinity": float("inf")}[kind]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     command, params = INTEGER_FIELD_RUNS[file]
@@ -826,24 +867,24 @@ def test_integer_field_of_the_wrong_kind_is_a_config_error(
 
 @pytest.mark.parametrize("signature", [[1], {"a": 1}, 7], ids=("list", "object", "int"))
 @pytest.mark.parametrize(
-    "file, entries, command",
+    "file, command",
     [
-        ("painting", "tiles", ["play-puzzle", "--mode", "border"]),
-        ("form", "cells", ["integrate"]),
-        ("form", "cells", ["end-to-end", "--draws", "10"]),
+        ("painting", ["play-puzzle", "--mode", "border"]),
+        ("form", ["integrate"]),
+        ("form", ["end-to-end", "--draws", "10"]),
     ],
     ids=("painting", "form-integrate", "form-end-to-end"),
 )
 def test_edge_signature_that_is_not_a_string_is_a_config_error(
-    tmp_path, capsys, file, entries, command, signature
+    tmp_path, capsys, file, command, signature
 ):
     # Both sides of one seam carry the signature, so it matches itself.
     doc = {
         "painting": painting_to_doc(generate_painting(TINY_SPEC)),
         "form": generate_hidden_form(TINY_SPEC).to_doc(),
     }[file]
-    by_cell = {(e["x"], e["y"]): e for e in doc[entries]}
-    by_cell[1, 1]["edges"]["e"] = by_cell[2, 1]["edges"]["w"] = signature
+    # Cells (1, 1) and (2, 1) are the first two entries of the edges column.
+    doc["edges"][0][1] = doc["edges"][1][3] = signature
     path = tmp_path / f"{file}.json"
     dump_json(doc, str(path))
     out = tmp_path / "o.json"
@@ -941,7 +982,7 @@ def test_flag_and_config_key_write_the_same_manifest(
 # sha256 of the manifests that test_manifest_format_is_pinned writes, each
 # without its wall_clock_s.  They hold the digests of the inputs and outputs
 # too, so any change to a manifest field or to an output document moves it.
-MANIFESTS_SHA256 = "de7d9eaea913cc74b635420e1efd37f20a2ded8cc19ce23276edf63e6fd7080a"
+MANIFESTS_SHA256 = "feb292bea05bc57b047f14940de94ba40fcb34cb75f643bc0b04cb0402c24445"
 
 
 def test_manifest_format_is_pinned(tmp_path, monkeypatch):

@@ -18,12 +18,8 @@ from factlaw import (
     painting_from_doc,
     painting_to_doc,
 )
-from factlaw.painting import (
-    interior_signature_multiset,
-    place_row_major,
-    row_major_positions,
-)
-from factlaw.serialize import dump_json, load_json, read_int
+from factlaw.painting import interior_signature_multiset, row_major_positions
+from factlaw.serialize import read_int
 
 from conftest import REFERENCE_SPEC
 
@@ -102,8 +98,7 @@ def test_uniform_2x2_painting():
 
 def test_edge_coherence_and_boundary_markers():
     p = generate_painting(REFERENCE_SPEC)
-    entries = painting_to_doc(p)["tiles"]
-    tiles = {(entry["x"], entry["y"]): t for entry, t in zip(entries, p.tiles)}
+    tiles = dict(zip(row_major_positions(p.width, p.height), p.tiles))
     for (x, y), t in tiles.items():
         n, e, s, w = t.edge_sigs
         assert (n == BOUNDARY) == (y == p.height)
@@ -170,51 +165,50 @@ def test_grids_refuse_extents_that_are_not_ints(grid, extent):
 
 
 @pytest.mark.parametrize("width, height", [(1, 1), (1, 5), (5, 1), (4, 3)])
-def test_row_major_positions_invert_place_row_major(width, height):
-    cells = width * height
-    placed = zip(row_major_positions(width, height), range(cells))
-    assert place_row_major(width, height, placed, "cells") == tuple(range(cells))
+def test_row_major_positions_follow_the_index_rule(width, height):
+    positions = row_major_positions(width, height)
+    assert len(positions) == width * height
+    for i, position in enumerate(positions):
+        assert position == (i % width + 1, i // width + 1)
 
 
 def test_json_round_trip_and_digest():
     p = generate_painting(REFERENCE_SPEC)
     doc = painting_to_doc(p)
     assert doc["width"] == 10 and doc["q"] == 3
-    assert len(doc["tiles"]) == 100
+    assert set(doc) == {"width", "height", "q", "forms", "labels", "edges"}
+    assert [len(doc[key]) for key in ("forms", "labels", "edges")] == [100] * 3
+    assert doc["edges"][0] == list(p.tiles[0].edge_sigs)
     assert painting_from_doc(doc) == p
     assert painting_to_doc(painting_from_doc(doc)) == doc
 
 
-def test_painting_file_loads_the_same_in_any_tile_order(tmp_path):
-    p = generate_painting(REFERENCE_SPEC)
-    doc = painting_to_doc(p)
-    shuffled = doc["tiles"][:]
-    random.Random(3).shuffle(shuffled)
-    for order in (doc["tiles"][::-1], shuffled):
-        path = tmp_path / "painting.json"
-        dump_json(dict(doc, tiles=order), path)
-        loaded = painting_from_doc(load_json(path))
-        assert loaded == p
-        assert painting_to_doc(loaded) == doc
-
-
 def test_painting_load_refuses_a_tile_set_that_misses_the_grid():
     doc = painting_to_doc(generate_painting(REFERENCE_SPEC))
-    tiles = doc["tiles"]
-    cover = "^tiles do not cover each grid cell exactly once$"
+    labels = doc["labels"]
     bad = {
-        "duplicate": ([tiles[0], dict(tiles[1], x=tiles[0]["x"])] + tiles[2:], cover),
-        "missing": (tiles[:-1], "^expected 100 tiles, got 99$"),
-        "extra": (tiles + [dict(tiles[0], x=11)], "^expected 100 tiles, got 101$"),
-        "off the grid east": ([dict(tiles[0], x=11)] + tiles[1:], cover),
-        "off the grid south": ([dict(tiles[0], y=0)] + tiles[1:], cover),
+        "short": (labels[:-1], "^expected 100 labels, got 99$"),
+        "long": (labels + [1], "^expected 100 labels, got 101$"),
+        "not a list": (tuple(labels), "^labels must be a list, got tuple$"),
+        "text": ("1" * 100, "^labels must be a list, got str$"),
     }
-    for name, (order, message) in bad.items():
+    for name, (column, message) in bad.items():
         with pytest.raises(ValueError, match=message):
-            painting_from_doc(dict(doc, tiles=order))
+            painting_from_doc(dict(doc, labels=column))
+    with pytest.raises(ValueError, match="^expected 100 edges, got 99$"):
+        painting_from_doc(dict(doc, edges=doc["edges"][1:]))
     p = generate_painting(REFERENCE_SPEC)
     with pytest.raises(ValueError, match="^expected 100 tiles, got 99$"):
         Painting(10, 10, 3, p.tiles[1:])
+
+
+def test_row_format_grid_files_are_refused_by_name(reference_form):
+    painting = painting_to_doc(generate_painting(REFERENCE_SPEC))
+    form = reference_form.to_doc()
+    for doc, read, key in ((painting, painting_from_doc, "tiles"),
+                           (form, HiddenForm.from_doc, "cells")):
+        with pytest.raises(ValueError, match=f"^a '{key}' list is the old row format"):
+            read(dict(doc, **{key: []}))
 
 
 def test_tile_keeps_its_sides_as_a_tuple():

@@ -378,6 +378,21 @@ def test_meta_probability_validates_inputs(fair_coin):
         meta_probability(fair_coin, 1, Fraction(1, 2), 0, 10, 5, seed=0)
     with pytest.raises(ValueError):
         meta_probability(fair_coin, 1, Fraction(1, 2), Fraction(1, 2), 0, 5, seed=0)
+    # Counts and seeds are read as integers: 2.5 repetitions is not a
+    # TypeError from range, and a seed of None or 2.5 is not hashed as text.
+    half = Fraction(1, 2)
+    for n_draws, repetitions, seed in [
+        (10, 2.5, 0), (10.5, 5, 0), (True, 5, 0), (10, 5, None), (10, 5, 2.5)
+    ]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            meta_probability(fair_coin, 1, half, half, n_draws, repetitions, seed)
+    for repetitions, seed, start, cap in [
+        (2.5, 0, 16, 64), (5, None, 16, 64), (5, 2.5, 16, 64),
+        (5, 0, 16.5, 64), (5, 0, 16, "many"),
+    ]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            find_N0(fair_coin, 1, half, half, 0.1, repetitions, seed,
+                    start=start, cap=cap)
 
 
 def test_find_n0_certifies_within_chebyshev_bound(fair_coin):

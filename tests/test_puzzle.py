@@ -24,24 +24,24 @@ from factlaw import (
     solve_by_borders,
     solve_by_location,
 )
-from factlaw.painting import (
-    E,
-    EDGE_KEYS,
-    N,
-    painting_to_doc,
-)
+from factlaw.painting import E, N, painting_to_doc, row_major_positions
 from factlaw.puzzle import _edges_of
 
 from conftest import REFERENCE_SPEC
 from oracles import cover_times
 
 
+def file_cells(painting):
+    """Each cell of the painting's file: its (x, y), which its index in the
+    columns gives, its colour-form id and its [N, E, S, W] list."""
+    doc = painting_to_doc(painting)
+    positions = row_major_positions(doc["width"], doc["height"])
+    return zip(positions, doc["forms"], doc["edges"])
+
+
 def source_form_grid(painting):
     """Each cell's colour-form id, at the position the painting's file gives it."""
-    return {
-        (entry["x"], entry["y"]): entry["form"]
-        for entry in painting_to_doc(painting)["tiles"]
-    }
+    return {position: form for position, form, _ in file_cells(painting)}
 
 
 def board_form_grid(board):
@@ -385,12 +385,10 @@ def test_pool_order_is_seeded_and_immutable(reference_painting):
         first.fragments = ()
 
 
-def file_fragment(entry, view):
-    """The fragment a painting file's tile entry yields through ``view``."""
-    form = entry["form"]
+def file_fragment(position, form, edges, view):
+    """The fragment a painting file's cell yields through ``view``."""
     if view == "location":
-        return Description(GENERATOR_ID, form, {}, (entry["x"], entry["y"]))
-    edges = [entry["edges"][key] for key in EDGE_KEYS]
+        return Description(GENERATOR_ID, form, {}, position)
     return Description(
         GENERATOR_ID, form, {ASPECT_COLOUR_FORM: form, **dict(zip(ASPECT_EDGES, edges))}
     )
@@ -419,8 +417,8 @@ def test_pool_order_is_pinned(reference_painting, mode, view, replicas, seed, di
     ids = " ".join(fragment.entity_id for fragment in fragments)
     assert hashlib.sha256(ids.encode()).hexdigest()[:16] == digest
     expected = {
-        entry["form"]: file_fragment(entry, view)
-        for entry in painting_to_doc(reference_painting)["tiles"]
+        form: file_fragment(position, form, edges, view)
+        for position, form, edges in file_cells(reference_painting)
     }
     for fragment in fragments:
         assert fragment == expected[fragment.entity_id]
