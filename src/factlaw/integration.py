@@ -9,16 +9,15 @@ own grid seen through that complexified view: its cells are the
 the stream emits them as they are.  Its file is a painting's with other
 columns: ``s_prime``, then ``labels``, ``rp`` and ``edges``, written and
 read by the painting module's one grid codec.  :func:`integrate`, waiting
-for ``k`` replicas, joins each distinct complexified event once, on its
-first copy, to the component of every event whose signature matches one of
-its own: a nascent replica, kept as a set of events, with no positions.
-Later copies are only counted.  When no side of a component waits for a
-partner, the scan-line search the border game uses lays its events out
-once, and they must tile exactly one board; its ``j``-th replica closes
-once each of its events has been drawn ``j`` times.  Once enough replicas
-complete, per-label counting on a completed replica yields the law exactly,
-as rationals, with no appeal to limits: the time ordering of the stream
-leaves no trace in the result.
+for ``k`` replicas, adds each distinct complexified event once, on its
+first copy, to one nascent replica of the form: a set of events, with no
+positions, and a count of the sides still waiting for a partner.  Later
+copies are only counted.  When no side waits, the scan-line search the
+border game uses lays the events out once, and they must tile exactly one
+board; the ``j``-th replica closes once each event has been drawn ``j``
+times.  Once enough replicas complete, per-label counting on the events
+yields the law exactly, as rationals, with no appeal to limits: the time
+ordering of the stream leaves no trace in the result.
 
 The stream reads its random words in bulk, 1,024 per ``getrandbits`` call,
 as :class:`~factlaw.phenomenon.RandomPhenomenon` does, and emits the events
@@ -65,12 +64,14 @@ from .serialize import read_int
 
 class BudgetExhausted(RuntimeError):
     """max_events was consumed, or the stream ended, before enough replicas
-    completed.  So ends a tampered stream whose component never closes (see
-    :func:`integrate`); the CLI refuses the form of such a stream first."""
+    completed.  So ends a tampered stream whose replica never closes, since
+    some side never meets its partner (see :func:`integrate`); the CLI
+    refuses the form of such a stream first."""
 
 
 class InconsistentReplicas(RuntimeError):
-    """Completed replicas disagree on counts — the stream is corrupt."""
+    """A new distinct event arrived after the first replica closed, so the
+    confirmation replicas cannot match it: the stream is corrupt."""
 
 
 class AmbiguousStream(RuntimeError):
@@ -337,84 +338,79 @@ class IntegrationResult:
 
 
 class _Replicas:
-    """The components of one stream, waiting for ``k`` replicas to close.
+    """The one nascent replica of a stream, waiting for ``k`` copies to close.
 
-    ``shown`` holds one dict per side, N, E, S, W, that maps each
-    non-boundary signature shown on that side to the number and the event
-    that first showed it, so no lookup builds a ``(side, signature)`` key.
-    Each distinct event gets an id, its index in ``parent``, on its first
-    copy; ``parent`` is a union-find forest over the ids.  A root keeps its component's
-    ``members``, its ``open`` count of non-boundary sides whose partner has
-    not arrived, and ``drawn[j]``, the count of its members drawn more than
-    ``j`` times, for ``j < k``.  ``completed`` logs ``(root, event number)``
-    for every replica closed, in event order.
+    ``ids`` maps each distinct event to its id, its index in ``events`` and
+    ``copies``; an event gets one on its first copy.  ``shown`` holds one
+    dict per side, N, E, S, W, that maps each non-boundary signature shown
+    on that side to the number and the event that first showed it, so no
+    lookup builds a ``(side, signature)`` key.  ``open`` counts the
+    non-boundary sides of the joined events whose partner has not arrived,
+    and ``drawn[j]``, for ``j < k``, the events drawn more than ``j``
+    times.  ``completed`` lists the number of the event that closed each
+    replica, in order.
     """
 
     def __init__(self, k: int):
         self.k = k
-        self.copies: dict[ComplexifiedEvent, int] = {}
+        self.ids: dict[ComplexifiedEvent, int] = {}
+        self.events: list[ComplexifiedEvent] = []
+        self.copies: list[int] = []
         self.shown: tuple[dict[str, tuple[int, ComplexifiedEvent]], ...] = (
             {}, {}, {}, {}
         )
-        self.ids: dict[ComplexifiedEvent, int] = {}
-        self.parent: list[int] = []
-        self.members: list[list[ComplexifiedEvent]] = []
-        self.open: list[int] = []
-        self.drawn: list[list[int]] = []
-        self.completed: list[tuple[int, int]] = []
+        self.open = 0
+        self.drawn = [0] * k
+        self.completed: list[int] = []
 
     def add(self, event: ComplexifiedEvent, number: int) -> None:
         """Count the ``number``-th event of the stream: a new event joins
-        its partners, one of its first ``k`` copies raises its component's
-        counts, and a later copy does nothing.
+        the replica, one of its next ``k - 1`` copies raises ``drawn``, and
+        a later copy does nothing.
 
-        A component with no open side never grows again, since a new
-        partner would repeat a shown pair, so its replica ``j`` closes when
-        ``drawn[j]`` reaches its size, after replica ``j - 1`` has."""
-        copies = self.copies.get(event, 0)
+        Replica ``j + 1`` closes when no side waits for a partner and
+        ``drawn[j]`` reaches the number of events, after replica ``j``
+        has."""
+        i = self.ids.get(event)
+        if i is None:
+            for side, (sig, shown) in enumerate(zip(event.edge_sigs, self.shown)):
+                if sig == BOUNDARY:
+                    continue
+                first, _ = shown.setdefault(sig, (number, event))
+                if first != number:
+                    raise AmbiguousStream(
+                        f"event {number}: {'NESW'[side]} signature {sig}"
+                        f" was first shown by event {first}; integration"
+                        " needs unique edge signatures"
+                    )
+            self._join(event, number)
+            return
+        copies = self.copies[i]
         if copies == self.k:
             return
-        self.copies[event] = copies + 1
-        if copies:
-            root = self.find(self.ids[event])
-            drawn = self.drawn[root]
-            drawn[copies] += 1
-            if not self.open[root] and drawn[copies] == len(self.members[root]):
-                self.completed.append((root, number))
-            return
-        for side, (sig, shown) in enumerate(zip(event.edge_sigs, self.shown)):
-            if sig == BOUNDARY:
-                continue
-            first, _ = shown.setdefault(sig, (number, event))
-            if first != number:
-                raise AmbiguousStream(
-                    f"event {number}: {'NESW'[side]} signature {sig}"
-                    f" was first shown by event {first}; integration"
-                    " needs unique edge signatures"
-                )
-        self._join(event, number)
-
-    def find(self, i: int) -> int:
-        """The root of id ``i``, halving the path on the way."""
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
+        self.copies[i] = copies + 1
+        self.drawn[copies] += 1
+        if not self.open and self.drawn[copies] == len(self.events):
+            self.completed.append(number)
 
     def _join(self, event: ComplexifiedEvent, number: int) -> None:
-        """Give a new event an id and a component of its own, then unite
-        it with the component of each partner, the event that shows its
-        signature on the facing side.  A component left with no open side
-        closes its first replica once the scan-line search lays its members
-        out as exactly one full board; otherwise the event raises
-        :class:`AmbiguousStream`."""
-        root = len(self.parent)
-        self.ids[event] = root
-        self.parent.append(root)
-        self.members.append([event])
-        self.open.append(4 - event.edge_sigs.count(BOUNDARY))
-        self.drawn.append([1] + [0] * (self.k - 1))
+        """Add a new event to the replica and shut each of its sides whose
+        partner, the event that shows its signature on the facing side, has
+        arrived.  When no side is left open, the first replica closes once
+        the scan-line search lays the events out as exactly one full board;
+        otherwise the event raises :class:`AmbiguousStream`.  A new event
+        after that closure raises :class:`InconsistentReplicas`."""
+        if self.completed:
+            raise InconsistentReplicas(
+                f"event {number}: a new event after event {self.completed[0]}"
+                " closed replica 1, so the confirmation replicas cannot match"
+            )
+        self.ids[event] = len(self.events)
+        self.events.append(event)
+        self.copies.append(1)
+        self.drawn[0] += 1
         shown = self.shown
+        still_open = self.open + 4 - event.edge_sigs.count(BOUNDARY)
         for d, sig in enumerate(event.edge_sigs):
             if sig == BOUNDARY:
                 continue
@@ -422,48 +418,33 @@ class _Replicas:
             if partner is not None:
                 # A pair shuts two sides; an event that is its own partner
                 # meets this pair once from each side.
-                root = self._unite(root, self.find(self.ids[partner]))
-                self.open[root] -= 1 if partner is event else 2
-        if self.open[root]:
+                still_open -= 1 if partner is event else 2
+        self.open = still_open
+        if still_open:
             return
-        members = self.members[root]
+        events = self.events
         try:
-            width, height, _, _ = scanline_layout([e.edge_sigs for e in members])
+            width, height, _, _ = scanline_layout([e.edge_sigs for e in events])
         except UnsolvablePool:
             width = height = 0
-        if width * height != len(members):
+        if width * height != len(events):
             raise AmbiguousStream(
                 f"event {number}: closes a replica that tiles no single board;"
                 " integration needs unique edge signatures"
             )
-        self.completed.append((root, number))
-
-    def _unite(self, a: int, b: int) -> int:
-        """Hang the smaller of two roots under the larger and sum their
-        counts there; returns the root left."""
-        if a == b:
-            return a
-        members = self.members
-        if len(members[a]) < len(members[b]):
-            a, b = b, a
-        self.parent[b] = a
-        members[a] += members[b]
-        members[b].clear()
-        self.open[a] += self.open[b]
-        self.drawn[a] = [x + y for x, y in zip(self.drawn[a], self.drawn[b])]
-        return a
+        self.completed.append(number)
 
 
 def _counts(
-    members: list[ComplexifiedEvent],
+    events: list[ComplexifiedEvent],
 ) -> tuple[int, dict[tuple[int, int], int], dict[int, int]]:
     pair_counts: dict[tuple[int, int], int] = {}
     label_counts: dict[int, int] = {}
-    for event in members:
+    for event in events:
         pair = (event.label_r, event.complexification_r_prime)
         pair_counts[pair] = pair_counts.get(pair, 0) + 1
         label_counts[event.label_r] = label_counts.get(event.label_r, 0) + 1
-    return len(members), pair_counts, label_counts
+    return len(events), pair_counts, label_counts
 
 
 def check_integrable(form: HiddenForm) -> None:
@@ -483,38 +464,38 @@ def integrate(
     stream: Iterable[ComplexifiedEvent],
     config: IntegrationConfig | None = None,
 ) -> IntegrationResult:
-    """Join the stream's events into replicas until enough close; count out
-    the law.
+    """Join the stream's events into replicas of one form until enough
+    close; count out the law.
 
-    Each distinct event joins once, on its first copy: a union-find over
-    the distinct events puts it in one component with every event that
-    shows one of its signatures on the facing side.  Later copies are only
-    counted.  With ``k = config.confirmation_replicas``, replica ``j`` of a
-    component closes at the event by which no non-boundary side of its
-    events waits for a partner and every one of its events has been drawn
-    ``j`` times.  At its first closure the scan-line search
-    (:func:`factlaw.painting.scanline_layout`) lays the component out once;
-    unless its events tile exactly one full board, :class:`AmbiguousStream`
-    names the closing event.  It also names a new event that shows a
-    non-boundary signature on the side where an earlier distinct event
-    showed it.  Consumes events until ``k`` replicas are complete, raising
-    :class:`BudgetExhausted` if ``max_events`` (default 1,000,000) or the
-    stream's end comes first: so ends a tampered stream whose component
-    never closes, for example one with two sides of a cell swapped.  The CLI
+    Each distinct event joins one nascent replica once, on its first copy;
+    later copies are only counted.  A side of an event is shut once its
+    partner, the event that shows its signature on the facing side, has
+    joined.  With ``k = config.confirmation_replicas``, replica ``j``
+    closes at the event by which no non-boundary side waits for a partner
+    and every event has been drawn ``j`` times.  At the first closure the
+    scan-line search (:func:`factlaw.painting.scanline_layout`) lays the
+    events out once; unless they tile exactly one full board,
+    :class:`AmbiguousStream` names the closing event.  It also names a new
+    event that shows a non-boundary signature on the side where an earlier
+    distinct event showed it.  A new distinct event after the first
+    closure raises :class:`InconsistentReplicas`, since no confirmation
+    replica can match it.  Consumes events until ``k`` replicas are
+    complete, raising :class:`BudgetExhausted` if ``max_events`` (default
+    1,000,000) or the stream's end comes first: so ends a tampered stream
+    whose replica never closes, for example one with two sides of a cell
+    swapped, or with a stray event whose side no event faces.  The CLI
     never sees one: :func:`check_integrable` and :class:`HiddenForm`'s
-    coherence check refuse its form first.  Both
-    ``max_events`` and ``events_consumed`` count every drawn event.  The
-    first completed replica supplies the counts; the remaining confirmation
-    replicas must agree exactly, else :class:`InconsistentReplicas`.  The
-    result is exact: no frequencies, no limits, just counting on the
-    reconstructed form.
+    coherence check refuse its form first.  Both ``max_events`` and
+    ``events_consumed`` count every drawn event.  The joined events are
+    counted once, for the law.  The result is exact: no frequencies, no
+    limits, just counting on the reconstructed form.
 
-    On a form whose cells emit distinct events, the one component closes its
-    ``j``-th replica at the first event by which every cell has been drawn
-    ``j`` times: events consumed follow the ``k``-th cover time of the
-    cells ("double Dixie cup" waiting time, Newman & Shepp 1960), whose
-    mean :func:`expected_cover_time` gives exactly.  On a stream from one
-    form the replicas agree by construction, so the confirmation replicas
+    On a form whose cells emit distinct events, the replica's ``j``-th copy
+    closes at the first event by which every cell has been drawn ``j``
+    times: events consumed follow the ``k``-th cover time of the cells
+    ("double Dixie cup" waiting time, Newman & Shepp 1960), whose mean
+    :func:`expected_cover_time` gives exactly.  On a stream from one form
+    no new event follows the first closure, so the confirmation replicas
     guard only against corrupt or mixed streams.
 
     Precondition: the stream comes from a form that passes
@@ -547,15 +528,7 @@ def integrate(
             f"stream ended with {len(replicas.completed)} of {needed}"
             " replicas complete"
         )
-    finished = replicas.completed
-    # A closed component never grows, so each root is counted once.
-    first, *others = dict.fromkeys(root for root, _ in finished)
-    n_total, pair_counts, label_counts = _counts(replicas.members[first])
-    for root in others:
-        if _counts(replicas.members[root]) != (n_total, pair_counts, label_counts):
-            raise InconsistentReplicas(
-                "confirmation replicas disagree on counts"
-            )
+    n_total, pair_counts, label_counts = _counts(replicas.events)
     per_label = dict(sorted(label_counts.items()))
     return IntegrationResult(
         n_phi_total=n_total,
@@ -565,7 +538,7 @@ def integrate(
         law=Measure.from_counts(per_label),
         replicas_used_for_confirmation=needed,
         events_consumed=events,
-        completion_log=tuple(enumerate(number for _, number in finished)),
+        completion_log=tuple(enumerate(replicas.completed)),
     )
 
 

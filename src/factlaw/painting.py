@@ -241,7 +241,6 @@ def scanline_layout(
         candidates.setdefault(key, []).append(kind)
 
     area = width * height
-    positions = row_major_positions(width, height)
     chosen: list[int] = []  # the kind set on each filled cell
     tried: list[Sequence[int]] = []  # each filled cell's candidates ...
     cursors: list[int] = []  # ... and the index of its chosen one
@@ -268,10 +267,13 @@ def scanline_layout(
             break
         tried.append(options)
         cursors.append(at)
-        x, y = positions[cell % area]
-        west = east[kind] if x > 1 else BOUNDARY
-        south = north[chosen[cell - width]] if y > 1 else BOUNDARY
-        options = candidates.get((west, south, x == width, y == height), ())
+        place = cell % area  # the cell's index on its board
+        x = place % width
+        west = east[kind] if x else BOUNDARY
+        south = north[chosen[cell - width]] if place >= width else BOUNDARY
+        options = candidates.get(
+            (west, south, x == width - 1, place >= area - width), ()
+        )
         at = 0
 
     supply = [iter(group) for group in groups.values()]
@@ -359,37 +361,32 @@ def generate_painting(spec: PaintingSpec) -> Painting:
     w, h, q = spec.width, spec.height, spec.q
     rng = random.Random(derive_seed(spec.seed, "painting"))
 
-    cells = row_major_positions(w, h)
+    area = w * h
     labels = [j for j in range(1, q + 1) for _ in range(spec.label_counts[j])]
     rng.shuffle(labels)
-    form_ids = [f"cf_{i:04d}" for i in range(len(cells))]
+    form_ids = [f"cf_{i:04d}" for i in range(area)]
     rng.shuffle(form_ids)
 
-    # Interior edges: horizontal seams first (E/W pairs), then vertical
-    # seams (N/S pairs), in row-major order.
-    seams: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for y in range(1, h + 1):
-        for x in range(1, w):
-            seams.append(((x, y), (x + 1, y)))
-    for y in range(1, h):
-        for x in range(1, w + 1):
-            seams.append(((x, y), (x, y + 1)))
-
+    # Interior edges are numbered E/W seams first, then N/S seams, each
+    # row-major: cell i in row y, counted from 0, owns E/W seam i - y to
+    # its east and N/S seam across + i to its north.
+    across = (w - 1) * h
+    seams = across + w * (h - 1)
     if spec.uniqueness_mode == UNIQUE_EDGES:
-        ids = list(range(len(seams)))
+        ids = list(range(seams))
         rng.shuffle(ids)
-        sig_of = {seam: f"s{ids[i]:05d}" for i, seam in enumerate(seams)}
+        sigs = [f"s{i:05d}" for i in ids]
     else:
-        alphabet = max(2, len(seams) // 3)
-        sig_of = {seam: f"a{rng.randrange(alphabet):03d}" for seam in seams}
+        alphabet = max(2, seams // 3)
+        sigs = [f"a{rng.randrange(alphabet):03d}" for _ in range(seams)]
 
-    # Each seam is keyed (lower/left cell, upper/right cell), as stored.
     tiles = []
-    for i, (x, y) in enumerate(cells):
-        n = sig_of[(x, y), (x, y + 1)] if y < h else BOUNDARY
-        e = sig_of[(x, y), (x + 1, y)] if x < w else BOUNDARY
-        s = sig_of[(x, y - 1), (x, y)] if y > 1 else BOUNDARY
-        west = sig_of[(x - 1, y), (x, y)] if x > 1 else BOUNDARY
+    for i in range(area):
+        x, y = i % w, i // w
+        n = sigs[across + i] if y < h - 1 else BOUNDARY
+        e = sigs[i - y] if x < w - 1 else BOUNDARY
+        s = sigs[across + i - w] if y else BOUNDARY
+        west = sigs[i - y - 1] if x else BOUNDARY
         tiles.append(Tile(form_ids[i], labels[i], (n, e, s, west)))
     return Painting(w, h, q, tuple(tiles))
 
@@ -452,22 +449,29 @@ def grid_from_doc(
     ``cell(*entries, edges)``: its entry in each of ``columns``, in order,
     then its edge list.
 
-    Raises ``ValueError`` unless every column, ``edges`` too, is a list
-    whose length :func:`check_grid_size` accepts, which is checked before
-    any cell is built, and each ``edges`` entry is a list of four.  A file
-    with a ``tiles`` or ``cells`` key is in the old row format, one object
-    per cell with its ``x`` and ``y``, and is refused as such.
+    Raises ``ValueError`` unless ``doc`` is a mapping that holds
+    ``width``, ``height``, ``size_key`` and every column, unless each
+    column, ``edges`` too, is a list whose length :func:`check_grid_size`
+    accepts (all checked before any cell is built), and unless each
+    ``edges`` entry is a list of four.  A file with a ``tiles`` or ``cells`` key is in the old
+    row format, one object per cell with its ``x`` and ``y``, and is
+    refused as such.
     """
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"a grid file must be a JSON object, got {type(doc).__name__}")
     for key in ("tiles", "cells"):
         if key in doc:
             raise ValueError(
                 f"a {key!r} list is the old row format of grid files;"
                 " grids are now stored as columns, one list per cell field"
             )
+    keys = (*columns, "edges")
+    missing = [key for key in ("width", "height", size_key, *keys) if key not in doc]
+    if missing:
+        raise ValueError(f"grid file lacks {', '.join(missing)}")
     width = read_int(doc["width"], "width")
     height = read_int(doc["height"], "height")
     size = read_int(doc[size_key], size_key)
-    keys = (*columns, "edges")
     lists = [doc[key] for key in keys]
     for key, column in zip(keys, lists):
         if type(column) is not list:

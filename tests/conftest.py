@@ -37,24 +37,11 @@ def fair_coin():
 
 
 def assert_open_counts_are_recounted(replicas):
-    # White box: each root's open count equals a recount of its members'
+    # White box: the open count equals a recount of the joined events'
     # non-boundary sides whose partner has not arrived.
-    for root, members in enumerate(replicas.members):
-        if replicas.find(root) != root:
-            continue
-        recount = sum(
-            sig != BOUNDARY and sig not in replicas.shown[OPPOSITE[d]]
-            for event in members
-            for d, sig in enumerate(event.edge_sigs)
-        )
-        assert replicas.open[root] == recount
-
-
-def assert_no_partner_pair_spans_groups(replicas):
-    # White box: every partner pair, two events showing one signature on
-    # facing sides, lies under one root, so no union was left undone.
-    for event, i in replicas.ids.items():
-        for d, sig in enumerate(event.edge_sigs):
-            shown = replicas.shown[OPPOSITE[d]].get(sig)
-            if sig != BOUNDARY and shown is not None:
-                assert replicas.find(replicas.ids[shown[1]]) == replicas.find(i)
+    recount = sum(
+        sig != BOUNDARY and sig not in replicas.shown[OPPOSITE[d]]
+        for event in replicas.events
+        for d, sig in enumerate(event.edge_sigs)
+    )
+    assert replicas.open == recount

@@ -41,11 +41,7 @@ from oracles import (
     reference_stream,
 )
 
-from conftest import (
-    REFERENCE_SPEC,
-    assert_no_partner_pair_spans_groups,
-    assert_open_counts_are_recounted,
-)
+from conftest import REFERENCE_SPEC, assert_open_counts_are_recounted
 
 B = "B"
 BLANK = (B, B, B, B)
@@ -300,9 +296,29 @@ def test_never_completing_stream_exhausts_budget():
 
 
 def test_corrupt_stream_fails_replica_confirmation():
+    # The first event closes a 1 x 1 replica; a second distinct event can
+    # join no confirmation replica of it.
     stream = iter([blank_event(1), blank_event(2)])
-    with pytest.raises(InconsistentReplicas):
+    with pytest.raises(
+        InconsistentReplicas,
+        match="^event 2: a new event after event 1 closed replica 1,",
+    ):
         integrate(stream, IntegrationConfig(confirmation_replicas=2))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_blank_stray_closes_no_replica_of_its_own(k):
+    # A stray 1 x 1 event second in a 4 x 4 form's stream: it joins the one
+    # nascent replica, which closes only once every cell has arrived, and
+    # then tiles no single board.  A replica of the stray alone would have
+    # given the law {2: 1} at k = 1.
+    form = generate_hidden_form(PaintingSpec(4, 4, 2, {1: 8, 2: 8}, seed=1))
+    events = list(itertools.islice(complexified_phenomenon(form, 0), 2000))
+    events.insert(1, ComplexifiedEvent(2, 99, BLANK))
+    with pytest.raises(
+        AmbiguousStream, match="^event 63: closes a replica that tiles no single"
+    ):
+        integrate(iter(events), IntegrationConfig(confirmation_replicas=k))
 
 
 def test_single_replica_skips_confirmation():
@@ -315,7 +331,7 @@ def test_single_replica_skips_confirmation():
 def test_ambiguous_stream_is_rejected():
     # Build a hook shape whose fifth event matches an open slot by one edge
     # but clashes with a second neighbour of that slot; the sixth shuts the
-    # last open sides, and the component tiles no board.
+    # last open sides, and the replica tiles no board.
     events = [
         ComplexifiedEvent(1, 1, (B, "x", B, B)),          # (0,0)
         ComplexifiedEvent(1, 2, ("q", "y", B, "x")),      # (1,0)
@@ -338,7 +354,7 @@ def test_ambiguous_stream_is_rejected():
 def test_merge_seam_clash_is_rejected():
     # Event 4 matches event 3 on its E side and event 1 on its S side, which
     # puts event 2 under event 3, whose S signature it does not show; event
-    # 5 shuts the last open sides, and the component tiles no board.
+    # 5 shuts the last open sides, and the replica tiles no board.
     events = [
         ComplexifiedEvent(1, 1, ("v0", "h0", B, B)),
         ComplexifiedEvent(1, 2, ("v1", B, B, "h0")),
@@ -360,8 +376,7 @@ def test_merge_seam_clash_is_rejected():
 def test_closed_partner_cycle_that_no_grid_holds_is_refused():
     # The first two events match each other on both their N and S sides,
     # like a two-cell torus: once both arrive no side is open, yet no grid
-    # holds them.  Read on, the third cell alone would close a 1x1 board
-    # and report the law {2: 1}.
+    # holds them, so the closure is refused before anything is counted.
     events = [
         ComplexifiedEvent(1, 1, ("s1", B, "s0", B)),
         ComplexifiedEvent(1, 2, ("s0", B, "s1", B)),
@@ -582,11 +597,11 @@ def test_every_law_is_certified_by_the_scanline_search(
         result = integrate(iter(events), IntegrationConfig(confirmation_replicas=k))
     except (AmbiguousStream, BudgetExhausted, InconsistentReplicas):
         return
-    # The counted events are the members of the component that closed first.
+    # The counted events are those that joined the replica.
     replicas = _Replicas(k)
     for number, event in enumerate(events[: result.events_consumed], 1):
         replicas.add(event, number)
-    counted = replicas.members[replicas.completed[0][0]]
+    counted = replicas.events
     width, height, _, _ = scanline_layout([event.edge_sigs for event in counted])
     assert width * height == len(counted)
     assert len(counted) == result.n_phi_total
@@ -612,15 +627,10 @@ def test_each_distinct_event_joins_once(reference_form, k, monkeypatch):
     assert result.events_consumed == expected[-1]
 
 
-def assert_groups_are_consistent(replicas):
-    assert_open_counts_are_recounted(replicas)
-    assert_no_partner_pair_spans_groups(replicas)
-
-
 def swapped_stream(form, seed):
     # Cells 44 and 45 trade their N signatures: no pair repeats, but the
-    # two cells join the wrong partners, and the component that closes
-    # tiles no board.
+    # two cells meet the wrong partners, and the replica that closes tiles
+    # no board.
     swap = swap_side(form.cells, 44, 45, 0)
     return (swap.get(event, event) for event in complexified_phenomenon(form, seed))
 
@@ -638,7 +648,7 @@ def test_groups_stay_consistent_after_every_event(reference_form, stream, clash)
     try:
         for number, event in enumerate(stream(reference_form, 8), 1):
             replicas.add(event, number)
-            assert_groups_are_consistent(replicas)
+            assert_open_counts_are_recounted(replicas)
             if len(replicas.completed) == 3:
                 break
     except AmbiguousStream as exc:

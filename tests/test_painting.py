@@ -211,6 +211,23 @@ def test_row_format_grid_files_are_refused_by_name(reference_form):
             read(dict(doc, **{key: []}))
 
 
+def test_grid_files_that_are_not_objects_or_lack_a_key_are_refused(reference_form):
+    painting = painting_to_doc(generate_painting(REFERENCE_SPEC))
+    form = reference_form.to_doc()
+    for doc, read in ((painting, painting_from_doc), (form, HiddenForm.from_doc)):
+        not_objects = ((5, "int"), ([1], "list"), ("{}", "str"), (None, "NoneType"))
+        for value, kind in not_objects:
+            with pytest.raises(
+                ValueError, match=f"^a grid file must be a JSON object, got {kind}$"
+            ):
+                read(value)
+        with pytest.raises(ValueError, match=f"^grid file lacks {', '.join(doc)}$"):
+            read({})
+        for key in doc:
+            with pytest.raises(ValueError, match=f"^grid file lacks {key}$"):
+                read({k: v for k, v in doc.items() if k != key})
+
+
 def test_tile_keeps_its_sides_as_a_tuple():
     t = Tile("cf", 1, ["a", "b", "c", "d"])
     assert t.edge_sigs == ("a", "b", "c", "d") and type(t.edge_sigs) is tuple
