@@ -44,12 +44,13 @@ compare it with ``tests/oracles.py::reference_stream``.
 
 ``tally`` counts the same draws per label and lists none; frequency
 experiments use it.  A run is the span of whole top bytes that give one
-label.  Where the weights leave few runs and few top bytes that hold a cut,
-each chunk's top bytes are translated to run numbers and counted, one
-``bytes.count`` per run at about 0.6 ns per run per draw, and only the
-draws whose top byte holds a cut are settled one by one, by the same code
-as in ``sample``.  Otherwise ``tally`` counts ``sample``'s chunks one at a
-time, which is never dearer than counting the list.
+label, and ``sample`` lists a chunk's labels through each top byte's run
+number.  ``tally`` counts those run numbers instead, one ``bytes.count``
+per run at about 0.6 ns per run per draw, and settles one by one, by the
+same code as ``sample``, only the draws whose top byte holds a cut.  There
+are at most q runs, so the count is cheap where few labels are drawn, as
+in every workload (q <= 3), and dearer than listing the draws where
+hundreds are.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class RandomPhenomenon:
     :func:`~factlaw.serialize.read_int`, and the total must convert to a
     finite float, since the draw rule scales by it.  ``seed`` is read by
     ``read_int`` too, so no sampler draws from OS entropy.  Instances are
-    plain frozen values.
+    plain frozen values; ``procedure_id`` is a non-empty ``str``.
     """
 
     procedure_id: str
@@ -141,16 +142,16 @@ class RandomPhenomenon:
     weights: tuple[int, ...]
     seed: int = 0
     _cuts: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # The byte tables: a label or _EXACT per top byte, a second row per top
-    # byte that holds a cut (else None), the labels of the runs, and each top
-    # byte's run number, or len(_run_labels) for a byte that holds a cut.
-    _top: tuple = field(init=False, repr=False, compare=False)
+    # The byte tables: a second row per top byte that holds a cut (else
+    # None), the labels of the runs, and each top byte's run number, or
+    # len(_run_labels) for a byte that holds a cut.
     _rows: tuple = field(init=False, repr=False, compare=False)
     _run_labels: tuple = field(init=False, repr=False, compare=False)
     _runs: bytes = field(init=False, repr=False, compare=False)
-    _count_runs: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.procedure_id, str) or not self.procedure_id:
+            raise ValueError(f"procedure_id must be a non-empty str, got {self.procedure_id!r}")
         if not isinstance(self.universe, Universe):
             raise ValueError(f"universe must be a Universe, got {self.universe!r}")
         object.__setattr__(self, "seed", read_int(self.seed, "seed"))
@@ -176,7 +177,6 @@ class RandomPhenomenon:
         labels = self.universe.elements
         top = _row(labels, cuts, 0, 256)
         object.__setattr__(self, "_cuts", tuple(cuts))
-        object.__setattr__(self, "_top", top)
         object.__setattr__(self, "_rows", tuple(
             _row(labels, cuts, 256 * b, 65536) if label is _EXACT else None
             for b, label in enumerate(top)
@@ -188,12 +188,6 @@ class RandomPhenomenon:
         object.__setattr__(self, "_run_labels", run_labels)
         runs = bytes(len(run_labels) if label is _EXACT else number[label] for label in top)
         object.__setattr__(self, "_runs", runs)
-        # tally()'s kernel, fixed by the weights.  Counting runs costs about
-        # 0.6 ns per draw per run, and more the more top bytes hold a cut;
-        # measured from q = 2 to 1,000, it stops beating a count of
-        # sample's chunks near 2 * runs + cut bytes = 140.
-        cut_bytes = sum(label is _EXACT for label in top)
-        object.__setattr__(self, "_count_runs", 2 * len(run_labels) + cut_bytes < 140)
 
     def sample(self, n: int, seed: int | None = None) -> list:
         """``n`` draws; an explicit ``seed`` overrides the stored one.
@@ -210,8 +204,11 @@ class RandomPhenomenon:
         this to the ``random()`` loop under Python 3.10 to 3.13.  ``n`` and
         an explicit ``seed`` are read by :func:`~factlaw.serialize.read_int`.
         """
+        by_run = self._run_labels + (_EXACT,)
         draws: list = []
-        for chunk in self._label_chunks(n, seed):
+        for words, tops, runs in self._chunks(n, seed):
+            chunk = [by_run[r] for r in runs]
+            self._settle_cuts(words, tops, runs, chunk)
             draws += chunk
         return draws
 
@@ -219,35 +216,20 @@ class RandomPhenomenon:
         """The counts of the draws ``sample(n, seed)`` lists, without listing them.
 
         Returns one count per universe label, in universe order, zero for a
-        label never drawn.  Where the weights leave few runs and few top
-        bytes that hold a cut, each chunk is counted by one ``bytes.count``
-        per run, about 0.6 ns per run per draw, and only the draws whose top
-        byte holds a cut are settled one by one; otherwise :meth:`sample`'s
-        chunks are counted (see the module docstring).  ``n`` and an
-        explicit ``seed`` are read by :func:`~factlaw.serialize.read_int`.
+        label never drawn.  Each chunk is counted by one ``bytes.count`` per
+        run, about 0.6 ns per run per draw, and only the draws whose top
+        byte holds a cut are settled one by one (see the module docstring).
+        ``n`` and an explicit ``seed`` are read by
+        :func:`~factlaw.serialize.read_int`.
         """
         per_label: Counter = Counter()
-        if self._count_runs:
-            per_run = [0] * len(self._run_labels)
-            for words, tops, runs in self._chunks(n, seed):
-                for r in range(len(per_run)):
-                    per_run[r] += runs.count(r)
-                settled: dict = {}
-                self._settle_cuts(words, tops, runs, settled)
-                per_label.update(settled.values())
-            per_label.update(dict(zip(self._run_labels, per_run)))
-        else:
-            for chunk in self._label_chunks(n, seed):
-                per_label.update(chunk)
-        return {label: per_label[label] for label in self.universe.elements}
-
-    def _label_chunks(self, n: int, seed: int | None):
-        """The draws of :meth:`sample`, one list per chunk."""
-        top = self._top
         for words, tops, runs in self._chunks(n, seed):
-            chunk = [top[b] for b in tops]
-            self._settle_cuts(words, tops, runs, chunk)
-            yield chunk
+            for r, label in enumerate(self._run_labels):
+                per_label[label] += runs.count(r)
+            settled: dict = {}
+            self._settle_cuts(words, tops, runs, settled)
+            per_label.update(settled.values())
+        return {label: per_label[label] for label in self.universe.elements}
 
     def _chunks(self, n: int, seed: int | None):
         """``(words, tops, runs)`` per chunk of at most 4,096 draws of the stream.
@@ -369,6 +351,14 @@ def _window_success(
     return abs(Fraction(count, n_draws) - target) <= epsilon
 
 
+def _read_fraction(value: Any, what: str) -> Fraction:
+    """``Fraction(value)``, with any refusal raised as a ``ValueError`` naming ``what``."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"{what} must be an exact number, got {value!r}") from None
+
+
 def meta_probability(
     phenomenon: RandomPhenomenon,
     label: Any,
@@ -395,8 +385,8 @@ def meta_probability(
         raise ForeignElement(label)
     if n_draws < 1 or repetitions < 1:
         raise ValueError("n_draws and repetitions must be positive")
-    target_f = Fraction(target)
-    epsilon_f = Fraction(epsilon)
+    target_f = _read_fraction(target, "target")
+    epsilon_f = _read_fraction(epsilon, "epsilon")
     if epsilon_f <= 0:
         raise ValueError("epsilon must be positive")
     hits = sum(
@@ -433,8 +423,12 @@ def find_N0(
     seed = read_int(seed, "seed")
     start = read_int(start, "start")
     cap = read_int(cap, "cap")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie strictly between 0 and 1")
+    try:
+        inside = 0 < delta < 1
+    except TypeError:  # "0.1", None: not a number
+        inside = False
+    if not inside:
+        raise ValueError(f"delta must lie strictly between 0 and 1, got {delta!r}")
     if start < 1 or cap < start:
         raise ValueError("need 1 <= start <= cap")
     n_draws = start
@@ -469,6 +463,10 @@ class FactualSpace:
     law: Measure
 
     def __post_init__(self) -> None:
+        if not isinstance(self.algebra, EventAlgebra) or not isinstance(self.law, Measure):
+            raise ValueError("need an EventAlgebra and a Measure")
+        if self.universe != self.algebra.universe:
+            raise ValueError(f"universe {self.universe!r} is not the algebra's")
         report = validate_measure(self.law, self.algebra)
         if not report.passed:
             failed = [c.name for c in report.checks if not c.passed]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 from math import ceil, comb, floor, log
 
 from factlaw import ForeignElement, FrequencyTable
@@ -277,11 +277,6 @@ def frequency_table_from_draws(draws, universe) -> FrequencyTable:
             raise ForeignElement(label)
         counts[label] += 1
     return FrequencyTable(len(draws), counts)
-
-
-def powerset(iterable):
-    items = list(iterable)
-    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
 def chi_square_quantile_df2(confidence: float) -> float:

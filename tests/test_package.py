@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 import importlib
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,13 +16,21 @@ from factlaw import (
     ComplexifiedEvent,
     Description,
     EventAlgebra,
+    FactualSpace,
     FrequencyTable,
+    IntegrationConfig,
     Measure,
     Painting,
     PaintingSpec,
+    UNIQUE_EDGES,
     Tile,
     Universe,
+    derive_seed,
+    end_to_end_check,
+    find_N0,
+    generate_algebra,
     generate_painting,
+    meta_probability,
 )
 from factlaw.integration import HiddenForm
 from factlaw.phenomenon import RandomPhenomenon
@@ -30,6 +40,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 SMALL_PAINTING = generate_painting(PaintingSpec(2, 1, 1, {1: 2}))
 SMALL_FORM = integration.hidden_form_from_painting(SMALL_PAINTING)
+COIN = RandomPhenomenon("p", Universe((1, 2)), (1, 1))
+COIN_ALGEBRA = generate_algebra(Universe((1, 2)), [{1}, {2}])
+FAIR = Measure.from_counts({1: 1, 2: 1})
+BAD_SEEDS = {"none": None, "half": 2.5, "true": True, "str": "abc"}
 
 
 def test_every_export_resolves_once():
@@ -215,6 +229,22 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         lambda: integration.complexified_phenomenon(SMALL_FORM, None),
         lambda: integration.complexified_phenomenon(SMALL_FORM, 2.5),
         lambda: integration.complexified_phenomenon(SMALL_FORM, "abc"),
+        *[lambda seed=seed: derive_seed(seed, "x") for seed in BAD_SEEDS.values()],
+        *[
+            lambda seed=seed: integration.hidden_form_from_painting(SMALL_PAINTING, seed)
+            for seed in BAD_SEEDS.values()
+        ],
+        *[
+            lambda seed=seed: end_to_end_check(SMALL_FORM, 10, seed)
+            for seed in BAD_SEEDS.values()
+        ],
+        lambda: RandomPhenomenon("", Universe((1, 2)), (1, 1)),
+        lambda: FactualSpace(Universe((3, 4)), COIN_ALGEBRA, FAIR),
+        lambda: meta_probability(COIN, 1, None, "1/10", 10, 2, 0),
+        lambda: meta_probability(COIN, 1, "1/2", None, 10, 2, 0),
+        lambda: meta_probability(COIN, 1, "1/2", [], 10, 2, 0),
+        lambda: find_N0(COIN, 1, "1/2", "1/10", "0.1", 2, 0),
+        lambda: find_N0(COIN, 1, "1/2", "1/10", None, 2, 0),
     ],
     ids=(
         "event-sigs-none", "event-sigs-int", "description-points-none",
@@ -232,6 +262,11 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         "table-draws-float", "table-draws-true", "phenomenon-seed-none",
         "phenomenon-seed-half", "phenomenon-seed-str", "sample-seed-half",
         "tally-seed-str", "stream-seed-none", "stream-seed-half", "stream-seed-str",
+        *[f"derive-seed-{name}" for name in BAD_SEEDS],
+        *[f"form-seed-{name}" for name in BAD_SEEDS],
+        *[f"end-to-end-seed-{name}" for name in BAD_SEEDS],
+        "phenomenon-id-empty", "space-universe-foreign", "meta-target-none",
+        "meta-epsilon-none", "meta-epsilon-list", "n0-delta-str", "n0-delta-none",
     ),
 )
 def test_wrong_kind_constructor_arguments_raise_value_error(build):
@@ -239,3 +274,57 @@ def test_wrong_kind_constructor_arguments_raise_value_error(build):
     # AttributeError from deep inside the constructor, and never accepted.
     with pytest.raises(ValueError):
         build()
+
+
+# One valid call per public constructor, by field.  Labels take any hashable
+# by design, so the labels of a Universe and the keys of a Measure's or a
+# FrequencyTable's mapping are never replaced; nor are the entries of a
+# Description's points.  A Piece's payload takes any value too; no
+# constructor here takes a Piece.
+VALID_CALLS = {
+    Painting: dict(width=2, height=1, palette_q=1, tiles=SMALL_PAINTING.tiles),
+    HiddenForm: dict(width=2, height=1, s_prime=SMALL_FORM.s_prime, cells=SMALL_FORM.cells),
+    PaintingSpec: dict(
+        width=2, height=1, q=1, label_counts={1: 2}, uniqueness_mode=UNIQUE_EDGES, seed=0
+    ),
+    IntegrationConfig: dict(max_events=100, confirmation_replicas=2),
+    Description: dict(generator_id="g", entity_id="e", points={"a": "b"}, grid_coords=(1, 1)),
+    Measure: dict(atom_probs={1: Fraction(1, 2), 2: Fraction(1, 2)}),
+    Universe: dict(elements=(1, 2)),
+    RandomPhenomenon: dict(procedure_id="p", universe=Universe((1, 2)), weights=(1, 1), seed=0),
+    FrequencyTable: dict(n_draws=2, counts={1: 1, 2: 1}),
+    EventAlgebra: dict(universe=Universe((1, 2)), blocks=COIN_ALGEBRA.blocks),
+    FragmentPool: dict(
+        fragments=FragmentPool.from_painting(SMALL_PAINTING, "border").fragments, seed=0
+    ),
+    FactualSpace: dict(universe=Universe((1, 2)), algebra=COIN_ALGEBRA, law=FAIR),
+}
+ANY_HASHABLE_ENTRIES = {(Universe, "elements"), (Description, "points")}
+
+
+def one_entry_wrong(value):
+    """``value`` with its first entry, or its first key's value, an ``object()``."""
+    if isinstance(value, dict):
+        return {**value, next(iter(value)): object()}
+    entries = list(value)
+    entries[0] = object()
+    return type(value)(entries)
+
+
+def wrong_kind_calls():
+    for cls, valid in VALID_CALLS.items():
+        assert {f.name for f in dataclasses.fields(cls) if f.init} == set(valid)
+        for name, value in valid.items():
+            yield pytest.param(cls, name, object(), id=f"{cls.__name__}.{name}")
+            collection = isinstance(value, (tuple, frozenset, dict))
+            if collection and (cls, name) not in ANY_HASHABLE_ENTRIES:
+                wrong = one_entry_wrong(value)
+                yield pytest.param(cls, name, wrong, id=f"{cls.__name__}.{name}-entry")
+
+
+@pytest.mark.parametrize("cls, name, wrong", wrong_kind_calls())
+def test_every_public_constructor_refuses_a_field_of_the_wrong_kind(cls, name, wrong):
+    valid = VALID_CALLS[cls]
+    cls(**valid)
+    with pytest.raises(ValueError):
+        cls(**{**valid, name: wrong})

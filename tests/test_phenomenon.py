@@ -160,8 +160,8 @@ def tallied(labels, draws) -> dict:
             min_size=1,
             max_size=6,
         ),
-        # Many labels leave many runs, or many top bytes that hold a cut, so
-        # both ways of counting are taken.
+        # Many labels leave many runs and many top bytes that hold a cut, so
+        # the run count and the settling of cut draws both carry weight.
         st.lists(st.integers(0, 1_000), min_size=1, max_size=300),
     ).filter(lambda w: sum(w) > 0),
     st.sampled_from((0, 1) + CHUNK_EDGES),
@@ -175,14 +175,19 @@ def test_tally_counts_the_per_draw_rule(weights, n, seed):
     assert counts == tallied(labels, reference_draws(labels, weights, n, seed))
 
 
-@pytest.mark.parametrize("weights", [(5,), (1,) * 256], ids=["q=1", "q=256"])
+@pytest.mark.parametrize(
+    "weights", [(5,), (1,) * 128, (1,) * 256], ids=["q=1", "q=128", "q=256"]
+)
 def test_tally_when_no_top_byte_holds_a_cut(weights):
-    # One label owns every top byte; or 256 labels of even weight own one
-    # top byte each, so no byte value is left to mark a cut.
+    # One label owns every top byte; or 128 or 256 labels of even weight own
+    # two top bytes or one each.  No top byte holds a cut, and at q = 256 no
+    # byte value is left to mark one, so every run number is a label's.
     labels = tuple(range(len(weights)))
     ph = RandomPhenomenon("weighted-draw", Universe(labels), weights, seed=9)
     for n in (0, 1, 4_097):
-        assert ph.tally(n) == tallied(labels, reference_draws(labels, weights, n, 9))
+        draws = reference_draws(labels, weights, n, 9)
+        assert ph.sample(n) == draws
+        assert ph.tally(n) == tallied(labels, draws)
 
 
 def least_float_reaching(running: int, total: int) -> float:
