@@ -122,8 +122,10 @@ class HiddenForm:
 
     A painting-shaped grid whose cells are the :class:`ComplexifiedEvent`
     each cell emits (label, complexification index, edge signatures),
-    stored row-major from (1, 1) like :attr:`Painting.tiles`: the cell at
-    ``(x, y)`` is ``cells[(y - 1) * width + (x - 1)]``.  Within the cloud of
+    stored row-major from (1, 1) like a painting's columns: the cell at
+    ``(x, y)`` is ``cells[(y - 1) * width + (x - 1)]``.  Unlike a
+    painting, the form keeps one event object per cell, since its stream
+    hands out those very objects.  Within the cloud of
     any one label, every complexification index is distinct; the index
     space ``s_prime`` must be at least ten times the largest label count,
     which operationalizes "complexification indices are drawn from a vastly
@@ -177,19 +179,22 @@ class HiddenForm:
         """The grid file of the form: ``labels``, ``rp`` and ``edges``
         columns after ``s_prime``, as :func:`~factlaw.painting.grid_to_doc`
         writes them."""
+        cells = self.cells
+        columns = {
+            "labels": [c.label_r for c in cells],
+            "rp": [c.complexification_r_prime for c in cells],
+        }
         size = ("s_prime", self.s_prime)
-        return grid_to_doc(self.width, self.height, size, self.cells, _FORM_COLUMNS)
+        edges = [c.edge_sigs for c in cells]
+        return grid_to_doc(self.width, self.height, size, columns, edges)
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "HiddenForm":
         """Inverse of :meth:`to_doc`, by :func:`~factlaw.painting.grid_from_doc`."""
-        width, height, s_prime, cells = grid_from_doc(
-            doc, "s_prime", _FORM_COLUMNS, _event_from_doc
+        width, height, s_prime, columns = grid_from_doc(
+            doc, "s_prime", ("labels", "rp")
         )
-        return cls(width, height, s_prime, cells)
-
-
-_FORM_COLUMNS = {"labels": "label_r", "rp": "complexification_r_prime"}
+        return cls(width, height, s_prime, tuple(map(_event_from_doc, *columns)))
 
 
 def _event_from_doc(label: Any, rp: Any, edges: list) -> ComplexifiedEvent:
@@ -214,8 +219,8 @@ def hidden_form_from_painting(painting: Painting, seed: int = 0) -> HiddenForm:
     }
     used = {j: iter(pool) for j, pool in index_pool.items()}
     cells = tuple(
-        ComplexifiedEvent(t.approx_colour, next(used[t.approx_colour]), t.edge_sigs)
-        for t in painting.tiles
+        ComplexifiedEvent(label, next(used[label]), edges)
+        for label, edges in zip(painting.labels, painting.edges)
     )
     return HiddenForm(painting.width, painting.height, s_prime, cells)
 

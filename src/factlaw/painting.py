@@ -4,15 +4,19 @@ A painting is a width x height grid of square tiles.  Each tile carries an
 opaque colour-form id, an approximate-colour label j in 1..q, and four edge
 signatures (N, E, S, W).  Interior signatures match pairwise across shared
 edges, and the grid perimeter carries the literal boundary marker: the seam
-rule, which :func:`check_edge_coherence` checks on a full grid.  The
-painting is the ground truth that the puzzle, probability and integration
-games afterwards see only through restricted views, which each game
-applies itself.  This module holds the painting, the grid rules, the
-scan-line search :func:`scanline_layout` with which both directions rebuild
-a grid from its pieces' edge tuples, and the one file format of grids:
-:func:`grid_to_doc` writes a painting or a hidden form as columns, one list
-per cell field in row-major order from (1, 1) with no coordinates, and
-:func:`grid_from_doc` reads it back.
+rule, which :func:`check_edge_coherence` checks on a full grid.  A
+:class:`Painting` keeps its tiles as three row-major columns (``forms``,
+``labels`` and ``edges``) and checks them column by column; a
+:class:`Tile` is only a view of one cell.  The painting is the ground
+truth that the puzzle, probability and integration games afterwards see
+only through restricted views, which each game applies itself.  This
+module holds the painting, the grid rules, the scan-line search
+:func:`scanline_layout` with which both directions rebuild a grid from
+its pieces' edge tuples, and the one file format of grids:
+:func:`grid_to_doc` writes a painting or a hidden form as columns, one
+list per cell field in row-major order from (1, 1) with no coordinates,
+and :func:`grid_from_doc` reads the lists back, checked for size, for the
+grid to check entry by entry.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .seeding import derive_seed
 from .serialize import read_int
@@ -55,7 +59,8 @@ _NO_ASSEMBLY = "no consistent assembly found"
 
 @dataclass(frozen=True)
 class Tile:
-    """One square of the painting; its index in :attr:`Painting.tiles` places it."""
+    """One square of the painting, as :attr:`Painting.tiles` views it; its
+    index there places it."""
 
     colour_form_id: str
     approx_colour: int
@@ -153,6 +158,22 @@ def edge_tuple(sigs: Iterable[str]) -> tuple[str, str, str, str]:
         sig = next(sig for sig in sigs if not isinstance(sig, str))
         raise ValueError(f"edge signatures must be strings, got {sig!r}") from None
     return sigs  # type: ignore[return-value]
+
+
+def _edge_column(
+    column: Sequence[Iterable[str]],
+) -> tuple[tuple[str, str, str, str], ...]:
+    """Each entry of ``column`` as :func:`edge_tuple` reads it, as one tuple;
+    an entry that it refuses raises its ``ValueError``.  Well-formed columns
+    are read in C loops: a tuple entry is kept as it is."""
+    try:
+        edges = tuple(map(tuple, column))
+        if set(map(len, edges)) <= {4}:
+            "".join(chain.from_iterable(edges))
+            return edges
+    except TypeError:
+        pass
+    return tuple(map(edge_tuple, column))
 
 
 def row_major_positions(width: int, height: int) -> list[tuple[int, int]]:
@@ -286,10 +307,26 @@ def check_edge_coherence(
     """Verify pairwise interior matches and boundary markers on a full grid:
     the package's one seam rule.
 
-    ``edges`` holds the (N, E, S, W) signatures of every cell in row-major
+    ``edges`` holds the (N, E, S, W) tuple of every cell in row-major
     order.  Shared by paintings, hidden forms and finished boards, which
-    carry the same grid shape.  Raises ``ValueError`` on the first violation.
+    carry the same grid shape.  Raises ``ValueError`` on the first violation
+    in row-major order.
     """
+    # Each side's column compared whole: a cell's E side meets the W side of
+    # the next index, which on the right column is the boundary mark on both
+    # sides of the row break, and its N side the S side ``width`` on.  The
+    # counts of marks keep them off interior sides.
+    north, east, south, west = zip(*edges)
+    cells, top, right = len(edges), (BOUNDARY,) * width, (BOUNDARY,) * height
+    if (
+        north[: cells - width] == south[width:]
+        and north[cells - width:] == south[:width] == top
+        and north.count(BOUNDARY) == south.count(BOUNDARY) == width
+        and east[:-1] == west[1:]
+        and east[width - 1::width] == west[::width] == right
+        and east.count(BOUNDARY) == west.count(BOUNDARY) == height
+    ):
+        return
     for y in range(1, height + 1):
         for x in range(1, width + 1):
             i = (y - 1) * width + (x - 1)
@@ -322,31 +359,63 @@ def check_edge_coherence(
 class Painting:
     """An integrated grid of tiles; immutable once constructed.
 
-    ``tiles`` is stored row-major from the bottom-left origin (1, 1), like
-    :attr:`HiddenForm.cells`; a tile's index is the only record of its place.
+    The painting keeps its cells as three columns, row-major from the
+    bottom-left origin (1, 1) like :attr:`HiddenForm.cells`, so a cell's
+    index is the only record of its place: ``forms`` holds the distinct,
+    non-empty colour-form ids, ``labels`` the approximate-colour labels,
+    ints that fill the palette 1..``palette_q``, and ``edges`` the
+    (N, E, S, W) tuples of four strings, which keep the seam rule.  Each
+    column is a list or tuple, read into a tuple.  :attr:`tiles` is a view
+    that builds one :class:`Tile` per cell whenever it is read.
     """
 
     width: int
     height: int
     palette_q: int
-    tiles: tuple[Tile, ...]
+    forms: tuple[str, ...]
+    labels: tuple[int, ...]
+    edges: tuple[tuple[str, str, str, str], ...]
 
     def __post_init__(self) -> None:
-        tiles = self.tiles
-        check_grid(self.width, self.height, tiles, Tile, "tiles")
+        for name in ("forms", "labels", "edges"):
+            column = getattr(self, name)
+            if type(column) not in (list, tuple):
+                raise ValueError(f"{name} must be a list or tuple, got {column!r}")
+            check_grid_size(self.width, self.height, len(column), name)
+        forms, labels = tuple(self.forms), tuple(self.labels)
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "edges", _edge_column(self.edges))
         if type(self.palette_q) is not int:
             raise ValueError(f"palette_q must be an int, got {self.palette_q!r}")
-        if not self.palette_q < len(tiles):
-            raise ValueError("palette must be strictly smaller than the grid")
-        labels = {t.approx_colour for t in tiles}
-        if not labels <= set(range(1, self.palette_q + 1)):
-            raise ValueError("tile labels leave the palette 1..q")
-        if labels != set(range(1, self.palette_q + 1)):
-            raise ValueError("every palette label must appear on some tile")
-        forms = [t.colour_form_id for t in tiles]
-        if len(set(forms)) != len(forms):
+        try:
+            "".join(forms)  # refuses a non-str in one C loop
+        except TypeError:
+            raise ValueError("colour_form_id must be a non-empty string") from None
+        distinct = set(forms)
+        if "" in distinct:
+            raise ValueError("colour_form_id must be a non-empty string")
+        if len(distinct) != len(forms):
             raise ValueError("colour_form_ids must be distinct")
-        check_edge_coherence(self.width, self.height, [t.edge_sigs for t in tiles])
+        if set(map(type, labels)) != {int}:
+            label = next(j for j in labels if type(j) is not int)
+            raise ValueError(f"tile labels must be ints, got {label!r}")
+        if min(labels) < 1:
+            raise ValueError("approx_colour labels start at 1")
+        if not self.palette_q < len(labels):
+            raise ValueError("palette must be strictly smaller than the grid")
+        palette = set(range(1, self.palette_q + 1))
+        present = set(labels)
+        if not present <= palette:
+            raise ValueError("tile labels leave the palette 1..q")
+        if present != palette:
+            raise ValueError("every palette label must appear on some tile")
+        check_edge_coherence(self.width, self.height, self.edges)
+
+    @property
+    def tiles(self) -> tuple[Tile, ...]:
+        """A fresh view of the cells as one :class:`Tile` each, row-major."""
+        return tuple(map(Tile, self.forms, self.labels, self.edges))
 
 
 def generate_painting(spec: PaintingSpec) -> Painting:
@@ -380,23 +449,21 @@ def generate_painting(spec: PaintingSpec) -> Painting:
         alphabet = max(2, seams // 3)
         sigs = [f"a{rng.randrange(alphabet):03d}" for _ in range(seams)]
 
-    tiles = []
+    edges = []
     for i in range(area):
         x, y = i % w, i // w
         n = sigs[across + i] if y < h - 1 else BOUNDARY
         e = sigs[i - y] if x < w - 1 else BOUNDARY
         s = sigs[across + i - w] if y else BOUNDARY
         west = sigs[i - y - 1] if x else BOUNDARY
-        tiles.append(Tile(form_ids[i], labels[i], (n, e, s, west)))
-    return Painting(w, h, q, tuple(tiles))
+        edges.append((n, e, s, west))
+    return Painting(w, h, q, form_ids, labels, edges)
 
 
 def label_histogram(painting: Painting) -> dict[int, int]:
     """Per-label tile counts; always sums to width x height."""
-    counts = {j: 0 for j in range(1, painting.palette_q + 1)}
-    for tile in painting.tiles:
-        counts[tile.approx_colour] += 1
-    return counts
+    counts = Counter(painting.labels)
+    return {j: counts[j] for j in range(1, painting.palette_q + 1)}
 
 
 def interior_signature_multiset(
@@ -424,38 +491,35 @@ def grid_to_doc(
     width: int,
     height: int,
     size: tuple[str, int],
-    cells: Sequence[Any],
-    columns: Mapping[str, str],
+    columns: Mapping[str, Iterable[Any]],
+    edges: Iterable[Iterable[str]],
 ) -> dict[str, Any]:
     """The file form of a grid: ``size`` is the size field's key and value,
-    and ``columns`` maps each column's key to the cell attribute it lists;
-    the ``edges`` column lists each cell's ``edge_sigs``."""
+    ``columns`` maps each column's key to its entries and ``edges`` holds
+    each cell's (N, E, S, W) signatures, all in row-major order."""
     size_key, size_value = size
     doc: dict[str, Any] = {"width": width, "height": height, size_key: size_value}
-    for key, attribute in columns.items():
-        doc[key] = [getattr(cell, attribute) for cell in cells]
-    doc["edges"] = [list(cell.edge_sigs) for cell in cells]
+    for key, column in columns.items():
+        doc[key] = list(column)
+    doc["edges"] = list(map(list, edges))
     return doc
 
 
 def grid_from_doc(
-    doc: Mapping[str, Any],
-    size_key: str,
-    columns: Mapping[str, str],
-    cell: Callable[..., T],
-) -> tuple[int, int, int, tuple[T, ...]]:
+    doc: Mapping[str, Any], size_key: str, columns: Sequence[str]
+) -> tuple[int, int, int, list[list]]:
     """Read a grid file that :func:`grid_to_doc` wrote with ``columns``;
-    return ``(width, height, size, cells)``.  Each cell is
-    ``cell(*entries, edges)``: its entry in each of ``columns``, in order,
-    then its edge list.
+    return ``(width, height, size, lists)``, where ``lists`` holds the
+    file's list for each of ``columns``, in order, then its ``edges``.
 
     Raises ``ValueError`` unless ``doc`` is a mapping that holds
     ``width``, ``height``, ``size_key`` and every column, unless each
     column, ``edges`` too, is a list whose length :func:`check_grid_size`
-    accepts (all checked before any cell is built), and unless each
-    ``edges`` entry is a list of four.  A file with a ``tiles`` or ``cells`` key is in the old
-    row format, one object per cell with its ``x`` and ``y``, and is
-    refused as such.
+    accepts (all checked before anything is built from them), and unless
+    each ``edges`` entry is a list of four.  The entries themselves are
+    the grid's to check.  A file with a ``tiles`` or ``cells`` key is in
+    the old row format, one object per cell with its ``x`` and ``y``, and
+    is refused as such.
     """
     if not isinstance(doc, Mapping):
         raise ValueError(f"a grid file must be a JSON object, got {type(doc).__name__}")
@@ -477,29 +541,25 @@ def grid_from_doc(
         if type(column) is not list:
             raise ValueError(f"{key} must be a list, got {type(column).__name__}")
         check_grid_size(width, height, len(column), key)
-    for edges in lists[-1]:
-        if type(edges) is not list or len(edges) != 4:
-            raise ValueError(
-                f"each edges entry must be a list of four signatures"
-                f" [N, E, S, W], got {edges!r}"
-            )
-    return width, height, size, tuple(map(cell, *lists))
-
-
-_PAINTING_COLUMNS = {"forms": "colour_form_id", "labels": "approx_colour"}
+    edges = lists[-1]
+    if set(map(type, edges)) != {list} or set(map(len, edges)) != {4}:
+        bad = next(e for e in edges if type(e) is not list or len(e) != 4)
+        raise ValueError(
+            f"each edges entry must be a list of four signatures"
+            f" [N, E, S, W], got {bad!r}"
+        )
+    return width, height, size, lists
 
 
 def painting_to_doc(painting: Painting) -> dict[str, Any]:
+    columns = {"forms": painting.forms, "labels": painting.labels}
     size = ("q", painting.palette_q)
-    return grid_to_doc(
-        painting.width, painting.height, size, painting.tiles, _PAINTING_COLUMNS
-    )
-
-
-def _tile_from_doc(form: Any, label: Any, edges: list) -> Tile:
-    return Tile(form, read_int(label, "tile label"), edges)
+    return grid_to_doc(painting.width, painting.height, size, columns, painting.edges)
 
 
 def painting_from_doc(doc: Mapping[str, Any]) -> Painting:
-    width, height, q, tiles = grid_from_doc(doc, "q", _PAINTING_COLUMNS, _tile_from_doc)
-    return Painting(width, height, q, tiles)
+    width, height, q, columns = grid_from_doc(doc, "q", ("forms", "labels"))
+    forms, labels, edges = columns
+    if set(map(type, labels)) != {int}:
+        labels = [read_int(label, "tile label") for label in labels]
+    return Painting(width, height, q, forms, labels, edges)

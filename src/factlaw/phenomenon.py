@@ -456,17 +456,15 @@ def find_N0(
 
 @dataclass(frozen=True)
 class FactualSpace:
-    """A concrete probability space read off an integrated object by counting."""
+    """A concrete probability space read off an integrated object by counting;
+    its universe is ``algebra.universe``."""
 
-    universe: Universe
     algebra: EventAlgebra
     law: Measure
 
     def __post_init__(self) -> None:
         if not isinstance(self.algebra, EventAlgebra) or not isinstance(self.law, Measure):
             raise ValueError("need an EventAlgebra and a Measure")
-        if self.universe != self.algebra.universe:
-            raise ValueError(f"universe {self.universe!r} is not the algebra's")
         report = validate_measure(self.law, self.algebra)
         if not report.passed:
             failed = [c.name for c in report.checks if not c.passed]
@@ -482,7 +480,7 @@ def factual_space_from_painting(painting: Painting) -> FactualSpace:
     histogram = label_histogram(painting)
     universe = Universe(tuple(histogram))
     algebra = generate_algebra(universe, [{j} for j in universe.elements])
-    return FactualSpace(universe, algebra, Measure.from_counts(histogram))
+    return FactualSpace(algebra, Measure.from_counts(histogram))
 
 
 @dataclass(frozen=True)

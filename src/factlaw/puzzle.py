@@ -1,19 +1,24 @@
 """The three reconstruction games: by location, by borders, multi-replica.
 
 A fragment is a painting's tile seen through one game's view, a
-:class:`Description`, and :meth:`FragmentPool.from_painting` is the one
-place a tile becomes one: each game's view is its fragment format.  A
-pool holds the fragments shuffled once, and each game reads them in that
-order and places them on boards.  A board is a full grid of pieces stored
-row-major from (1, 1), like :attr:`factlaw.painting.Painting.tiles`.  In
-the location game every fragment carries its coordinates, so placement is
-certain.  In the border game coordinates are filtered out and only edge
-signatures guide assembly: one scan-line search rebuilds the whole pool
-cell by cell, backtracking where signatures repeat.  With several replicas
-of the painting mixed into one pool, boards close only near the end of the
-stream.  The search is the painting module's
-:func:`factlaw.painting.scanline_layout`, which semantic integration
-shares, and the seam rule that checks a painting
+:class:`Description`: each game's view is its fragment format.  A pool
+holds the fragments shuffled once, and each game reads them in that order
+and places them on boards.  The games run on columns, not on objects: a
+pool keeps its draw order as indices into its source cells, beside each
+cell's coordinates or edge tuple, and a game's report keeps each board as
+the draw indices of its pieces, row-major from (1, 1) like the painting's
+columns.  A pool that :meth:`FragmentPool.from_painting` builds reads the
+painting's columns directly, so a game on a painting builds no object per
+cell; its ``fragments`` and its report's ``boards`` are views, built as
+:class:`Description`, :class:`Board` and :class:`Piece` objects when they
+are first read.  In the location game every fragment carries its
+coordinates, so placement is certain.  In the border game coordinates are
+filtered out and only edge signatures guide assembly: one scan-line search
+rebuilds the whole pool cell by cell, backtracking where signatures
+repeat.  With several replicas of the painting mixed into one pool, boards
+close only near the end of the stream.  The search is the painting
+module's :func:`factlaw.painting.scanline_layout`, which semantic
+integration shares, and the seam rule that checks a painting
 (:func:`factlaw.painting.check_edge_coherence`) checks a finished board.
 """
 
@@ -111,7 +116,7 @@ class Piece:
 @dataclass(frozen=True)
 class Board:
     """A finished board: ``pieces`` fill a ``width`` x ``height`` grid
-    row-major from (1, 1), like :attr:`factlaw.painting.Painting.tiles`, so
+    row-major from (1, 1), like a painting's columns, so
     the piece at ``(x, y)`` is ``pieces[(y - 1) * width + (x - 1)]``."""
 
     width: int
@@ -149,7 +154,9 @@ class AssemblyReport:
 
     ``completion_order`` lists ``(board_index, draw_index)`` pairs in the
     order boards closed; ``board_index`` indexes into ``boards`` and
-    ``draw_index`` is 1-based into the draw stream.
+    ``draw_index`` is 1-based into the draw stream.  A game's report keeps
+    each board as the draw indices of its pieces, row-major, and builds
+    ``boards`` from them when they are first read.
     """
 
     placements: int
@@ -164,6 +171,50 @@ class AssemblyReport:
         if self.completed_replicas != len(self.completion_order):
             raise ValueError("completion log disagrees with completed count")
 
+    @classmethod
+    def _of_layouts(
+        cls,
+        trials: int,
+        pool: "FragmentPool",
+        shape: tuple[int, int],
+        layouts: list[list[int]],
+        sigs: list[tuple[str, str, str, str]] | None,
+    ) -> "AssemblyReport":
+        """A game's report on ``pool``: ``layouts`` holds each board of
+        ``shape``, a ``(width, height)``, as the draw indices of its pieces,
+        and ``sigs`` the edges each draw's piece carries, or is ``None``
+        when the pieces carry none.  A board closes with its last draw, and
+        the boards are listed in the order they close."""
+        layouts = sorted(layouts, key=max)
+        report = _set_fields(
+            object.__new__(cls),
+            placements=sum(map(len, layouts)),
+            trials=trials,
+            completed_replicas=len(layouts),
+            completion_order=tuple(
+                (index, max(layout) + 1) for index, layout in enumerate(layouts)
+            ),
+            _layouts=(pool, shape, layouts, sigs),
+        )
+        report.__post_init__()
+        return report
+
+    def __getattr__(self, name: str) -> Any:
+        # Only a game's report lacks ``boards``, until they are first read.
+        if name != "boards" or "_layouts" not in self.__dict__:
+            raise AttributeError(name)
+        pool, (width, height), layouts, sigs = self._layouts
+        fragments = pool.fragments
+        boards = tuple(
+            Board(width, height, tuple(
+                Piece(fragments[draw], None if sigs is None else sigs[draw])
+                for draw in layout
+            ))
+            for layout in layouts
+        )
+        _set_fields(self, boards=boards)
+        return boards
+
     def to_doc(self) -> dict[str, Any]:
         return {
             "placements": self.placements,
@@ -171,10 +222,18 @@ class AssemblyReport:
             "completed_replicas": self.completed_replicas,
             "completion_order": [list(entry) for entry in self.completion_order],
             "board_sizes": [
-                {"width": b.width, "height": b.height, "pieces": len(b.pieces)}
-                for b in self.boards
+                {"width": width, "height": height, "pieces": pieces}
+                for width, height, pieces in self._board_sizes()
             ],
         }
+
+    def _board_sizes(self) -> list[tuple[int, int, int]]:
+        """Each board's width, height and piece count, read off its layout
+        while the boards are not built."""
+        if "boards" in self.__dict__:
+            return [(b.width, b.height, len(b.pieces)) for b in self.boards]
+        _, (width, height), layouts, _ = self._layouts
+        return [(width, height, len(layout)) for layout in layouts]
 
 
 @dataclass(frozen=True)
@@ -184,73 +243,119 @@ class FragmentPool:
     :class:`Description`, or a seed that is not an integer, raises
     ``ValueError``.
 
-    Each game reads ``fragments`` in that shuffled order.  For pools built
-    from a painting :meth:`from_painting` describes each tile once and every
-    replica shares that frozen fragment.
+    Each game reads the pool in that shuffled order, as columns: the draw
+    order, a list of indices into the pool's source cells, and each source
+    cell's coordinates and edge tuple.  A pool built from fragments reads
+    each of them once into those columns, its source cells in the order
+    given, and keeps them, shuffled, as ``fragments``.  A pool that
+    :meth:`from_painting` builds takes its columns from the painting's and
+    builds ``fragments``, one :class:`Description` per cell that every
+    replica shares, only when they are first read.
     """
 
     fragments: tuple[Description, ...]
     seed: int = 0
 
     def __post_init__(self) -> None:
-        order = read_collection(list, self.fragments)
-        if not all(isinstance(fragment, Description) for fragment in order):
+        described = read_collection(list, self.fragments)
+        if not all(isinstance(fragment, Description) for fragment in described):
             raise ValueError("a pool holds Descriptions only")
         seed = read_int(self.seed, "pool seed")
-        random.Random(derive_seed(seed, "draw-order")).shuffle(order)
-        object.__setattr__(self, "fragments", tuple(order))
-        object.__setattr__(self, "seed", seed)
+        order = _draw_order(len(described), 1, seed)
+        _set_fields(
+            self,
+            fragments=tuple(map(described.__getitem__, order)),
+            seed=seed,
+            _order=order,
+            _coords=[fragment.grid_coords for fragment in described],
+            _edges=list(map(_edges_or_none, described)),
+        )
 
     @classmethod
     def from_painting(
         cls, painting: Painting, mode: str, replicas: int = 1, seed: int = 0
     ) -> "FragmentPool":
-        """Describe each of ``painting.tiles`` through the game's view and
-        pool ``replicas`` copies: ``location`` keeps a tile's row-major
+        """Pool ``replicas`` copies of the painting's cells as the game's
+        view describes them: ``location`` keeps a tile's row-major
         coordinates alone, ``border`` its colour-form id and edge signatures
-        without coordinates.  Any other ``mode``, or ``replicas`` that is
-        not an int of at least 1, raises ``ValueError``."""
+        without coordinates.  The draw order is that of a pool built from
+        one :class:`Description` per tile and replica.  Any other ``mode``,
+        or ``replicas`` that is not an int of at least 1, raises
+        ``ValueError``."""
         if mode not in ("location", "border"):
             raise ValueError(f"mode must be 'location' or 'border', got {mode!r}")
         if type(replicas) is not int or replicas < 1:
             raise ValueError(f"replicas must be an int of at least 1, got {replicas!r}")
-        tiles = painting.tiles
-        if mode == "location":
-            positions = row_major_positions(painting.width, painting.height)
+        seed = read_int(seed, "pool seed")
+        located = mode == "location"
+        return _set_fields(
+            object.__new__(cls),
+            seed=seed,
+            _order=_draw_order(len(painting.forms), replicas, seed),
+            _coords=row_major_positions(painting.width, painting.height)
+            if located else None,
+            _edges=None if located else painting.edges,
+            _forms=painting.forms,
+        )
+
+    def __getattr__(self, name: str) -> Any:
+        # Only a pool built from a painting lacks ``fragments`` until they
+        # are first read.
+        if name != "fragments" or "_forms" not in self.__dict__:
+            raise AttributeError(name)
+        forms, coords = self._forms, self._coords
+        if coords is not None:
             described = [
-                Description(GENERATOR_ID, tile.colour_form_id, {}, coords)
-                for tile, coords in zip(tiles, positions)
+                Description(GENERATOR_ID, form, {}, position)
+                for form, position in zip(forms, coords)
             ]
         else:
-            # A dict display is about twice as fast as building the points
-            # from ASPECT_EDGES in a loop or with dict(zip(...)).
-            edge_n, edge_e, edge_s, edge_w = ASPECT_EDGES
-            described = []
-            for tile in tiles:
-                form = tile.colour_form_id
-                north, east, south, west = tile.edge_sigs
-                points = {
-                    ASPECT_COLOUR_FORM: form,
-                    edge_n: north,
-                    edge_e: east,
-                    edge_s: south,
-                    edge_w: west,
-                }
-                described.append(Description(GENERATOR_ID, form, points))
-        return cls(described * replicas, seed=seed)
+            described = [
+                Description(GENERATOR_ID, form, {
+                    ASPECT_COLOUR_FORM: form, **dict(zip(ASPECT_EDGES, edges))
+                })
+                for form, edges in zip(forms, self._edges)
+            ]
+        _set_fields(self, fragments=tuple(map(described.__getitem__, self._order)))
+        return self.fragments
 
     def __len__(self) -> int:
-        return len(self.fragments)
+        return len(self._order)
+
+
+def _set_fields(obj: Any, **fields: Any) -> Any:
+    """Set ``fields`` on the frozen ``obj`` as its constructor would; return it."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _draw_order(cells: int, replicas: int, seed: int) -> list[int]:
+    """The source cell of each draw: ``replicas`` copies of ``range(cells)``
+    shuffled by ``seed``.  A shuffle's swaps depend on the length alone, so
+    this is the order in which a list of the cells' fragments shuffles."""
+    order = list(range(cells)) * replicas
+    random.Random(derive_seed(seed, "draw-order")).shuffle(order)
+    return order
 
 
 _edge_points = itemgetter(*ASPECT_EDGES)
 
 
 def _edges_of(fragment: Description) -> tuple[str, str, str, str]:
+    """The fragment's edge tuple; ``ValueError`` unless its points hold four
+    edge signatures that :func:`~factlaw.painting.edge_tuple` accepts."""
     try:
-        return _edge_points(fragment.points)
+        return edge_tuple(_edge_points(fragment.points))
     except KeyError:
         raise ValueError("fragment carries no edge signatures") from None
+
+
+def _edges_or_none(fragment: Description) -> tuple[str, str, str, str] | None:
+    try:
+        return _edges_of(fragment)
+    except ValueError:
+        return None
 
 
 # --- the games --------------------------------------------------------------
@@ -266,26 +371,29 @@ def solve_by_location(pool: FragmentPool) -> AssemblyReport:
     no board.  Two fragments claiming one cell, as in a pool of two
     replicas, mean the pool is corrupt (:class:`DuplicateCoordinates`).
     """
-    cells: dict[tuple[int, int], Piece] = {}
-    for fragment in pool.fragments:
-        pos = fragment.grid_coords
+    order, coords = pool._order, pool._coords
+    if coords is None and order:
+        raise ValueError("fragment carries no coordinates")
+    cells: dict[tuple[int, int], int] = {}  # coordinates -> draw index
+    for draw, source in enumerate(order):
+        pos = coords[source]
         if pos is None:
             raise ValueError("fragment carries no coordinates")
         if pos in cells:
             raise DuplicateCoordinates(pos)
-        cells[pos] = Piece(fragment, None)
+        cells[pos] = draw
     count = len(cells)
     if not count:
         raise ValueError("empty pool")
-    width = max(x for x, _ in cells)
-    height = max(y for _, y in cells)
-    # Only a width x height area can be full; testing it first keeps far-off
-    # coordinates from spanning a huge grid.
-    positions = row_major_positions(width, height) if width * height == count else []
-    if not positions or any(pos not in cells for pos in positions):
+    xs, ys = zip(*cells)
+    width, height = max(xs), max(ys)
+    # Distinct cells fill the width x height grid from (1, 1) exactly when
+    # none lies left of or below it and there are width * height of them;
+    # testing that first keeps far-off coordinates from spanning a huge grid.
+    if width * height != count or min(xs) < 1 or min(ys) < 1:
         return AssemblyReport(count, count, 0, (), ())
-    board = Board(width, height, tuple(cells[pos] for pos in positions))
-    return AssemblyReport(count, count, 1, ((0, count),), (board,))
+    layout = list(map(cells.__getitem__, row_major_positions(width, height)))
+    return AssemblyReport._of_layouts(count, pool, (width, height), [layout], None)
 
 
 def solve_by_borders(
@@ -305,27 +413,16 @@ def solve_by_borders(
     closes at the ``j``-th cover time of the draws.  Boards are listed in
     the order they close.
     """
-    draws = pool.fragments
-    if not draws:
+    order, coords, edges = pool._order, pool._coords, pool._edges
+    if not order:
         raise ValueError("empty pool")
-    for fragment in draws:
-        if fragment.grid_coords is not None:
-            raise ValueError("border-game fragments must not carry coordinates")
-    sigs = [_edges_of(fragment) for fragment in draws]
+    if coords is not None and coords.count(None) != len(coords):
+        raise ValueError("border-game fragments must not carry coordinates")
+    if edges is None or None in edges:
+        for fragment in pool.fragments:  # raises at the first one refused
+            _edges_of(fragment)
+    sigs = list(map(edges.__getitem__, order))
     width, height, placed, trials = scanline_layout(sigs, trial_budget)
     area = width * height
-    finished = []
-    for first in range(0, len(placed), area):
-        board_placed = placed[first:first + area]
-        pieces = tuple(Piece(draws[index], sigs[index]) for index in board_placed)
-        finished.append((max(board_placed) + 1, Board(width, height, pieces)))
-    finished.sort(key=itemgetter(0))
-    return AssemblyReport(
-        placements=len(placed),
-        trials=trials,
-        completed_replicas=len(finished),
-        completion_order=tuple(
-            (index, draw_index) for index, (draw_index, _) in enumerate(finished)
-        ),
-        boards=tuple(board for _, board in finished),
-    )
+    layouts = [placed[first:first + area] for first in range(0, len(placed), area)]
+    return AssemblyReport._of_layouts(trials, pool, (width, height), layouts, sigs)

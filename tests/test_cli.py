@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from factlaw import (
     AMBIGUOUS_EDGES,
+    Board,
+    Description,
     PaintingSpec,
+    Piece,
+    Tile,
     generate_painting,
     painting_from_doc,
     painting_to_doc,
@@ -192,6 +197,30 @@ def test_play_puzzle_location_rejects_replicas(tmp_path, painting_file, capsys):
     )
     assert code == 2
     assert read_error(capsys)["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "mode, replicas", [("border", 1), ("border", 3), ("location", 1)]
+)
+def test_play_puzzle_builds_no_object_per_cell(tmp_path, monkeypatch, mode, replicas):
+    # The games run on the painting's columns: tiles, fragments, pieces and
+    # boards are views, built only when something reads them.
+    spec = PaintingSpec(16, 16, 3, {1: 128, 2: 96, 3: 32}, seed=5)
+    painting = tmp_path / "painting.json"
+    dump_json(painting_to_doc(generate_painting(spec)), str(painting))
+    built = Counter()
+    for cls in (Tile, Description, Piece, Board):
+        def counted(self, post_init=cls.__post_init__):
+            built[type(self).__name__] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    report = tmp_path / "report.json"
+    params = {"painting": str(painting), "mode": mode, "replicas": replicas,
+              "seed": 2, "report": str(report)}
+    assert run("play-puzzle", overrides=params) == 0
+    assert load_json(str(report))["completed_replicas"] == replicas
+    assert built == Counter()
 
 
 # --- play-prob-game ---------------------------------------------------------

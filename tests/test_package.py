@@ -199,8 +199,8 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         lambda: Board(1, 1, None),
         lambda: Board(1, 1, (None,)).validate_edges(),
         lambda: Description(1, 2, {}),
-        lambda: Painting(2, 1, 1, None),
-        lambda: Painting(2, 1, 1, (1, 2)),
+        lambda: Painting(2, 1, 1, None, (1, 1), SMALL_PAINTING.edges),
+        lambda: Painting(2, 1, 1, (1, 2), (1, 1), SMALL_PAINTING.edges),
         lambda: HiddenForm(2, 1, 20, None),
         lambda: HiddenForm(2, 1, 20, (1, 2)),
         lambda: Tile("cf", 1, (1, 2, 3, 4)),
@@ -239,7 +239,6 @@ def test_a_test_imports_private_names_only_from_its_own_module():
             for seed in BAD_SEEDS.values()
         ],
         lambda: RandomPhenomenon("", Universe((1, 2)), (1, 1)),
-        lambda: FactualSpace(Universe((3, 4)), COIN_ALGEBRA, FAIR),
         lambda: meta_probability(COIN, 1, None, "1/10", 10, 2, 0),
         lambda: meta_probability(COIN, 1, "1/2", None, 10, 2, 0),
         lambda: meta_probability(COIN, 1, "1/2", [], 10, 2, 0),
@@ -253,7 +252,7 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         "pool-replicas-negative", "pool-replicas-true",
         "piece-edges-one", "board-pieces-none", "board-pieces-of-none",
         "description-ids-int",
-        "painting-tiles-none", "painting-tiles-of-ints",
+        "painting-forms-none", "painting-forms-of-ints",
         "form-cells-none", "form-cells-of-ints", "tile-sigs-int",
         "measure-none", "universe-none", "phenomenon-none", "table-none",
         "algebra-none", "pool-none", "pool-of-ints", "pool-seed-str",
@@ -265,7 +264,7 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         *[f"derive-seed-{name}" for name in BAD_SEEDS],
         *[f"form-seed-{name}" for name in BAD_SEEDS],
         *[f"end-to-end-seed-{name}" for name in BAD_SEEDS],
-        "phenomenon-id-empty", "space-universe-foreign", "meta-target-none",
+        "phenomenon-id-empty", "meta-target-none",
         "meta-epsilon-none", "meta-epsilon-list", "n0-delta-str", "n0-delta-none",
     ),
 )
@@ -282,7 +281,10 @@ def test_wrong_kind_constructor_arguments_raise_value_error(build):
 # Description's points.  A Piece's payload takes any value too; no
 # constructor here takes a Piece.
 VALID_CALLS = {
-    Painting: dict(width=2, height=1, palette_q=1, tiles=SMALL_PAINTING.tiles),
+    Painting: dict(
+        width=2, height=1, palette_q=1, forms=SMALL_PAINTING.forms,
+        labels=SMALL_PAINTING.labels, edges=SMALL_PAINTING.edges,
+    ),
     HiddenForm: dict(width=2, height=1, s_prime=SMALL_FORM.s_prime, cells=SMALL_FORM.cells),
     PaintingSpec: dict(
         width=2, height=1, q=1, label_counts={1: 2}, uniqueness_mode=UNIQUE_EDGES, seed=0
@@ -297,7 +299,7 @@ VALID_CALLS = {
     FragmentPool: dict(
         fragments=FragmentPool.from_painting(SMALL_PAINTING, "border").fragments, seed=0
     ),
-    FactualSpace: dict(universe=Universe((1, 2)), algebra=COIN_ALGEBRA, law=FAIR),
+    FactualSpace: dict(algebra=COIN_ALGEBRA, law=FAIR),
 }
 ANY_HASHABLE_ENTRIES = {(Universe, "elements"), (Description, "points")}
 

@@ -130,16 +130,13 @@ def test_ambiguous_mode_repeats_signatures():
 
 def test_painting_constructor_rejects_broken_grids():
     p = generate_painting(PaintingSpec(2, 2, 1, {1: 4}, seed=3))
-    tiles = list(p.tiles)
     with pytest.raises(ValueError):
-        Painting(2, 2, 1, tuple(tiles[:-1]))  # missing a cell
-    twisted = tiles[:]
-    t = twisted[0]
-    twisted[0] = Tile(t.colour_form_id, t.approx_colour, ("X", "X", "X", "X"))
+        Painting(2, 2, 1, p.forms[:-1], p.labels[:-1], p.edges[:-1])  # missing a cell
+    twisted = (("X", "X", "X", "X"),) + p.edges[1:]
     with pytest.raises(ValueError):
-        Painting(2, 2, 1, tuple(twisted))  # boundary/coherence violation
+        Painting(2, 2, 1, p.forms, p.labels, twisted)  # boundary/coherence violation
     with pytest.raises(ValueError, match="^grid extents must be positive$"):
-        Painting(-2, -2, 1, tuple(tiles))  # four cells, but no grid
+        Painting(-2, -2, 1, p.forms, p.labels, p.edges)  # four cells, but no grid
 
 
 @pytest.mark.parametrize("extent", [2.0, True], ids=("float", "bool"))
@@ -151,17 +148,17 @@ def test_grids_refuse_extents_that_are_not_ints(grid, extent):
     width = int(extent)
     painting = generate_painting(PaintingSpec(width, 2, 1, {1: 2 * width}, seed=3))
     if grid is Painting:
-        fields = (painting.palette_q, painting.tiles)
+        fields = (painting.palette_q, painting.forms, painting.labels, painting.edges)
     else:
         form = hidden_form_from_painting(painting)
         fields = (form.s_prime, form.cells)
     grid(width, 2, *fields)
     with pytest.raises(ValueError, match="^grid extents must be ints, got "):
         grid(extent, 2, *fields)
-    size, cells = fields
+    size, *cells = fields
     for wrong in (str(size), float(size), size + 0.5):
         with pytest.raises(ValueError, match=" must be an int, got "):
-            grid(width, 2, wrong, cells)
+            grid(width, 2, wrong, *cells)
 
 
 @pytest.mark.parametrize("width, height", [(1, 1), (1, 5), (5, 1), (4, 3)])
@@ -198,8 +195,8 @@ def test_painting_load_refuses_a_tile_set_that_misses_the_grid():
     with pytest.raises(ValueError, match="^expected 100 edges, got 99$"):
         painting_from_doc(dict(doc, edges=doc["edges"][1:]))
     p = generate_painting(REFERENCE_SPEC)
-    with pytest.raises(ValueError, match="^expected 100 tiles, got 99$"):
-        Painting(10, 10, 3, p.tiles[1:])
+    with pytest.raises(ValueError, match="^expected 100 forms, got 99$"):
+        Painting(10, 10, 3, p.forms[1:], p.labels, p.edges)
 
 
 def test_row_format_grid_files_are_refused_by_name(reference_form):

@@ -358,7 +358,7 @@ def test_painting_law_holds_at_large_n(reference_painting):
 
 def test_factual_space_from_painting(reference_painting):
     space = factual_space_from_painting(reference_painting)
-    assert space.universe.elements == (1, 2, 3)
+    assert space.algebra.universe.elements == (1, 2, 3)
     assert space.law[1] == Fraction(3, 5)
     assert len(space.algebra) == 8 and len(space.algebra.events) == 8
     ph = probabilise_painting(reference_painting)
@@ -369,11 +369,9 @@ def test_factual_space_rejects_invalid_law():
     universe = Universe((1, 2))
     algebra = generate_algebra(universe, [{1}])
     with pytest.raises(ValueError):
-        FactualSpace(universe, algebra, Measure({1: Fraction(1, 2)}))
+        FactualSpace(algebra, Measure({1: Fraction(1, 2)}))
     with pytest.raises(ValueError):
-        FactualSpace(
-            universe, algebra, Measure({1: Fraction(1, 2), 2: Fraction(1, 4)})
-        )
+        FactualSpace(algebra, Measure({1: Fraction(1, 2), 2: Fraction(1, 4)}))
 
 
 # --- divergence reports -----------------------------------------------------

@@ -113,6 +113,11 @@ def test_location_game_incomplete_grid_is_not_certified(reference_painting):
     assert (report.placements, report.trials) == (12, 12)
     assert report.completed_replicas == 0
     assert report.boards == ()
+    # Two fragments for the two cells of a 2 x 1 grid, but one lies left of
+    # it, at x = 0.
+    outside = [Description("tile-extraction", f"cf_{x}", {}, (x, 1)) for x in (0, 2)]
+    report = solve_by_location(FragmentPool(outside))
+    assert (report.placements, report.completed_replicas, report.boards) == (2, 0, ())
 
 
 # --- the border game, unique signatures -------------------------------------
