@@ -28,7 +28,6 @@ show in one dict per side, so the per-event lookups build no keys.
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -58,7 +57,7 @@ from .phenomenon import (
     run_frequency_experiment,
 )
 from .prob import Measure, Universe
-from .seeding import derive_seed
+from .seeding import derive_seed, word_chunk
 from .serialize import read_int
 
 
@@ -233,10 +232,6 @@ def generate_hidden_form(spec: PaintingSpec) -> HiddenForm:
 # --- the phenomenon side ----------------------------------------------------
 
 
-_WORDS = 1024  # 32-bit words per getrandbits call
-_UNPACK_WORDS = struct.Struct(f"<{_WORDS}I").unpack
-
-
 def complexified_phenomenon(form: HiddenForm, seed: int = 0) -> Iterator[ComplexifiedEvent]:
     """Endless stream: pick a uniformly random cell and emit its stored event.
 
@@ -260,8 +255,7 @@ def _cell_stream(cells: tuple, seed: int) -> Iterator[ComplexifiedEvent]:
     n = len(cells)
     shift = 32 - n.bit_length()
     while True:
-        chunk = rng.getrandbits(32 * _WORDS).to_bytes(4 * _WORDS, "little")
-        for word in _UNPACK_WORDS(chunk):
+        for word in word_chunk(rng):
             i = word >> shift
             if i < n:
                 yield cells[i]

@@ -24,7 +24,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, compress, repeat
+from operator import and_, eq
 from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .seeding import derive_seed
@@ -221,26 +222,44 @@ def scanline_layout(
     edges are the boundary mark exactly on the right column and top row.
     Pieces with equal edge tuples are interchangeable, so one per tuple is
     tried; with unique signatures no cell has a second, so trials equal
-    pieces.  The search numbers the distinct edge tuples (kinds) in the
-    order they first appear and files each kind once, under its W and S
-    edges and whether its E and N edges are boundary marks.  A cell keeps
-    the shared list of candidate kinds for its position and a cursor into
-    it, so resuming a cell after a backtrack tries the kinds after its last
-    choice.  Backtracking crosses board boundaries, so an exhausted stack
-    proves that no layout exists.  Raises :class:`UnsolvablePool` with
-    "no consistent assembly found" when none exists, and with "trial budget
-    N exhausted" when ``trial_budget`` runs out first; the default, 100 000
-    plus the number of pieces, suffices whenever no backtracking is needed.
+    pieces.  The search counts the distinct edge tuples (kinds) in one
+    ``Counter``, which numbers them in the order they first appear and
+    holds the stock of each, and reads the kinds' four sides as columns.
+    Kinds with the same W and S edges, and the same answer to whether their
+    E and N edges are boundary marks, are chained in kind order: a dict
+    holds the first of each chain and a list the next kind after each.  A
+    cell starts at the first kind of its chain, and a backtrack resumes it
+    at the kind after its last choice.  Backtracking crosses board
+    boundaries, so an exhausted stack proves that no layout exists.  Raises
+    :class:`UnsolvablePool` with "no consistent assembly found" when none
+    exists, and with "trial budget N exhausted" when ``trial_budget`` runs
+    out first; the default, 100 000 plus the number of pieces, suffices
+    whenever no backtracking is needed.  A ``trial_budget`` that is not
+    ``None`` or an int of at least 1 raises ``ValueError``.
 
     Returns ``(width, height, placed, trials)``: ``placed`` holds the index
     into ``sigs`` of the piece on each cell, board after board, each board
     in the order of :func:`row_major_positions`; ``trials`` counts the
-    pieces tried.  Interchangeable pieces go out in index order.
+    pieces tried.  Interchangeable pieces go out in index order: the
+    indices sorted by kind, stably, give each kind's pieces in a run, and
+    each cell takes the next piece of its kind's run.
     """
+    if trial_budget is not None and (type(trial_budget) is not int or trial_budget < 1):
+        raise ValueError(
+            f"trial_budget must be None or an int of at least 1, got {trial_budget!r}"
+        )
     budget = trial_budget if trial_budget is not None else 100_000 + len(sigs)
-    boards = sum(e[S] == BOUNDARY and e[W] == BOUNDARY for e in sigs)
-    bottom = sum(e[S] == BOUNDARY for e in sigs)
-    left = sum(e[W] == BOUNDARY for e in sigs)
+    counted = Counter(sigs)
+    if not counted:
+        raise UnsolvablePool(_NO_ASSEMBLY)
+    stock = list(counted.values())
+    north, east, south, west = zip(*counted)
+    marks = repeat(BOUNDARY)
+    on_bottom = list(map(eq, south, marks))
+    on_left = list(map(eq, west, marks))
+    boards = sum(compress(stock, map(and_, on_bottom, on_left)))
+    bottom = sum(compress(stock, on_bottom))
+    left = sum(compress(stock, on_left))
     if not boards or bottom % boards or left % boards:
         raise UnsolvablePool(_NO_ASSEMBLY)
     width, height = bottom // boards, left // boards
@@ -248,57 +267,61 @@ def scanline_layout(
     if cells != len(sigs):
         raise UnsolvablePool(_NO_ASSEMBLY)
 
-    # Indices of the pieces sharing each edge tuple, in index order; the
-    # search knows each distinct tuple by its index here, its kind.
-    groups: dict[tuple, list[int]] = {}
-    for index, edges in enumerate(sigs):
-        groups.setdefault(edges, []).append(index)
-    stock = [len(group) for group in groups.values()]
-    east = [edges[E] for edges in groups]
-    north = [edges[N] for edges in groups]
-    candidates: dict[tuple[str, str, bool, bool], list[int]] = {}
-    for kind, edges in enumerate(groups):
-        key = (edges[W], edges[S], edges[E] == BOUNDARY, edges[N] == BOUNDARY)
-        candidates.setdefault(key, []).append(kind)
+    # The chains of kinds by (W, S, E is a mark, N is a mark).  Each ends
+    # at ``end``, a kind past the last whose stock never runs out.
+    end = len(stock)
+    stock.append(1)
+    first: dict[tuple[str, str, bool, bool], int] = {}
+    nxt = [end] * end
+    keys = list(zip(west, south, map(eq, east, marks), map(eq, north, marks)))
+    for kind, key in zip(range(end - 1, -1, -1), reversed(keys)):
+        nxt[kind] = first.get(key, end)
+        first[key] = kind
 
     area = width * height
+    right, top = width - 1, area - width  # the last x and the first top place
     chosen: list[int] = []  # the kind set on each filled cell
-    tried: list[Sequence[int]] = []  # each filled cell's candidates ...
-    cursors: list[int] = []  # ... and the index of its chosen one
-    options = candidates.get((BOUNDARY, BOUNDARY, width == 1, height == 1), ())
-    at = 0
+    kind = first.get((BOUNDARY, BOUNDARY, width == 1, height == 1), end)
     trials = 0
     while True:
-        while at < len(options) and not stock[options[at]]:
-            at += 1
-        if at == len(options):
+        while not stock[kind]:
+            kind = nxt[kind]
+        if kind == end:
+            # The cell has no kind left: take back the last cell's choice
+            # and try the next kind of its chain.
             if not chosen:
                 raise UnsolvablePool(_NO_ASSEMBLY)
-            stock[chosen.pop()] += 1
-            options, at = tried.pop(), cursors.pop() + 1
+            kind = chosen.pop()
+            stock[kind] += 1
+            kind = nxt[kind]
             continue
         trials += 1
         if trials > budget:
             raise UnsolvablePool(f"trial budget {budget} exhausted")
-        kind = options[at]
         stock[kind] -= 1
         chosen.append(kind)
         cell = len(chosen)
         if cell == cells:
-            break
-        tried.append(options)
-        cursors.append(at)
+            break  # a search for a second layout would backtrack from here
         place = cell % area  # the cell's index on its board
         x = place % width
-        west = east[kind] if x else BOUNDARY
-        south = north[chosen[cell - width]] if place >= width else BOUNDARY
-        options = candidates.get(
-            (west, south, x == width - 1, place >= area - width), ()
-        )
-        at = 0
+        kind = first.get((
+            east[kind] if x else BOUNDARY,
+            north[chosen[cell - width]] if place >= width else BOUNDARY,
+            x == right,
+            place >= top,
+        ), end)
 
-    supply = [iter(group) for group in groups.values()]
-    return width, height, [next(supply[kind]) for kind in chosen], trials
+    if end == cells:  # each kind is one piece, numbered by its index
+        return width, height, chosen, trials
+    number = dict(zip(counted, range(end)))
+    kind_of_index = list(map(number.__getitem__, sigs))
+    by_kind = sorted(range(cells), key=kind_of_index.__getitem__)
+    offset = list(accumulate(counted.values(), initial=0))
+    for cell, kind in enumerate(chosen):
+        chosen[cell] = by_kind[offset[kind]]
+        offset[kind] += 1
+    return width, height, chosen, trials
 
 
 def check_edge_coherence(

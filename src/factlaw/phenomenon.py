@@ -40,7 +40,13 @@ there.  :func:`factlaw.integration.complexified_phenomenon` reads its
 words the same way and rests on the second fact and a third: for
 ``n < 2**32``, ``randrange(n)`` takes one 32-bit word w per try and
 returns the first ``w >> (32 - n.bit_length())`` below n; its tests
-compare it with ``tests/oracles.py::reference_stream``.
+compare it with ``tests/oracles.py::reference_stream``.  The draw order
+of a fragment pool, :func:`factlaw.puzzle._draw_order`, rests on the same
+rule and a fourth fact: ``shuffle`` swaps ``x[i]`` with
+``x[_randbelow(i + 1)]`` for ``i`` from ``len(x) - 1`` down to 1, and
+``_randbelow(n)`` is the per-word rule of ``randrange(n)``.  Its tests
+compare it with ``Random.shuffle`` itself, in
+``tests/oracles.py::reference_draw_order``.
 
 ``tally`` counts the same draws per label and lists none; frequency
 experiments use it.  A run is the span of whole top bytes that give one

@@ -37,7 +37,7 @@ from .painting import (
     row_major_positions,
     scanline_layout,
 )
-from .seeding import derive_seed
+from .seeding import WORDS, derive_seed, word_chunk
 from .serialize import read_collection, read_int
 
 # The fragment format: the generator every fragment names, and the aspects
@@ -250,7 +250,9 @@ class FragmentPool:
     given, and keeps them, shuffled, as ``fragments``.  A pool that
     :meth:`from_painting` builds takes its columns from the painting's and
     builds ``fragments``, one :class:`Description` per cell that every
-    replica shares, only when they are first read.
+    replica shares, only when they are first read; its coordinates are
+    the row-major positions of the painting's grid, which the location
+    game lays a full board out by.
     """
 
     fragments: tuple[Description, ...]
@@ -269,6 +271,7 @@ class FragmentPool:
             _order=order,
             _coords=[fragment.grid_coords for fragment in described],
             _edges=list(map(_edges_or_none, described)),
+            _grid=None,
         )
 
     @classmethod
@@ -288,14 +291,15 @@ class FragmentPool:
             raise ValueError(f"replicas must be an int of at least 1, got {replicas!r}")
         seed = read_int(seed, "pool seed")
         located = mode == "location"
+        grid = (painting.width, painting.height)
         return _set_fields(
             object.__new__(cls),
             seed=seed,
             _order=_draw_order(len(painting.forms), replicas, seed),
-            _coords=row_major_positions(painting.width, painting.height)
-            if located else None,
+            _coords=row_major_positions(*grid) if located else None,
             _edges=None if located else painting.edges,
             _forms=painting.forms,
+            _grid=grid,
         )
 
     def __getattr__(self, name: str) -> Any:
@@ -332,11 +336,43 @@ def _set_fields(obj: Any, **fields: Any) -> Any:
 
 def _draw_order(cells: int, replicas: int, seed: int) -> list[int]:
     """The source cell of each draw: ``replicas`` copies of ``range(cells)``
-    shuffled by ``seed``.  A shuffle's swaps depend on the length alone, so
-    this is the order in which a list of the cells' fragments shuffles."""
+    shuffled as ``random.Random(derive_seed(seed, "draw-order")).shuffle``
+    shuffles them.  A shuffle's swaps depend on the length alone, so this
+    is the order in which a list of the cells' fragments shuffles.
+
+    The words are read in bulk (:func:`~factlaw.seeding.word_chunk`), up
+    to 1,024 at a time and at most twice as many as the swaps still to
+    make, not by one ``shuffle`` call.
+    For ``i`` from the last index down to 1, ``shuffle`` swaps item ``i``
+    with item ``w >> shift`` of the first next word ``w`` for which that is
+    at most ``i``, where ``shift`` is ``32 - (i + 1).bit_length()``; so the
+    shift grows by one each time ``i + 1`` falls below a power of two.
+    These are the CPython facts in :mod:`factlaw.phenomenon`'s docstring.
+    They hold below 2**32 draws, and a longer order raises ``ValueError``
+    before any list is built.
+    """
+    draws = cells * replicas
+    if draws >= 1 << 32:
+        raise ValueError(f"a pool holds fewer than 2**32 draws, got {draws}")
     order = list(range(cells)) * replicas
-    random.Random(derive_seed(seed, "draw-order")).shuffle(order)
-    return order
+    if draws < 2:
+        return order
+    rng = random.Random(derive_seed(seed, "draw-order"))
+    i = draws - 1
+    shift = 32 - draws.bit_length()
+    least = (1 << (31 - shift)) - 1  # the least i of this shift
+    while True:
+        # At most twice the swaps left: a small pool reads few words.
+        for word in word_chunk(rng, min(2 * i, WORDS)):
+            j = word >> shift
+            if j <= i:
+                order[i], order[j] = order[j], order[i]
+                i -= 1
+                if i < least:
+                    if not i:
+                        return order
+                    shift += 1
+                    least >>= 1
 
 
 _edge_points = itemgetter(*ASPECT_EDGES)
@@ -372,19 +408,23 @@ def solve_by_location(pool: FragmentPool) -> AssemblyReport:
     replicas, mean the pool is corrupt (:class:`DuplicateCoordinates`).
     """
     order, coords = pool._order, pool._coords
-    if coords is None and order:
-        raise ValueError("fragment carries no coordinates")
-    cells: dict[tuple[int, int], int] = {}  # coordinates -> draw index
-    for draw, source in enumerate(order):
-        pos = coords[source]
-        if pos is None:
-            raise ValueError("fragment carries no coordinates")
-        if pos in cells:
-            raise DuplicateCoordinates(pos)
-        cells[pos] = draw
-    count = len(cells)
-    if not count:
+    if not order:
         raise ValueError("empty pool")
+    if coords is None:
+        raise ValueError("fragment carries no coordinates")
+    # Coordinates -> draw index.  A draw without coordinates leaves a None
+    # key, and a cell drawn twice fewer keys than draws; then the draws are
+    # read again, one by one, to refuse the first of them.
+    cells = dict(zip(map(coords.__getitem__, order), range(len(order))))
+    if None in cells or len(cells) != len(order):
+        seen = set()
+        for pos in map(coords.__getitem__, order):
+            if pos is None:
+                raise ValueError("fragment carries no coordinates")
+            if pos in seen:
+                raise DuplicateCoordinates(pos)
+            seen.add(pos)
+    count = len(cells)
     xs, ys = zip(*cells)
     width, height = max(xs), max(ys)
     # Distinct cells fill the width x height grid from (1, 1) exactly when
@@ -392,7 +432,9 @@ def solve_by_location(pool: FragmentPool) -> AssemblyReport:
     # testing that first keeps far-off coordinates from spanning a huge grid.
     if width * height != count or min(xs) < 1 or min(ys) < 1:
         return AssemblyReport(count, count, 0, (), ())
-    layout = list(map(cells.__getitem__, row_major_positions(width, height)))
+    if pool._grid != (width, height):  # a painting's pool holds its grid's
+        coords = row_major_positions(width, height)  # positions already
+    layout = list(map(cells.__getitem__, coords))
     return AssemblyReport._of_layouts(count, pool, (width, height), [layout], None)
 
 
@@ -403,10 +445,10 @@ def solve_by_borders(
 
     Every pool goes to the scan-line search
     (:func:`factlaw.painting.scanline_layout`), bounded by
-    ``trial_budget``.  A pool is solved whenever its pieces tile full,
-    seam-consistent boards, even boards of different paintings.  Raises
-    :class:`~factlaw.painting.UnsolvablePool` when no assembly exists or the
-    trial budget runs out.
+    ``trial_budget``, ``None`` or an int of at least 1.  A pool is solved
+    whenever its pieces tile full, seam-consistent boards, even boards of
+    different paintings.  Raises :class:`~factlaw.painting.UnsolvablePool`
+    when no assembly exists or the trial budget runs out.
 
     Identical pieces go out in draw order and a board closes with the
     last-drawn of its pieces, so on replicas of one painting board ``j``

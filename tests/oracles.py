@@ -9,7 +9,10 @@ for two degrees of freedom, a plain per-event counter for the cover times
 that bound integration, a first-step Markov chain for their mean, the
 per-draw scale-and-bisect rule that label sampling must reproduce, the
 per-event ``randrange`` loop that the complexified stream must reproduce,
-and a per-draw tally that frequency experiments must agree with.
+a per-draw tally that frequency experiments must agree with, the
+scan-line search as it stood before the kinds were counted and chained
+(per-kind index lists, candidate lists and cursors), and the
+``Random.shuffle`` call that a pool's bulk draw order must reproduce.
 Keeping these in the test tree (and dumb on purpose) is what makes the
 dual-route checks meaningful.
 """
@@ -21,8 +24,13 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import ceil, comb, floor, log
+from typing import Sequence
 
-from factlaw import ForeignElement, FrequencyTable
+from factlaw import ForeignElement, FrequencyTable, UnsolvablePool
+from factlaw.painting import BOUNDARY, E, N, S, W
+from factlaw.seeding import derive_seed
+
+_NO_ASSEMBLY = "no consistent assembly found"
 
 
 def binomial_window_probability(
@@ -264,6 +272,110 @@ def reference_stream(cells, seed: int, n: int) -> list:
     """
     rng = random.Random(seed)
     return [cells[rng.randrange(len(cells))] for _ in repeat(None, n)]
+
+
+def reference_scanline_layout(
+    sigs: Sequence[tuple[str, str, str, str]], trial_budget: int | None = None
+) -> tuple[int, int, list[int], int]:
+    """Lay pieces out on full boards from their (N, E, S, W) edge tuples
+    alone: fill every cell of every board in raster order, backtracking on
+    one stack.
+
+    The boundary marks fix the layout: each board has one piece with
+    boundary S and W edges, ``width`` pieces with a boundary S edge and
+    ``height`` with a boundary W edge.  Cells are filled row by row from
+    the bottom-left corner, board after board.  A cell takes a piece whose
+    W and S edges equal its left and lower neighbours' E and N edges (the
+    boundary mark on the left column and bottom row), and whose E and N
+    edges are the boundary mark exactly on the right column and top row.
+    Pieces with equal edge tuples are interchangeable, so one per tuple is
+    tried; with unique signatures no cell has a second, so trials equal
+    pieces.  The search numbers the distinct edge tuples (kinds) in the
+    order they first appear and files each kind once, under its W and S
+    edges and whether its E and N edges are boundary marks.  A cell keeps
+    the shared list of candidate kinds for its position and a cursor into
+    it, so resuming a cell after a backtrack tries the kinds after its last
+    choice.  Backtracking crosses board boundaries, so an exhausted stack
+    proves that no layout exists.  Raises :class:`UnsolvablePool` with
+    "no consistent assembly found" when none exists, and with "trial budget
+    N exhausted" when ``trial_budget`` runs out first; the default, 100 000
+    plus the number of pieces, suffices whenever no backtracking is needed.
+
+    Returns ``(width, height, placed, trials)``: ``placed`` holds the index
+    into ``sigs`` of the piece on each cell, board after board, each board
+    in the order of :func:`row_major_positions`; ``trials`` counts the
+    pieces tried.  Interchangeable pieces go out in index order.
+    """
+    budget = trial_budget if trial_budget is not None else 100_000 + len(sigs)
+    boards = sum(e[S] == BOUNDARY and e[W] == BOUNDARY for e in sigs)
+    bottom = sum(e[S] == BOUNDARY for e in sigs)
+    left = sum(e[W] == BOUNDARY for e in sigs)
+    if not boards or bottom % boards or left % boards:
+        raise UnsolvablePool(_NO_ASSEMBLY)
+    width, height = bottom // boards, left // boards
+    cells = boards * width * height
+    if cells != len(sigs):
+        raise UnsolvablePool(_NO_ASSEMBLY)
+
+    # Indices of the pieces sharing each edge tuple, in index order; the
+    # search knows each distinct tuple by its index here, its kind.
+    groups: dict[tuple, list[int]] = {}
+    for index, edges in enumerate(sigs):
+        groups.setdefault(edges, []).append(index)
+    stock = [len(group) for group in groups.values()]
+    east = [edges[E] for edges in groups]
+    north = [edges[N] for edges in groups]
+    candidates: dict[tuple[str, str, bool, bool], list[int]] = {}
+    for kind, edges in enumerate(groups):
+        key = (edges[W], edges[S], edges[E] == BOUNDARY, edges[N] == BOUNDARY)
+        candidates.setdefault(key, []).append(kind)
+
+    area = width * height
+    chosen: list[int] = []  # the kind set on each filled cell
+    tried: list[Sequence[int]] = []  # each filled cell's candidates ...
+    cursors: list[int] = []  # ... and the index of its chosen one
+    options = candidates.get((BOUNDARY, BOUNDARY, width == 1, height == 1), ())
+    at = 0
+    trials = 0
+    while True:
+        while at < len(options) and not stock[options[at]]:
+            at += 1
+        if at == len(options):
+            if not chosen:
+                raise UnsolvablePool(_NO_ASSEMBLY)
+            stock[chosen.pop()] += 1
+            options, at = tried.pop(), cursors.pop() + 1
+            continue
+        trials += 1
+        if trials > budget:
+            raise UnsolvablePool(f"trial budget {budget} exhausted")
+        kind = options[at]
+        stock[kind] -= 1
+        chosen.append(kind)
+        cell = len(chosen)
+        if cell == cells:
+            break
+        tried.append(options)
+        cursors.append(at)
+        place = cell % area  # the cell's index on its board
+        x = place % width
+        west = east[kind] if x else BOUNDARY
+        south = north[chosen[cell - width]] if place >= width else BOUNDARY
+        options = candidates.get(
+            (west, south, x == width - 1, place >= area - width), ()
+        )
+        at = 0
+
+    supply = [iter(group) for group in groups.values()]
+    return width, height, [next(supply[kind]) for kind in chosen], trials
+
+
+def reference_draw_order(cells: int, replicas: int, seed: int) -> list[int]:
+    """A pool's draw order by ``Random.shuffle`` itself: ``replicas``
+    copies of ``range(cells)`` shuffled by the pool's derived seed."""
+    order = list(range(cells)) * replicas
+    random.Random(derive_seed(seed, "draw-order")).shuffle(order)
+    return order
 
 
 def frequency_table_from_draws(draws, universe) -> FrequencyTable:

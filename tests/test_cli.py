@@ -24,6 +24,7 @@ from factlaw import (
     painting_from_doc,
     painting_to_doc,
 )
+from factlaw import puzzle
 from factlaw.cli import _COMMANDS, main, run
 from factlaw.integration import HiddenForm, generate_hidden_form
 from factlaw.serialize import (
@@ -221,6 +222,27 @@ def test_play_puzzle_builds_no_object_per_cell(tmp_path, monkeypatch, mode, repl
     assert run("play-puzzle", overrides=params) == 0
     assert load_json(str(report))["completed_replicas"] == replicas
     assert built == Counter()
+
+
+def test_location_op_builds_the_grid_positions_once(tmp_path, monkeypatch):
+    # A painting's location pool holds its grid's row-major positions, and
+    # the game lays its board out by them rather than building them again.
+    spec = PaintingSpec(16, 16, 3, {1: 128, 2: 96, 3: 32}, seed=5)
+    painting = tmp_path / "painting.json"
+    dump_json(painting_to_doc(generate_painting(spec)), str(painting))
+    calls = []
+
+    def counted(width, height, positions=puzzle.row_major_positions):
+        calls.append((width, height))
+        return positions(width, height)
+
+    monkeypatch.setattr(puzzle, "row_major_positions", counted)
+    report = tmp_path / "report.json"
+    params = {"painting": str(painting), "mode": "location", "seed": 2,
+              "report": str(report)}
+    assert run("play-puzzle", overrides=params) == 0
+    assert load_json(str(report))["completed_replicas"] == 1
+    assert calls == [(16, 16)]
 
 
 # --- play-prob-game ---------------------------------------------------------

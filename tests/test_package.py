@@ -34,7 +34,7 @@ from factlaw import (
 )
 from factlaw.integration import HiddenForm
 from factlaw.phenomenon import RandomPhenomenon
-from factlaw.puzzle import Board, FragmentPool, Piece
+from factlaw.puzzle import Board, FragmentPool, Piece, solve_by_borders
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -44,6 +44,8 @@ COIN = RandomPhenomenon("p", Universe((1, 2)), (1, 1))
 COIN_ALGEBRA = generate_algebra(Universe((1, 2)), [{1}, {2}])
 FAIR = Measure.from_counts({1: 1, 2: 1})
 BAD_SEEDS = {"none": None, "half": 2.5, "true": True, "str": "abc"}
+BAD_BUDGETS = {"str": "7", "half": 2.5, "true": True, "object": object(), "zero": 0}
+SMALL_BORDER_POOL = FragmentPool.from_painting(SMALL_PAINTING, "border")
 
 
 def test_every_export_resolves_once():
@@ -244,6 +246,14 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         lambda: meta_probability(COIN, 1, "1/2", [], 10, 2, 0),
         lambda: find_N0(COIN, 1, "1/2", "1/10", "0.1", 2, 0),
         lambda: find_N0(COIN, 1, "1/2", "1/10", None, 2, 0),
+        *[
+            lambda budget=budget: solve_by_borders(SMALL_BORDER_POOL, trial_budget=budget)
+            for budget in BAD_BUDGETS.values()
+        ],
+        *[
+            lambda budget=budget: painting.scanline_layout(SMALL_PAINTING.edges, budget)
+            for budget in BAD_BUDGETS.values()
+        ],
     ],
     ids=(
         "event-sigs-none", "event-sigs-int", "description-points-none",
@@ -266,6 +276,8 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         *[f"end-to-end-seed-{name}" for name in BAD_SEEDS],
         "phenomenon-id-empty", "meta-target-none",
         "meta-epsilon-none", "meta-epsilon-list", "n0-delta-str", "n0-delta-none",
+        *[f"borders-budget-{name}" for name in BAD_BUDGETS],
+        *[f"scanline-budget-{name}" for name in BAD_BUDGETS],
     ),
 )
 def test_wrong_kind_constructor_arguments_raise_value_error(build):

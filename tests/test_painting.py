@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from factlaw import (
     AMBIGUOUS_EDGES,
@@ -11,17 +11,24 @@ from factlaw import (
     InfeasibleSpec,
     Painting,
     PaintingSpec,
+    UNIQUE_EDGES,
     Tile,
+    UnsolvablePool,
     generate_painting,
     hidden_form_from_painting,
     label_histogram,
     painting_from_doc,
     painting_to_doc,
 )
-from factlaw.painting import interior_signature_multiset, row_major_positions
+from factlaw.painting import (
+    interior_signature_multiset,
+    row_major_positions,
+    scanline_layout,
+)
 from factlaw.serialize import read_int
 
 from conftest import REFERENCE_SPEC
+from oracles import reference_scanline_layout
 
 
 def random_spec(rng: random.Random, unique: bool = True) -> PaintingSpec:
@@ -258,3 +265,44 @@ def test_generator_fuzz_respects_invariants(seed, unique):
     if unique:
         multiset = interior_signature_multiset(t.edge_sigs for t in p.tiles)
         assert all(c == 2 for c in multiset.values())
+
+
+def layout_or_refusal(search, sigs, budget):
+    try:
+        return search(sigs, budget)
+    except UnsolvablePool as exc:
+        return f"UnsolvablePool: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from([UNIQUE_EDGES, AMBIGUOUS_EDGES]),
+    st.integers(1, 3),
+    st.sampled_from([None, 7, 50]),
+    st.sampled_from(["none", "swap", "drop"]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_scanline_layout_matches_the_reference(
+    width, height, mode, replicas, budget, tamper, seed, data
+):
+    # The search must lay out, count its trials and refuse exactly as the
+    # reference does, on swapped and missing pieces and tight budgets too.
+    assume(width * height >= 3)
+    spec = PaintingSpec(width, height, 1, {1: width * height}, mode, seed)
+    painting = generate_painting(spec)
+    sigs = list(painting.edges) * replicas
+    random.Random(seed).shuffle(sigs)
+    if tamper != "none":
+        index = data.draw(st.integers(0, len(sigs) - 1))
+        if tamper == "drop":
+            del sigs[index]
+        else:
+            a, b = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+            sides = list(sigs[index])
+            sides[a], sides[b] = sides[b], sides[a]
+            sigs[index] = tuple(sides)
+    expected = layout_or_refusal(reference_scanline_layout, sigs, budget)
+    assert layout_or_refusal(scanline_layout, sigs, budget) == expected

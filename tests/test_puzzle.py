@@ -25,10 +25,10 @@ from factlaw import (
     solve_by_location,
 )
 from factlaw.painting import E, N, painting_to_doc, row_major_positions
-from factlaw.puzzle import _edges_of
+from factlaw.puzzle import _draw_order, _edges_of
 
 from conftest import REFERENCE_SPEC
-from oracles import cover_times
+from oracles import cover_times, reference_draw_order
 
 
 def file_cells(painting):
@@ -427,6 +427,24 @@ def test_pool_order_is_pinned(reference_painting, mode, view, replicas, seed, di
     }
     for fragment in fragments:
         assert fragment == expected[fragment.entity_id]
+
+
+@pytest.mark.parametrize("replicas", [1, 2, 3])
+def test_draw_order_is_that_of_random_shuffle(replicas):
+    # The bulk words must make the swaps of ``Random.shuffle``, across the
+    # lengths where the word's shift changes and across a chunk's end.
+    for cells in [*range(71), 1023, 1024, 1025, 4096]:
+        for seed in (0, 11):
+            expected = reference_draw_order(cells, replicas, seed)
+            assert _draw_order(cells, replicas, seed) == expected
+
+
+@pytest.mark.parametrize("cells, replicas", [(2**32, 1), (1, 2**32), (2**16, 2**16)])
+def test_draw_order_refuses_2_to_the_32_draws(cells, replicas):
+    # From 2**32 draws on, ``shuffle`` takes two words for some draws; the
+    # length is refused before any list is built.
+    with pytest.raises(ValueError, match="fewer than 2\\*\\*32 draws"):
+        _draw_order(cells, replicas, 0)
 
 
 def fragments_by_form(painting, mode):
