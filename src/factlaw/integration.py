@@ -4,11 +4,12 @@ The forward direction (probabilisation) hides an integrated form behind a
 stream of label draws.  This module walks the inverse direction: each draw
 is *complexified* — enriched with a globally registered complexification
 index and four edge signatures.  The :class:`HiddenForm` is the painting's
-own grid seen through that complexified view: its cells are the
-:class:`ComplexifiedEvent` values, row-major like the painting's tiles, and
-the stream emits them as they are.  Its file is a painting's with other
-columns: ``s_prime``, then ``labels``, ``rp`` and ``edges``, written and
-read by the painting module's one grid codec.  :func:`integrate`, waiting
+own grid seen through that complexified view: the painting's row-major
+columns, with an ``rp`` column of complexification indices in place of its
+colour forms, and its cells are the :class:`ComplexifiedEvent` values the
+stream emits as they are.  Its file holds ``s_prime``, then ``labels``,
+``rp`` and ``edges``, written and read by the painting module's one grid
+codec.  :func:`integrate`, waiting
 for ``k`` replicas, adds each distinct complexified event once, on its
 first copy, to one nascent replica of the form: a set of events, with no
 positions, and a count of the sides still waiting for a partner.  Later
@@ -28,9 +29,12 @@ show in one dict per side, so the per-event lookups build no keys.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
+from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Iterator, Mapping
 
 from .painting import (
@@ -40,13 +44,13 @@ from .painting import (
     PaintingSpec,
     UnsolvablePool,
     check_edge_coherence,
-    check_grid,
     edge_tuple,
     generate_painting,
     grid_from_doc,
     grid_to_doc,
     interior_signature_multiset,
     label_histogram,
+    read_columns,
     scanline_layout,
 )
 from .phenomenon import (
@@ -58,7 +62,7 @@ from .phenomenon import (
 )
 from .prob import Measure, Universe
 from .seeding import derive_seed, word_chunk
-from .serialize import read_int
+from .serialize import read_int, read_int_column
 
 
 class BudgetExhausted(RuntimeError):
@@ -115,60 +119,72 @@ class ComplexifiedEvent:
         return self._hash
 
 
+def _checked_event(label: int, rp: int, sigs: tuple, cached_hash: int) -> ComplexifiedEvent:
+    """An event of columns that :class:`HiddenForm` has checked, not checked
+    again; ``cached_hash`` is ``hash((label, rp, sigs))``, as in the constructor."""
+    event = object.__new__(ComplexifiedEvent)
+    fields = event.__dict__
+    fields["label_r"], fields["complexification_r_prime"] = label, rp
+    fields["edge_sigs"], fields["_hash"] = sigs, cached_hash
+    return event
+
+
 @dataclass(frozen=True)
 class HiddenForm:
     """The integrated form the integrator never sees directly.
 
-    A painting-shaped grid whose cells are the :class:`ComplexifiedEvent`
-    each cell emits (label, complexification index, edge signatures),
-    stored row-major from (1, 1) like a painting's columns: the cell at
-    ``(x, y)`` is ``cells[(y - 1) * width + (x - 1)]``.  Unlike a
-    painting, the form keeps one event object per cell, since its stream
-    hands out those very objects.  Within the cloud of
-    any one label, every complexification index is distinct; the index
-    space ``s_prime`` must be at least ten times the largest label count,
-    which operationalizes "complexification indices are drawn from a vastly
-    larger space".
+    A painting-shaped grid held, like a painting, as row-major columns
+    from (1, 1), so a cell's index is the only record of its place:
+    ``labels`` holds the labels, ints that fill 1..s, ``rp`` the
+    complexification indices, ints in 1..``s_prime``, and ``edges`` the
+    (N, E, S, W) tuples of four strings, which keep the seam rule.  Each
+    column is a list or tuple, read into a tuple and checked column by
+    column.  Within the cloud of any one label, every complexification
+    index is distinct; the index space ``s_prime`` must be at least ten
+    times the largest label count, which operationalizes "complexification
+    indices are drawn from a vastly larger space".  ``label_counts`` counts
+    each label's cells, once.  ``cells`` holds the
+    :class:`ComplexifiedEvent` each cell emits, built once from the checked
+    columns, since the stream hands out those very objects.
     """
 
     width: int
     height: int
     s_prime: int
-    cells: tuple[ComplexifiedEvent, ...]
+    labels: tuple[int, ...]
+    rp: tuple[int, ...]
+    edges: tuple[tuple[str, str, str, str], ...]
+    label_counts: dict[int, int] = field(init=False, repr=False, compare=False)
+    cells: tuple[ComplexifiedEvent, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        cells = self.cells
-        check_grid(self.width, self.height, cells, ComplexifiedEvent, "cells")
+        labels, rp, edges = read_columns(self, ("labels", "rp", "edges"))
+        if set(map(type, labels)) | set(map(type, rp)) != {int}:
+            raise ValueError("labels and complexification indices must be ints")
+        if min(labels) < 1 or min(rp) < 1:
+            raise ValueError("labels and complexification indices start at 1")
         if type(self.s_prime) is not int:
             raise ValueError(f"s_prime must be an int, got {self.s_prime!r}")
-        labels = sorted({c.label_r for c in cells})
-        if labels != list(range(1, len(labels) + 1)):
+        counts = dict(Counter(labels))
+        if max(counts) != len(counts):  # distinct labels of at least 1
             raise ValueError("labels must be exactly 1..s with every value present")
-        counts = self.label_counts
         if self.s_prime < 10 * max(counts.values()):
             raise ValueError(
                 "s_prime must be at least 10 x the largest label count"
             )
-        per_label: dict[int, set[int]] = {}
-        for c in cells:
-            r_prime = c.complexification_r_prime
-            if not 1 <= r_prime <= self.s_prime:
-                raise ValueError(f"r_prime {r_prime} outside 1..{self.s_prime}")
-            seen = per_label.setdefault(c.label_r, set())
-            if r_prime in seen:
-                raise ValueError(
-                    f"complexification index {r_prime} repeats within"
-                    f" label {c.label_r}'s cloud"
-                )
-            seen.add(r_prime)
-        check_edge_coherence(self.width, self.height, [c.edge_sigs for c in cells])
-
-    @property
-    def label_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for c in self.cells:
-            counts[c.label_r] = counts.get(c.label_r, 0) + 1
-        return counts
+        if max(rp) > self.s_prime or len(set(zip(labels, rp))) != len(rp):
+            seen = set()  # name the first offender in row-major order
+            for label, r_prime in zip(labels, rp):
+                if r_prime > self.s_prime:
+                    raise ValueError(f"r_prime {r_prime} outside 1..{self.s_prime}")
+                if (label, r_prime) in seen:
+                    raise ValueError(f"complexification index {r_prime} repeats"
+                                     f" within label {label}'s cloud")
+                seen.add((label, r_prime))
+        check_edge_coherence(self.width, self.height, edges)
+        object.__setattr__(self, "label_counts", counts)
+        hashes = map(hash, zip(labels, rp, edges))
+        object.__setattr__(self, "cells", tuple(map(_checked_event, labels, rp, edges, hashes)))
 
     def normalized_histogram(self) -> dict[int, Fraction]:
         """The exact law a correct integration must recover."""
@@ -178,28 +194,18 @@ class HiddenForm:
         """The grid file of the form: ``labels``, ``rp`` and ``edges``
         columns after ``s_prime``, as :func:`~factlaw.painting.grid_to_doc`
         writes them."""
-        cells = self.cells
-        columns = {
-            "labels": [c.label_r for c in cells],
-            "rp": [c.complexification_r_prime for c in cells],
-        }
+        columns = {"labels": self.labels, "rp": self.rp}
         size = ("s_prime", self.s_prime)
-        edges = [c.edge_sigs for c in cells]
-        return grid_to_doc(self.width, self.height, size, columns, edges)
+        return grid_to_doc(self.width, self.height, size, columns, self.edges)
 
     @classmethod
     def from_doc(cls, doc: Mapping[str, Any]) -> "HiddenForm":
         """Inverse of :meth:`to_doc`, by :func:`~factlaw.painting.grid_from_doc`."""
-        width, height, s_prime, columns = grid_from_doc(
+        width, height, s_prime, (labels, rp, edges) = grid_from_doc(
             doc, "s_prime", ("labels", "rp")
         )
-        return cls(width, height, s_prime, tuple(map(_event_from_doc, *columns)))
-
-
-def _event_from_doc(label: Any, rp: Any, edges: list) -> ComplexifiedEvent:
-    return ComplexifiedEvent(
-        read_int(label, "cell label"), read_int(rp, "cell rp"), edges
-    )
+        labels = read_int_column(labels, "cell label")
+        return cls(width, height, s_prime, labels, read_int_column(rp, "cell rp"), edges)
 
 
 def hidden_form_from_painting(painting: Painting, seed: int = 0) -> HiddenForm:
@@ -213,15 +219,11 @@ def hidden_form_from_painting(painting: Painting, seed: int = 0) -> HiddenForm:
     histogram = label_histogram(painting)
     s_prime = 10 * max(histogram.values())
     rng = random.Random(derive_seed(seed, "complexification"))
-    index_pool = {
-        j: rng.sample(range(1, s_prime + 1), k=histogram[j]) for j in histogram
-    }
-    used = {j: iter(pool) for j, pool in index_pool.items()}
-    cells = tuple(
-        ComplexifiedEvent(label, next(used[label]), edges)
-        for label, edges in zip(painting.labels, painting.edges)
+    pools = {j: iter(rng.sample(range(1, s_prime + 1), k=n)) for j, n in histogram.items()}
+    rp = tuple(map(next, map(pools.__getitem__, painting.labels)))
+    return HiddenForm(
+        painting.width, painting.height, s_prime, painting.labels, rp, painting.edges
     )
-    return HiddenForm(painting.width, painting.height, s_prime, cells)
 
 
 def generate_hidden_form(spec: PaintingSpec) -> HiddenForm:
@@ -263,14 +265,9 @@ def _cell_stream(cells: tuple, seed: int) -> Iterator[ComplexifiedEvent]:
 
 def label_projection(form: HiddenForm, seed: int = 0) -> RandomPhenomenon:
     """The bare-label shadow of the complexified stream, as a phenomenon."""
-    counts = form.label_counts
-    universe = Universe(tuple(sorted(counts)))
-    return RandomPhenomenon(
-        procedure_id="uniform-cell-draw",
-        universe=universe,
-        weights=tuple(counts[r] for r in universe.elements),
-        seed=seed,
-    )
+    counts = dict(sorted(form.label_counts.items()))
+    universe = Universe(tuple(counts))
+    return RandomPhenomenon("uniform-cell-draw", universe, tuple(counts.values()), seed)
 
 
 # --- the integration side ---------------------------------------------------
@@ -336,18 +333,21 @@ class IntegrationResult:
         }
 
 
+_END = object()  # what a stream's next() gives once it has ended
+
+
 class _Replicas:
     """The one nascent replica of a stream, waiting for ``k`` copies to close.
 
     ``ids`` maps each distinct event to its id, its index in ``events`` and
     ``copies``; an event gets one on its first copy.  ``shown`` holds one
     dict per side, N, E, S, W, that maps each non-boundary signature shown
-    on that side to the number and the event that first showed it, so no
+    on that side to the number of the event that first showed it, so no
     lookup builds a ``(side, signature)`` key.  ``open`` counts the
     non-boundary sides of the joined events whose partner has not arrived,
     and ``drawn[j]``, for ``j < k``, the events drawn more than ``j``
     times.  ``completed`` lists the number of the event that closed each
-    replica, in order.
+    replica, in order, and ``consumed`` counts the events read.
     """
 
     def __init__(self, k: int):
@@ -355,50 +355,77 @@ class _Replicas:
         self.ids: dict[ComplexifiedEvent, int] = {}
         self.events: list[ComplexifiedEvent] = []
         self.copies: list[int] = []
-        self.shown: tuple[dict[str, tuple[int, ComplexifiedEvent]], ...] = (
-            {}, {}, {}, {}
-        )
+        self.shown: tuple[dict[str, int], ...] = ({}, {}, {}, {})
         self.open = 0
         self.drawn = [0] * k
         self.completed: list[int] = []
+        self.consumed = 0
 
-    def add(self, event: ComplexifiedEvent, number: int) -> None:
-        """Count the ``number``-th event of the stream: a new event joins
-        the replica, one of its next ``k - 1`` copies raises ``drawn``, and
-        a later copy does nothing.
+    def consume(self, stream: Iterable[ComplexifiedEvent], max_events: int) -> None:
+        """Read events until ``k`` replicas have closed or ``stream`` ends;
+        an event past the ``max_events``-th read raises
+        :class:`BudgetExhausted`.
 
+        A new event joins the replica (see :meth:`_join`), one of its next
+        ``k - 1`` copies raises ``drawn``, and a later copy does nothing.
         Replica ``j + 1`` closes when no side waits for a partner and
-        ``drawn[j]`` reaches the number of events, after replica ``j``
-        has."""
-        i = self.ids.get(event)
-        if i is None:
-            for side, (sig, shown) in enumerate(zip(event.edge_sigs, self.shown)):
-                if sig == BOUNDARY:
+        ``drawn[j]`` reaches the number of events, after replica ``j`` has.
+        No side waits once the first replica has closed, and no event joins
+        after it, so from then on that number is ``closes``; before, it is
+        0, which no count reaches.  A known event costs one lookup."""
+        k, completed = self.k, self.completed
+        get, copies, drawn = self.ids.get, self.copies, self.drawn
+        closes = len(copies) if completed else 0
+        stream = iter(stream)
+        number = self.consumed
+        for number, event in enumerate(islice(stream, max_events - number), number + 1):
+            i = get(event)
+            if i is None:
+                self._join(event, number)
+                if completed:
+                    closes = len(copies)
+            else:
+                c = copies[i]
+                if c == k:
                     continue
-                first, _ = shown.setdefault(sig, (number, event))
-                if first != number:
-                    raise AmbiguousStream(
-                        f"event {number}: {'NESW'[side]} signature {sig}"
-                        f" was first shown by event {first}; integration"
-                        " needs unique edge signatures"
-                    )
-            self._join(event, number)
-            return
-        copies = self.copies[i]
-        if copies == self.k:
-            return
-        self.copies[i] = copies + 1
-        self.drawn[copies] += 1
-        if not self.open and self.drawn[copies] == len(self.events):
-            self.completed.append(number)
+                copies[i] = c + 1
+                drawn[c] = d = drawn[c] + 1
+                if d != closes:
+                    continue
+                completed.append(number)
+            if len(completed) >= k:
+                break
+        else:
+            if next(stream, _END) is not _END:
+                raise BudgetExhausted(
+                    f"{max_events} events consumed,"
+                    f" {len(completed)} of {k} replicas complete"
+                )
+        self.consumed = number
 
     def _join(self, event: ComplexifiedEvent, number: int) -> None:
-        """Add a new event to the replica and shut each of its sides whose
-        partner, the event that shows its signature on the facing side, has
-        arrived.  When no side is left open, the first replica closes once
-        the scan-line search lays the events out as exactly one full board;
-        otherwise the event raises :class:`AmbiguousStream`.  A new event
-        after that closure raises :class:`InconsistentReplicas`."""
+        """Add the ``number``-th event, a new one, to the replica and shut
+        each of its sides whose partner, the event that shows its signature
+        on the facing side, has arrived.  A side and signature that an
+        earlier event showed raise :class:`AmbiguousStream`.  When no side
+        is left open, the first replica closes once the scan-line search
+        lays the events out as exactly one full board; otherwise the event
+        raises :class:`AmbiguousStream`.  A new event after that closure
+        raises :class:`InconsistentReplicas`."""
+        shown, still_open = self.shown, self.open
+        for side, sig in enumerate(event.edge_sigs):
+            if sig == BOUNDARY:
+                continue
+            first = shown[side].setdefault(sig, number)
+            if first != number:
+                raise AmbiguousStream(
+                    f"event {number}: {'NESW'[side]} signature {sig}"
+                    f" was first shown by event {first}; integration"
+                    " needs unique edge signatures"
+                )
+            # The side opens, or shuts with its partner's, that of the event
+            # that showed its signature on the facing side, perhaps this one.
+            still_open += -1 if sig in shown[OPPOSITE[side]] else 1
         if self.completed:
             raise InconsistentReplicas(
                 f"event {number}: a new event after event {self.completed[0]}"
@@ -408,16 +435,6 @@ class _Replicas:
         self.events.append(event)
         self.copies.append(1)
         self.drawn[0] += 1
-        shown = self.shown
-        still_open = self.open + 4 - event.edge_sigs.count(BOUNDARY)
-        for d, sig in enumerate(event.edge_sigs):
-            if sig == BOUNDARY:
-                continue
-            _, partner = shown[OPPOSITE[d]].get(sig, (0, None))
-            if partner is not None:
-                # A pair shuts two sides; an event that is its own partner
-                # meets this pair once from each side.
-                still_open -= 1 if partner is event else 2
         self.open = still_open
         if still_open:
             return
@@ -434,23 +451,11 @@ class _Replicas:
         self.completed.append(number)
 
 
-def _counts(
-    events: list[ComplexifiedEvent],
-) -> tuple[int, dict[tuple[int, int], int], dict[int, int]]:
-    pair_counts: dict[tuple[int, int], int] = {}
-    label_counts: dict[int, int] = {}
-    for event in events:
-        pair = (event.label_r, event.complexification_r_prime)
-        pair_counts[pair] = pair_counts.get(pair, 0) + 1
-        label_counts[event.label_r] = label_counts.get(event.label_r, 0) + 1
-    return len(events), pair_counts, label_counts
-
-
 def check_integrable(form: HiddenForm) -> None:
     """Refuse a form on which an interior signature lies on more than one
     seam: there integration can close a smaller board and report a wrong
     law.  Raises :class:`AmbiguousStream` naming the first such signature."""
-    counts = interior_signature_multiset(cell.edge_sigs for cell in form.cells)
+    counts = interior_signature_multiset(form.edges)
     for sig, count in counts.items():
         if count > 2:
             raise AmbiguousStream(
@@ -511,32 +516,22 @@ def integrate(
         config = IntegrationConfig()
     needed = config.confirmation_replicas
     replicas = _Replicas(needed)
-    events = 0
-    for event in stream:
-        if events >= config.max_events:
-            raise BudgetExhausted(
-                f"{config.max_events} events consumed,"
-                f" {len(replicas.completed)} of {needed} replicas complete"
-            )
-        events += 1
-        replicas.add(event, events)
-        if len(replicas.completed) >= needed:
-            break
-    else:
+    replicas.consume(stream, config.max_events)
+    if len(replicas.completed) < needed:
         raise BudgetExhausted(
             f"stream ended with {len(replicas.completed)} of {needed}"
             " replicas complete"
         )
-    n_total, pair_counts, label_counts = _counts(replicas.events)
-    per_label = dict(sorted(label_counts.items()))
+    pairs = list(map(attrgetter("label_r", "complexification_r_prime"), replicas.events))
+    per_label = dict(sorted(Counter(map(itemgetter(0), pairs)).items()))
     return IntegrationResult(
-        n_phi_total=n_total,
-        per_pair_counts=pair_counts,
+        n_phi_total=len(pairs),
+        per_pair_counts=Counter(pairs),
         per_label=per_label,
         total_labels=sum(per_label.values()),
         law=Measure.from_counts(per_label),
         replicas_used_for_confirmation=needed,
-        events_consumed=events,
+        events_consumed=replicas.consumed,
         completion_log=tuple(enumerate(replicas.completed)),
     )
 

@@ -22,14 +22,14 @@ grid to check entry by entry.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import and_, eq
 from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from .seeding import derive_seed
-from .serialize import read_int
+from .serialize import read_int, read_int_column
 
 BOUNDARY = "B"
 
@@ -161,14 +161,18 @@ def edge_tuple(sigs: Iterable[str]) -> tuple[str, str, str, str]:
     return sigs  # type: ignore[return-value]
 
 
-def _edge_column(
+def edge_column(
     column: Sequence[Iterable[str]],
 ) -> tuple[tuple[str, str, str, str], ...]:
     """Each entry of ``column`` as :func:`edge_tuple` reads it, as one tuple;
     an entry that it refuses raises its ``ValueError``.  Well-formed columns
-    are read in C loops: a tuple entry is kept as it is."""
+    are read in C loops: a tuple entry is kept as it is, and so is a tuple
+    column of tuple entries."""
     try:
-        edges = tuple(map(tuple, column))
+        if type(column) is tuple and set(map(type, column)) <= {tuple}:
+            edges = column
+        else:
+            edges = tuple(map(tuple, column))
         if set(map(len, edges)) <= {4}:
             "".join(chain.from_iterable(edges))
             return edges
@@ -206,6 +210,26 @@ def check_grid_size(width: int, height: int, count: int, what: str) -> None:
         raise ValueError(f"expected {width * height} {what}, got {count}")
 
 
+def read_columns(grid: Any, names: Sequence[str]) -> list[tuple]:
+    """Read the named columns of the frozen ``grid`` in place, and return
+    them: each must be a list or tuple whose length
+    :func:`check_grid_size` accepts for ``grid.width`` and ``grid.height``
+    (all are checked before any is read), and is kept as a tuple;
+    ``edges`` is read by :func:`edge_column`."""
+    for name in names:
+        column = getattr(grid, name)
+        if type(column) not in (list, tuple):
+            raise ValueError(f"{name} must be a list or tuple, got {column!r}")
+        check_grid_size(grid.width, grid.height, len(column), name)
+    columns = []
+    for name in names:
+        column = getattr(grid, name)
+        column = edge_column(column) if name == "edges" else tuple(column)
+        object.__setattr__(grid, name, column)
+        columns.append(column)
+    return columns
+
+
 def scanline_layout(
     sigs: Sequence[tuple[str, str, str, str]], trial_budget: int | None = None
 ) -> tuple[int, int, list[int], int]:
@@ -222,9 +246,11 @@ def scanline_layout(
     edges are the boundary mark exactly on the right column and top row.
     Pieces with equal edge tuples are interchangeable, so one per tuple is
     tried; with unique signatures no cell has a second, so trials equal
-    pieces.  The search counts the distinct edge tuples (kinds) in one
-    ``Counter``, which numbers them in the order they first appear and
-    holds the stock of each, and reads the kinds' four sides as columns.
+    pieces.  The search numbers the distinct edge tuples (kinds) in the
+    order they first appear, in one pass that hashes each tuple once and
+    gives each piece its kind; where kinds repeat, it files each kind's
+    pieces in index order and counts its stock from them.  It reads the
+    kinds' four sides as columns.
     Kinds with the same W and S edges, and the same answer to whether their
     E and N edges are boundary marks, are chained in kind order: a dict
     holds the first of each chain and a list the next kind after each.  A
@@ -240,20 +266,28 @@ def scanline_layout(
     Returns ``(width, height, placed, trials)``: ``placed`` holds the index
     into ``sigs`` of the piece on each cell, board after board, each board
     in the order of :func:`row_major_positions`; ``trials`` counts the
-    pieces tried.  Interchangeable pieces go out in index order: the
-    indices sorted by kind, stably, give each kind's pieces in a run, and
-    each cell takes the next piece of its kind's run.
+    pieces tried.  Interchangeable pieces go out in index order: each cell
+    takes the next piece of its kind's file.
     """
     if trial_budget is not None and (type(trial_budget) is not int or trial_budget < 1):
         raise ValueError(
             f"trial_budget must be None or an int of at least 1, got {trial_budget!r}"
         )
     budget = trial_budget if trial_budget is not None else 100_000 + len(sigs)
-    counted = Counter(sigs)
-    if not counted:
+    # One hash per edge tuple: ``kinds`` maps each distinct tuple to the
+    # index of its first piece, which ``kind_of`` holds for every piece.
+    kinds: dict[tuple[str, str, str, str], int] = {}
+    kind_of = list(map(kinds.setdefault, sigs, count()))
+    if not kinds:
         raise UnsolvablePool(_NO_ASSEMBLY)
-    stock = list(counted.values())
-    north, east, south, west = zip(*counted)
+    end = len(kinds)
+    if end == len(sigs):
+        stock = [1] * end
+    else:  # each kind's pieces, in index order
+        pieces = dict(zip(kinds.values(), map(list, repeat((), end))))
+        deque(map(list.append, map(pieces.__getitem__, kind_of), count()), maxlen=0)
+        stock = list(map(len, pieces.values()))
+    north, east, south, west = zip(*kinds)
     marks = repeat(BOUNDARY)
     on_bottom = list(map(eq, south, marks))
     on_left = list(map(eq, west, marks))
@@ -269,7 +303,6 @@ def scanline_layout(
 
     # The chains of kinds by (W, S, E is a mark, N is a mark).  Each ends
     # at ``end``, a kind past the last whose stock never runs out.
-    end = len(stock)
     stock.append(1)
     first: dict[tuple[str, str, bool, bool], int] = {}
     nxt = [end] * end
@@ -314,14 +347,8 @@ def scanline_layout(
 
     if end == cells:  # each kind is one piece, numbered by its index
         return width, height, chosen, trials
-    number = dict(zip(counted, range(end)))
-    kind_of_index = list(map(number.__getitem__, sigs))
-    by_kind = sorted(range(cells), key=kind_of_index.__getitem__)
-    offset = list(accumulate(counted.values(), initial=0))
-    for cell, kind in enumerate(chosen):
-        chosen[cell] = by_kind[offset[kind]]
-        offset[kind] += 1
-    return width, height, chosen, trials
+    queues = list(map(iter, pieces.values()))
+    return width, height, list(map(next, map(queues.__getitem__, chosen))), trials
 
 
 def check_edge_coherence(
@@ -383,7 +410,7 @@ class Painting:
     """An integrated grid of tiles; immutable once constructed.
 
     The painting keeps its cells as three columns, row-major from the
-    bottom-left origin (1, 1) like :attr:`HiddenForm.cells`, so a cell's
+    bottom-left origin (1, 1) like a :class:`HiddenForm`'s, so a cell's
     index is the only record of its place: ``forms`` holds the distinct,
     non-empty colour-form ids, ``labels`` the approximate-colour labels,
     ints that fill the palette 1..``palette_q``, and ``edges`` the
@@ -400,15 +427,7 @@ class Painting:
     edges: tuple[tuple[str, str, str, str], ...]
 
     def __post_init__(self) -> None:
-        for name in ("forms", "labels", "edges"):
-            column = getattr(self, name)
-            if type(column) not in (list, tuple):
-                raise ValueError(f"{name} must be a list or tuple, got {column!r}")
-            check_grid_size(self.width, self.height, len(column), name)
-        forms, labels = tuple(self.forms), tuple(self.labels)
-        object.__setattr__(self, "forms", forms)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "edges", _edge_column(self.edges))
+        forms, labels, _ = read_columns(self, ("forms", "labels", "edges"))
         if type(self.palette_q) is not int:
             raise ValueError(f"palette_q must be an int, got {self.palette_q!r}")
         try:
@@ -583,6 +602,4 @@ def painting_to_doc(painting: Painting) -> dict[str, Any]:
 def painting_from_doc(doc: Mapping[str, Any]) -> Painting:
     width, height, q, columns = grid_from_doc(doc, "q", ("forms", "labels"))
     forms, labels, edges = columns
-    if set(map(type, labels)) != {int}:
-        labels = [read_int(label, "tile label") for label in labels]
-    return Painting(width, height, q, forms, labels, edges)
+    return Painting(width, height, q, forms, read_int_column(labels, "tile label"), edges)

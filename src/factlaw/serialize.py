@@ -44,6 +44,14 @@ def read_int(value: Any, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def read_int_column(column: list, what: str) -> list:
+    """``column`` with each entry read by :func:`read_int`; a column of
+    ints is returned as it is, after one C loop over its types."""
+    if set(map(type, column)) == {int}:
+        return column
+    return [read_int(value, what) for value in column]
+
+
 def read_collection(kind: type, value: Any) -> Any:
     """``kind(value)``, with the ``TypeError`` of a value of the wrong kind
     (``None``, a number for a collection, an unhashable member for a set)

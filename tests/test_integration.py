@@ -51,7 +51,7 @@ def blank_event(label, r_prime=1):
     return ComplexifiedEvent(label, r_prime, BLANK)
 
 
-TRIVIAL_FORM = HiddenForm(1, 1, 10, (blank_event(1),))
+TRIVIAL_FORM = HiddenForm(1, 1, 10, (1,), (1,), (BLANK,))
 
 
 # --- complexified events and hidden forms -----------------------------------
@@ -96,8 +96,8 @@ def test_hidden_form_from_painting_carries_structure_over(reference_painting):
 
 def test_complexification_space_guardrail(reference_form):
     with pytest.raises(ValueError, match="at least 10 x"):
-        HiddenForm(10, 10, 599, reference_form.cells)
-    roomy = HiddenForm(10, 10, 1000, reference_form.cells)
+        dataclasses.replace(reference_form, s_prime=599)
+    roomy = dataclasses.replace(reference_form, s_prime=1000)
     assert roomy.s_prime == 1000
 
 
@@ -112,21 +112,18 @@ def test_indices_are_unique_within_each_label_cloud(reference_painting):
 
 
 def test_hidden_form_rejects_repeating_indices():
-    cells = (
-        ComplexifiedEvent(1, 5, (B, "e", B, B)),
-        ComplexifiedEvent(1, 5, (B, B, B, "e")),
-    )
-    with pytest.raises(ValueError):
-        HiddenForm(2, 1, 20, cells)
+    edges = ((B, "e", B, B), (B, B, B, "e"))
+    with pytest.raises(ValueError, match="^complexification index 5 repeats within"):
+        HiddenForm(2, 1, 20, (1, 1), (5, 5), edges)
 
 
 def test_hidden_form_rejects_label_gaps_and_bad_coverage():
     with pytest.raises(ValueError):
-        HiddenForm(1, 1, 10, (blank_event(3),))
+        HiddenForm(1, 1, 10, (3,), (1,), (BLANK,))
     with pytest.raises(ValueError):
-        HiddenForm(2, 1, 10, (blank_event(1),))
+        HiddenForm(2, 1, 10, (1,), (1,), (BLANK,))
     with pytest.raises(ValueError, match="extents must be positive"):
-        HiddenForm(0, 0, 10, ())
+        HiddenForm(0, 0, 10, (), (), ())
 
 
 def test_hidden_form_doc_round_trip(reference_form):
@@ -139,6 +136,24 @@ def test_hidden_form_doc_round_trip(reference_form):
     assert HiddenForm.from_doc(doc).to_doc() == doc
     with pytest.raises(ValueError, match="^expected 100 rp, got 99$"):
         HiddenForm.from_doc(dict(doc, rp=doc["rp"][:-1]))
+
+
+def test_hidden_form_builds_the_events_its_constructor_would(reference_form):
+    # The form builds its events from the checked columns without the
+    # event constructor; each must equal, and hash like, the one it builds.
+    form = HiddenForm.from_doc(reference_form.to_doc())
+    assert form == reference_form
+    assert form.label_counts == reference_form.label_counts
+    for event, label, rp, sigs in zip(form.cells, form.labels, form.rp, form.edges):
+        built = ComplexifiedEvent(label, rp, sigs)
+        assert event == built and hash(event) == hash(built)
+        assert vars(event) == vars(built)
+
+
+def test_hidden_form_shares_the_painting_columns(reference_painting):
+    form = hidden_form_from_painting(reference_painting, seed=3)
+    assert form.labels is reference_painting.labels
+    assert form.edges is reference_painting.edges
 
 
 def test_generate_hidden_form_is_deterministic():
@@ -599,8 +614,7 @@ def test_every_law_is_certified_by_the_scanline_search(
         return
     # The counted events are those that joined the replica.
     replicas = _Replicas(k)
-    for number, event in enumerate(events[: result.events_consumed], 1):
-        replicas.add(event, number)
+    replicas.consume(events[: result.events_consumed], result.events_consumed)
     counted = replicas.events
     width, height, _, _ = scanline_layout([event.edge_sigs for event in counted])
     assert width * height == len(counted)
@@ -646,8 +660,8 @@ def swapped_stream(form, seed):
 def test_groups_stay_consistent_after_every_event(reference_form, stream, clash):
     replicas = _Replicas(3)
     try:
-        for number, event in enumerate(stream(reference_form, 8), 1):
-            replicas.add(event, number)
+        for event in stream(reference_form, 8):
+            replicas.consume((event,), 10_000)
             assert_open_counts_are_recounted(replicas)
             if len(replicas.completed) == 3:
                 break

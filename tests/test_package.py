@@ -203,8 +203,8 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         lambda: Description(1, 2, {}),
         lambda: Painting(2, 1, 1, None, (1, 1), SMALL_PAINTING.edges),
         lambda: Painting(2, 1, 1, (1, 2), (1, 1), SMALL_PAINTING.edges),
-        lambda: HiddenForm(2, 1, 20, None),
-        lambda: HiddenForm(2, 1, 20, (1, 2)),
+        lambda: HiddenForm(2, 1, 20, None, SMALL_FORM.rp, SMALL_FORM.edges),
+        lambda: HiddenForm(2, 1, 20, SMALL_FORM.labels, SMALL_FORM.rp, (1, 2)),
         lambda: Tile("cf", 1, (1, 2, 3, 4)),
         lambda: Measure(None),
         lambda: Universe(None),
@@ -263,7 +263,7 @@ def test_a_test_imports_private_names_only_from_its_own_module():
         "piece-edges-one", "board-pieces-none", "board-pieces-of-none",
         "description-ids-int",
         "painting-forms-none", "painting-forms-of-ints",
-        "form-cells-none", "form-cells-of-ints", "tile-sigs-int",
+        "form-labels-none", "form-edges-of-ints", "tile-sigs-int",
         "measure-none", "universe-none", "phenomenon-none", "table-none",
         "algebra-none", "pool-none", "pool-of-ints", "pool-seed-str",
         "pool-seed-none", "measure-weight-none", "measure-weight-inf", "counts-str",
@@ -297,7 +297,10 @@ VALID_CALLS = {
         width=2, height=1, palette_q=1, forms=SMALL_PAINTING.forms,
         labels=SMALL_PAINTING.labels, edges=SMALL_PAINTING.edges,
     ),
-    HiddenForm: dict(width=2, height=1, s_prime=SMALL_FORM.s_prime, cells=SMALL_FORM.cells),
+    HiddenForm: dict(
+        width=2, height=1, s_prime=SMALL_FORM.s_prime, labels=SMALL_FORM.labels,
+        rp=SMALL_FORM.rp, edges=SMALL_FORM.edges,
+    ),
     PaintingSpec: dict(
         width=2, height=1, q=1, label_counts={1: 2}, uniqueness_mode=UNIQUE_EDGES, seed=0
     ),

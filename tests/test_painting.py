@@ -158,7 +158,7 @@ def test_grids_refuse_extents_that_are_not_ints(grid, extent):
         fields = (painting.palette_q, painting.forms, painting.labels, painting.edges)
     else:
         form = hidden_form_from_painting(painting)
-        fields = (form.s_prime, form.cells)
+        fields = (form.s_prime, form.labels, form.rp, form.edges)
     grid(width, 2, *fields)
     with pytest.raises(ValueError, match="^grid extents must be ints, got "):
         grid(extent, 2, *fields)

@@ -190,6 +190,19 @@ def test_tally_when_no_top_byte_holds_a_cut(weights):
         assert ph.tally(n) == tallied(labels, draws)
 
 
+@pytest.mark.parametrize("q", [8, 9, 17])
+def test_tally_at_the_edges_of_a_run_group(q):
+    # tally counts runs in groups of eight, one one-hot bit each: 8 runs
+    # fill one group, 9 and 17 open a group for one run.  4,097 draws end
+    # in a chunk of one draw, whose int has no bytes past the first.
+    labels = tuple(range(q))
+    weights = (1,) * q
+    ph = RandomPhenomenon("weighted-draw", Universe(labels), weights, seed=4)
+    assert len(ph._run_labels) == q
+    for n in (1, 4_097):
+        assert ph.tally(n) == tallied(labels, reference_draws(labels, weights, n, 4))
+
+
 def least_float_reaching(running: int, total: int) -> float:
     """The least float x >= 0 with ``running <= x * total``, by bisection
     over the bit patterns of the floats in [0, 2], which sort like their values.
