@@ -29,10 +29,10 @@ show in one dict per side, so the per-event lookups build no keys.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import comb, factorial
 from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Iterator, Mapping
@@ -119,14 +119,19 @@ class ComplexifiedEvent:
         return self._hash
 
 
-def _checked_event(label: int, rp: int, sigs: tuple, cached_hash: int) -> ComplexifiedEvent:
-    """An event of columns that :class:`HiddenForm` has checked, not checked
-    again; ``cached_hash`` is ``hash((label, rp, sigs))``, as in the constructor."""
-    event = object.__new__(ComplexifiedEvent)
-    fields = event.__dict__
-    fields["label_r"], fields["complexification_r_prime"] = label, rp
-    fields["edge_sigs"], fields["_hash"] = sigs, cached_hash
-    return event
+_EVENT_FIELDS = ("label_r", "complexification_r_prime", "edge_sigs", "_hash")
+
+
+def _checked_events(labels: tuple, rp: tuple, edges: tuple) -> tuple[ComplexifiedEvent, ...]:
+    """The events of columns that :class:`HiddenForm` has checked, not checked
+    again, each with the constructor's cached ``hash((label, rp, sigs))``.
+    The fields are set in C loops, in the constructor's order, so the events
+    keep their values inline as constructed ones do, with no dict each."""
+    events = tuple(map(object.__new__, repeat(ComplexifiedEvent, len(labels))))
+    hashes = map(hash, zip(labels, rp, edges))
+    for name, column in zip(_EVENT_FIELDS, (labels, rp, edges, hashes)):
+        deque(map(object.__setattr__, events, repeat(name), column), maxlen=0)
+    return events
 
 
 @dataclass(frozen=True)
@@ -183,8 +188,7 @@ class HiddenForm:
                 seen.add((label, r_prime))
         check_edge_coherence(self.width, self.height, edges)
         object.__setattr__(self, "label_counts", counts)
-        hashes = map(hash, zip(labels, rp, edges))
-        object.__setattr__(self, "cells", tuple(map(_checked_event, labels, rp, edges, hashes)))
+        object.__setattr__(self, "cells", _checked_events(labels, rp, edges))
 
     def normalized_histogram(self) -> dict[int, Fraction]:
         """The exact law a correct integration must recover."""
