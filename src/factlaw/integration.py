@@ -120,13 +120,16 @@ class ComplexifiedEvent:
 
 
 _EVENT_FIELDS = ("label_r", "complexification_r_prime", "edge_sigs", "_hash")
+# CPython 3.11+ takes a free slot from a class's shared attribute keys per
+# instance made, so a form's bare events, made in bulk, would leave room for
+# one name and get a dict each: this event enters all four names first.
+ComplexifiedEvent(1, 1, (BOUNDARY,) * 4)
 
 
 def _checked_events(labels: tuple, rp: tuple, edges: tuple) -> tuple[ComplexifiedEvent, ...]:
     """The events of columns that :class:`HiddenForm` has checked, not checked
-    again, each with the constructor's cached ``hash((label, rp, sigs))``.
-    The fields are set in C loops, in the constructor's order, so the events
-    keep their values inline as constructed ones do, with no dict each."""
+    again, each with the constructor's cached ``hash((label, rp, sigs))``,
+    its fields set in C loops and kept inline, with no dict each."""
     events = tuple(map(object.__new__, repeat(ComplexifiedEvent, len(labels))))
     hashes = map(hash, zip(labels, rp, edges))
     for name, column in zip(_EVENT_FIELDS, (labels, rp, edges, hashes)):
@@ -174,9 +177,7 @@ class HiddenForm:
         if max(counts) != len(counts):  # distinct labels of at least 1
             raise ValueError("labels must be exactly 1..s with every value present")
         if self.s_prime < 10 * max(counts.values()):
-            raise ValueError(
-                "s_prime must be at least 10 x the largest label count"
-            )
+            raise ValueError("s_prime must be at least 10 x the largest label count")
         if max(rp) > self.s_prime or len(set(zip(labels, rp))) != len(rp):
             seen = set()  # name the first offender in row-major order
             for label, r_prime in zip(labels, rp):

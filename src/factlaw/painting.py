@@ -161,7 +161,7 @@ def edge_tuple(sigs: Iterable[str]) -> tuple[str, str, str, str]:
     return sigs  # type: ignore[return-value]
 
 
-def edge_column(
+def _edge_column(
     column: Sequence[Iterable[str]],
 ) -> tuple[tuple[str, str, str, str], ...]:
     """Each entry of ``column`` as :func:`edge_tuple` reads it, as one tuple;
@@ -215,7 +215,7 @@ def read_columns(grid: Any, names: Sequence[str]) -> list[tuple]:
     them: each must be a list or tuple whose length
     :func:`check_grid_size` accepts for ``grid.width`` and ``grid.height``
     (all are checked before any is read), and is kept as a tuple;
-    ``edges`` is read by :func:`edge_column`."""
+    ``edges`` is read by :func:`_edge_column`."""
     for name in names:
         column = getattr(grid, name)
         if type(column) not in (list, tuple):
@@ -224,7 +224,7 @@ def read_columns(grid: Any, names: Sequence[str]) -> list[tuple]:
     columns = []
     for name in names:
         column = getattr(grid, name)
-        column = edge_column(column) if name == "edges" else tuple(column)
+        column = _edge_column(column) if name == "edges" else tuple(column)
         object.__setattr__(grid, name, column)
         columns.append(column)
     return columns

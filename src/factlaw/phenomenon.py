@@ -55,15 +55,16 @@ number.  ``tally`` counts the runs instead, branch-free, in groups of
 eight: one ``bytes.translate`` maps each top byte of run 8g + b to the
 byte ``1 << b`` and every other byte to 0, ``int.from_bytes`` reads the
 chunk as one int, and each run is the ``bit_count`` of its lane, that int
-masked by bit b of every byte.  On a 2-core VM under Python 3.11 that
-costs about 3 ns per draw at q = 3 and 0.7 ns per run per draw with many
-runs, where one ``bytes.count`` per run cost 5.6 ns and 0.45-0.6 ns: its
-byte loop mispredicts its branch where a run is common.  Only the draws
-whose top byte holds a cut are settled one by one, by the same code as
-``sample``.  There are at most q runs, so the count is cheap where few
-labels are drawn, as in every workload (q <= 3); where hundreds are, most
-top bytes hold a cut, and settling their draws costs about as much as
-listing them all.
+masked by bit b of every byte.  On a 2-core VM under Python 3.11, over
+chunks never counted before, that costs about 3 ns per draw at q = 3 and
+0.7 ns per run per draw with many runs, where one ``bytes.count`` per run
+cost about 9.5 ns and 0.5-0.65 ns: its byte loop mispredicts its branch
+where a run is common.  Only the draws whose top byte holds a cut are
+settled one by one, by the same code as ``sample``.  There are at most q
+runs, so the count is cheap where few labels are drawn, as in every
+workload (q <= 3).  Where a hundred are, most top bytes hold a cut, and
+counting costs more than listing: about 170 ns a draw against 106 for
+``sample`` at q = 100 with random weights.
 """
 
 from __future__ import annotations

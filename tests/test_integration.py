@@ -2,8 +2,12 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -154,6 +158,25 @@ def test_hidden_form_shares_the_painting_columns(reference_painting):
     form = hidden_form_from_painting(reference_painting, seed=3)
     assert form.labels is reference_painting.labels
     assert form.edges is reference_painting.edges
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="every instance has a dict before 3.11")
+def test_a_form_built_first_gives_its_events_no_dict_each():
+    # In a fresh interpreter the form's events are the first made past the
+    # one its import builds, so they show how bulk-made events are stored.
+    code = (
+        "import gc\n"
+        "from factlaw import PaintingSpec, generate_hidden_form\n"
+        "form = generate_hidden_form(PaintingSpec(8, 8, 2, {1: 40, 2: 24}, seed=1))\n"
+        "print(sum(type(r) is dict for e in form.cells for r in gc.get_referents(e)))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_generate_hidden_form_is_deterministic():
