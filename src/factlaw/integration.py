@@ -120,9 +120,8 @@ class ComplexifiedEvent:
 
 
 _EVENT_FIELDS = ("label_r", "complexification_r_prime", "edge_sigs", "_hash")
-# CPython 3.11+ takes a free slot from a class's shared attribute keys per
-# instance made, so a form's bare events, made in bulk, would leave room for
-# one name and get a dict each: this event enters all four names first.
+# CPython 3.11+ takes a slot from a class's shared attribute keys per instance
+# made: this event enters all four names before a form makes events in bulk.
 ComplexifiedEvent(1, 1, (BOUNDARY,) * 4)
 
 

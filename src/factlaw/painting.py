@@ -284,7 +284,7 @@ def scanline_layout(
     if end == len(sigs):
         stock = [1] * end
     else:  # each kind's pieces, in index order
-        pieces = dict(zip(kinds.values(), map(list, repeat((), end))))
+        pieces: dict[int, list[int]] = {first: [] for first in kinds.values()}
         deque(map(list.append, map(pieces.__getitem__, kind_of), count()), maxlen=0)
         stock = list(map(len, pieces.values()))
     north, east, south, west = zip(*kinds)

@@ -58,12 +58,12 @@ chunk as one int, and each run is the ``bit_count`` of its lane, that int
 masked by bit b of every byte.  On a 2-core VM under Python 3.11, over
 chunks never counted before, that costs about 3 ns per draw at q = 3 and
 0.7 ns per run per draw with many runs, where one ``bytes.count`` per run
-cost about 9.5 ns and 0.5-0.65 ns: its byte loop mispredicts its branch
+cost about 9.5 ns and 0.45-0.65 ns: its byte loop mispredicts its branch
 where a run is common.  Only the draws whose top byte holds a cut are
 settled one by one, by the same code as ``sample``.  There are at most q
 runs, so the count is cheap where few labels are drawn, as in every
 workload (q <= 3).  Where a hundred are, most top bytes hold a cut, and
-counting costs more than listing: about 170 ns a draw against 106 for
+counting costs more than listing: 170-250 ns a draw against 105-120 for
 ``sample`` at q = 100 with random weights.
 """
 
