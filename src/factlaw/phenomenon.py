@@ -48,10 +48,18 @@ rule and a fourth fact: ``shuffle`` swaps ``x[i]`` with
 compare it with ``Random.shuffle`` itself, in
 ``tests/oracles.py::reference_draw_order``.
 
+A run is the span of whole top bytes that give one label, and ``sample``
+lists a chunk's labels through each top byte's run number.  Where every
+universe element is exactly an ``int`` in ``range(256)`` (no ``bool``, no
+``IntEnum`` member), one ``bytes.translate`` maps the run numbers to the
+labels' bytes, and ``list`` of those bytes yields the interpreter's cached
+small ints, the very label objects, in one C loop; every other universe
+lists its labels by a Python lookup per draw.  On a 2-core VM under
+Python 3.11 that took a q = 3 sample from 71-73 to 48-52 ns a draw, about
+33 of which read the words.
+
 ``tally`` counts the same draws per label and lists none; frequency
-experiments use it.  A run is the span of whole top bytes that give one
-label, and ``sample`` lists a chunk's labels through each top byte's run
-number.  ``tally`` counts the runs instead, branch-free, in groups of
+experiments use it.  It counts the runs, branch-free, in groups of
 eight: one ``bytes.translate`` maps each top byte of run 8g + b to the
 byte ``1 << b`` and every other byte to 0, ``int.from_bytes`` reads the
 chunk as one int, and each run is the ``bit_count`` of its lane, that int
@@ -63,8 +71,10 @@ where a run is common.  Only the draws whose top byte holds a cut are
 settled one by one, by the same code as ``sample``.  There are at most q
 runs, so the count is cheap where few labels are drawn, as in every
 workload (q <= 3).  Where a hundred are, most top bytes hold a cut, and
-counting costs more than listing: 170-250 ns a draw against 105-120 for
-``sample`` at q = 100 with random weights.
+counting costs more than listing: with random weights and labels
+``range(q)``, 180-195 ns a draw against 97-106 for ``sample`` at q = 100,
+270-310 against 178-204 at q = 256, and 294-370 against 246-287 at
+q = 1,000, where ``sample`` takes the lookup path.
 """
 
 from __future__ import annotations
@@ -163,11 +173,14 @@ class RandomPhenomenon:
     # None), the labels of the runs, each top byte's run number, or
     # len(_run_labels) for a byte that holds a cut, and per group of eight
     # runs, the group's labels beside the table that maps each top byte of
-    # run 8g + b to the byte 1 << b, and every other top byte to 0.
+    # run 8g + b to the byte 1 << b, and every other top byte to 0.  Where
+    # every label is an int in range(256), _label_bytes maps each run
+    # number to its label's byte (the cut number to 0); else it is None.
     _rows: tuple = field(init=False, repr=False, compare=False)
     _run_labels: tuple = field(init=False, repr=False, compare=False)
     _runs: bytes = field(init=False, repr=False, compare=False)
     _one_hot: tuple = field(init=False, repr=False, compare=False)
+    _label_bytes: bytes | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.procedure_id, str) or not self.procedure_id:
@@ -214,6 +227,12 @@ class RandomPhenomenon:
             ))
             for g in range(0, len(run_labels), 8)
         ))
+        # type() is int, not isinstance: a bool or IntEnum label must come
+        # back as itself, and a byte lists as a plain int.
+        small = all(type(label) is int and 0 <= label < 256 for label in labels)
+        object.__setattr__(
+            self, "_label_bytes", bytes(run_labels).ljust(256, b"\0") if small else None
+        )
 
     def sample(self, n: int, seed: int | None = None) -> list:
         """``n`` draws; an explicit ``seed`` overrides the stored one.
@@ -226,14 +245,19 @@ class RandomPhenomenon:
         ``random()`` reads them, and each draw is settled by the byte
         tables: its top byte; where that byte's interval holds a cut, its
         next byte; where that one holds a cut too, its float, rebuilt from
-        its eight bytes by ``random()``'s 53-bit formula.  The tests hold
-        this to the ``random()`` loop under Python 3.10 to 3.13.  ``n`` and
-        an explicit ``seed`` are read by :func:`~factlaw.serialize.read_int`.
+        its eight bytes by ``random()``'s 53-bit formula.  A chunk is first
+        listed by its top bytes' run numbers: where every label is exactly an
+        ``int`` in ``range(256)``, by one ``translate`` to the labels' bytes,
+        else by one lookup per draw; the draws whose top byte holds a cut are
+        then overwritten.  The tests hold this to the ``random()`` loop under
+        Python 3.10 to 3.13, values and types.  ``n`` and an explicit
+        ``seed`` are read by :func:`~factlaw.serialize.read_int`.
         """
         by_run = self._run_labels + (_EXACT,)
+        table = self._label_bytes
         draws: list = []
         for words, tops, runs in self._chunks(n, seed):
-            chunk = [by_run[r] for r in runs]
+            chunk = list(runs.translate(table)) if table else [by_run[r] for r in runs]
             self._settle_cuts(words, tops, runs, chunk)
             draws += chunk
         return draws
@@ -407,7 +431,11 @@ def meta_probability(
         raise ValueError("epsilon must be positive")
     # A repetition's count c lands in the window when |c / n - t| <= e, for
     # t = tn / td and e = en / ed; in integers, |c * td - tn * n| * ed <=
-    # en * n * td.  Its draws come from ``sample``, which lists them.
+    # en * n * td.  The draws are listed by ``sample`` and counted here, not
+    # counted by ``tally``: the benchmark's tracer counts draws only through
+    # ``sample``, and perfbench/tracing.py reads the find-n0 count with no
+    # default.  Counting with ``tally`` is ROADMAP item 11, after item 6's
+    # part A.
     td, ed = target_f.denominator, epsilon_f.denominator
     centre = target_f.numerator * n_draws
     bound = epsilon_f.numerator * n_draws * td

@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import math
 import random
@@ -145,6 +146,32 @@ def test_sample_equals_the_per_draw_rule(weights, n, seed):
     labels = tuple(range(len(weights)))
     ph = RandomPhenomenon("weighted-draw", Universe(labels), tuple(weights), seed)
     assert ph.sample(n) == reference_draws(labels, weights, n, seed)
+
+
+class Side(enum.IntEnum):
+    HEADS = 0
+    TAILS = 1
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [(0, 255), (0, 1, 2), (1, 256), (-1, 1), (False, True), tuple(Side), ("x", "y")],
+    ids=["0,255", "0,1,2", "1,256", "-1,1", "bool", "IntEnum", "str"],
+)
+def test_sample_lists_labels_of_every_kind_as_themselves(labels):
+    # Labels that are all ints in range(256) are listed through a table of
+    # label bytes; every other universe, through its run labels.  Either
+    # way each draw is the universe's own label, of the label's own type:
+    # a bool stays a bool and an enum member stays a member.
+    weights = (5, 2, 2)[: len(labels)]
+    ph = RandomPhenomenon("weighted-draw", Universe(labels), weights, seed=6)
+    assert (ph._label_bytes is not None) == (labels in [(0, 255), (0, 1, 2)])
+    for n in (0, 1, 4_097):
+        draws = ph.sample(n)
+        expected = reference_draws(labels, weights, n, 6)
+        assert draws == expected
+        assert [type(d) for d in draws] == [type(d) for d in expected]
+    assert set(draws) == set(labels)  # the last n, 4,097, draws every label
 
 
 def tallied(labels, draws) -> dict:

@@ -371,6 +371,29 @@ def test_meta_probability_and_find_n0_are_pinned(scale):
     ] == [256, 64]
 
 
+@pytest.mark.parametrize("start", [16, 5])
+def test_lln_functions_draw_their_budget_through_sample(monkeypatch, start):
+    # The benchmark's tracer counts draws only where ``sample`` lists them,
+    # and its find-n0 check counts repetitions * (2 * n0 - start) of them:
+    # every rung of the doubling ladder draws its n once per repetition.
+    drawn = []
+    sample = RandomPhenomenon.sample
+
+    def counted(self, n, seed=None):
+        draws = sample(self, n, seed)
+        drawn.append(len(draws))
+        return draws
+
+    monkeypatch.setattr(RandomPhenomenon, "sample", counted)
+    ph = RandomPhenomenon("weighted-draw", Universe((1, 2, 3)), (6, 3, 1))
+    meta_probability(ph, 1, Fraction(3, 5), Fraction(1, 100), 1000, 30, seed=5)
+    assert sum(drawn) == 30 * 1000
+    drawn.clear()
+    n0 = find_N0(ph, 3, Fraction(1, 10), Fraction(1, 25), 0.1, 30, seed=5, start=start)
+    assert n0 > start
+    assert sum(drawn) == 30 * (2 * n0 - start)
+
+
 def test_meta_probability_validates_inputs(fair_coin):
     with pytest.raises(ForeignElement):
         meta_probability(fair_coin, 9, Fraction(1, 2), Fraction(1, 50), 10, 5, seed=0)
