@@ -16,7 +16,8 @@ Exit codes: 0 success, 1 failed check or runtime error, 2 config error.
 A bad flag, an out-of-range count and an input file that does not parse are
 config errors; a missing input file is a runtime error.  Every non-zero exit
 writes one JSON line to stderr, whose "error" field is "check", "runtime" or
-"config".
+"config", and an exit of 0 writes none: `reproduce` reports its own verdict,
+not the re-run's.
 """
 
 from __future__ import annotations
@@ -596,26 +597,40 @@ def _emit_error(kind: str, exc: Exception) -> None:
     sys.stderr.write(canonical_dumps(record) + "\n")
 
 
-def run(
-    command: str,
-    config_path: str | None = None,
-    overrides: Mapping[str, Any] | None = None,
-) -> int:
-    """Validate, dispatch, write outputs plus a manifest; return the exit code."""
+def _exit_status(body: Callable[[], int], check: str) -> int:
+    """``body``'s exit status, or 2 for a ConfigError and 1 for any other
+    exception.  Each non-zero one writes one JSON line to stderr: for a
+    status from ``body``, a ``check`` record whose message is ``check``."""
     try:
-        params = load_config(command, config_path, overrides)
-    except ConfigError as exc:
-        _emit_error("config", exc)
-        return 2
-    started = time.monotonic()
-    try:
-        status, outputs, inputs, seeds = _COMMANDS[command].worker(params)
+        status = body()
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2
     except Exception as exc:
         _emit_error("runtime", exc)
         return 1
+    if status != 0:
+        _emit_error("check", CheckFailed(check))
+    return status
+
+
+def run(
+    command: str,
+    config_path: str | None = None,
+    overrides: Mapping[str, Any] | None = None,
+) -> int:
+    """Validate, dispatch, write outputs plus a manifest; return the exit code."""
+    return _exit_status(
+        lambda: _execute(command, load_config(command, config_path, overrides)),
+        f"{command}: a check failed; see its output document",
+    )
+
+
+def _execute(command: str, params: dict[str, Any]) -> int:
+    """Run ``command`` on validated ``params``, write the manifest of any
+    files it wrote, and return its status."""
+    started = time.monotonic()
+    status, outputs, inputs, seeds = _COMMANDS[command].worker(params)
     if outputs:
         jsonable = _jsonable_params(params)
         manifest = {
@@ -631,9 +646,6 @@ def run(
         }
         primary_out = params.get(_COMMANDS[command].out)
         dump_json(manifest, str(primary_out) + ".manifest.json")
-    if status != 0:
-        failure = CheckFailed(f"{command}: a check failed; see its output document")
-        _emit_error("check", failure)
     return status
 
 
@@ -664,24 +676,22 @@ def _read_manifest(doc: Any) -> tuple[str, dict, dict[str, str], dict[str, str]]
 
 def reproduce(manifest_path: str) -> int:
     """Re-run a manifest in a scratch directory and diff output digests."""
-    try:
-        (command, params, inputs, outputs), _ = _load_input(
-            manifest_path, "manifest", _read_manifest
-        )
-    except MissingInput as exc:
-        _emit_error("runtime", exc)
-        return 1
-    except ConfigError as exc:
-        _emit_error("config", exc)
-        return 2
+    return _exit_status(
+        lambda: _reproduce(manifest_path),
+        "reproduce: a recorded digest does not match; see stdout",
+    )
+
+
+def _reproduce(manifest_path: str) -> int:
+    (command, params, inputs, outputs), _ = _load_input(
+        manifest_path, "manifest", _read_manifest
+    )
     failures = []
     for path, digest in inputs.items():
         if not os.path.exists(path):
-            _emit_error("runtime", MissingInput(f"input not found: {path}"))
-            return 1
+            raise MissingInput(f"input not found: {path}")
         if not os.path.isfile(path):
-            _emit_error("config", ConfigError(f"input {path} is not a file"))
-            return 2
+            raise ConfigError(f"input {path} is not a file")
         actual = sha256_of_file(path)
         line = f"input {path}: {'ok' if actual == digest else 'CHANGED'}"
         print(line)
@@ -691,9 +701,9 @@ def reproduce(manifest_path: str) -> int:
     with tempfile.TemporaryDirectory(prefix="factlaw-reproduce-") as scratch:
         rerun_map = {path: str(Path(scratch) / Path(path).name) for path in outputs}
         params[out_key] = rerun_map[params[out_key]]
-        status = run(command, None, params)
-        if status == 2:
-            return 2
+        # The re-run's own status is not the verdict: a failed check that
+        # the manifest recorded is reproduced when its outputs match.
+        _execute(command, validate_params(command, params))
         for recorded_path, recorded_digest in outputs.items():
             fresh = rerun_map[recorded_path]
             if not os.path.exists(fresh):

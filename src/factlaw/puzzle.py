@@ -5,20 +5,20 @@ A fragment is a painting's tile seen through one game's view, a
 holds the fragments shuffled once, and each game reads them in that order
 and places them on boards.  The games run on columns, not on objects: a
 pool keeps its draw order as indices into its source cells, beside each
-cell's coordinates or edge tuple, and a game's report keeps each board as
-the draw indices of its pieces, row-major from (1, 1) like the painting's
-columns.  A pool that :meth:`FragmentPool.from_painting` builds reads the
-painting's columns directly, so a game on a painting builds no object per
-cell; its ``fragments`` and its report's ``boards`` are views, built as
-:class:`Description`, :class:`Board` and :class:`Piece` objects when they
-are first read.  In the location game every fragment carries its
-coordinates, so placement is certain.  In the border game coordinates are
-filtered out and only edge signatures guide assembly: one scan-line search
-rebuilds the whole pool cell by cell, backtracking where signatures
-repeat.  With several replicas of the painting mixed into one pool, boards
-close only near the end of the stream.  The search is the painting
-module's :func:`factlaw.painting.scanline_layout`, which semantic
-integration shares, and the seam rule that checks a painting
+cell's coordinates or edge tuple, and a game's report is its layouts,
+``AssemblyReport(placements, trials, width, height, layouts, pool)``: each
+board as the draw indices of its pieces, row-major from (1, 1) like the
+painting's columns.  A pool that :meth:`FragmentPool.from_painting` builds
+reads the painting's columns directly, so a game on a painting builds no
+object per cell: the pool's ``fragments`` are built when first read, and
+the report's ``boards`` each time they are read.  In the location game
+every fragment carries its coordinates, so placement is certain.  In the
+border game coordinates are filtered out and only edge signatures guide
+assembly: one scan-line search rebuilds the whole pool cell by cell,
+backtracking where signatures repeat.  With several replicas of the
+painting mixed into one pool, boards close only near the end of the
+stream.  The search, :func:`factlaw.painting.scanline_layout`, is shared
+with semantic integration, and the seam rule that checks a painting
 (:func:`factlaw.painting.check_edge_coherence`) checks a finished board.
 """
 
@@ -33,6 +33,7 @@ from .painting import (
     Painting,
     check_edge_coherence,
     check_grid,
+    check_grid_size,
     edge_tuple,
     row_major_positions,
     scanline_layout,
@@ -76,10 +77,8 @@ class Description:
     grid_coords: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        generator, entity = self.generator_id, self.entity_id
-        if not (isinstance(generator, str) and generator) or not (
-            isinstance(entity, str) and entity
-        ):
+        ids = (self.generator_id, self.entity_id)
+        if not all(isinstance(name, str) and name for name in ids):
             raise ValueError("generator_id and entity_id must be non-empty strs")
         try:
             object.__setattr__(self, "points", dict(self.points))
@@ -152,68 +151,56 @@ class Board:
 class AssemblyReport:
     """What an assembly run did: counts, interleaving, finished boards.
 
-    ``completion_order`` lists ``(board_index, draw_index)`` pairs in the
-    order boards closed; ``board_index`` indexes into ``boards`` and
-    ``draw_index`` is 1-based into the draw stream.  A game's report keeps
-    each board as the draw indices of its pieces, row-major, and builds
-    ``boards`` from them when they are first read.
+    A report is its layouts: each finished ``width`` x ``height`` board as
+    the draw indices into ``pool`` of its pieces, row-major, in the order
+    the boards closed; a board closes with its last draw, whose 1-based
+    index ``completion_order`` pairs with the board's.  ``boards`` builds
+    the :class:`Board` objects each time it is read, each piece with the
+    edge tuple its fragment carries, if any.  A field of the wrong kind, a
+    layout that does not fill the grid, or more placements than trials
+    raise ``ValueError``; the draws themselves are not checked.
     """
 
     placements: int
     trials: int
-    completed_replicas: int
-    completion_order: tuple[tuple[int, int], ...]
-    boards: tuple[Board, ...]
+    width: int
+    height: int
+    layouts: tuple[tuple[int, ...], ...]
+    pool: FragmentPool
 
     def __post_init__(self) -> None:
+        counts = (self.placements, self.trials, self.width, self.height)
+        if not all(type(count) is int for count in counts):
+            raise ValueError(f"counts and extents must be ints, got {counts!r}")
+        if not isinstance(self.pool, FragmentPool):
+            raise ValueError(f"pool must be a FragmentPool, got {self.pool!r}")
+        layouts = self.layouts
+        if type(layouts) is not tuple or not all(type(draws) is tuple for draws in layouts):
+            raise ValueError("layouts must be a tuple of tuples")
+        for layout in layouts:
+            check_grid_size(self.width, self.height, len(layout), "draws")
         if self.placements > self.trials:
             raise ValueError("placements cannot exceed trials")
-        if self.completed_replicas != len(self.completion_order):
-            raise ValueError("completion log disagrees with completed count")
 
-    @classmethod
-    def _of_layouts(
-        cls,
-        trials: int,
-        pool: "FragmentPool",
-        shape: tuple[int, int],
-        layouts: list[list[int]],
-        sigs: list[tuple[str, str, str, str]] | None,
-    ) -> "AssemblyReport":
-        """A game's report on ``pool``: ``layouts`` holds each board of
-        ``shape``, a ``(width, height)``, as the draw indices of its pieces,
-        and ``sigs`` the edges each draw's piece carries, or is ``None``
-        when the pieces carry none.  A board closes with its last draw, and
-        the boards are listed in the order they close."""
-        layouts = sorted(layouts, key=max)
-        report = _set_fields(
-            object.__new__(cls),
-            placements=sum(map(len, layouts)),
-            trials=trials,
-            completed_replicas=len(layouts),
-            completion_order=tuple(
-                (index, max(layout) + 1) for index, layout in enumerate(layouts)
-            ),
-            _layouts=(pool, shape, layouts, sigs),
-        )
-        report.__post_init__()
-        return report
+    @property
+    def completed_replicas(self) -> int:
+        return len(self.layouts)
 
-    def __getattr__(self, name: str) -> Any:
-        # Only a game's report lacks ``boards``, until they are first read.
-        if name != "boards" or "_layouts" not in self.__dict__:
-            raise AttributeError(name)
-        pool, (width, height), layouts, sigs = self._layouts
-        fragments = pool.fragments
-        boards = tuple(
-            Board(width, height, tuple(
-                Piece(fragments[draw], None if sigs is None else sigs[draw])
+    @property
+    def completion_order(self) -> tuple[tuple[int, int], ...]:
+        return tuple((index, max(layout) + 1) for index, layout in enumerate(self.layouts))
+
+    @property
+    def boards(self) -> tuple[Board, ...]:
+        pool = self.pool
+        fragments, order, edges = pool.fragments, pool._order, pool._edges
+        return tuple(
+            Board(self.width, self.height, tuple(
+                Piece(fragments[draw], None if edges is None else edges[order[draw]])
                 for draw in layout
             ))
-            for layout in layouts
+            for layout in self.layouts
         )
-        _set_fields(self, boards=boards)
-        return boards
 
     def to_doc(self) -> dict[str, Any]:
         return {
@@ -222,18 +209,10 @@ class AssemblyReport:
             "completed_replicas": self.completed_replicas,
             "completion_order": [list(entry) for entry in self.completion_order],
             "board_sizes": [
-                {"width": width, "height": height, "pieces": pieces}
-                for width, height, pieces in self._board_sizes()
+                {"width": self.width, "height": self.height, "pieces": len(layout)}
+                for layout in self.layouts
             ],
         }
-
-    def _board_sizes(self) -> list[tuple[int, int, int]]:
-        """Each board's width, height and piece count, read off its layout
-        while the boards are not built."""
-        if "boards" in self.__dict__:
-            return [(b.width, b.height, len(b.pieces)) for b in self.boards]
-        _, (width, height), layouts, _ = self._layouts
-        return [(width, height, len(layout)) for layout in layouts]
 
 
 @dataclass(frozen=True)
@@ -430,12 +409,12 @@ def solve_by_location(pool: FragmentPool) -> AssemblyReport:
     # Distinct cells fill the width x height grid from (1, 1) exactly when
     # none lies left of or below it and there are width * height of them;
     # testing that first keeps far-off coordinates from spanning a huge grid.
-    if width * height != count or min(xs) < 1 or min(ys) < 1:
-        return AssemblyReport(count, count, 0, (), ())
-    if pool._grid != (width, height):  # a painting's pool holds its grid's
-        coords = row_major_positions(width, height)  # positions already
-    layout = list(map(cells.__getitem__, coords))
-    return AssemblyReport._of_layouts(count, pool, (width, height), [layout], None)
+    layouts = ()
+    if width * height == count and min(xs) >= 1 and min(ys) >= 1:
+        if pool._grid != (width, height):  # a painting's pool holds its grid's
+            coords = row_major_positions(width, height)  # positions already
+        layouts = (tuple(map(cells.__getitem__, coords)),)
+    return AssemblyReport(count, count, width, height, layouts, pool)
 
 
 def solve_by_borders(
@@ -465,6 +444,7 @@ def solve_by_borders(
             _edges_of(fragment)
     sigs = list(map(edges.__getitem__, order))
     width, height, placed, trials = scanline_layout(sigs, trial_budget)
-    area = width * height
+    area, placed = width * height, tuple(placed)
     layouts = [placed[first:first + area] for first in range(0, len(placed), area)]
-    return AssemblyReport._of_layouts(trials, pool, (width, height), layouts, sigs)
+    layouts.sort(key=max)
+    return AssemblyReport(len(placed), trials, width, height, tuple(layouts), pool)

@@ -24,7 +24,7 @@ from factlaw import (
     painting_from_doc,
     painting_to_doc,
 )
-from factlaw import puzzle
+from factlaw import cli, puzzle
 from factlaw.cli import _COMMANDS, main, run
 from factlaw.integration import HiddenForm, generate_hidden_form
 from factlaw.serialize import (
@@ -380,9 +380,11 @@ HALVES = {"1": "1/2", "2": "1/2"}
         {"universe": [1, 1], "law": {"1": "1/1"}},
         {"universe": [], "law": {}},
         {"universe": [1, 2], "law": ["1/2", "1/2"]},
+        {"universe": "12", "law": HALVES},
+        {"universe": [1, 2, 3], "law": HALVES},
     ],
     ids=["zero-denominator", "foreign-generator", "generators-string", "duplicate",
-         "empty", "law-list"],
+         "empty", "law-list", "universe-string", "law-misses-element"],
 )
 def test_validate_space_malformed_space_is_a_config_error(tmp_path, capsys, doc):
     space = tmp_path / "space.json"
@@ -521,6 +523,7 @@ del LLN_N0["n_draws"]
         # a total that overflows the sampler's float arithmetic
         pytest.param(LLN_META, {"weights": [10**400, 1]}, id="weights=[10**400, 1]"),
         (LLN_META, {"epsilon": 0}),
+        (LLN_N0, {"delta": None}),
         (LLN_N0, {"delta": 0}),
         (LLN_N0, {"delta": "1/1"}),
         (LLN_N0, {"delta": 1.5}),
@@ -1109,6 +1112,62 @@ def test_broken_config_json_is_rejected(tmp_path, capsys):
     assert read_error(capsys)["error"] == "config"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [[1, 2], {"command": "lln", "params": [["seed", 1]]}],
+    ids=["array", "params-array"],
+)
+def test_config_that_is_not_an_object_is_a_config_error(tmp_path, capsys, doc):
+    config = tmp_path / "c.json"
+    dump_json(doc, str(config))
+    assert_config_error(main(["lln", "--config", str(config)]), capsys)
+
+
+def test_a_manifest_name_too_long_is_a_runtime_error(tmp_path, spec_file, capsys):
+    # The painting's 250-byte name is allowed, but not its manifest's.
+    out = tmp_path / ("p" * 245 + ".json")
+    assert main(["gen-painting", "--spec", spec_file, "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "runtime"
+
+
+def denied(read, target):
+    """``read``, except that reading ``target`` raises PermissionError."""
+    def guarded(path):
+        if str(path) == target:
+            raise PermissionError(13, "Permission denied", target)
+        return read(path)
+
+    return guarded
+
+
+@pytest.mark.parametrize(
+    "route, reader",
+    [("config", "load_json"), ("manifest", "load_json"), ("input", "sha256_of_file")],
+)
+def test_a_file_that_cannot_be_read_is_a_runtime_error(
+    tmp_path, spec_file, monkeypatch, capsys, route, reader
+):
+    out = tmp_path / "p.json"
+    assert main(["gen-painting", "--spec", spec_file, "--out", str(out)]) == 0
+    config = tmp_path / "c.json"
+    dump_json({"spec": spec_file, "out": str(tmp_path / "q.json")}, str(config))
+    manifest = str(out) + ".manifest.json"
+    argv, target = {
+        "config": (["gen-painting", "--config", str(config)], str(config)),
+        "manifest": (["reproduce", "--manifest", manifest], manifest),
+        "input": (["reproduce", "--manifest", manifest], spec_file),
+    }[route]
+    monkeypatch.setattr(cli, reader, denied(getattr(cli, reader), target))
+    capsys.readouterr()
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "runtime", "type": "PermissionError",
+        "message": f"[Errno 13] Permission denied: {target!r}",
+    }
+
+
 # file kind -> how to make it at a path.  Each once crashed with a traceback.
 UNDECODABLE_FILES = {
     "not-utf8": lambda path: path.write_bytes(b"\xff\xfe{"),
@@ -1256,9 +1315,11 @@ def test_reproduce_detects_corrupted_artifact(tmp_path, spec_file, capsys):
     capsys.readouterr()
     code = main(["reproduce", "--manifest", manifest_path])
     assert code == 1
-    text = capsys.readouterr().out
-    assert "DIGEST MISMATCH" in text
-    assert text.strip().splitlines()[-1] == "reproduce: fail"
+    captured = capsys.readouterr()
+    assert "DIGEST MISMATCH" in captured.out
+    assert captured.out.strip().splitlines()[-1] == "reproduce: fail"
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"] == "check"
 
 
 def test_reproduce_detects_changed_input(tmp_path, spec_file, capsys):
@@ -1270,8 +1331,68 @@ def test_reproduce_detects_changed_input(tmp_path, spec_file, capsys):
     capsys.readouterr()
     code = main(["reproduce", "--manifest", str(out) + ".manifest.json"])
     assert code == 1
-    text = capsys.readouterr().out
-    assert f"input {spec_file}: CHANGED" in text
+    captured = capsys.readouterr()
+    assert f"input {spec_file}: CHANGED" in captured.out
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"] == "check"
+
+
+def test_reproducing_a_failed_check_passes_without_a_record(tmp_path, capsys):
+    # The run failed its norm check (exit 1, one check record); its
+    # reproduction matches every digest, so it passes and writes none.
+    space, report = tmp_path / "space.json", tmp_path / "report.json"
+    dump_json({"universe": [1, 2], "law": {"1": "1/2", "2": "1/3"}}, str(space))
+    assert main(["validate-space", "--space", str(space), "--out", str(report)]) == 1
+    capsys.readouterr()
+    code = main(["reproduce", "--manifest", str(report) + ".manifest.json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.strip().splitlines()[-1] == "reproduce: pass"
+
+
+def tampered_manifest(tmp_path, spec_file, change):
+    """The manifest of a gen-painting run, after ``change`` has been applied
+    to that manifest and the run's spec file."""
+    out = tmp_path / "p.json"
+    assert main(["gen-painting", "--spec", spec_file, "--out", str(out)]) == 0
+    path = str(out) + ".manifest.json"
+    manifest = load_json(path)
+    change(manifest, Path(spec_file))
+    dump_json(manifest, path)
+    return path
+
+
+def test_reproduce_with_a_recorded_input_deleted_is_a_runtime_error(
+    tmp_path, spec_file, capsys
+):
+    manifest = tampered_manifest(tmp_path, spec_file, lambda doc, spec: spec.unlink())
+    capsys.readouterr()
+    assert main(["reproduce", "--manifest", manifest]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "runtime"
+
+
+def test_reproduce_whose_rerun_is_refused_is_a_config_error(
+    tmp_path, spec_file, capsys
+):
+    manifest = tampered_manifest(
+        tmp_path, spec_file, lambda doc, spec: spec.write_text("{not json")
+    )
+    capsys.readouterr()
+    assert_config_error(main(["reproduce", "--manifest", manifest]), capsys)
+
+
+def test_reproduce_reports_an_output_missing_on_rerun(tmp_path, spec_file, capsys):
+    extra = str(tmp_path / "extra.json")
+    manifest = tampered_manifest(
+        tmp_path, spec_file, lambda doc, spec: doc["outputs"].update({extra: "0" * 64})
+    )
+    capsys.readouterr()
+    assert main(["reproduce", "--manifest", manifest]) == 1
+    captured = capsys.readouterr()
+    assert f"output {extra}: MISSING on re-run" in captured.out.splitlines()
+    [line] = captured.err.splitlines()
+    assert json.loads(line)["error"] == "check"
 
 
 def test_reproduce_missing_manifest(tmp_path, capsys):

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -128,6 +129,36 @@ def test_hidden_form_rejects_label_gaps_and_bad_coverage():
         HiddenForm(2, 1, 10, (1,), (1,), (BLANK,))
     with pytest.raises(ValueError, match="extents must be positive"):
         HiddenForm(0, 0, 10, (), (), ())
+
+
+STRIP_EDGES = ((B, "e", B, B), (B, B, B, "e"))
+# name -> (refused call, the whole message)
+REFUSALS = {
+    "form-rp-0": (
+        lambda: HiddenForm(2, 1, 20, (1, 1), (0, 2), STRIP_EDGES),
+        "labels and complexification indices start at 1",
+    ),
+    "form-rp-above-s-prime": (
+        lambda: HiddenForm(2, 1, 20, (1, 1), (1, 21), STRIP_EDGES),
+        "r_prime 21 outside 1..20",
+    ),
+    "result-totals-disagree": (
+        lambda: IntegrationResult(
+            n_phi_total=3, per_pair_counts={(1, 1): 2}, per_label={1: 2},
+            total_labels=2, law=Measure({1: Fraction(1)}),
+            replicas_used_for_confirmation=1, events_consumed=2,
+            completion_log=((0, 2),),
+        ),
+        "every cell carries exactly one label, so totals must agree",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_name_their_fault(call, message):
+    HiddenForm(2, 1, 20, (1, 1), (1, 2), STRIP_EDGES)  # the strip itself holds
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_hidden_form_doc_round_trip(reference_form):

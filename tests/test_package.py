@@ -13,6 +13,7 @@ import factlaw.cli as cli
 import factlaw.integration as integration
 import factlaw.painting as painting
 from factlaw import (
+    AssemblyReport,
     ComplexifiedEvent,
     Description,
     EventAlgebra,
@@ -315,6 +316,10 @@ VALID_CALLS = {
         fragments=FragmentPool.from_painting(SMALL_PAINTING, "border").fragments, seed=0
     ),
     FactualSpace: dict(algebra=COIN_ALGEBRA, law=FAIR),
+    AssemblyReport: dict(
+        placements=2, trials=2, width=2, height=1, layouts=((1, 0),),
+        pool=SMALL_BORDER_POOL,
+    ),
 }
 ANY_HASHABLE_ENTRIES = {(Universe, "elements"), (Description, "points")}
 

@@ -21,6 +21,7 @@ from factlaw import (
     painting_to_doc,
 )
 from factlaw.painting import (
+    check_edge_coherence,
     interior_signature_multiset,
     row_major_positions,
     scanline_layout,
@@ -144,6 +145,79 @@ def test_painting_constructor_rejects_broken_grids():
         Painting(2, 2, 1, p.forms, p.labels, twisted)  # boundary/coherence violation
     with pytest.raises(ValueError, match="^grid extents must be positive$"):
         Painting(-2, -2, 1, p.forms, p.labels, p.edges)  # four cells, but no grid
+
+
+# A 3 x 1 strip with two labels, valid as it stands.
+STRIP_FORMS, STRIP_LABELS = ("f1", "f2", "f3"), (1, 1, 2)
+STRIP_EDGES = (("B", "a", "B", "B"), ("B", "b", "B", "a"), ("B", "B", "B", "b"))
+SIDES = ("B", "B", "B", "B")
+# Two cells whose only fault is a bad mark, and a column whose only one
+# is its N/S seam.
+EAST_UNMARKED = [("B", "a", "B", "B"), ("B", "x", "B", "a")]
+WEST_UNMARKED = [("B", "a", "B", "x"), ("B", "B", "B", "a")]
+SEAM_BROKEN = [("a", "B", "B", "B"), ("B", "B", "b", "B")]
+# name -> (refused call, exception, the whole message)
+REFUSALS = {
+    "bad-east-marker": (
+        lambda: check_edge_coherence(2, 1, EAST_UNMARKED),
+        ValueError, "bad east boundary marker at (2, 1)",
+    ),
+    "bad-west-marker": (
+        lambda: check_edge_coherence(2, 1, WEST_UNMARKED),
+        ValueError, "bad west boundary marker at (1, 1)",
+    ),
+    "north-south-mismatch": (
+        lambda: check_edge_coherence(1, 2, SEAM_BROKEN),
+        ValueError, "edge mismatch between (1, 1) N='a' and (1, 2) S='b'",
+    ),
+    "painting-forms-repeat": (
+        lambda: Painting(3, 1, 2, ("f1", "f1", "f3"), STRIP_LABELS, STRIP_EDGES),
+        ValueError, "colour_form_ids must be distinct",
+    ),
+    "painting-label-0": (
+        lambda: Painting(3, 1, 2, STRIP_FORMS, (0, 1, 2), STRIP_EDGES),
+        ValueError, "approx_colour labels start at 1",
+    ),
+    "painting-palette-fills-grid": (
+        lambda: Painting(3, 1, 3, STRIP_FORMS, (1, 2, 3), STRIP_EDGES),
+        ValueError, "palette must be strictly smaller than the grid",
+    ),
+    "painting-label-off-palette": (
+        lambda: Painting(3, 1, 2, STRIP_FORMS, (1, 1, 3), STRIP_EDGES),
+        ValueError, "tile labels leave the palette 1..q",
+    ),
+    "painting-palette-label-missing": (
+        lambda: Painting(3, 1, 2, STRIP_FORMS, (1, 1, 1), STRIP_EDGES),
+        ValueError, "every palette label must appear on some tile",
+    ),
+    "tile-label-0": (
+        lambda: Tile("cf", 0, SIDES),
+        ValueError, "approx_colour labels start at 1",
+    ),
+    "tile-form-empty": (
+        lambda: Tile("", 1, SIDES),
+        ValueError, "colour_form_id must be a non-empty string",
+    ),
+    "spec-width-0": (
+        lambda: PaintingSpec(0, 2, 1, {1: 2}),
+        InfeasibleSpec, "grid extents must be positive",
+    ),
+    "spec-q-0": (
+        lambda: PaintingSpec(2, 2, 0, {}),
+        InfeasibleSpec, "q must be at least 1",
+    ),
+    "scanline-no-pieces": (
+        lambda: scanline_layout([]),
+        UnsolvablePool, "no consistent assembly found",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_name_their_fault(call, error, message):
+    Painting(3, 1, 2, STRIP_FORMS, STRIP_LABELS, STRIP_EDGES)  # the strip itself holds
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("extent", [2.0, True], ids=("float", "bool"))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -458,3 +459,30 @@ def test_find_n0_validates_delta(fair_coin):
         find_N0(fair_coin, 1, Fraction(1, 2), Fraction(1, 10), 0, 10, seed=0)
     with pytest.raises(ValueError):
         find_N0(fair_coin, 1, Fraction(1, 2), Fraction(1, 10), 1, 10, seed=0)
+
+
+COIN = RandomPhenomenon("weighted-draw", Universe((1, 2)), (1, 1), seed=0)
+# name -> (refused call, exception, the whole message)
+REFUSALS = {
+    "measure-empty": (
+        lambda: Measure({}),
+        ValueError, "measure needs at least one atom",
+    ),
+    "report-unknown-check": (
+        lambda: validate_measure(
+            Measure({1: 1}), generate_algebra(Universe((1,)), [{1}])
+        ).check("nope"),
+        KeyError, "'nope'",
+    ),
+    "n0-start-above-cap": (
+        lambda: find_N0(COIN, 1, Fraction(1, 2), Fraction(1, 10), 0.1, 10, 0,
+                        start=64, cap=32),
+        ValueError, "need 1 <= start <= cap",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -93,6 +93,55 @@ def test_location_game_is_single_replica_only(reference_painting):
         solve_by_location(pool)
 
 
+STRIP = generate_painting(PaintingSpec(3, 2, 2, {1: 4, 2: 2}, seed=3))
+# name -> (pool the location game refuses, the whole message)
+LOCATION_REFUSALS = {
+    "empty-pool": (lambda: FragmentPool([]), "empty pool"),
+    "border-pool": (
+        lambda: FragmentPool.from_painting(STRIP, "border"),
+        "fragment carries no coordinates",
+    ),
+    "one-fragment-unlocated": (
+        lambda: FragmentPool([
+            Description(GENERATOR_ID, "cf_a", {}, (1, 1)),
+            Description(GENERATOR_ID, "cf_b", {}),
+        ]),
+        "fragment carries no coordinates",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "pool, message", LOCATION_REFUSALS.values(), ids=LOCATION_REFUSALS
+)
+def test_location_game_refusals_name_their_fault(pool, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_by_location(pool())
+
+
+def test_location_game_completes_a_pool_made_by_hand():
+    # A pool made from fragments holds no grid, so the game lays out the
+    # positions its fragments span.  These fragments carry their edges as
+    # well as their coordinates, and so do the pieces built from them.
+    located = [
+        Description(GENERATOR_ID, form, {
+            ASPECT_COLOUR_FORM: form, **dict(zip(ASPECT_EDGES, edges))
+        }, position)
+        for position, form, edges in file_cells(STRIP)
+    ]
+    report = solve_by_location(FragmentPool(located, seed=4))
+    assert (report.placements, report.trials, report.completed_replicas) == (6, 6, 1)
+    (board,) = report.boards
+    assert (board.width, board.height) == (3, 2)
+    assert board_form_grid(board) == source_form_grid(STRIP)
+    assert tuple(piece.edges for piece in board.pieces) == STRIP.edges
+    board.validate_edges()
+    # Without edges among their points, the pieces carry none.
+    bare = [dataclasses.replace(fragment, points={}) for fragment in located]
+    (board,) = solve_by_location(FragmentPool(bare, seed=4)).boards
+    assert [piece.edges for piece in board.pieces] == [None] * 6
+
+
 def test_location_game_incomplete_grid_is_not_certified(reference_painting):
     fragments = FragmentPool.from_painting(
         reference_painting, "location", seed=9
@@ -519,13 +568,20 @@ def test_board_validate_edges_catches_mismatch():
 
 
 def test_assembly_report_invariants():
-    board = Board(1, 1, (Piece("p", None),))
-    with pytest.raises(ValueError):
-        AssemblyReport(5, 4, 0, (), (board,))
-    with pytest.raises(ValueError):
-        AssemblyReport(1, 1, 1, (), (board,))
-    doc = AssemblyReport(1, 1, 1, ((0, 1),), (board,)).to_doc()
-    assert doc["board_sizes"] == [{"width": 1, "height": 1, "pieces": 1}]
+    pool = FragmentPool([Description(GENERATOR_ID, "cf", {}, (1, 1))])
+    with pytest.raises(ValueError, match="^placements cannot exceed trials$"):
+        AssemblyReport(5, 4, 1, 1, (), pool)
+    with pytest.raises(ValueError, match="^expected 2 draws, got 1$"):
+        AssemblyReport(1, 1, 2, 1, ((0,),), pool)
+    with pytest.raises(ValueError, match="^layouts must be a tuple of tuples$"):
+        AssemblyReport(1, 1, 1, 1, ([0],), pool)
+    report = AssemblyReport(1, 1, 1, 1, ((0,),), pool)
+    assert (report.completed_replicas, report.completion_order) == (1, ((0, 1),))
+    assert report.to_doc()["board_sizes"] == [{"width": 1, "height": 1, "pieces": 1}]
+    # The boards are built from the pool each time they are read; a
+    # fragment without edge points makes a piece without edges.
+    assert report.boards == (Board(1, 1, (Piece(pool.fragments[0]),)),)
+    assert report.boards[0] is not report.boards[0]
 
 
 def test_description_without_edges_is_rejected():
